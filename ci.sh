@@ -190,6 +190,11 @@ echo "== fault-plan fuzz smoke =="
 # it must never panic, and accepted plans must round-trip.
 go test ./internal/ras/ -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 30s >/dev/null
 
+echo "== cache tag store differential fuzz smoke =="
+# 15 seconds of coverage-guided fuzzing of SetAssoc against the reference
+# tag store it replaced: every return value and the Stats must match.
+go test ./internal/cache/ -run '^$' -fuzz '^FuzzSetAssocDifferential$' -fuzztime 15s >/dev/null
+
 echo "== apusimd smoke =="
 # The daemon must serve the job API end to end: an identical resubmission
 # must be served from cache with byte-identical manifest bytes and the

@@ -6,7 +6,10 @@
 // the HBM rather than coherence participation.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Stats accumulates cache event counts.
 type Stats struct {
@@ -30,24 +33,50 @@ func (s *Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(a)
 }
 
-type line struct {
-	tag        int64
-	valid      bool
-	dirty      bool
-	prefetched bool
-}
+// Line states, kept in the low two bits of a stored key. A zeroed key is
+// invalid, so freshly allocated pages need no initialisation. A
+// prefetched line is always clean: a demand hit clears the mark before a
+// write can dirty it, so four states cover every line.
+const (
+	invalid int64 = iota
+	prefetchedLine
+	dirtyLine
+	cleanLine
+	stateMask = 3
+)
 
 // SetAssoc is a set-associative cache with true-LRU replacement. It is a
 // tag store only: data lives in the functional mem.Space, so the cache
 // tracks presence and dirtiness for timing and traffic accounting.
+//
+// Storage is lazy and pointer-free, so an untouched cache costs only this
+// struct. The directory is allocated on the first fill, and each set
+// takes a block of Ways contiguous keys from the arena on its own first
+// fill: the valid ones first and most-recent-first. A key is the line's
+// tag within its set shifted left two bits over the line's state. A set
+// keeps its block for the cache's lifetime, through Invalidate and Flush.
 type SetAssoc struct {
 	Name     string
 	LineSize int64
 	Ways     int
 	Sets     int
 	stats    Stats
-	// sets[s] holds up to Ways lines ordered most-recent-first.
-	sets [][]line
+	// lineShift is log2(LineSize), or -1 when LineSize is not a power
+	// of two and locate must divide.
+	lineShift int
+	setShift  uint
+	// dir[s] is 1 + the index of set s's block, or 0 before its first
+	// fill. A uint32 suffices: 2^32 blocks would be an arena of at least
+	// 32 GiB.
+	dir []uint32
+	// The arena: page p holds blocks p<<pageShift up to (p+1)<<pageShift.
+	// A page is 1/32 of the cache (or one block), so growing the arena
+	// never copies a key and never holds more than a page of blocks no
+	// set has claimed.
+	pages     [][]int64
+	pageShift uint
+	pageMask  int
+	blocks    uint32
 }
 
 // NewSetAssoc builds a cache of the given total size. Size must be a
@@ -64,8 +93,13 @@ func NewSetAssoc(name string, size, lineSize int64, ways int) *SetAssoc {
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: invariant violated: %s set count %d must be a power of two for index masking", name, sets))
 	}
-	c := &SetAssoc{Name: name, LineSize: lineSize, Ways: ways, Sets: sets}
-	c.sets = make([][]line, sets)
+	c := &SetAssoc{Name: name, LineSize: lineSize, Ways: ways, Sets: sets,
+		lineShift: -1, setShift: uint(bits.TrailingZeros(uint(sets)))}
+	if lineSize&(lineSize-1) == 0 {
+		c.lineShift = bits.TrailingZeros64(uint64(lineSize))
+	}
+	c.pageShift = uint(max(0, int(c.setShift)-5))
+	c.pageMask = 1<<c.pageShift - 1
 	return c
 }
 
@@ -78,9 +112,62 @@ func (c *SetAssoc) Stats() Stats { return c.stats }
 // ResetStats zeroes the counters without flushing contents.
 func (c *SetAssoc) ResetStats() { c.stats = Stats{} }
 
-func (c *SetAssoc) index(addr int64) (set int, tag int64) {
-	lineAddr := addr / c.LineSize
-	return int(lineAddr) & (c.Sets - 1), lineAddr
+// locate maps addr to its set and the tag naming its line within that
+// set: the line address without the set-index bits. The tag must fit in
+// 62 bits beside the state, which every address does unless the cache has
+// fewer than four bytes of line across all its sets.
+func (c *SetAssoc) locate(addr int64) (set int, tag int64) {
+	var lineAddr int64
+	if c.lineShift >= 0 {
+		// addr / LineSize truncates toward zero; biasing a negative
+		// address by LineSize-1 before the arithmetic shift matches it.
+		lineAddr = (addr + addr>>63&(c.LineSize-1)) >> (c.lineShift & 63)
+	} else {
+		lineAddr = addr / c.LineSize
+	}
+	tag = lineAddr >> (c.setShift & 63)
+	if tag<<2>>2 != tag {
+		panic(untaggableError{c.Name, addr, c.Sets, c.LineSize})
+	}
+	return int(lineAddr) & (c.Sets - 1), tag
+}
+
+// untaggableError is the panic value for an address whose tag does not
+// fit beside a state. Formatting it only when printed keeps locate cheap
+// enough to inline.
+type untaggableError struct {
+	name     string
+	addr     int64
+	sets     int
+	lineSize int64
+}
+
+func (e untaggableError) Error() string {
+	return fmt.Sprintf("cache: invariant violated: %s cannot tag address %d: with %d sets of %d-byte lines its tag needs more than 62 bits", e.name, e.addr, e.sets, e.lineSize)
+}
+
+// keys returns set's Ways keys, or nil before the set's first fill.
+func (c *SetAssoc) keys(set int) []int64 {
+	if set >= len(c.dir) || c.dir[set] == 0 {
+		return nil
+	}
+	b := int(c.dir[set] - 1)
+	off := b & c.pageMask * c.Ways
+	return c.pages[b>>(c.pageShift&63)][off : off+c.Ways]
+}
+
+// find returns the way holding tag among a set's keys, or -1 and the
+// number of valid lines.
+func find(keys []int64, tag int64) (way, valid int) {
+	for i, k := range keys {
+		if k&stateMask == invalid {
+			return -1, i
+		}
+		if k>>2 == tag {
+			return i, i
+		}
+	}
+	return -1, len(keys)
 }
 
 // Result describes the outcome of one cache access.
@@ -97,112 +184,129 @@ type Result struct {
 // Access looks up the line containing addr, filling on miss, and returns
 // what happened. write marks the line dirty.
 func (c *SetAssoc) Access(addr int64, write bool) Result {
-	set, tag := c.index(addr)
-	s := c.sets[set]
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			// Hit: move to front (MRU).
-			ln := s[i]
-			if ln.prefetched {
-				c.stats.PrefHits++
-				ln.prefetched = false
-			}
-			if write {
-				ln.dirty = true
-			}
-			copy(s[1:i+1], s[:i])
-			s[0] = ln
-			c.stats.Hits++
-			return Result{Hit: true}
+	set, tag := c.locate(addr)
+	keys := c.keys(set)
+	way, valid := find(keys, tag)
+	if way >= 0 {
+		// Hit: move to front (MRU).
+		state := keys[way] & stateMask
+		if state == prefetchedLine {
+			c.stats.PrefHits++
+			state = cleanLine
 		}
+		if write {
+			state = dirtyLine
+		}
+		// A loop, not copy: a hit moves fewer than Ways keys, and for
+		// so few the memmove call costs more than the move.
+		for j := way; j > 0; j-- {
+			keys[j] = keys[j-1]
+		}
+		keys[0] = tag<<2 | state
+		c.stats.Hits++
+		return Result{Hit: true}
 	}
 	c.stats.Misses++
-	return c.fill(set, tag, write, false)
+	state := cleanLine
+	if write {
+		state = dirtyLine
+	}
+	return c.fill(set, keys, valid, tag<<2|state)
 }
 
-// fill inserts a line at MRU, evicting LRU if the set is full.
-func (c *SetAssoc) fill(set int, tag int64, dirty, prefetched bool) Result {
-	s := c.sets[set]
-	var res Result
-	if len(s) < c.Ways {
-		s = append(s, line{})
-		copy(s[1:], s[:len(s)-1])
-	} else {
-		victim := s[len(s)-1]
-		if victim.valid {
-			res.Evicted = true
-			c.stats.Evictions++
-			if victim.dirty {
-				res.Writeback = true
-				res.WritebackAddr = victim.tag * c.LineSize
-				c.stats.Writebacks++
-			}
-		}
-		copy(s[1:], s[:len(s)-1])
+// fill inserts key at MRU in a set holding valid lines, evicting LRU if
+// the set is full. keys is nil before the set's first fill.
+func (c *SetAssoc) fill(set int, keys []int64, valid int, key int64) Result {
+	if keys == nil {
+		keys = c.allocate(set)
 	}
-	s[0] = line{tag: tag, valid: true, dirty: dirty, prefetched: prefetched}
-	c.sets[set] = s
+	var res Result
+	if valid == c.Ways {
+		valid--
+		victim := keys[valid]
+		res.Evicted = true
+		c.stats.Evictions++
+		if victim&stateMask == dirtyLine {
+			res.Writeback = true
+			res.WritebackAddr = (victim>>2<<(c.setShift&63) | int64(set)) * c.LineSize
+			c.stats.Writebacks++
+		}
+	}
+	copy(keys[1:valid+1], keys[:valid])
+	keys[0] = key
 	return res
+}
+
+// allocate gives set a block on its first fill, allocating the directory
+// and a new page as needed, and returns the set's keys.
+func (c *SetAssoc) allocate(set int) []int64 {
+	if c.dir == nil {
+		c.dir = make([]uint32, c.Sets)
+	}
+	if int(c.blocks)&c.pageMask == 0 {
+		c.pages = append(c.pages, make([]int64, c.Ways<<c.pageShift))
+	}
+	c.blocks++
+	c.dir[set] = c.blocks
+	return c.keys(set)
 }
 
 // Contains reports whether addr's line is present (no LRU update).
 func (c *SetAssoc) Contains(addr int64) bool {
-	set, tag := c.index(addr)
-	for _, ln := range c.sets[set] {
-		if ln.valid && ln.tag == tag {
-			return true
-		}
-	}
-	return false
+	set, tag := c.locate(addr)
+	way, _ := find(c.keys(set), tag)
+	return way >= 0
 }
 
-// Prefetch inserts addr's line if absent, marking it prefetched. It
-// reports whether a fill actually happened.
-func (c *SetAssoc) Prefetch(addr int64) bool {
-	if c.Contains(addr) {
-		return false
+// Prefetch inserts addr's line if absent, marking it prefetched. Hit in
+// the result means the line was already present and nothing was filled;
+// otherwise the result describes the fill's eviction and writeback, as
+// for a missing Access.
+func (c *SetAssoc) Prefetch(addr int64) Result {
+	set, tag := c.locate(addr)
+	keys := c.keys(set)
+	way, valid := find(keys, tag)
+	if way >= 0 {
+		return Result{Hit: true}
 	}
-	set, tag := c.index(addr)
-	c.fill(set, tag, false, true)
 	c.stats.Prefetches++
-	return true
+	return c.fill(set, keys, valid, tag<<2|prefetchedLine)
 }
 
 // Invalidate drops addr's line, reporting whether it was present and dirty.
 func (c *SetAssoc) Invalidate(addr int64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	s := c.sets[set]
-	for i := range s {
-		if s[i].valid && s[i].tag == tag {
-			present, dirty = true, s[i].dirty
-			copy(s[i:], s[i+1:])
-			c.sets[set] = s[:len(s)-1]
-			return
-		}
+	set, tag := c.locate(addr)
+	keys := c.keys(set)
+	way, _ := find(keys, tag)
+	if way < 0 {
+		return false, false
 	}
-	return
+	dirty = keys[way]&stateMask == dirtyLine
+	copy(keys[way:], keys[way+1:])
+	keys[len(keys)-1] = invalid
+	return true, dirty
 }
 
 // Flush invalidates everything, returning the number of dirty lines that
 // would be written back.
 func (c *SetAssoc) Flush() (writebacks int) {
-	for i := range c.sets {
-		for _, ln := range c.sets[i] {
-			if ln.valid && ln.dirty {
+	for _, pg := range c.pages {
+		for _, k := range pg {
+			if k&stateMask == dirtyLine {
 				writebacks++
 			}
 		}
-		c.sets[i] = nil
+		clear(pg)
 	}
-	return
+	return writebacks
 }
 
 // Occupancy reports the number of valid lines.
 func (c *SetAssoc) Occupancy() int {
 	var n int
-	for _, s := range c.sets {
-		for _, ln := range s {
-			if ln.valid {
+	for _, pg := range c.pages {
+		for _, k := range pg {
+			if k&stateMask != invalid {
 				n++
 			}
 		}

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -221,11 +223,133 @@ func TestEffectiveBWMonotonicProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkSetAssocAccess(b *testing.B) {
-	c := NewSetAssoc("l2", 4<<20, 128, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(int64(i*64)%(8<<20), i%3 == 0)
+// bytesPerRun reports the heap bytes one call of f allocates, averaged
+// over runs calls.
+func bytesPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+var sinkCache *SetAssoc
+
+// TestNewSetAssocCostIndependentOfSets pins lazy construction: a 32 MiB
+// CCD L3 with 32,768 sets costs what a 2 MiB Infinity Cache slice with
+// 1,024 sets does, a few hundred bytes.
+func TestNewSetAssocCostIndependentOfSets(t *testing.T) {
+	l3 := bytesPerRun(100, func() { sinkCache = NewSetAssoc("l3", 32<<20, 64, 16) })
+	slice := bytesPerRun(100, func() { sinkCache = NewSetAssoc("mall", 2<<20, 128, 16) })
+	if l3 != slice || l3 > 512 {
+		t.Errorf("NewSetAssoc allocates %d B for 32,768 sets and %d B for 1,024 sets, want the same few hundred bytes", l3, slice)
 	}
 }
+
+// TestSetAssocSteadyStateZeroAllocs pins 0 allocs/op for hits and
+// evicting misses once every set has been filled.
+func TestSetAssocSteadyStateZeroAllocs(t *testing.T) {
+	c := NewSetAssoc("l2", benchSize, benchLine, benchWays)
+	for a := int64(0); a < benchSize; a += benchLine {
+		c.Access(a, true)
+	}
+	var next int64
+	if allocs := testing.AllocsPerRun(1000, func() {
+		c.Access(next%benchSize, false)
+		next += benchLine
+	}); allocs != 0 {
+		t.Errorf("hits allocate %.2f/op, want 0", allocs)
+	}
+	next = benchSize
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if r := c.Access(next, true); !r.Evicted {
+			t.Fatalf("access %#x did not evict", next)
+		}
+		next += benchLine
+	}); allocs != 0 {
+		t.Errorf("evicting misses allocate %.2f/op, want 0", allocs)
+	}
+}
+
+// TestInfinityCachePrefetchWritebackTraffic checks the traffic ledger of
+// a small Infinity Cache under a write-heavy stream with prefetch on: the
+// residual HBM traffic is one line per demand miss, per dirty writeback
+// (including those of prefetch fills) and per prefetch.
+func TestInfinityCachePrefetchWritebackTraffic(t *testing.T) {
+	const lineSize = 128
+	ic := NewInfinityCache(2, 16<<10, 1e12, 0, true)
+	rng := rand.New(rand.NewSource(7))
+	var hbm int64
+	var now sim.Time
+	addr := int64(0)
+	for i := 0; i < 20000; i++ {
+		if rng.Intn(8) == 0 {
+			addr = rng.Int63n(1<<20) &^ (lineSize - 1)
+		} else {
+			addr += lineSize
+		}
+		r := ic.Access(now, int(addr/4096)%2, addr, lineSize, rng.Intn(4) != 0)
+		hbm += r.HBMBytes
+		now = r.Done
+	}
+	st := ic.Stats()
+	if st.Writebacks == 0 || st.Prefetches == 0 {
+		t.Fatalf("stream exercised too little: %+v", st)
+	}
+	if want := lineSize * int64(st.Misses+st.Writebacks+st.Prefetches); hbm != want {
+		t.Errorf("Σ HBMBytes = %d, want lineSize × (misses %d + writebacks %d + prefetches %d) = %d",
+			hbm, st.Misses, st.Writebacks, st.Prefetches, want)
+	}
+}
+
+// The XCD L2 geometry: 4 MiB of 128-B lines, 16 ways, 2048 sets.
+const benchSize, benchLine, benchWays = 4 << 20, 128, 16
+
+// BenchmarkSetAssocAccess covers the access path's three regimes on the
+// XCD L2 geometry: hits at random LRU depths in a warm cache whose every
+// set is full, a write-mixed stream of twice the capacity that misses and
+// evicts on every access, and the original mix of MRU hits and evicting
+// misses from a 64-B stride over twice the capacity.
+func BenchmarkSetAssocAccess(b *testing.B) {
+	b.Run("hit", func(b *testing.B) {
+		c := NewSetAssoc("l2", benchSize, benchLine, benchWays)
+		const lines = benchSize / benchLine
+		addrs := make([]int64, 4096)
+		x := uint32(1)
+		for i := range addrs {
+			x = x*1664525 + 1013904223
+			addrs[i] = int64(x>>8%lines) * benchLine
+		}
+		for a := int64(0); a < benchSize; a += benchLine {
+			c.Access(a, false)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkResult = c.Access(addrs[i&4095], i%3 == 0)
+		}
+	})
+	b.Run("stream-miss", func(b *testing.B) {
+		c := NewSetAssoc("l2", benchSize, benchLine, benchWays)
+		for a := int64(0); a < 2*benchSize; a += benchLine {
+			c.Access(a, false)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkResult = c.Access(int64(i*benchLine)%(2*benchSize), i%3 == 0)
+		}
+	})
+	b.Run("mixed", func(b *testing.B) {
+		c := NewSetAssoc("l2", benchSize, benchLine, benchWays)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sinkResult = c.Access(int64(i*64)%(2*benchSize), i%3 == 0)
+		}
+	})
+}
+
+var sinkResult Result

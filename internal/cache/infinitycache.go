@@ -88,8 +88,9 @@ type AccessResult struct {
 	// Done - Begin is pure service time; Begin - (request arrival) is
 	// queueing, which the span-tracing layer reports separately.
 	Begin sim.Time
-	// HBMBytes is residual traffic that must still go to the HBM channel
-	// (the miss fill plus any dirty writeback).
+	// HBMBytes is residual traffic that must still go to the HBM channel:
+	// the miss fill and the prefetch fill, each with any dirty writeback
+	// its eviction caused.
 	HBMBytes int64
 }
 
@@ -122,11 +123,15 @@ func (ic *InfinityCache) Access(start sim.Time, ch int, addr, nbytes int64, writ
 	}
 	// Stream prefetch: a detected sequential run (on hits or misses)
 	// keeps pulling the next line, so a steady stream converges to hits.
+	// A prefetch fill that evicts a dirty line writes it back too.
 	if ic.prefetch {
 		lineAddr := addr / ic.lineSize
 		if ic.streams[ch] == lineAddr-1 || ic.streams[ch] == lineAddr {
-			if sl.Prefetch((lineAddr + 1) * ic.lineSize) {
+			if pr := sl.Prefetch((lineAddr + 1) * ic.lineSize); !pr.Hit {
 				out.HBMBytes += ic.lineSize
+				if pr.Writeback {
+					out.HBMBytes += ic.lineSize
+				}
 			}
 		}
 		ic.streams[ch] = lineAddr

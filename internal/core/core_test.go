@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -15,6 +16,22 @@ func mustPlatform(t testing.TB, spec *config.PlatformSpec) *Platform {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestNewPlatformAllocBudget pins the cost of building an MI300A before
+// it simulates anything. Its caches (128 Infinity Cache slices, three
+// 32 MiB CCD L3s, six XCD L2s) allocate their tag stores on first use, so
+// a build allocates well under 1 MiB.
+func TestNewPlatformAllocBudget(t *testing.T) {
+	spec := config.MI300A()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := mustPlatform(t, spec)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(p)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("NewPlatform(MI300A) allocated %d KiB, want under 1024 KiB", got>>10)
+	}
 }
 
 func TestNewPlatformAllSpecs(t *testing.T) {
@@ -289,3 +306,16 @@ func BenchmarkGPUMemTime(b *testing.B) {
 		p.GPUMemTime(sim.Time(i), i%6, 64<<10, i%2 == 0)
 	}
 }
+
+func BenchmarkNewPlatform(b *testing.B) {
+	for _, spec := range []*config.PlatformSpec{config.MI300A(), config.MI300X(), config.MI250X(), config.EHPv4()} {
+		b.Run(spec.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkPlatform = mustPlatform(b, spec)
+			}
+		})
+	}
+}
+
+var sinkPlatform *Platform
