@@ -283,22 +283,3 @@ func TestFacadeConstructors(t *testing.T) {
 		}
 	}
 }
-
-func TestAllExperimentsReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full report in short mode")
-	}
-	report, err := AllExperiments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"Table 1", "Figure 7", "Figure 12a", "Figure 13", "Figure 14",
-		"Figure 15", "Figure 17", "Figure 18", "Figure 19", "Figure 20",
-		"Figure 21", "EHPv4", "TSV",
-	} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing section %q", want)
-		}
-	}
-}

@@ -114,44 +114,12 @@ assert "hbm.ecc_retries" in names, names
 assert len(t["times_ns"]) > 0 and t["sample_ns"] == 100000
 EOF
 
-echo "== spans smoke =="
-# A traced run must emit a parseable span file carrying the pinned
-# schemas, an attribution report whose per-stage shares sum to ~1, and
-# identical bytes at -parallel 1 and -parallel 8.
-tmp_spans1=$(mktemp)
-tmp_spans8=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8"' EXIT
-go run ./cmd/repro -exp spanras -parallel 1 -spans "$tmp_spans1" >/dev/null
-go run ./cmd/repro -exp spanras -parallel 8 -spans "$tmp_spans8" >/dev/null
-cmp "$tmp_spans1" "$tmp_spans8"
-python3 - "$tmp_spans1" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-assert d["schema"] == "apusim-spans-runs/v1", d["schema"]
-run = d["runs"][0]
-assert run["id"] == "spanras", run["id"]
-s = run["spans"]
-assert s["schema"] == "apusim-spans/v1", s["schema"]
-assert s["roots_sampled"] > 0 and len(s["spans"]) > s["roots_sampled"]
-assert any(e["class"] == "ras.fault" for e in s["events"])
-att = s["attribution"]
-assert att["schema"] == "apusim-spans-attribution/v1", att["schema"]
-for kind in att["kinds"]:
-    share = sum(st["share"] for st in kind["stages"])
-    assert abs(share - 1) < 0.01, (kind["kind"], share)
-EOF
-
-echo "== telemetry golden schema =="
-# The series-dump JSON layout is pinned by a golden file; a diff here is
-# a schema change and needs a version bump.
-go test ./internal/telemetry/ -run TestDumpGolden -count=1
-
 echo "== audit smoke =="
 # The full evaluation must run clean under strict invariant auditing:
 # every conservation ledger balances on every experiment, and the
 # manifest carries per-run audit reports with zero violations.
 tmp_audit_manifest=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8" "$tmp_audit_manifest"' EXIT
+trap 'rm -f "$tmp_telemetry" "$tmp_audit_manifest"' EXIT
 go run ./cmd/repro -audit -strict -manifest "$tmp_audit_manifest" >/dev/null
 python3 - "$tmp_audit_manifest" <<'EOF'
 import json, sys
@@ -172,7 +140,7 @@ echo "== chaos sweep =="
 # and -parallel 8.
 tmp_chaos1=$(mktemp)
 tmp_chaos8=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8"' EXIT
+trap 'rm -f "$tmp_telemetry" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8"' EXIT
 go run ./cmd/repro -chaos-seed 20260806 -chaos-count 16 -strict -parallel 1 -audit-out "$tmp_chaos1" >/dev/null
 go run ./cmd/repro -chaos-seed 20260806 -chaos-count 16 -strict -parallel 8 -audit-out "$tmp_chaos8" >/dev/null
 cmp "$tmp_chaos1" "$tmp_chaos8"
@@ -201,7 +169,7 @@ echo "== apusimd smoke =="
 # /v1/metrics counters must say so, and SIGTERM must drain cleanly.
 tmp_apusimd=$(mktemp)
 tmp_apusimd_log=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8" "$tmp_apusimd" "$tmp_apusimd_log"' EXIT
+trap 'rm -f "$tmp_telemetry" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8" "$tmp_apusimd" "$tmp_apusimd_log"' EXIT
 go build -o "$tmp_apusimd" ./cmd/apusimd
 "$tmp_apusimd" -listen 127.0.0.1:0 2>"$tmp_apusimd_log" &
 apusimd_pid=$!
@@ -278,7 +246,7 @@ echo "== apusimd crash-recovery smoke =="
 tmp_apusimd_data=$(mktemp -d)
 tmp_apusimd_log2=$(mktemp)
 tmp_apusimd_m1=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8" "$tmp_apusimd" "$tmp_apusimd_log" "$tmp_apusimd_log2" "$tmp_apusimd_m1"; rm -rf "$tmp_apusimd_data"' EXIT
+trap 'rm -f "$tmp_telemetry" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8" "$tmp_apusimd" "$tmp_apusimd_log" "$tmp_apusimd_log2" "$tmp_apusimd_m1"; rm -rf "$tmp_apusimd_data"' EXIT
 
 start_apusimd() {
     "$tmp_apusimd" -listen 127.0.0.1:0 -workers 1 -data-dir "$tmp_apusimd_data" 2>"$1" &
@@ -405,7 +373,7 @@ go test -race ./internal/service/ -run 'TestDiskFaultStorm|TestFailedJournalFsyn
 
 tmp_fault_data=$(mktemp -d)
 tmp_fault_log=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8" "$tmp_apusimd" "$tmp_apusimd_log" "$tmp_apusimd_log2" "$tmp_apusimd_m1" "$tmp_fault_log"; rm -rf "$tmp_apusimd_data" "$tmp_fault_data"' EXIT
+trap 'rm -f "$tmp_telemetry" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8" "$tmp_apusimd" "$tmp_apusimd_log" "$tmp_apusimd_log2" "$tmp_apusimd_m1" "$tmp_fault_log"; rm -rf "$tmp_apusimd_data" "$tmp_fault_data"' EXIT
 "$tmp_apusimd" -listen 127.0.0.1:0 -workers 1 -data-dir "$tmp_fault_data" \
     -chaos-seed 20260808 -chaos-enospc-bytes 4096 -chaos-heal-after 6s \
     -durability-probe 100ms 2>"$tmp_fault_log" &
@@ -494,7 +462,7 @@ echo "== apusimd observability smoke =="
 # record the run; structured JSON logs must carry the trace ID; and
 # pprof must be unreachable unless -debug-addr names a listener.
 tmp_obs_log=$(mktemp)
-trap 'rm -f "$tmp_telemetry" "$tmp_spans1" "$tmp_spans8" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8" "$tmp_apusimd" "$tmp_apusimd_log" "$tmp_apusimd_log2" "$tmp_apusimd_m1" "$tmp_obs_log"; rm -rf "$tmp_apusimd_data"' EXIT
+trap 'rm -f "$tmp_telemetry" "$tmp_audit_manifest" "$tmp_chaos1" "$tmp_chaos8" "$tmp_apusimd" "$tmp_apusimd_log" "$tmp_apusimd_log2" "$tmp_apusimd_m1" "$tmp_obs_log"; rm -rf "$tmp_apusimd_data"' EXIT
 
 # Pass 1: no -debug-addr — the API port must not serve pprof.
 "$tmp_apusimd" -listen 127.0.0.1:0 -log-format json 2>"$tmp_obs_log" &

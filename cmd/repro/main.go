@@ -295,7 +295,7 @@ func writeTraces(prefix string) error {
 		return err
 	}
 	defer f14.Close()
-	if _, err := apusim.WriteFig14Trace(f14, 1<<22); err != nil {
+	if _, err := apusim.WriteTrace(f14, apusim.TraceSpec{Fig14N: 1 << 22}); err != nil {
 		return err
 	}
 	fd, err := os.Create(prefix + "-dispatch.json")
@@ -303,7 +303,7 @@ func writeTraces(prefix string) error {
 		return err
 	}
 	defer fd.Close()
-	if _, err := apusim.WriteDispatchTrace(fd); err != nil {
+	if _, err := apusim.WriteTrace(fd, apusim.TraceSpec{Dispatch: true}); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s-fig14.json and %s-dispatch.json\n", prefix, prefix)

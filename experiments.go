@@ -628,114 +628,6 @@ func partitionNPS(spec *PlatformSpec) []int {
 	return []int{1, 4}
 }
 
-// AllExperiments renders every experiment to a single report string, in
-// paper order. It is what cmd/repro prints.
-func AllExperiments() (string, error) {
-	var b strings.Builder
-	section := func(s string) { fmt.Fprintf(&b, "\n%s\n%s\n", s, strings.Repeat("=", len(s))) }
-
-	section("E1 — Table 1")
-	b.WriteString(ExperimentTable1().String())
-
-	section("E2 — Figure 7")
-	_, t7, err := ExperimentFig7()
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(t7.String())
-
-	section("E3 — Figure 12a")
-	_, t12a := ExperimentFig12a()
-	b.WriteString(t12a.String())
-
-	section("E4 — Figures 12b/12c")
-	thermals, err := ExperimentFig12bc(96, 60)
-	if err != nil {
-		return "", err
-	}
-	for _, ts := range thermals {
-		fmt.Fprintf(&b, "%s: peak %.1f°C at %s; XCD mean %.1f°C, USR PHY mean %.1f°C\n",
-			ts.Name, ts.PeakC, ts.HotspotComponent, ts.XCDMeanC, ts.USRMeanC)
-	}
-
-	section("E12 — Figure 13")
-	f13, err := ExperimentFig13()
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "1 AQL packet -> %d XCD ACEs decoded %d packets, %v workgroups each, %d sync msgs, done at %v\n",
-		f13.XCDs, f13.PacketsDecoded, f13.PerXCD, f13.SyncMessages, f13.Completion)
-
-	section("E5 — Figure 14")
-	_, t14, err := ExperimentFig14(1 << 22)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(t14.String())
-
-	section("E6 — Figure 15")
-	f15, err := ExperimentFig15(1<<20, 64)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "coarse %v vs fine-grained %v -> %.2fx speedup (verified=%v)\n",
-		f15.CoarseTotal, f15.FineTotal, f15.Speedup, f15.Verified)
-
-	section("E7 — Figure 17")
-	t17, err := ExperimentFig17()
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(t17.String())
-
-	section("E8 — Figure 18")
-	_, t18, err := ExperimentFig18()
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(t18.String())
-
-	section("E9 — Figure 19")
-	_, t19 := ExperimentFig19()
-	b.WriteString(t19.String())
-	tbw, err := MeasuredBandwidths()
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(tbw.String())
-
-	section("E10 — Figure 20")
-	_, s20, err := ExperimentFig20()
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(s20.BarChart(40))
-
-	section("E11 — Figure 21")
-	_, t21, err := ExperimentFig21()
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(t21.String())
-
-	section("E13 — §III EHPv4 ablation")
-	_, tE, err := ExperimentEHPv4()
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(tE.String())
-
-	section("E14 — Figures 8-10 TSV/mirroring validation")
-	tsv, err := ExperimentTSVAlignment()
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "signal TSV sites %d (%d redundant for mirroring), P/G TSVs %d, %d permutations aligned, MI300A valid=%v, MI300X valid=%v\n",
-		tsv.SignalTSVs, tsv.RedundantTSVs, tsv.PGTSVs, tsv.Permutations, tsv.MI300AValid, tsv.MI300XValid)
-
-	return b.String(), nil
-}
-
 // registerCoreExperiments registers this file's experiments — the
 // paper's numbered tables and figures — in evaluation order.
 func registerCoreExperiments(r *runner.Registry) {

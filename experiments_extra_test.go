@@ -113,11 +113,11 @@ func TestExperimentCoherenceScopes(t *testing.T) {
 
 func TestWriteFig14Trace(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := WriteFig14Trace(&buf, 1<<18)
+	res, err := WriteTrace(&buf, TraceSpec{Fig14N: 1 << 18})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.APU.Verified {
+	if !res.Fig14.APU.Verified {
 		t.Error("traced programs did not verify")
 	}
 	var decoded []map[string]any
@@ -135,12 +135,12 @@ func TestWriteFig14Trace(t *testing.T) {
 
 func TestWriteDispatchTrace(t *testing.T) {
 	var buf bytes.Buffer
-	r, err := WriteDispatchTrace(&buf)
+	res, err := WriteTrace(&buf, TraceSpec{Dispatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.XCDs != 6 {
-		t.Errorf("XCDs = %d", r.XCDs)
+	if res.Fig13.XCDs != 6 {
+		t.Errorf("XCDs = %d", res.Fig13.XCDs)
 	}
 	if !strings.Contains(buf.String(), "XCD5") {
 		t.Error("trace missing XCD5 track")

@@ -84,10 +84,9 @@ func FuzzJournalReplay(f *testing.F) {
 // FuzzJournalDirReplay drives the multi-segment directory replay with
 // arbitrary record payloads scattered across segment files, plus
 // structural damage the mode byte selects: a missing middle segment, a
-// bit-flipped segment header, a segment torn at its boundary, and a
-// legacy single-file journal sharing the directory. ReplayDir must never
-// panic, must be deterministic, and the recovery built from whatever
-// survives must never admit a job ID twice.
+// bit-flipped segment header, and a segment torn at its boundary.
+// ReplayDir must never panic, must be deterministic, and the recovery
+// built from whatever survives must never admit a job ID twice.
 func FuzzJournalDirReplay(f *testing.F) {
 	var clean bytes.Buffer
 	for i := 0; i < 6; i++ {
@@ -101,7 +100,6 @@ func FuzzJournalDirReplay(f *testing.F) {
 	f.Add(clean.Bytes(), byte(1)) // missing middle segment
 	f.Add(clean.Bytes(), byte(2)) // bit-flipped header in segment 1
 	f.Add(clean.Bytes(), byte(4)) // torn tail on the last segment
-	f.Add(clean.Bytes(), byte(8)) // legacy journal file alongside segments
 	f.Add(clean.Bytes(), byte(15))
 	dupe, _ := frameRecord(Record{Op: OpSubmit, Job: "j-000001", Seq: 1})
 	done, _ := frameRecord(Record{Op: OpDone, Job: "j-000001", State: "ok"})
@@ -129,12 +127,6 @@ func FuzzJournalDirReplay(f *testing.F) {
 		}
 		if mode&1 != 0 {
 			if err := os.Remove(filepath.Join(dir, segmentName(2))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if mode&8 != 0 {
-			legacy := append([]byte("apusim-journal/v1\n"), data...)
-			if err := os.WriteFile(filepath.Join(dir, "journal"), legacy, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}

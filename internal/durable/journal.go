@@ -154,16 +154,6 @@ func Replay(r io.Reader) ([]Record, ReplayStats) {
 	return recs, stats
 }
 
-// legacyJournalName is the single-file journal location used before
-// segments; it is replayed first (oldest) and removed by the first
-// checkpoint.
-const legacyJournalName = "journal"
-
-// JournalPath returns the pre-segment single-file journal location under
-// a data dir, kept for migration: a journal written there is still
-// replayed, as the oldest segment.
-func JournalPath(dataDir string) string { return filepath.Join(dataDir, legacyJournalName) }
-
 // segmentName renders a segment index as its file name, journal.000001
 // style. Indices are monotonically increasing; the numeric suffix sorts
 // lexicographically up to 999999 and is parsed numerically regardless.
@@ -183,12 +173,9 @@ func segmentIndexOf(name string) (int, bool) {
 	return idx, true
 }
 
-// isJournalFile reports whether name is a journal file (legacy or
-// segment) that a checkpoint may retire.
+// isJournalFile reports whether name is a journal segment that a
+// checkpoint may retire.
 func isJournalFile(name string) bool {
-	if name == legacyJournalName {
-		return true
-	}
 	_, ok := segmentIndexOf(name)
 	return ok
 }
@@ -221,12 +208,8 @@ func parseSegmentHeader(line []byte, wantIdx int) bool {
 
 // DirReplayStats describes what a whole-directory replay found.
 type DirReplayStats struct {
-	// Segments is the number of journal files replayed (including a
-	// legacy single-file journal, if present).
+	// Segments is the number of journal segments replayed.
 	Segments int
-	// LegacyJournal reports whether a pre-segment "journal" file was
-	// replayed.
-	LegacyJournal bool
 	// Records and Corrupt aggregate the per-segment replay counts.
 	Records int
 	Corrupt int
@@ -243,12 +226,11 @@ type DirReplayStats struct {
 	Unreadable int
 }
 
-// ReplayDir replays every journal file under dir — the legacy single
-// file first, then segments in index order — and returns the combined
-// record stream. It is read-only and never fails on damaged contents;
-// only an unlistable directory returns an error. The returned maxIdx is
-// the highest segment index seen (0 if none), so a writer can continue
-// the numbering.
+// ReplayDir replays every journal segment under dir in index order and
+// returns the combined record stream. It is read-only and never fails on
+// damaged contents; only an unlistable directory returns an error. The
+// returned maxIdx is the highest segment index seen (0 if none), so a
+// writer can continue the numbering.
 func ReplayDir(fsys FS, dir string) ([]Record, DirReplayStats, int, error) {
 	if fsys == nil {
 		fsys = OS()
@@ -266,28 +248,12 @@ func ReplayDir(fsys FS, dir string) ([]Record, DirReplayStats, int, error) {
 		return nil, stats, 0, fmt.Errorf("durable: listing journal dir: %w", err)
 	}
 	var idxs []int
-	hasLegacy := false
 	for _, name := range names {
-		if name == legacyJournalName {
-			hasLegacy = true
-			continue
-		}
 		if idx, ok := segmentIndexOf(name); ok {
 			idxs = append(idxs, idx)
 		}
 	}
 	sortInts(idxs)
-	if hasLegacy {
-		stats.LegacyJournal = true
-		r, rs, ok := replayOneSegment(fsys, filepath.Join(dir, legacyJournalName), 0)
-		if !ok {
-			stats.Unreadable++
-		} else {
-			stats.Segments++
-			recs = append(recs, r...)
-			mergeSegmentStats(&stats, rs, false)
-		}
-	}
 	prev := 0
 	for _, idx := range idxs {
 		if idx > maxIdx {
@@ -304,7 +270,14 @@ func ReplayDir(fsys FS, dir string) ([]Record, DirReplayStats, int, error) {
 		}
 		stats.Segments++
 		recs = append(recs, r...)
-		mergeSegmentStats(&stats, rs, rs.badHeader)
+		stats.Records += rs.Records
+		stats.Corrupt += rs.Corrupt
+		if rs.TruncatedTail {
+			stats.TruncatedTails++
+		}
+		if rs.badHeader {
+			stats.BadHeaders++
+		}
 	}
 	return recs, stats, maxIdx, nil
 }
@@ -315,51 +288,36 @@ type segReplay struct {
 	badHeader bool
 }
 
-// replayOneSegment reads one journal file. For idx > 0 the first line is
-// expected to be a segment header and is validated; a damaged header is
-// counted and the remaining lines are replayed anyway — a header bit
-// flip never costs intact records.
+// replayOneSegment reads one journal segment. Its first line is expected
+// to be the segment header and is validated; a damaged header is counted
+// and the remaining lines are replayed anyway — a header bit flip never
+// costs intact records.
 func replayOneSegment(fsys FS, path string, idx int) ([]Record, segReplay, bool) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, segReplay{}, false
 	}
 	var out segReplay
-	if idx > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			// The whole segment is a torn header; nothing to replay.
-			out.badHeader = len(data) > 0
-			out.TruncatedTail = len(data) > 0
-			return nil, out, true
-		}
-		if parseSegmentHeader(data[:nl], idx) {
-			data = data[nl+1:]
-		} else {
-			// Feed the first line to the record parser too: if the
-			// "header" was actually a record (or damage), it is counted
-			// there without losing anything after it.
-			out.badHeader = true
-		}
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		// The whole segment is a torn header; nothing to replay.
+		out.badHeader = len(data) > 0
+		out.TruncatedTail = len(data) > 0
+		return nil, out, true
+	}
+	if parseSegmentHeader(data[:nl], idx) {
+		data = data[nl+1:]
+	} else {
+		// Feed the first line to the record parser too: if the "header"
+		// was actually a record (or damage), it is counted there without
+		// losing anything after it.
+		out.badHeader = true
 	}
 	recs, rs := Replay(bytes.NewReader(data))
 	out.Records = rs.Records
 	out.Corrupt = rs.Corrupt
 	out.TruncatedTail = rs.TruncatedTail
 	return recs, out, true
-}
-
-// mergeSegmentStats folds one segment's replay stats into the directory
-// totals.
-func mergeSegmentStats(stats *DirReplayStats, rs segReplay, badHeader bool) {
-	stats.Records += rs.Records
-	stats.Corrupt += rs.Corrupt
-	if rs.TruncatedTail {
-		stats.TruncatedTails++
-	}
-	if badHeader || rs.badHeader {
-		stats.BadHeaders++
-	}
 }
 
 // sortInts sorts a small int slice ascending (insertion sort; segment

@@ -276,47 +276,6 @@ func TestJournalCheckpointRetiresOldSegments(t *testing.T) {
 	}
 }
 
-func TestJournalReplaysLegacySingleFileFirst(t *testing.T) {
-	dir := t.TempDir()
-	// Fabricate a pre-segment journal: raw records, no header.
-	var legacy bytes.Buffer
-	for i := 0; i < 3; i++ {
-		framed, err := frameRecord(submitRec(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy.Write(framed)
-	}
-	if err := os.WriteFile(JournalPath(dir), legacy.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j, recs, stats := openDir(t, dir)
-	if !stats.LegacyJournal || len(recs) != 3 {
-		t.Fatalf("legacy replay: %d records, stats %+v", len(recs), stats)
-	}
-	// New appends land in segment 1; the legacy file is preserved until a
-	// checkpoint retires it.
-	if err := j.AppendSync(submitRec(10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(JournalPath(dir)); err != nil {
-		t.Fatalf("legacy journal removed before checkpoint: %v", err)
-	}
-	if err := j.Checkpoint([]Record{submitRec(10)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(JournalPath(dir)); !os.IsNotExist(err) {
-		t.Errorf("legacy journal survived the checkpoint: %v", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, recs, stats = openDir(t, dir)
-	if stats.LegacyJournal || len(recs) != 1 || recs[0].Seq != 10 {
-		t.Errorf("post-migration replay: %d records, stats %+v", len(recs), stats)
-	}
-}
-
 func TestJournalMissingMiddleSegmentCounted(t *testing.T) {
 	dir := t.TempDir()
 	j, _, _, err := OpenJournalDir(nil, dir, JournalOptions{SegmentBytes: 1})

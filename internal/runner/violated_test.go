@@ -28,10 +28,10 @@ func livelockOnFirstAttempt(id string, engines *[]*sim.Engine) Experiment {
 			eng := ctx.Engine()
 			if n == 1 {
 				var spin func(sim.Time)
-				spin = func(now sim.Time) { eng.ScheduleNamed("spin", now, spin) }
-				eng.ScheduleNamed("spin", 10, spin)
+				spin = func(now sim.Time) { eng.Schedule(now, eng.Class("spin"), spin) }
+				eng.Schedule(10, eng.Class("spin"), spin)
 			} else {
-				eng.ScheduleNamed("tick", 10, func(sim.Time) {})
+				eng.Schedule(10, eng.Class("tick"), func(sim.Time) {})
 			}
 			eng.RunAll()
 			return "ok\n", nil

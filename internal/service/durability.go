@@ -109,12 +109,14 @@ func (s *Server) openDurable() ([]*Job, error) {
 	requeue := s.rebuildJobs(durable.BuildRecovery(recs))
 
 	// Checkpoint the journal down to the still-live jobs so boot-time
-	// replay cost tracks in-flight work, not daemon lifetime. Terminal
-	// recovered jobs are dropped: their results live in the store under
-	// their content address. A failed boot checkpoint is a storage
-	// failure, not a construction failure — the replayed state is already
-	// in memory, so the server starts degraded and lets the probe heal it.
-	if err := journal.Checkpoint(s.liveRecords()); err != nil {
+	// replay cost tracks in-flight work, not daemon lifetime. Every job
+	// that is terminal now is bootTerminal and none is running, so the
+	// checkpoint holds the queued and interrupted jobs only; terminal
+	// results live in the store under their content address. A failed
+	// boot checkpoint is a storage failure, not a construction failure —
+	// the replayed state is already in memory, so the server starts
+	// degraded and lets the probe heal it.
+	if err := journal.Checkpoint(s.checkpointRecords()); err != nil {
 		s.durability.Store(durabilityOK) // arm so the trip below logs the transition
 		s.tripDurability("boot checkpoint", err)
 		return requeue, nil
@@ -292,61 +294,35 @@ func (s *Server) rebuildJobs(recovered []durable.JobRecovery) []*Job {
 			s.noteRecovered(job, "failed")
 
 		default:
-			if !spec.NoCache {
-				// Peek, not Get: boot-time recovery is bookkeeping, and
-				// must not skew the admission-facing hit/miss counters.
-				if e, ok := s.cache.Peek(jr.Key); ok {
-					job.bootTerminal = true
-					job.finish(e.State, e.Manifest, "", e.Attempts)
-					s.noteRecovered(job, "from_cache")
-					continue
-				}
-				if startedKeys[jr.Key] {
-					job.setState(JobInterrupted)
-					s.noteRecovered(job, "interrupted")
-					continue
-				}
-				if leader := s.leaders[jr.Key]; leader != nil {
-					job.coalesced = true
-					s.followers[jr.Key] = append(s.followers[jr.Key], job)
-					s.noteRecovered(job, "requeued")
-					continue
-				}
-				s.leaders[jr.Key] = job
-			} else if jr.Started {
-				// no_cache jobs share content keys with cache-participating
-				// submissions but never share runs, so only this job's own
-				// start record parks it.
+			// no_cache jobs share content keys with cache-participating
+			// submissions but never share runs, so only this job's own
+			// start record parks it.
+			parked := startedKeys[jr.Key]
+			if spec.NoCache {
+				parked = jr.Started
+			}
+			// Peek, not Get: boot-time recovery is bookkeeping, and must
+			// not skew the admission-facing hit/miss counters.
+			switch place, stored := s.placeLocked(spec, jr.Key, s.cache.Peek); {
+			case place == placeStored:
+				job.bootTerminal = true
+				job.finish(stored.State, stored.Manifest, "", stored.Attempts)
+				s.noteRecovered(job, "from_cache")
+			case place == placeCoalesce:
+				s.followLocked(job)
+				s.noteRecovered(job, "requeued")
+			case parked:
 				job.setState(JobInterrupted)
 				s.noteRecovered(job, "interrupted")
-				continue
+			default:
+				s.claimLeaderLocked(job)
+				s.tenantInFlight[job.tenant]++
+				requeue = append(requeue, job)
+				s.noteRecovered(job, "requeued")
 			}
-			s.tenantInFlight[job.tenant]++
-			requeue = append(requeue, job)
-			s.noteRecovered(job, "requeued")
 		}
 	}
 	return requeue
-}
-
-// liveRecords renders the post-recovery pending jobs (queued and
-// interrupted) as journal records for the boot checkpoint, in admission
-// order. Terminal jobs are dropped entirely: their results live in the
-// store, and their job records survive exactly one restart.
-func (s *Server) liveRecords() []durable.Record {
-	var recs []durable.Record
-	for _, id := range s.order {
-		job := s.jobs[id]
-		st := job.currentState()
-		if st.Terminal() {
-			continue
-		}
-		recs = append(recs, s.submitRecord(job))
-		if st == JobInterrupted {
-			recs = append(recs, durable.Record{Op: durable.OpStart, Job: job.id})
-		}
-	}
-	return recs
 }
 
 // checkpointRecords renders the full journal state a runtime checkpoint
@@ -404,8 +380,8 @@ func (s *Server) submitRecord(job *Job) durable.Record {
 // journal or while durability is degraded, and journal failures trip the
 // circuit breaker but never fail jobs — the failure is counted on
 // apusimd_journal_errors_total and the server keeps serving from memory.
-// (The submission path does NOT use these: a failed pre-202 fsync must
-// un-admit the job, so handleSubmit calls the journal directly.)
+// (handleSubmit does NOT use these: a failed pre-202 fsync must roll the
+// admission back, so it calls the journal directly.)
 func (s *Server) journalAppend(rec durable.Record) {
 	if s.journal == nil || !s.durabilityOKNow() {
 		return
@@ -432,12 +408,13 @@ func (s *Server) journalAppendSync(rec durable.Record) {
 }
 
 // maybeRequeueInterrupted moves an interrupted job back into the flow on
-// a client fetch: finish it from cache if the result has appeared, fall
-// in behind an identical in-flight run, or take a queue slot if one is
-// free. A full queue leaves the job interrupted — the next fetch tries
-// again — so recovery retries can never displace fresh admissions.
+// a client fetch, placed exactly like a recovered job: finish it from the
+// store if the result has appeared, fall in behind an identical in-flight
+// run, or take a queue slot if one is free. A full queue leaves the job
+// interrupted — the next fetch tries again — so recovery retries can never
+// displace fresh admissions.
 func (s *Server) maybeRequeueInterrupted(job *Job) {
-	if job == nil || job.currentState() != JobInterrupted {
+	if job.currentState() != JobInterrupted {
 		return
 	}
 	s.mu.Lock()
@@ -446,57 +423,37 @@ func (s *Server) maybeRequeueInterrupted(job *Job) {
 		s.mu.Unlock()
 		return
 	}
-	spec := job.spec
-	var fromCache *Entry
-	if !spec.NoCache {
-		if e, ok := s.cache.Peek(job.key); ok {
-			fromCache = &e
-		} else if leader := s.leaders[job.key]; leader != nil {
-			job.markCoalesced()
-			s.followers[job.key] = append(s.followers[job.key], job)
-			job.setState(JobQueued)
-			s.journalAppend(s.submitRecord(job))
-			s.mu.Unlock()
-			s.journalSync()
-			s.log.Info("interrupted job re-queued",
-				"job_id", job.id, "trace_id", job.traceID, "tenant", job.tenant,
-				"via", "coalesce")
-			s.flight.Record(FlightEvent{Event: "requeue_interrupted", Job: job.id,
-				Trace: job.traceID, Tenant: job.tenant, Detail: "coalesce"})
-			return
-		}
-	}
-	if fromCache != nil {
+	place, stored := s.placeLocked(job.spec, job.key, s.cache.Peek)
+	switch place {
+	case placeStored:
 		s.mu.Unlock()
-		job.finish(fromCache.State, fromCache.Manifest, "", fromCache.Attempts)
+		job.finish(stored.State, stored.Manifest, "", stored.Attempts)
 		s.observeJobLatency(job)
 		s.journalAppendSync(durable.Record{Op: durable.OpDone, Job: job.id,
-			State: string(fromCache.State), Attempts: fromCache.Attempts})
-		s.log.Info("interrupted job finished from cache",
-			"job_id", job.id, "trace_id", job.traceID, "tenant", job.tenant,
-			"state", string(fromCache.State))
-		s.flight.Record(FlightEvent{Event: "requeue_interrupted", Job: job.id,
-			Trace: job.traceID, Tenant: job.tenant, Detail: "from_cache"})
+			State: string(stored.State), Attempts: stored.Attempts})
+		s.event(job, "requeue_interrupted", "from_cache", "interrupted job finished from cache",
+			"state", string(stored.State))
 		return
+	case placeCoalesce:
+		s.followLocked(job)
+	default:
+		if len(s.queue)+s.pendingEnqueue >= s.cfg.QueueDepth || len(s.queue)+s.pendingEnqueue >= cap(s.queue) {
+			s.mu.Unlock()
+			return
+		}
+		s.claimLeaderLocked(job)
+		s.tenantInFlight[job.tenant]++
 	}
-	if len(s.queue)+s.pendingEnqueue >= s.cfg.QueueDepth || len(s.queue)+s.pendingEnqueue >= cap(s.queue) {
-		s.mu.Unlock()
-		return
-	}
-	if !spec.NoCache {
-		s.leaders[job.key] = job
-	}
-	s.tenantInFlight[job.tenant]++
 	// Transition before the send: the worker may set running immediately,
 	// and setState ignores nothing here (interrupted is not terminal).
 	job.setState(JobQueued)
 	s.journalAppend(s.submitRecord(job))
-	s.queue <- job // cannot block: depth checked under s.mu
+	via := "coalesce"
+	if place == placeLead {
+		s.queue <- job // cannot block: depth checked under s.mu
+		via = "queue"
+	}
 	s.mu.Unlock()
 	s.journalSync()
-	s.log.Info("interrupted job re-queued",
-		"job_id", job.id, "trace_id", job.traceID, "tenant", job.tenant,
-		"via", "queue")
-	s.flight.Record(FlightEvent{Event: "requeue_interrupted", Job: job.id,
-		Trace: job.traceID, Tenant: job.tenant, Detail: "queue"})
+	s.event(job, "requeue_interrupted", via, "interrupted job re-queued", "via", via)
 }

@@ -139,6 +139,81 @@ func TestRecoveryParksStartedJobsUntilFetched(t *testing.T) {
 	}
 }
 
+// TestInterruptedJobCoalescesOntoInFlightRun covers the fetch-time
+// re-queue's coalesce branch: an interrupted job fetched while an
+// identical fresh run is in flight waits on that run instead of taking a
+// queue slot, and ends with the leader's manifest bytes.
+func TestInterruptedJobCoalescesOntoInFlightRun(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{"experiment": "exp-gated"}`
+	writeJournal(t, dir,
+		submitRec("j-000001", 1, "default", spec, specKey(t, spec)),
+		durable.Record{Op: durable.OpStart, Job: "j-000001"},
+	)
+	d := newTestDaemon(t, Config{Workers: 1, DataDir: dir})
+	code, leader := d.submit(t, spec)
+	if code != http.StatusAccepted || leader.Coalesced {
+		t.Fatalf("fresh submit: code %d status %+v, want a leading 202", code, leader)
+	}
+
+	code, body := d.get(t, "/v1/jobs/j-000001")
+	if code != http.StatusOK {
+		t.Fatalf("GET interrupted job: %d: %s", code, body)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != JobQueued || !st.Coalesced {
+		t.Fatalf("re-queued interrupted job %+v, want queued and coalesced", st)
+	}
+
+	close(d.gate)
+	d.gate = make(chan struct{})
+	lf, ff := d.await(t, leader.ID), d.await(t, "j-000001")
+	if lf.State != JobOK || ff.State != JobOK {
+		t.Fatalf("leader %s / re-queued job %s, want both ok", lf.State, ff.State)
+	}
+	_, m1 := d.get(t, "/v1/jobs/"+leader.ID+"/manifest")
+	_, m2 := d.get(t, "/v1/jobs/j-000001/manifest")
+	if len(m1) == 0 || !bytes.Equal(m1, m2) {
+		t.Fatalf("re-queued job's manifest differs from the leader's:\n%s\nvs\n%s", m2, m1)
+	}
+}
+
+// TestInterruptedJobFinishesFromStoredResult covers the fetch-time
+// re-queue's stored-result branch: once an identical run has stored its
+// result, fetching the interrupted job finishes it from the store without
+// running it again.
+func TestInterruptedJobFinishesFromStoredResult(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{"experiment": "exp-3"}`
+	writeJournal(t, dir,
+		submitRec("j-000001", 1, "default", spec, specKey(t, spec)),
+		durable.Record{Op: durable.OpStart, Job: "j-000001"},
+	)
+	d := newTestDaemon(t, Config{Workers: 1, DataDir: dir})
+	_, fresh := d.submit(t, spec)
+	if fin := d.await(t, fresh.ID); fin.State != JobOK {
+		t.Fatalf("fresh run finished %s, want ok", fin.State)
+	}
+	_, want := d.get(t, "/v1/jobs/"+fresh.ID+"/manifest")
+
+	fin := d.await(t, "j-000001")
+	if fin.State != JobOK || !fin.Recovered {
+		t.Fatalf("interrupted job finished %+v, want ok and recovered", fin)
+	}
+	for _, tr := range fin.Transitions {
+		if tr.State == JobRunning {
+			t.Fatalf("interrupted job ran again (transitions %+v), want it finished from the store", fin.Transitions)
+		}
+	}
+	_, got := d.get(t, "/v1/jobs/j-000001/manifest")
+	if len(want) == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("manifest = %s, want the stored bytes %s", got, want)
+	}
+}
+
 func TestRecoveryFinishesStartedJobFromStoreWithoutRerun(t *testing.T) {
 	dir := t.TempDir()
 	spec := `{"experiment": "exp-5"}`

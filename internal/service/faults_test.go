@@ -142,6 +142,59 @@ func TestFailedJournalFsyncSubmitNever202(t *testing.T) {
 	}
 }
 
+// TestFailedJournalFsyncCoalescedSubmitNever202 pins the same invariant
+// for a submission that would coalesce onto an in-flight run: a failed
+// fsync refuses it with 503 and rolls it back completely — no job record,
+// no coalesced count — while the leader it would have waited on is
+// undisturbed and still finishes ok.
+func TestFailedJournalFsyncCoalescedSubmitNever202(t *testing.T) {
+	dir := t.TempDir()
+	ffs := durable.NewFaultFS(nil, durable.FaultConfig{})
+	d := newTestDaemon(t, Config{
+		Workers: 1, DataDir: dir, FS: ffs,
+		DurabilityProbe: time.Hour, // recovery stays out of the picture
+	})
+	_, leader := d.submit(t, `{"experiment": "exp-gated"}`)
+	// The leader's start record must be synced before the disk fails, so
+	// the only fsync that fails is the follower's admission.
+	deadline := time.Now().Add(5 * time.Second)
+	for d.srv.jobByID(leader.ID).currentState() != JobRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("leader never started running")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+
+	ffs.Arm(durable.FaultConfig{SyncErrRate: 1})
+	if code, _ := d.submit(t, `{"experiment": "exp-gated"}`); code != http.StatusServiceUnavailable {
+		t.Fatalf("coalescing submit with failing fsync: %d, want 503", code)
+	}
+	_, body := d.get(t, "/v1/jobs")
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := json.Unmarshal(body, &list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Jobs) != 1 || list.Jobs[0].ID != leader.ID {
+		t.Fatalf("refused follower left job records: %+v, want only the leader", list.Jobs)
+	}
+	_, text := d.get(t, "/v1/metrics")
+	if v := promValue(t, string(text), "apusimd_cache_coalesced_total"); v != 0 {
+		t.Errorf("coalesced_total = %g after a refused follower, want 0", v)
+	}
+	if v := promValue(t, string(text), `apusimd_jobs_rejected_total{reason="durability"}`); v != 1 {
+		t.Errorf(`rejected{reason="durability"} = %g, want 1`, v)
+	}
+
+	close(d.gate)
+	d.gate = make(chan struct{})
+	if fin := d.await(t, leader.ID); fin.State != JobOK {
+		t.Fatalf("leader finished %s after its follower was refused, want ok", fin.State)
+	}
+	ffs.Heal() // let cleanup's drain close the journal cleanly
+}
+
 // TestRequireDurabilityRefusesDegradedSubmits covers the strict posture:
 // with RequireDurability set, a degraded server refuses new work with
 // 503 + Retry-After instead of accepting it as non-durable.

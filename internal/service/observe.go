@@ -320,30 +320,22 @@ func simulationAttribution(manifest []byte) []simAttribution {
 
 // handleTrace serves the joined lifecycle + simulation trace for one job.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	job := s.jobByID(r.PathValue("id"))
+	job := s.fetchJob(w, r)
 	if job == nil {
-		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	s.maybeRequeueInterrupted(job)
 	st := job.Status()
 	out := jobTrace{
-		Schema:    jobTraceSchema,
-		Job:       st.ID,
-		TraceID:   st.TraceID,
-		Tenant:    st.Tenant,
-		State:     st.State,
-		CacheHit:  st.CacheHit,
-		Coalesced: st.Coalesced,
-		Lifecycle: lifecycleTrace(st),
+		Schema:     jobTraceSchema,
+		Job:        st.ID,
+		TraceID:    st.TraceID,
+		Tenant:     st.Tenant,
+		State:      st.State,
+		CacheHit:   st.CacheHit,
+		Coalesced:  st.Coalesced,
+		Lifecycle:  lifecycleTrace(st),
+		Simulation: simulationAttribution(s.manifestOf(job)),
 	}
-	m := job.Manifest()
-	if m == nil && st.Recovered && cacheable(st.State) {
-		if e, ok := s.cache.Peek(job.key); ok {
-			m = e.Manifest
-		}
-	}
-	out.Simulation = simulationAttribution(m)
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -478,11 +470,18 @@ func (s *Server) shed(tenant, reason string, retryAfter int) {
 // scrape shows exactly what the replay did.
 func (s *Server) noteRecovered(job *Job, outcome string) {
 	s.recovered[outcome].Inc()
-	s.flight.Record(FlightEvent{
-		Event: "recover", Job: job.id, Trace: job.traceID,
-		Tenant: job.tenant, Detail: outcome,
-	})
-	s.log.Info("job recovered",
-		"job_id", job.id, "trace_id", job.traceID, "tenant", job.tenant,
-		"outcome", outcome)
+	s.event(job, "recover", outcome, "job recovered", "outcome", outcome)
+}
+
+// event writes one job-lifecycle event twice: a flight-recorder entry and
+// an info-level log line carrying the job's ID, trace ID and tenant ahead
+// of attrs.
+func (s *Server) event(job *Job, event, detail, msg string, attrs ...any) {
+	s.flight.Record(FlightEvent{Event: event, Job: job.id, Trace: job.traceID,
+		Tenant: job.tenant, Detail: detail})
+	// A stack array holds the combined arguments, so the log line costs no
+	// allocation beyond what slog itself makes.
+	var buf [20]any
+	args := append(buf[:0], "job_id", job.id, "trace_id", job.traceID, "tenant", job.tenant)
+	s.log.Info(msg, append(args, attrs...)...)
 }

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -466,11 +467,7 @@ func (s *Server) processJob(id int, job *Job) {
 	if st := job.Status(); st.QueuedNS > 0 {
 		s.queueWait.Observe(float64(st.QueuedNS) / 1e9)
 	}
-	s.log.Info("job started",
-		"worker", id, "job_id", job.id, "trace_id", job.traceID,
-		"tenant", job.tenant, "experiment", exp)
-	s.flight.Record(FlightEvent{Event: "start", Job: job.id, Trace: job.traceID,
-		Tenant: job.tenant, Detail: exp})
+	s.event(job, "start", exp, "job started", "worker", id, "experiment", exp)
 	// The start record must be durable before the simulation begins:
 	// if this job is what crashes the process, replay sees the start and
 	// parks the job as interrupted instead of re-running it at boot — the
@@ -626,39 +623,24 @@ func (s *Server) finishJob(job *Job, state JobState, manifest []byte, errMsg str
 			s.cache.Put(job.key, Entry{State: state, Manifest: manifest, Attempts: attempts})
 		}
 	}
-	s.tenantInFlight[job.tenant]--
-	if s.tenantInFlight[job.tenant] <= 0 {
-		delete(s.tenantInFlight, job.tenant)
-	}
+	s.releaseTenantLocked(job.tenant)
 	s.mu.Unlock()
 
-	job.finish(state, manifest, errMsg, attempts)
-	s.completed[state].Add(1)
-	s.observeJobLatency(job)
-	st := job.Status()
-	s.log.Info("job finished",
-		"job_id", job.id, "trace_id", job.traceID, "tenant", job.tenant,
-		"state", string(state), "attempts", attempts, "error", errMsg,
-		"queued_ns", st.QueuedNS, "run_ns", st.RunNS, "e2e_ns", st.E2ENS)
-	s.flight.Record(FlightEvent{Event: "finish", Job: job.id, Trace: job.traceID,
-		Tenant: job.tenant, Detail: string(state)})
-	for _, f := range fols {
-		f.finish(state, manifest, errMsg, attempts)
+	done := append([]*Job{job}, fols...)
+	for _, j := range done {
+		j.finish(state, manifest, errMsg, attempts)
 		s.completed[state].Add(1)
-		s.observeJobLatency(f)
-		s.log.Info("job finished",
-			"job_id", f.id, "trace_id", f.traceID, "tenant", f.tenant,
-			"state", string(state), "attempts", attempts, "error", errMsg,
-			"coalesced", true)
-		s.flight.Record(FlightEvent{Event: "finish", Job: f.id, Trace: f.traceID,
-			Tenant: f.tenant, Detail: string(state)})
+		s.observeJobLatency(j)
+		st := j.Status()
+		s.event(j, "finish", string(state), "job finished",
+			"state", string(state), "attempts", attempts, "error", errMsg, "coalesced", j != job,
+			"queued_ns", st.QueuedNS, "run_ns", st.RunNS, "e2e_ns", st.E2ENS)
 	}
 	// Done records ride the next group commit rather than forcing their
 	// own fsync: if they are lost to a crash, replay re-admits the job and
 	// the content-addressed store finishes it from cache — idempotent.
-	s.journalAppend(durable.Record{Op: durable.OpDone, Job: job.id, State: string(state), Attempts: attempts})
-	for _, f := range fols {
-		s.journalAppend(durable.Record{Op: durable.OpDone, Job: f.id, State: string(state), Attempts: attempts})
+	for _, j := range done {
+		s.journalAppend(durable.Record{Op: durable.OpDone, Job: j.id, State: string(state), Attempts: attempts})
 	}
 	s.journalSync()
 	s.maybeCompactJournal()
@@ -769,302 +751,221 @@ func (s *Server) initMux() {
 // Handler returns the server's HTTP API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// handleSubmit admits one job: parse and validate the spec, content-hash
-// it, and either serve it from cache, coalesce it onto an identical
-// in-flight run, or admit it to the queue (subject to tenant fairness and
-// queue-depth limits).
+// handleSubmit admits one job. The spec is parsed and validated, then
+// placeLocked decides where the job goes: it finishes from the stored
+// result (200), waits on an identical in-flight run, or takes a queue
+// slot under admission control (both 202). Every refusal goes through
+// refuse.
+//
+// Fresh and coalesced admissions share one durable sequence: the submit
+// record is appended under s.mu, fsynced with s.mu released (the fsync is
+// the slowest step on the submit path), and after re-locking the
+// admission is either rolled back with a 503 or enqueued and
+// acknowledged — never a 202 for an admission the journal does not hold.
+// A submission that is not journaled (memory-only, or durability
+// degraded) never leaves s.mu, so a duplicate cannot slip in between its
+// placement and its leader claim.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	if len(body) > maxSpecBytes {
-		s.rejected["invalid"].Inc()
-		writeErr(w, http.StatusRequestEntityTooLarge, "spec exceeds %d bytes", maxSpecBytes)
-		return
-	}
-	spec, err := ParseSpec(body)
-	if err != nil {
-		s.rejected["invalid"].Inc()
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if spec.Experiment != "" {
-		if _, ok := s.cfg.Registry.Get(spec.Experiment); !ok {
-			s.rejected["invalid"].Inc()
-			writeErr(w, http.StatusBadRequest, "unknown experiment %q (GET /v1/experiments lists them)", spec.Experiment)
-			return
-		}
-	}
-	if spec.FaultPlan != nil && s.cfg.FaultPlanRun == nil {
-		s.rejected["invalid"].Inc()
-		writeErr(w, http.StatusBadRequest, "this server does not accept fault-plan jobs")
-		return
-	}
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
 		tenant = DefaultTenant
+	}
+	spec, ref := s.parseSubmission(r)
+	if ref.code != 0 {
+		s.refuse(w, tenant, ref)
+		return
 	}
 	key := spec.Hash()
 
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.rejected["draining"].Inc()
-		writeErr(w, http.StatusServiceUnavailable, "server is draining")
+		s.refuse(w, tenant, refuseDraining)
 		return
 	}
-	if !spec.NoCache {
-		// Coalesce before consulting storage: a key cannot be both
-		// in-flight and stored, and checking the leader first keeps the
-		// cache's hit/miss counters equal to "served from storage" /
-		// "simulated fresh".
-		if leader := s.leaders[key]; leader != nil {
-			if code, msg := s.refuseUndurableLocked(); code != 0 {
-				s.mu.Unlock()
-				s.rejected["durability"].Inc()
-				w.Header().Set("Retry-After", "1")
-				writeErr(w, code, "%s", msg)
-				return
-			}
-			job := s.newJobLocked(tenant, spec, key)
-			job.coalesced = true
-			s.followers[key] = append(s.followers[key], job)
-			// The admission record goes to the journal directly, not via
-			// journalAppend: a failure on this path must be able to revoke
-			// the admission, never silently degrade it after a 202.
-			durableAdmit := s.journal != nil && s.durabilityOKNow()
-			var appendErr error
-			if durableAdmit {
-				appendErr = s.journal.Append(s.submitRecord(job))
-			} else if s.journal != nil {
-				job.markNonDurable()
-			}
-			s.mu.Unlock()
-			if durableAdmit {
-				// Sync before the 202: an acknowledged admission must
-				// survive a crash, so a failed fsync rolls the admission
-				// back with 503 instead of acknowledging it.
-				err := appendErr
-				if err == nil {
-					err = s.journal.Sync()
-				}
-				if err != nil {
-					s.journalErrors.Inc()
-					s.tripDurability("submit journal write", err)
-					s.mu.Lock()
-					if job.currentState().Terminal() {
-						// The leader finished during the fsync window: the
-						// follower holds a real completed result, so the
-						// honest response is the admission, not a 503.
-						s.mu.Unlock()
-					} else {
-						fols := s.followers[key]
-						for i, f := range fols {
-							if f == job {
-								s.followers[key] = append(fols[:i], fols[i+1:]...)
-								break
-							}
-						}
-						s.unregisterJobLocked(job)
-						s.mu.Unlock()
-						s.rejected["durability"].Inc()
-						w.Header().Set("Retry-After", "1")
-						writeErr(w, http.StatusServiceUnavailable,
-							"could not journal the admission durably: %v", err)
-						return
-					}
-				}
-			}
-			s.submitted.Inc()
-			s.coalesced.Inc()
-			s.log.Info("job admitted",
-				"job_id", job.id, "trace_id", job.traceID, "tenant", tenant,
-				"experiment", experimentLabel(spec), "coalesced", true,
-				"durability", s.durabilityStateName())
-			s.flight.Record(FlightEvent{Event: "coalesce", Job: job.id,
-				Trace: job.traceID, Tenant: tenant, Detail: experimentLabel(spec)})
-			writeJSON(w, http.StatusAccepted, job.Status())
-			return
-		}
-		if e, ok := s.cache.Get(key); ok {
-			job := s.newJobLocked(tenant, spec, key)
-			job.cacheHit = true
-			s.mu.Unlock()
-			s.submitted.Inc()
-			job.finish(e.State, e.Manifest, "", e.Attempts)
-			s.completed[e.State].Add(1)
-			s.observeJobLatency(job)
-			s.log.Info("job served from cache",
-				"job_id", job.id, "trace_id", job.traceID, "tenant", tenant,
-				"experiment", experimentLabel(spec), "state", string(e.State))
-			s.flight.Record(FlightEvent{Event: "cache_hit", Job: job.id,
-				Trace: job.traceID, Tenant: tenant, Detail: experimentLabel(spec)})
-			writeJSON(w, http.StatusOK, job.Status())
-			return
-		}
-	}
-	// A fresh simulation is needed: admission control applies.
-	if s.cfg.TenantMaxInFlight > 0 && s.tenantInFlight[tenant] >= s.cfg.TenantMaxInFlight {
-		retry := s.retryAfterLocked()
+	place, stored := s.placeLocked(spec, key, s.cache.Get)
+	if place == placeStored {
+		job := s.newJobLocked(tenant, spec, key)
+		job.cacheHit = true
 		s.mu.Unlock()
-		s.shed(tenant, "tenant_limit", retry)
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
-		writeErr(w, http.StatusTooManyRequests, "tenant %q already has %d jobs in flight (limit %d)",
-			tenant, s.cfg.TenantMaxInFlight, s.cfg.TenantMaxInFlight)
+		s.submitted.Inc()
+		job.finish(stored.State, stored.Manifest, "", stored.Attempts)
+		s.completed[stored.State].Add(1)
+		s.observeJobLatency(job)
+		s.event(job, "cache_hit", experimentLabel(spec), "job served from cache",
+			"experiment", experimentLabel(spec), "state", string(stored.State))
+		writeJSON(w, http.StatusOK, job.Status())
 		return
 	}
-	// Fresh admissions are bounded by the configured depth, not the
-	// channel capacity — after a crash the channel is oversized to hold
-	// replayed jobs, and that headroom is not new admission budget.
-	// pendingEnqueue counts admissions currently between their WAL fsync
-	// and their channel send, so reservations hold the bound exact.
-	if len(s.queue)+s.pendingEnqueue >= s.cfg.QueueDepth {
-		retry := s.retryAfterLocked()
+	if ref := s.admissionRefusalLocked(tenant, place); ref.code != 0 {
 		s.mu.Unlock()
-		s.shed(tenant, "queue_full", retry)
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
-		writeErr(w, http.StatusTooManyRequests, "job queue is full (%d deep); retry with backoff", s.cfg.QueueDepth)
-		return
-	}
-	if p95, slow := s.queueTooSlowLocked(); slow {
-		retry := s.retryAfterLocked()
-		s.mu.Unlock()
-		s.shed(tenant, "queue_slow", retry)
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", retry))
-		writeErr(w, http.StatusTooManyRequests,
-			"queue wait p95 %.2fs exceeds the %s bound; retry with backoff",
-			p95, s.cfg.MaxQueueWait)
-		return
-	}
-	if code, msg := s.refuseUndurableLocked(); code != 0 {
-		s.mu.Unlock()
-		s.rejected["durability"].Inc()
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, code, "%s", msg)
+		s.refuse(w, tenant, ref)
 		return
 	}
 	job := s.newJobLocked(tenant, spec, key)
-	s.tenantInFlight[tenant]++
-	s.pendingEnqueue++
-	// The submit record is appended before the job becomes reachable via
-	// the queue, so it always precedes the worker's start record. It goes
-	// to the journal directly, not via journalAppend: a failure must be
-	// able to un-admit the job rather than silently degrade after a 202.
-	// The leader slot is NOT claimed yet — a concurrent duplicate during
-	// the fsync window below leads its own run (rare duplicate work)
-	// instead of coalescing onto an admission that may yet roll back.
-	durableAdmit := s.journal != nil && s.durabilityOKNow()
-	var appendErr error
-	if durableAdmit {
-		appendErr = s.journal.Append(s.submitRecord(job))
-	} else if s.journal != nil {
+	if place == placeCoalesce {
+		s.followLocked(job)
+	} else {
+		// The tenant and queue slots are reserved now (pendingEnqueue keeps
+		// the later channel send non-blocking and the depth bound exact);
+		// the leader slot is claimed only once the admission is durable.
+		s.tenantInFlight[tenant]++
+		s.pendingEnqueue++
+	}
+	journaled := s.journal != nil && s.durabilityOKNow()
+	if s.journal != nil && !journaled {
 		job.markNonDurable()
 	}
-	s.mu.Unlock()
-
-	if durableAdmit {
-		// Durable before the 202 acknowledgement: the fsync happens outside
-		// s.mu (it is the slowest step on the submit path), with the queue
-		// slot reserved above so the later channel send cannot block.
-		err := appendErr
+	// The 202 reports the admission itself: rendered after the job is
+	// queued, a fast job could already answer with its terminal state.
+	st := job.Status()
+	var err error
+	if journaled {
+		// Appended before the job is reachable via the queue, so the submit
+		// record always precedes the worker's start record. It goes to the
+		// journal directly, not via journalAppend: a failure must roll the
+		// admission back, never silently degrade it after a 202.
+		err = s.journal.Append(s.submitRecord(job))
+		s.mu.Unlock()
 		if err == nil {
 			err = s.journal.Sync()
 		}
 		if err != nil {
 			s.journalErrors.Inc()
 			s.tripDurability("submit journal write", err)
-			s.mu.Lock()
-			s.pendingEnqueue--
-			s.unadmitFreshLocked(job)
-			s.mu.Unlock()
-			s.rejected["durability"].Inc()
-			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable,
-				"could not journal the admission durably: %v", err)
-			return
 		}
+		s.mu.Lock()
 	}
-
-	s.mu.Lock()
-	s.pendingEnqueue--
-	if s.draining {
-		// Drain began during the fsync window and closed the queue channel;
-		// the job was never acknowledged, so roll the admission back.
-		s.unadmitFreshLocked(job)
+	if place == placeLead {
+		s.pendingEnqueue--
+	}
+	switch {
+	case err != nil && (place == placeLead || !job.currentState().Terminal()):
+		// A follower whose leader finished during the fsync holds a real
+		// result, so it stays admitted; any other failed write rolls back.
+		ref = refusal{code: http.StatusServiceUnavailable, reason: "durability", retryAfter: 1,
+			msg: fmt.Sprintf("could not journal the admission durably: %v", err)}
+	case place == placeLead && s.draining:
+		// Drain began during the fsync and closed the queue channel.
+		ref = refuseDraining
+	}
+	if ref.code != 0 {
+		s.unadmitLocked(job, place)
 		s.mu.Unlock()
-		s.rejected["draining"].Inc()
-		writeErr(w, http.StatusServiceUnavailable, "server is draining")
+		s.refuse(w, tenant, ref)
 		return
 	}
-	if !spec.NoCache && s.leaders[key] == nil {
-		s.leaders[key] = job
+	if place == placeLead {
+		s.claimLeaderLocked(job)
+		s.queue <- job // cannot block: slot reserved via pendingEnqueue under s.mu
 	}
-	s.queue <- job // cannot block: slot reserved via pendingEnqueue under s.mu
 	s.mu.Unlock()
 	s.submitted.Inc()
-	if !spec.NoCache {
+	event := "submit"
+	if place == placeCoalesce {
+		s.coalesced.Inc()
+		event = "coalesce"
+	} else if !spec.NoCache {
 		s.misses.Inc()
 	}
-	s.log.Info("job admitted",
-		"job_id", job.id, "trace_id", job.traceID, "tenant", tenant,
+	s.event(job, event, experimentLabel(spec), "job admitted",
 		"experiment", experimentLabel(spec), "spec_hash", key,
-		"durability", s.durabilityStateName())
-	s.flight.Record(FlightEvent{Event: "submit", Job: job.id,
-		Trace: job.traceID, Tenant: tenant, Detail: experimentLabel(spec)})
-	writeJSON(w, http.StatusAccepted, job.Status())
+		"coalesced", place == placeCoalesce, "durability", s.durabilityStateName())
+	writeJSON(w, http.StatusAccepted, st)
 }
 
-// refuseUndurableLocked is the RequireDurability gate: a non-zero status
-// code means the admission must be refused because it cannot be journaled
-// durably right now. s.mu must be held.
-func (s *Server) refuseUndurableLocked() (int, string) {
-	if s.journal == nil || s.durabilityOKNow() || !s.cfg.RequireDurability {
-		return 0, ""
+// parseSubmission reads and validates a submission body. A refusal with a
+// non-zero code rejects it before admission.
+func (s *Server) parseSubmission(r *http.Request) (*Spec, refusal) {
+	invalid := func(code int, format string, args ...any) (*Spec, refusal) {
+		return nil, refusal{code: code, reason: "invalid", msg: fmt.Sprintf(format, args...)}
 	}
-	return http.StatusServiceUnavailable,
-		"storage durability is degraded and this server requires durable admissions; retry shortly"
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	if err != nil {
+		return nil, refusal{code: http.StatusBadRequest, msg: fmt.Sprintf("reading body: %v", err)}
+	}
+	if len(body) > maxSpecBytes {
+		return invalid(http.StatusRequestEntityTooLarge, "spec exceeds %d bytes", maxSpecBytes)
+	}
+	spec, err := ParseSpec(body)
+	if err != nil {
+		return invalid(http.StatusBadRequest, "%v", err)
+	}
+	if spec.Experiment != "" {
+		if _, ok := s.cfg.Registry.Get(spec.Experiment); !ok {
+			return invalid(http.StatusBadRequest, "unknown experiment %q (GET /v1/experiments lists them)", spec.Experiment)
+		}
+	}
+	if spec.FaultPlan != nil && s.cfg.FaultPlanRun == nil {
+		return invalid(http.StatusBadRequest, "this server does not accept fault-plan jobs")
+	}
+	return spec, refusal{}
 }
 
-// minQueueWaitSamples is how many queue-wait observations the latency
-// shedder needs before it trusts the p95.
-const minQueueWaitSamples = 8
+// placement is where placeLocked sends a job.
+type placement int
 
-// queueTooSlowLocked is the latency-aware admission check: shed when the
-// observed p95 queue wait exceeds Config.MaxQueueWait. It holds its fire
-// below a minimum sample count and while the server is idle — the
-// histogram never decays, so a slow period an hour ago must not shed on
-// a drained queue. s.mu must be held.
-func (s *Server) queueTooSlowLocked() (p95 float64, slow bool) {
-	if s.cfg.MaxQueueWait <= 0 || s.queueWait.Count() < minQueueWaitSamples {
-		return 0, false
+const (
+	// placeLead takes a queue slot and runs the simulation.
+	placeLead placement = iota
+	// placeCoalesce waits on the identical in-flight run.
+	placeCoalesce
+	// placeStored finishes from the stored result.
+	placeStored
+)
+
+// placeLocked decides where a job for key goes; the stored entry is set
+// for placeStored. no_cache jobs always lead. lookup is Cache.Get on
+// admission, which counts a hit or a miss, and Cache.Peek on the recovery
+// paths, which counts nothing. The in-flight leader is checked first: a
+// key is never both in flight and stored, and checking the leader first
+// keeps the cache's hit/miss counters equal to "served from storage" /
+// "simulated fresh". s.mu must be held.
+func (s *Server) placeLocked(spec *Spec, key string, lookup func(string) (Entry, bool)) (placement, Entry) {
+	if spec.NoCache {
+		return placeLead, Entry{}
 	}
-	if len(s.queue)+s.pendingEnqueue == 0 && s.running < s.cfg.Workers {
-		return 0, false
+	if s.leaders[key] != nil {
+		return placeCoalesce, Entry{}
 	}
-	p95 = s.queueWait.Quantile(0.95)
-	return p95, p95 > s.cfg.MaxQueueWait.Seconds()
+	if e, ok := lookup(key); ok {
+		return placeStored, e
+	}
+	return placeLead, Entry{}
 }
 
-// unadmitFreshLocked rolls back a fresh admission whose WAL record never
-// reached disk (or whose queue closed mid-admission): the job was never
-// acknowledged, so every trace of it is removed as if the submit had been
-// refused outright. s.mu must be held.
-func (s *Server) unadmitFreshLocked(job *Job) {
-	if s.leaders[job.key] == job {
-		delete(s.leaders, job.key)
-	}
-	s.tenantInFlight[job.tenant]--
-	if s.tenantInFlight[job.tenant] <= 0 {
-		delete(s.tenantInFlight, job.tenant)
-	}
-	s.unregisterJobLocked(job)
+// followLocked coalesces job onto the in-flight run for its key; the
+// leader's finishJob completes it. s.mu must be held.
+func (s *Server) followLocked(job *Job) {
+	job.markCoalesced()
+	s.followers[job.key] = append(s.followers[job.key], job)
 }
 
-// unregisterJobLocked removes a never-acknowledged job from the job
-// table and submission order. s.mu must be held.
-func (s *Server) unregisterJobLocked(job *Job) {
+// claimLeaderLocked makes job the in-flight run for its key, unless it
+// never shares runs (no_cache) or a duplicate admitted during its fsync
+// already leads. s.mu must be held.
+func (s *Server) claimLeaderLocked(job *Job) {
+	if !job.spec.NoCache && s.leaders[job.key] == nil {
+		s.leaders[job.key] = job
+	}
+}
+
+// unadmitLocked rolls back an admission that was never acknowledged (its
+// journal write failed, or drain closed the queue during the fsync): the
+// job leaves the job table and its follower or tenant slot, as if the
+// submission had been refused outright. s.mu must be held.
+func (s *Server) unadmitLocked(job *Job, place placement) {
+	if place == placeCoalesce {
+		fols := s.followers[job.key]
+		for i, f := range fols {
+			if f == job {
+				s.followers[job.key] = append(fols[:i], fols[i+1:]...)
+				break
+			}
+		}
+	} else {
+		s.releaseTenantLocked(job.tenant)
+	}
 	delete(s.jobs, job.id)
 	for i := len(s.order) - 1; i >= 0; i-- {
 		if s.order[i] == job.id {
@@ -1073,6 +974,88 @@ func (s *Server) unregisterJobLocked(job *Job) {
 		}
 	}
 	s.jobsTotal.Add(-1)
+}
+
+// releaseTenantLocked returns one of tenant's in-flight slots. s.mu must
+// be held.
+func (s *Server) releaseTenantLocked(tenant string) {
+	s.tenantInFlight[tenant]--
+	if s.tenantInFlight[tenant] <= 0 {
+		delete(s.tenantInFlight, tenant)
+	}
+}
+
+// refusal is one refused submission: its HTTP status, its
+// apusimd_jobs_rejected_total reason (empty counts nothing), the
+// Retry-After seconds to advise (0 sends none), and the error message.
+// The zero refusal refuses nothing.
+type refusal struct {
+	code       int
+	reason     string
+	retryAfter int
+	msg        string
+}
+
+// refuseDraining answers submissions once Drain has begun.
+var refuseDraining = refusal{code: http.StatusServiceUnavailable, reason: "draining", msg: "server is draining"}
+
+// refuse writes a refused submission. 429s are load sheds and go through
+// shed; every other refusal counts once under its reason.
+func (s *Server) refuse(w http.ResponseWriter, tenant string, ref refusal) {
+	if ref.code == http.StatusTooManyRequests {
+		s.shed(tenant, ref.reason, ref.retryAfter)
+	} else if ref.reason != "" {
+		s.rejected[ref.reason].Inc()
+	}
+	if ref.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(ref.retryAfter))
+	}
+	writeErr(w, ref.code, "%s", ref.msg)
+}
+
+// minQueueWaitSamples is how many queue-wait observations the latency
+// shedder needs before it trusts the p95.
+const minQueueWaitSamples = 8
+
+// admissionRefusalLocked applies admission control. A job that leads
+// needs a worker, so it must fit its tenant's in-flight cap, the queue
+// depth and the queue-wait bound; with RequireDurability, no job is
+// admitted while the journal cannot hold it. s.mu must be held.
+func (s *Server) admissionRefusalLocked(tenant string, place placement) refusal {
+	if place == placeLead {
+		overload := func(reason, format string, args ...any) refusal {
+			return refusal{code: http.StatusTooManyRequests, reason: reason,
+				retryAfter: s.retryAfterLocked(), msg: fmt.Sprintf(format, args...)}
+		}
+		// Fresh admissions are bounded by the configured depth, not the
+		// channel capacity — after a crash the channel is oversized to hold
+		// replayed jobs, and that headroom is not new admission budget.
+		// pendingEnqueue counts admissions between their journal fsync and
+		// their channel send, so reservations hold the bound exact.
+		backlog := len(s.queue) + s.pendingEnqueue
+		switch {
+		case s.cfg.TenantMaxInFlight > 0 && s.tenantInFlight[tenant] >= s.cfg.TenantMaxInFlight:
+			return overload("tenant_limit", "tenant %q already has %d jobs in flight (limit %d)",
+				tenant, s.cfg.TenantMaxInFlight, s.cfg.TenantMaxInFlight)
+		case backlog >= s.cfg.QueueDepth:
+			return overload("queue_full", "job queue is full (%d deep); retry with backoff", s.cfg.QueueDepth)
+		case s.cfg.MaxQueueWait > 0 && s.queueWait.Count() >= minQueueWaitSamples &&
+			(backlog > 0 || s.running >= s.cfg.Workers):
+			// Latency-aware shedding holds its fire below a minimum sample
+			// count and while the server is idle: the histogram never
+			// decays, so a slow period an hour ago must not shed on a
+			// drained queue.
+			if p95 := s.queueWait.Quantile(0.95); p95 > s.cfg.MaxQueueWait.Seconds() {
+				return overload("queue_slow", "queue wait p95 %.2fs exceeds the %s bound; retry with backoff",
+					p95, s.cfg.MaxQueueWait)
+			}
+		}
+	}
+	if s.journal != nil && !s.durabilityOKNow() && s.cfg.RequireDurability {
+		return refusal{code: http.StatusServiceUnavailable, reason: "durability", retryAfter: 1,
+			msg: "storage durability is degraded and this server requires durable admissions; retry shortly"}
+	}
+	return refusal{}
 }
 
 // retryAfterLocked derives the Retry-After seconds advised on load-shed
@@ -1111,15 +1094,40 @@ func (s *Server) jobByID(id string) *Job {
 	return s.jobs[id]
 }
 
-// handleStatus serves one job's status; with ?watch=1 it streams every
-// transition as newline-delimited JSON until the job is terminal.
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+// fetchJob resolves the {id} of a per-job endpoint, answering 404 for an
+// unknown job. Fetching an interrupted job re-queues it.
+func (s *Server) fetchJob(w http.ResponseWriter, r *http.Request) *Job {
 	job := s.jobByID(r.PathValue("id"))
 	if job == nil {
 		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
+		return nil
 	}
 	s.maybeRequeueInterrupted(job)
+	return job
+}
+
+// manifestOf returns a job's manifest bytes, or nil. For a job recovered
+// as already completed, the bytes live in the durable store rather than on
+// the job record; they are fetched by content address.
+func (s *Server) manifestOf(job *Job) []byte {
+	if m := job.Manifest(); m != nil {
+		return m
+	}
+	if st := job.Status(); st.Recovered && cacheable(st.State) {
+		if e, ok := s.cache.Peek(job.key); ok {
+			return e.Manifest
+		}
+	}
+	return nil
+}
+
+// handleStatus serves one job's status; with ?watch=1 it streams every
+// transition as newline-delimited JSON until the job is terminal.
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	job := s.fetchJob(w, r)
+	if job == nil {
+		return
+	}
 	if r.URL.Query().Get("watch") == "" {
 		writeJSON(w, http.StatusOK, job.Status())
 		return
@@ -1171,26 +1179,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleManifest serves the job's stored run manifest verbatim. For a
-// job recovered as already-completed, the manifest bytes live in the
-// durable store rather than on the job record; they are fetched by
-// content address on demand.
+// handleManifest serves the job's stored run manifest verbatim.
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	job := s.jobByID(r.PathValue("id"))
+	job := s.fetchJob(w, r)
 	if job == nil {
-		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	s.maybeRequeueInterrupted(job)
-	m := job.Manifest()
-	if m == nil {
-		st := job.Status()
-		if st.Recovered && cacheable(st.State) {
-			if e, ok := s.cache.Peek(job.key); ok {
-				m = e.Manifest
-			}
-		}
-	}
+	m := s.manifestOf(job)
 	if m == nil {
 		writeErr(w, http.StatusNotFound, "job %s has no manifest (state %s)", job.id, job.Status().State)
 		return

@@ -100,38 +100,6 @@ func (m *multiHook) EventDone(class Class, at Time, wall time.Duration) {
 	}
 }
 
-// NamedHook is the pre-Class observer interface: one callback per fired
-// event carrying the class name as a string.
-//
-// Deprecated: implement Hook (which receives interned Class handles —
-// resolve names with Engine.ClassName) and install it with AddHook, or
-// use EnableProfiling + ProfileSnapshot for aggregate per-class counters.
-// NamedHook pays a per-event name lookup that Hook avoids.
-type NamedHook interface {
-	EventDone(class string, at Time, wall time.Duration)
-}
-
-// namedHookAdapter bridges a deprecated NamedHook onto the Class-handle
-// hook seam by resolving each event's class name.
-type namedHookAdapter struct {
-	e *Engine
-	h NamedHook
-}
-
-func (a *namedHookAdapter) EventDone(class Class, at Time, wall time.Duration) {
-	a.h.EventDone(a.e.ClassName(class), at, wall)
-}
-
-// AddNamedHook chains a string-keyed observer behind any installed hook.
-//
-// Deprecated: implement Hook and use AddHook; see NamedHook.
-func (e *Engine) AddNamedHook(h NamedHook) {
-	if h == nil {
-		return
-	}
-	e.AddHook(&namedHookAdapter{e: e, h: h})
-}
-
 // ClassProfile is one class's aggregate execution counters, snapshotted
 // by ProfileSnapshot.
 type ClassProfile struct {

@@ -14,8 +14,7 @@
 // — with value-typed event slots recycled through a free list, so
 // steady-state scheduling allocates nothing. Handler classes are interned
 // Class handles (eng.Class("hbm.access") once at setup, integer IDs on the
-// hot path); ScheduleNamed and the string NamedHook remain as deprecated
-// wrappers for callers that have not migrated.
+// hot path).
 package sim
 
 import (
@@ -155,23 +154,6 @@ func (e *Engine) Schedule(at Time, class Class, fn Handler) EventID {
 // stale event fired far from the buggy caller.
 func (e *Engine) After(d Time, class Class, fn Handler) EventID {
 	return e.Schedule(e.now+d, class, fn)
-}
-
-// ScheduleNamed is Schedule keyed by a class name string, interning it on
-// every call.
-//
-// Deprecated: intern the class once at setup (cls := eng.Class(name)) and
-// call Schedule(at, cls, fn); this wrapper pays a map lookup per event.
-func (e *Engine) ScheduleNamed(class string, at Time, fn Handler) EventID {
-	return e.Schedule(at, e.Class(class), fn)
-}
-
-// AfterNamed is After keyed by a class name string, interning it on
-// every call.
-//
-// Deprecated: intern the class once at setup and call After(d, cls, fn).
-func (e *Engine) AfterNamed(class string, d Time, fn Handler) EventID {
-	return e.After(d, e.Class(class), fn)
 }
 
 // Cancel marks a previously scheduled event dead. It returns false if the

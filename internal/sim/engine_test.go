@@ -466,26 +466,6 @@ func TestHookRemovable(t *testing.T) {
 	}
 }
 
-// namedTestHook exercises the deprecated string-keyed observer seam.
-type namedTestHook struct{ classes []string }
-
-func (h *namedTestHook) EventDone(class string, _ Time, _ time.Duration) {
-	h.classes = append(h.classes, class)
-}
-
-func TestDeprecatedNamedHookResolvesClassNames(t *testing.T) {
-	e := NewEngine()
-	h := &namedTestHook{}
-	e.AddNamedHook(h)
-	e.ScheduleNamed("ras.fault", 10, func(Time) {})
-	e.Schedule(5, ClassDefault, func(Time) {})
-	e.RunAll()
-	want := []string{DefaultClass, "ras.fault"}
-	if len(h.classes) != len(want) || h.classes[0] != want[0] || h.classes[1] != want[1] {
-		t.Fatalf("named hook saw %v, want %v", h.classes, want)
-	}
-}
-
 func TestClassInterningIsIdempotent(t *testing.T) {
 	e := NewEngine()
 	a := e.Class("hbm.access")
@@ -567,12 +547,12 @@ func TestQueueHighWater(t *testing.T) {
 
 func TestPastSchedulingPanicNamesEventClass(t *testing.T) {
 	e := NewEngine()
-	e.ScheduleNamed("warmup", 100, func(Time) {})
+	e.Schedule(100, e.Class("warmup"), func(Time) {})
 	e.RunAll()
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("ScheduleNamed in the past did not panic")
+			t.Fatal("Schedule in the past did not panic")
 		}
 		msg := fmt.Sprint(r)
 		if !strings.Contains(msg, `"ras.fault"`) {
@@ -582,7 +562,7 @@ func TestPastSchedulingPanicNamesEventClass(t *testing.T) {
 			t.Errorf("panic %q does not report the requested and current times", msg)
 		}
 	}()
-	e.ScheduleNamed("ras.fault", 50, func(Time) {})
+	e.Schedule(50, e.Class("ras.fault"), func(Time) {})
 }
 
 func TestAfterNegativeDelayPanics(t *testing.T) {

@@ -33,9 +33,9 @@ func TestWatchdogLivelockTrips(t *testing.T) {
 	// until the heat death of the wall clock without the watchdog.
 	var reschedule func(Time)
 	reschedule = func(now Time) {
-		eng.ScheduleNamed("livelock", now, reschedule)
+		eng.Schedule(now, eng.Class("livelock"), reschedule)
 	}
-	eng.ScheduleNamed("livelock", 10, reschedule)
+	eng.Schedule(10, eng.Class("livelock"), reschedule)
 
 	trip := catchTrip(t, func() { eng.RunAll() })
 	if trip == nil {
@@ -61,10 +61,10 @@ func TestWatchdogQueueGrowthTrips(t *testing.T) {
 	// livelock budget is a factor.
 	var fanout func(Time)
 	fanout = func(now Time) {
-		eng.ScheduleNamed("fanout", now+1, fanout)
-		eng.ScheduleNamed("fanout", now+2, fanout)
+		eng.Schedule(now+1, eng.Class("fanout"), fanout)
+		eng.Schedule(now+2, eng.Class("fanout"), fanout)
 	}
-	eng.ScheduleNamed("fanout", 1, fanout)
+	eng.Schedule(1, eng.Class("fanout"), fanout)
 
 	trip := catchTrip(t, func() { eng.Run(1000) })
 	if trip == nil {
@@ -82,7 +82,7 @@ func TestWatchdogHandlerStallTrips(t *testing.T) {
 	eng := NewEngine()
 	NewWatchdog(WatchdogConfig{MaxHandlerWall: time.Microsecond}).Install(eng)
 
-	eng.ScheduleNamed("stall", 5, func(Time) {
+	eng.Schedule(5, eng.Class("stall"), func(Time) {
 		// Burn more than a microsecond of wall clock inside one handler.
 		deadline := time.Now().Add(2 * time.Millisecond)
 		for time.Now().Before(deadline) {
@@ -111,10 +111,10 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	n := 0
 	step = func(now Time) {
 		if n++; n < 500 {
-			eng.ScheduleNamed("step", now+Nanosecond, step)
+			eng.Schedule(now+Nanosecond, eng.Class("step"), step)
 		}
 	}
-	eng.ScheduleNamed("step", 0, step)
+	eng.Schedule(0, eng.Class("step"), step)
 	if trip := catchTrip(t, func() { eng.RunAll() }); trip != nil {
 		t.Fatalf("healthy run tripped the watchdog: %v", trip)
 	}
@@ -129,7 +129,7 @@ func TestWatchdogComposesWithOtherHooks(t *testing.T) {
 	eng.AddHook(hookFunc(func(Class, Time, time.Duration) { seen++ }))
 	NewWatchdog(WatchdogConfig{EventBudget: 50}).Install(eng)
 
-	eng.ScheduleNamed("tick", 1, func(Time) {})
+	eng.Schedule(1, eng.Class("tick"), func(Time) {})
 	eng.RunAll()
 	if seen != 1 {
 		t.Fatalf("earlier hook saw %d events after watchdog install, want 1", seen)

@@ -136,7 +136,7 @@ func TestEngineProfileCountsClasses(t *testing.T) {
 	rec := NewRecorder()
 	rec.Gauge("g", func(sim.Time) float64 { return 0 })
 	rec.ObserveEngine(eng)
-	eng.ScheduleNamed("ras.fault", sim.Microsecond, func(sim.Time) {})
+	eng.Schedule(sim.Microsecond, eng.Class("ras.fault"), func(sim.Time) {})
 	NewSampler(eng, rec, 50*sim.Microsecond).Arm(100 * sim.Microsecond)
 	eng.RunAll()
 

@@ -101,7 +101,9 @@ func TestSpanSamplingDeterministicAndSubsetting(t *testing.T) {
 }
 
 // TestSpanRasDumpRecordsFaults checks the fault-plan-armed run's dump
-// carries the ras.fault events and the ECC-retry stage.
+// carries the ras.fault events and the ECC-retry stage, sampled roots
+// with child spans under them, and an attribution report whose per-stage
+// shares sum to 1 within 1% for every kind.
 func TestSpanRasDumpRecordsFaults(t *testing.T) {
 	suite := runSpanSuite(t, 2, 1)
 	var d *spans.Dump
@@ -129,6 +131,22 @@ func TestSpanRasDumpRecordsFaults(t *testing.T) {
 	}
 	if !ecc {
 		t.Error("spanras dump has no hbm.ecc child span")
+	}
+	if d.RootsSampled <= 0 || len(d.Spans) <= d.RootsSampled {
+		t.Errorf("spanras dump has %d spans over %d sampled roots, want roots > 0 and children beyond them",
+			len(d.Spans), d.RootsSampled)
+	}
+	if d.Attribution == nil || d.Attribution.Schema != spans.AttributionSchema {
+		t.Fatalf("spanras dump attribution %+v, want schema %q", d.Attribution, spans.AttributionSchema)
+	}
+	for _, k := range d.Attribution.Kinds {
+		var share float64
+		for _, s := range k.Stages {
+			share += s.Share
+		}
+		if share < 0.99 || share > 1.01 {
+			t.Errorf("spanras kind %s stage shares sum to %g, want 1 within 1%%", k.Kind, share)
+		}
 	}
 }
 

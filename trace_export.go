@@ -43,8 +43,8 @@ type TraceResult struct {
 
 // WriteTrace renders the selected timelines as one Chrome trace (load
 // into chrome://tracing or Perfetto). It is the single exit point for
-// trace export: WriteFig14Trace and WriteDispatchTrace are thin wrappers
-// over it, and telemetry counter tracks compose with either.
+// trace export; telemetry counter tracks and span dumps compose with
+// either program timeline.
 func WriteTrace(w io.Writer, spec TraceSpec) (*TraceResult, error) {
 	if spec.Fig14N <= 0 && !spec.Dispatch && spec.Telemetry == nil && spec.Spans == nil {
 		return nil, fmt.Errorf("apusim: empty TraceSpec — nothing to trace")
@@ -142,25 +142,4 @@ func addDispatchSpans(tr *trace.Trace, pid int) (*Fig13Result, error) {
 		})
 	}
 	return r, nil
-}
-
-// WriteFig14Trace runs the Fig. 14 program trio and writes their step
-// timelines as a Chrome trace: one process track per program, one span
-// per step. It returns the results for further inspection.
-func WriteFig14Trace(w io.Writer, n int) (*Fig14Result, error) {
-	res, err := WriteTrace(w, TraceSpec{Fig14N: n})
-	if err != nil {
-		return nil, err
-	}
-	return res.Fig14, nil
-}
-
-// WriteDispatchTrace runs a multi-XCD dispatch and writes per-XCD busy
-// spans, visualizing the Fig. 13 cooperative flow.
-func WriteDispatchTrace(w io.Writer) (*Fig13Result, error) {
-	res, err := WriteTrace(w, TraceSpec{Dispatch: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.Fig13, nil
 }
