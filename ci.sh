@@ -163,6 +163,12 @@ echo "== cache tag store differential fuzz smoke =="
 # tag store it replaced: every return value and the Stats must match.
 go test ./internal/cache/ -run '^$' -fuzz '^FuzzSetAssocDifferential$' -fuzztime 15s >/dev/null
 
+echo "== functional memory differential fuzz smoke =="
+# 15 seconds of coverage-guided fuzzing of mem.Space against the map-backed
+# reference it replaced: every return value, read buffer, panic and
+# TouchedBytes must match.
+go test ./internal/mem/ -run '^$' -fuzz '^FuzzSpaceDifferential$' -fuzztime 15s >/dev/null
+
 echo "== apusimd smoke =="
 # The daemon must serve the job API end to end: an identical resubmission
 # must be served from cache with byte-identical manifest bytes and the

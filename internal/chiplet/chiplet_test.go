@@ -76,6 +76,33 @@ func TestPGGridInvariance(t *testing.T) {
 	}
 }
 
+// A check that fails names the same first failure on every call: the P/G
+// check walks its grid row-major, so a broken grid fails at its origin,
+// and the alignment check names the missing pad with the lowest X, then Y.
+func TestCheckFailuresAreDeterministic(t *testing.T) {
+	pg := NewIODDesign()
+	pg.W = 24001 // odd margin: the grid is no longer mirror-symmetric
+	rogue := NewIODDesign()
+	rogue.xcdDie = &DieSpec{Name: "rogue", Kind: DieXCD, W: 11000, H: 8500,
+		SignalPads: padGrid(Point{1501, 1501}, 8, 5, 700)} // 1µm off
+	for _, c := range []struct {
+		name  string
+		check func() error
+		want  string
+	}{
+		{"P/G", pg.CheckPGInvariance, "chiplet: P/G TSV {50 50} not invariant under mirrored"},
+		{"alignment", func() error { return rogue.CheckAlignment(Orientation{}, ComputeXCD) },
+			"chiplet: rogue (normal) on normal IOD: 40 pads missing TSV sites (first {2301 6501})"},
+	} {
+		for call := 0; call < 20; call++ {
+			if err := c.check(); err == nil || err.Error() != c.want {
+				t.Errorf("%s check, call %d = %v, want %q", c.name, call, err, c.want)
+				break
+			}
+		}
+	}
+}
+
 func TestPGGridDensity(t *testing.T) {
 	d := NewIODDesign()
 	g := d.PGGrid()
@@ -250,9 +277,11 @@ func TestGridMirrorInvarianceProperty(t *testing.T) {
 		nx := int(nxRaw)%50 + 2
 		w := nx*pitch + pitch // even margins by construction
 		g := Grid(w, w, pitch)
-		for p := range g {
-			if !g.Has(Point{w - p.X, p.Y}) {
-				return false
+		for j := 0; j < g.NY; j++ {
+			for i := 0; i < g.NX; i++ {
+				if p := g.At(i, j); !g.Has(Point{w - p.X, p.Y}) {
+					return false
+				}
 			}
 		}
 		return true

@@ -7,7 +7,10 @@
 // micrometer geometry, so alignment checks are equality, not epsilon.
 package chiplet
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Point is a position in micrometers.
 type Point struct {
@@ -139,8 +142,8 @@ func (s PointSet) Union(o PointSet) {
 // Len reports the set size.
 func (s PointSet) Len() int { return len(s) }
 
-// MissingFrom returns the points of s absent from super (empty slice when
-// s ⊆ super).
+// MissingFrom returns the points of s absent from super, sorted by X then
+// Y (empty slice when s ⊆ super).
 func (s PointSet) MissingFrom(super PointSet) []Point {
 	var missing []Point
 	for p := range s {
@@ -148,26 +151,50 @@ func (s PointSet) MissingFrom(super PointSet) []Point {
 			missing = append(missing, p)
 		}
 	}
+	sort.Slice(missing, func(i, j int) bool {
+		a, b := missing[i], missing[j]
+		return a.X < b.X || a.X == b.X && a.Y < b.Y
+	})
 	return missing
 }
 
-// Grid generates a uniform grid of points with the given pitch, centered
-// in the w×h area: the P/G TSV planning pattern of §V.D. Centering makes
-// the grid invariant under mirroring and 180° rotation, which is exactly
-// the property that lets one grid serve every IOD/chiplet permutation.
-func Grid(w, h, pitch int) PointSet {
+// Lattice is a uniform grid of NX×NY points Pitch apart, starting at
+// Origin. It answers membership by arithmetic instead of storing points.
+type Lattice struct {
+	Origin Point
+	Pitch  int
+	NX, NY int
+}
+
+// Len reports the number of points.
+func (g Lattice) Len() int { return g.NX * g.NY }
+
+// At returns the point in column i and row j.
+func (g Lattice) At(i, j int) Point {
+	return Point{g.Origin.X + i*g.Pitch, g.Origin.Y + j*g.Pitch}
+}
+
+// Has reports whether p is a lattice point.
+func (g Lattice) Has(p Point) bool {
+	dx, dy := p.X-g.Origin.X, p.Y-g.Origin.Y
+	return dx >= 0 && dy >= 0 && dx%g.Pitch == 0 && dy%g.Pitch == 0 &&
+		dx/g.Pitch < g.NX && dy/g.Pitch < g.NY
+}
+
+// Grid returns a uniform grid of points with the given pitch, centered in
+// the w×h area: the P/G TSV planning pattern of §V.D. Centering makes the
+// grid invariant under mirroring and 180° rotation, which is exactly the
+// property that lets one grid serve every IOD/chiplet permutation.
+func Grid(w, h, pitch int) Lattice {
 	if pitch <= 0 {
 		panic(fmt.Sprintf("chiplet: invariant violated: grid pitch must be positive (got %d)", pitch))
 	}
-	nx := w / pitch
-	ny := h / pitch
-	x0 := (w - (nx-1)*pitch) / 2
-	y0 := (h - (ny-1)*pitch) / 2
-	s := make(PointSet, nx*ny)
-	for i := 0; i < nx; i++ {
-		for j := 0; j < ny; j++ {
-			s.Add(Point{x0 + i*pitch, y0 + j*pitch})
-		}
+	nx := max(w/pitch, 0)
+	ny := max(h/pitch, 0)
+	return Lattice{
+		Origin: Point{(w - (nx-1)*pitch) / 2, (h - (ny-1)*pitch) / 2},
+		Pitch:  pitch,
+		NX:     nx,
+		NY:     ny,
 	}
-	return s
 }

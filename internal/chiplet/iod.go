@@ -198,7 +198,7 @@ func (d *IODDesign) PlacedSites(o Orientation) PointSet {
 // PGGrid reports the uniform power/ground TSV grid (design == placed
 // coordinates for any orientation iff the grid is invariant; see
 // CheckPGInvariance).
-func (d *IODDesign) PGGrid() PointSet { return Grid(d.W, d.H, d.PGPitch) }
+func (d *IODDesign) PGGrid() Lattice { return Grid(d.W, d.H, d.PGPitch) }
 
 // CheckAlignment verifies that for an IOD instance with orientation o and
 // compute kind, every chiplet signal pad lands on a TSV site and every
@@ -237,13 +237,18 @@ func (d *IODDesign) RedundantSites() PointSet {
 
 // CheckPGInvariance verifies the P/G grid maps onto itself under every
 // orientation — the §V.D property that one uniform grid serves every
-// permutation of mirrored/rotated IOD, CCD, and XCD.
+// permutation of mirrored/rotated IOD, CCD, and XCD. It walks the grid
+// row-major and reports the first point with an image off the grid.
 func (d *IODDesign) CheckPGInvariance() error {
 	g := d.PGGrid()
-	for _, o := range AllOrientations() {
-		for p := range g {
-			if !g.Has(o.Apply(p, d.W, d.H)) {
-				return fmt.Errorf("chiplet: P/G TSV %v not invariant under %s", p, o)
+	orients := AllOrientations()
+	for j := 0; j < g.NY; j++ {
+		for i := 0; i < g.NX; i++ {
+			p := g.At(i, j)
+			for _, o := range orients {
+				if !g.Has(o.Apply(p, d.W, d.H)) {
+					return fmt.Errorf("chiplet: P/G TSV %v not invariant under %s", p, o)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -246,20 +247,39 @@ func TestSpaceAlloc(t *testing.T) {
 	if _, err := s.Alloc(16, 3); err == nil {
 		t.Error("non-power-of-two alignment should fail")
 	}
-	s.Reset()
-	if s.Allocated() != 0 {
-		t.Error("Reset did not clear allocator")
+	// A reservation whose end overflows int64 does not fit either, and
+	// leaves the watermark where it was.
+	brk := s.Allocated()
+	if base, err := s.Alloc(math.MaxInt64-8, 1); err == nil {
+		t.Errorf("Alloc(MaxInt64-8) = %d, want an out-of-memory error", base)
+	}
+	if s.Allocated() != brk {
+		t.Errorf("Allocated = %d after a refused Alloc, want %d", s.Allocated(), brk)
 	}
 }
 
 func TestSpaceOutOfBoundsPanics(t *testing.T) {
 	s := NewSpace("x", 1024)
-	defer func() {
-		if recover() == nil {
-			t.Error("OOB write did not panic")
+	if !panics(func() { s.Write(1020, []byte{1, 2, 3, 4, 5}) }) {
+		t.Error("OOB write did not panic")
+	}
+	// An access whose end overflows int64 is out of range too, not
+	// wrapped back into the space.
+	big := NewSpace("big", 1<<30)
+	for _, addr := range []int64{math.MaxInt64 - 3, math.MaxInt64 - 7, math.MaxInt64} {
+		if !panics(func() { big.WriteFloat64(addr, 1.5) }) {
+			t.Errorf("WriteFloat64(%#x) did not panic", addr)
 		}
-	}()
-	s.Write(1020, []byte{1, 2, 3, 4, 5})
+		if !panics(func() { big.ReadFloat64(addr) }) {
+			t.Errorf("ReadFloat64(%#x) did not panic", addr)
+		}
+		if !panics(func() { big.Write(addr, make([]byte, 8)) }) {
+			t.Errorf("Write(%#x) did not panic", addr)
+		}
+	}
+	if big.TouchedBytes() != 0 {
+		t.Errorf("TouchedBytes = %d after refused accesses, want 0", big.TouchedBytes())
+	}
 }
 
 func TestCopyBetweenSpaces(t *testing.T) {

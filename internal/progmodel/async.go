@@ -6,6 +6,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/gpu"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -66,7 +67,7 @@ func RunDiscreteAsync(p *core.Platform, n, chunks int) (*AsyncResult, error) {
 
 	// Functional transfer + compute (all chunks; data correctness is
 	// independent of the pipelining).
-	copyHostToDevice(p, hx, dx, bytes)
+	mem.Copy(p.DeviceMem, dx, p.HostMem, hx, bytes)
 	k := axpyKernel(dx, dy, n)
 
 	// Pipelined timing across three resources: the H2D DMA engine, the
@@ -112,7 +113,7 @@ func RunDiscreteAsync(p *core.Platform, n, chunks int) (*AsyncResult, error) {
 			pipelineEnd = d2hDone
 		}
 	}
-	copyDeviceToHost(p, dy, hy, bytes)
+	mem.Copy(p.HostMem, hy, p.DeviceMem, dy, bytes)
 	r.CopyBytes = 2 * bytes
 
 	t = r.step("pipeline(h2d|kernel|d2h)", t, pipelineEnd)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -81,7 +82,7 @@ func RunManaged(p *core.Platform, n int) (*Result, *MigrationStats, error) {
 		return p.HostLinkTransfer(start+faultTime, nPages*page, toDevice)
 	}
 	t = r.step("fault+migrate x,y H2D", t, migrate(t, 2*pages, true))
-	copyHostToDevice(p, hx, dx, bytes)
+	mem.Copy(p.DeviceMem, dx, p.HostMem, hx, bytes)
 
 	k := axpyKernel(dx, dy, n)
 	done, err := p.GPU.Dispatch(t, k, n, 256, 0)
@@ -92,7 +93,7 @@ func RunManaged(p *core.Platform, n int) (*Result, *MigrationStats, error) {
 
 	// CPU post-processing touches y: pages migrate back.
 	t = r.step("fault+migrate y D2H", t, migrate(t, pages, false))
-	copyDeviceToHost(p, dy, hy, bytes)
+	mem.Copy(p.HostMem, hy, p.DeviceMem, dy, bytes)
 	r.step("post(host)", t, c.ExecuteParallel(t, postTask(n), 24))
 	r.CopyBytes = 3 * pages * page
 	r.Verified = sumAndVerify(p.HostMem, hy, n)

@@ -69,24 +69,31 @@ func RunOverlap(p *core.Platform, n, chunks int) (*OverlapResult, error) {
 	// is a real computation, not a fill), so production and the CPU's
 	// consumption proceed at comparable rates — the regime where
 	// fine-grained pipelining pays.
+	var vals []float64 // reused across workgroups
 	k := &gpu.KernelSpec{
 		Name:  "produce",
 		Class: config.Vector, Dtype: config.FP64,
 		FlopsPerItem: 4000, BytesWrittenPerItem: 8,
 		Body: func(env *gpu.ExecEnv, xcd, wgID, wgSize int, kernarg int64) {
 			lo := wgID * wgSize
-			hi := lo + wgSize
-			if hi > n {
-				hi = n
+			hi := min(lo+wgSize, n)
+			if lo >= hi {
+				return
 			}
-			for i := lo; i < hi; i++ {
-				env.Mem.WriteFloat64(dataAddr+int64(i)*8, coefA*float64(i)+coefB)
-				c := i / per
-				if c < chunks {
-					produced[c]++
-					if produced[c] == chunkSize(n, per, c) {
-						env.Mem.WriteUint64(flagAddr+int64(c)*8, 1)
-					}
+			if cap(vals) < hi-lo {
+				vals = make([]float64, hi-lo)
+			}
+			v := vals[:hi-lo]
+			for i := range v {
+				v[i] = coefA*float64(lo+i) + coefB
+			}
+			env.Mem.WriteFloat64s(dataAddr+int64(lo)*8, v)
+			// Credit each chunk the workgroup overlaps, and set its flag
+			// once its last element has landed.
+			for c := lo / per; c < chunks && c*per < hi; c++ {
+				produced[c] += min(hi, (c+1)*per) - max(lo, c*per)
+				if produced[c] == chunkSize(n, per, c) {
+					env.Mem.WriteUint64(flagAddr+int64(c)*8, 1)
 				}
 			}
 		},

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/gpu"
+	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
@@ -70,36 +71,45 @@ func expectedSum(n int) float64 {
 	return coefA*fn*(fn-1)/2 + coefB*fn
 }
 
+// blockLen is how many float64s the CPU-side loops move per bulk access:
+// one 64-KiB page.
+const blockLen = 8192
+
 // initTask returns the CPU task that initializes x[i] = i in the given
 // space.
-func initTask(space interface {
-	WriteFloat64(int64, float64)
-}, xAddr int64, n int) cpu.Task {
+func initTask(space *mem.Space, xAddr int64, n int) cpu.Task {
 	chunks := 24
 	per := (n + chunks - 1) / chunks
+	buf := make([]float64, min(per, blockLen))
 	return cpu.Task{
 		Name:         "init",
 		Flops:        float64(n), // one op per element
 		BytesWritten: int64(n) * 8,
 		Body: func(env *cpu.Env, chunk int) {
-			lo, hi := chunk*per, (chunk+1)*per
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				space.WriteFloat64(xAddr+int64(i)*8, float64(i))
+			lo, hi := chunk*per, min((chunk+1)*per, n)
+			for lo < hi {
+				b := buf[:min(len(buf), hi-lo)]
+				for i := range b {
+					b[i] = float64(lo + i)
+				}
+				space.WriteFloat64s(xAddr+int64(lo)*8, b)
+				lo += len(b)
 			}
 		},
 	}
 }
 
-// sumAndVerify reads y back and checks the closed form.
-func sumAndVerify(space interface {
-	ReadFloat64(int64) float64
-}, yAddr int64, n int) bool {
+// sumAndVerify reads y back and checks the closed form. It sums in index
+// order, so the result does not depend on the block size.
+func sumAndVerify(space *mem.Space, yAddr int64, n int) bool {
 	var sum float64
-	for i := 0; i < n; i++ {
-		sum += space.ReadFloat64(yAddr + int64(i)*8)
+	buf := make([]float64, min(n, blockLen))
+	for lo := 0; lo < n; lo += len(buf) {
+		b := buf[:min(len(buf), n-lo)]
+		space.ReadFloat64s(yAddr+int64(lo)*8, b)
+		for _, y := range b {
+			sum += y
+		}
 	}
 	want := expectedSum(n)
 	diff := sum - want
@@ -109,45 +119,50 @@ func sumAndVerify(space interface {
 	return diff <= want*1e-9
 }
 
+// axpy computes y = a*x + b over [lo, hi) with one bulk read of x and one
+// bulk write of y, through buf (grown as needed; the caller keeps it).
+func axpy(space *mem.Space, xAddr, yAddr int64, lo, hi int, buf *[]float64) {
+	if lo >= hi {
+		return
+	}
+	if cap(*buf) < hi-lo {
+		*buf = make([]float64, hi-lo)
+	}
+	v := (*buf)[:hi-lo]
+	space.ReadFloat64s(xAddr+int64(lo)*8, v)
+	for i, x := range v {
+		v[i] = coefA*x + coefB
+	}
+	space.WriteFloat64s(yAddr+int64(lo)*8, v)
+}
+
 // axpyKernel builds the GPU kernel y = a*x + b over n elements.
 func axpyKernel(xAddr, yAddr int64, n int) *gpu.KernelSpec {
+	var buf []float64
 	return &gpu.KernelSpec{
 		Name:  "axpy",
 		Class: config.Vector, Dtype: config.FP64,
 		FlopsPerItem: 2, BytesReadPerItem: 8, BytesWrittenPerItem: 8,
 		Body: func(env *gpu.ExecEnv, xcd, wgID, wgSize int, kernarg int64) {
 			lo := wgID * wgSize
-			hi := lo + wgSize
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				x := env.Mem.ReadFloat64(xAddr + int64(i)*8)
-				env.Mem.WriteFloat64(yAddr+int64(i)*8, coefA*x+coefB)
-			}
+			axpy(env.Mem, xAddr, yAddr, lo, min(lo+wgSize, n), &buf)
 		},
 	}
 }
 
 // cpuComputeTask is the CPU fallback of the same computation.
-func cpuComputeTask(space interface {
-	ReadFloat64(int64) float64
-	WriteFloat64(int64, float64)
-}, xAddr, yAddr int64, n int) cpu.Task {
+func cpuComputeTask(space *mem.Space, xAddr, yAddr int64, n int) cpu.Task {
 	chunks := 24
 	per := (n + chunks - 1) / chunks
+	buf := make([]float64, 0, min(per, blockLen))
 	return cpu.Task{
 		Name:      "compute",
 		Flops:     2 * float64(n),
 		BytesRead: int64(n) * 8, BytesWritten: int64(n) * 8,
 		Body: func(env *cpu.Env, chunk int) {
-			lo, hi := chunk*per, (chunk+1)*per
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				x := space.ReadFloat64(xAddr + int64(i)*8)
-				space.WriteFloat64(yAddr+int64(i)*8, coefA*x+coefB)
+			lo, hi := chunk*per, min((chunk+1)*per, n)
+			for ; lo < hi; lo += blockLen {
+				axpy(space, xAddr, yAddr, lo, min(lo+blockLen, hi), &buf)
 			}
 		},
 	}
@@ -223,7 +238,7 @@ func RunDiscrete(p *core.Platform, n int) (*Result, error) {
 	t = r.step("init(host)", t, c.ExecuteParallel(t, initTask(p.HostMem, hx, n), 24))
 
 	// hipMemcpy H2D: functional copy + link timing.
-	copyHostToDevice(p, hx, dx, bytes)
+	mem.Copy(p.DeviceMem, dx, p.HostMem, hx, bytes)
 	t = r.step("hipMemcpy H2D", t, p.HostLinkTransfer(t, bytes, true))
 	r.CopyBytes += bytes
 
@@ -234,7 +249,7 @@ func RunDiscrete(p *core.Platform, n int) (*Result, error) {
 	}
 	t = r.step("kernel+sync", t, done)
 
-	copyDeviceToHost(p, dy, hy, bytes)
+	mem.Copy(p.HostMem, hy, p.DeviceMem, dy, bytes)
 	t = r.step("hipMemcpy D2H", t, p.HostLinkTransfer(t, bytes, false))
 	r.CopyBytes += bytes
 
@@ -274,28 +289,4 @@ func RunAPU(p *core.Platform, n int) (*Result, error) {
 	r.step("post", t, p.CPU.ExecuteParallel(t, postTask(n), 24))
 	r.Verified = sumAndVerify(p.DeviceMem, yAddr, n)
 	return r, nil
-}
-
-func copyHostToDevice(p *core.Platform, src, dst, n int64) {
-	copySpaces(p, src, dst, n, true)
-}
-
-func copyDeviceToHost(p *core.Platform, src, dst, n int64) {
-	copySpaces(p, src, dst, n, false)
-}
-
-func copySpaces(p *core.Platform, src, dst, n int64, toDevice bool) {
-	buf := make([]byte, 64*1024)
-	from, to := p.HostMem, p.DeviceMem
-	if !toDevice {
-		from, to = p.DeviceMem, p.HostMem
-	}
-	for off := int64(0); off < n; off += int64(len(buf)) {
-		chunk := int64(len(buf))
-		if off+chunk > n {
-			chunk = n - off
-		}
-		from.Read(src+off, buf[:chunk])
-		to.Write(dst+off, buf[:chunk])
-	}
 }
