@@ -21,6 +21,12 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== perfbench module vet =="
+# perfbench is a module of its own, so the stages above never compile it.
+# Vetting it against this tree makes a change to an API it calls fail
+# here instead of breaking the benchmark silently.
+(cd perfbench && GOWORK=off GOPROXY=off GOFLAGS=-buildvcs=false go vet .)
+
 echo "== go test -race =="
 go test -race ./...
 

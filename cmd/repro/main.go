@@ -26,6 +26,8 @@
 //	repro -audit -strict       # ... and fail any run with an audit violation
 //	repro -audit-out audit.json # write per-run audit reports (implies -audit)
 //	repro -chaos-seed 7 -chaos-count 8  # register seeded chaos fault storms
+//	repro -cpuprofile cpu.pprof        # CPU profile, labelled per experiment
+//	repro -memprofile mem.pprof        # heap profile at exit
 package main
 
 import (
@@ -34,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"time"
 
 	apusim "repro"
@@ -63,7 +66,22 @@ func main() {
 	auditOut := flag.String("audit-out", "", "write per-run audit reports (JSON) to this file (implies -audit)")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "register seeded chaos fault-storm experiments (0 = off); implies -audit")
 	chaosCount := flag.Int("chaos-count", 8, "how many chaos storms -chaos-seed registers (seeds seed, seed+1, ...)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file; samples carry an experiment label")
+	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit, after a GC")
 	flag.Parse()
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "repro: profile: %v\n", err)
+		os.Exit(1)
+	}
+	// exit stops the profiles first: os.Exit skips deferred calls.
+	exit := func(code int) {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "repro: profile: %v\n", err)
+			code = max(code, 1)
+		}
+		os.Exit(code)
+	}
 	if *strict || *auditOut != "" || *chaosSeed != 0 {
 		*auditOn = true
 	}
@@ -71,7 +89,7 @@ func main() {
 	if *tracePrefix != "" {
 		if err := writeTraces(*tracePrefix); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: trace: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 
@@ -89,12 +107,12 @@ func main() {
 		data, err := os.ReadFile(*faults)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "repro: faults: %v\n", err)
-			os.Exit(2)
+			exit(2)
 		}
 		plan, err := apusim.ParseFaultPlan(data)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "repro: faults: %v\n", err)
-			os.Exit(2)
+			exit(2)
 		}
 		reg = reg.Clone()
 		reg.MustRegister(runner.Experiment{
@@ -120,7 +138,7 @@ func main() {
 
 	if *list {
 		fmt.Print(reg.List())
-		return
+		exit(0)
 	}
 
 	opts := runner.Options{
@@ -134,7 +152,7 @@ func main() {
 		OnResult: func(r runner.Result) {
 			if err := runner.WriteResult(os.Stdout, r); err != nil {
 				fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 		},
 	}
@@ -154,7 +172,7 @@ func main() {
 		} else {
 			fmt.Fprintf(os.Stderr, "repro: %v (use -list)\n", err)
 		}
-		os.Exit(2)
+		exit(2)
 	}
 
 	if *summary {
@@ -163,31 +181,31 @@ func main() {
 	if *manifest != "" {
 		if err := writeManifest(*manifest, suite); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: manifest: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 	if *telemetryOut != "" {
 		if err := writeTelemetry(*telemetryOut, suite); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: telemetry: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 	if *spansOut != "" {
 		if err := writeSpans(*spansOut, suite); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: spans: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 	if *promOut != "" {
 		if err := writeProm(*promOut, suite); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: prom: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 	if *auditOut != "" {
 		if err := writeAudit(*auditOut, suite); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: audit: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 	if *auditOn {
@@ -206,8 +224,9 @@ func main() {
 		for _, r := range failed {
 			fmt.Fprintf(os.Stderr, "repro: %s failed (%s): %v\n", r.ID, r.Status, r.Err)
 		}
-		os.Exit(1)
+		exit(1)
 	}
+	exit(0)
 }
 
 func writeManifest(path string, suite *runner.SuiteResult) error {
@@ -308,4 +327,45 @@ func writeTraces(prefix string) error {
 	}
 	fmt.Printf("wrote %s-fig14.json and %s-dispatch.json\n", prefix, prefix)
 	return nil
+}
+
+// startProfiles starts the CPU profile when cpuPath is set and returns
+// the function that ends the run's profiling: it stops the CPU profile
+// and, when memPath is set, writes a heap profile after a GC, so the
+// profile's live-heap figures are current.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if memPath != "" {
+			errs = append(errs, writeHeapProfile(memPath))
+		}
+		return errors.Join(errs...)
+	}, nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

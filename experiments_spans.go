@@ -62,7 +62,7 @@ func stageShare(att *spans.Attribution, kind, stage string) float64 {
 // spanFooter renders the deterministic one-line dump summary experiments
 // append under their attribution tables.
 func spanFooter(rec *spans.Recorder) string {
-	return "spans: " + rec.Dump().String() + "\n"
+	return "spans: " + rec.String() + "\n"
 }
 
 // ExperimentSpanMemory traces a memory-bound sweep: dependent streaming

@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -185,6 +186,11 @@ type Result struct {
 // what happened. write marks the line dirty.
 func (c *SetAssoc) Access(addr int64, write bool) Result {
 	set, tag := c.locate(addr)
+	return c.access(set, tag, write)
+}
+
+// access is Access on a located line.
+func (c *SetAssoc) access(set int, tag int64, write bool) Result {
 	keys := c.keys(set)
 	way, valid := find(keys, tag)
 	if way >= 0 {
@@ -212,6 +218,121 @@ func (c *SetAssoc) Access(addr int64, write bool) Result {
 		state = dirtyLine
 	}
 	return c.fill(set, keys, valid, tag<<2|state)
+}
+
+// ReadRange reads the n bytes at addr and returns how many lines missed.
+// It leaves the cache and its Stats exactly as the per-line calls
+// Access(a, false) would, for a = addr, addr+LineSize, ... below addr+n,
+// and it panics, before changing anything, if one of those lines cannot
+// be tagged or the range wraps past the largest address.
+//
+// Consecutive lines fall in consecutive sets and sets are independent,
+// so ReadRange visits each set once with the run of consecutive tags the
+// range puts there; see readRun. Negative addresses and line sizes that
+// are not a power of two take the per-line loop.
+func (c *SetAssoc) ReadRange(addr, n int64) (misses int) {
+	if n <= 0 {
+		return 0
+	}
+	if addr > math.MaxInt64-n {
+		panic(fmt.Sprintf("cache: invariant violated: %s range [%d, +%d) wraps past the largest address", c.Name, addr, n))
+	}
+	lines := (n-1)/c.LineSize + 1
+	last := addr + (lines-1)*c.LineSize
+	// Tags grow with addresses, so if the first and last lines can be
+	// tagged, every line between them can.
+	c.locate(addr)
+	c.locate(last)
+	if addr < 0 || c.lineShift < 0 {
+		for i := int64(0); i < lines; i++ {
+			if !c.Access(addr+i*c.LineSize, false).Hit {
+				misses++
+			}
+		}
+		return misses
+	}
+	first := addr >> (c.lineShift & 63)
+	sets := int64(c.Sets)
+	for j := int64(0); j < min(lines, sets); j++ {
+		// Lines first+j, first+j+Sets, ... share a set and carry
+		// consecutive tags.
+		la := first + j
+		misses += c.readRun(int(la)&(c.Sets-1), la>>(c.setShift&63), (lines-j-1)/sets+1)
+	}
+	return misses
+}
+
+// readRun reads the k lines with consecutive tags t0, t0+1, ... in set,
+// in that order, as ReadRange does, and returns how many missed. Two
+// common runs take a shortcut:
+//   - the k lines already sit at the front in reverse order and none is
+//     prefetched: every read hits the line at way k-1 and moves it to
+//     the front, which puts the set back as it was, so only the hits
+//     count;
+//   - none of the k lines is present: every read misses and fills at
+//     MRU, so one shift puts the last min(k, Ways) of them at the front,
+//     newest first, and the valid+k-Ways least recent lines are evicted.
+//
+// Any other run goes line by line.
+func (c *SetAssoc) readRun(set int, t0, k int64) (misses int) {
+	keys := c.keys(set)
+	if frontRun(keys, t0, k) {
+		c.stats.Hits += uint64(k)
+		return 0
+	}
+	valid := 0
+	present := false
+	for _, key := range keys {
+		if key&stateMask == invalid {
+			break
+		}
+		if uint64(key>>2-t0) < uint64(k) {
+			present = true
+		}
+		valid++
+	}
+	if present {
+		for i := int64(0); i < k; i++ {
+			if !c.access(set, t0+i, false).Hit {
+				misses++
+			}
+		}
+		return misses
+	}
+	c.stats.Misses += uint64(k)
+	if keys == nil {
+		keys = c.allocate(set)
+	}
+	fresh := int(min(k, int64(c.Ways)))
+	kept := min(valid, c.Ways-fresh)
+	if evicted := int64(valid) + k - int64(c.Ways); evicted > 0 {
+		c.stats.Evictions += uint64(evicted)
+	}
+	for _, key := range keys[kept:valid] {
+		if key&stateMask == dirtyLine {
+			c.stats.Writebacks++
+		}
+	}
+	copy(keys[fresh:fresh+kept], keys[:kept])
+	for i := 0; i < fresh; i++ {
+		keys[i] = (t0+k-1-int64(i))<<2 | cleanLine
+	}
+	return int(k)
+}
+
+// frontRun reports whether keys begins with the valid, non-prefetched
+// lines t0+k-1, ..., t0.
+func frontRun(keys []int64, t0, k int64) bool {
+	if k > int64(len(keys)) {
+		return false
+	}
+	for i, key := range keys[:k] {
+		// Dirty and clean are the two states above prefetched.
+		if key>>2 != t0+k-1-int64(i) || key&stateMask < dirtyLine {
+			return false
+		}
+	}
+	return true
 }
 
 // fill inserts key at MRU in a set holding valid lines, evicting LRU if

@@ -209,13 +209,17 @@ func geometryOf(b byte) geometry {
 
 // opAddr decodes an address from two program bytes: a set (one of four
 // hot sets, or any set), a small signed tag, optionally offset by a far
-// alias, plus a byte offset inside the line.
+// alias, plus a byte offset inside the line. Three values of b2 pick
+// extreme addresses instead: the ends of the address space, and just
+// below 2^61, where a one-set cache of one-byte lines stops tagging.
 func opAddr(g geometry, b1, b2 byte) int64 {
 	switch b2 {
 	case 0xff:
 		return math.MinInt64 + int64(b1)
 	case 0xfe:
 		return math.MaxInt64 - int64(b1)
+	case 0xfd:
+		return 1<<61 - int64(b1)
 	}
 	set := int64(b1) % int64(g.sets)
 	if b2&0x40 != 0 {
@@ -264,16 +268,90 @@ func panics(f func()) (panicked bool) {
 	return false
 }
 
+// rangeLen decodes a ReadRange length from the low four bits of an op
+// byte: from nothing through a line and one line per set up to three
+// times the cache, aligned and not. The lengths that scale with the
+// cache stop growing at 16 KiB, which keeps the reference's per-line
+// loop cheap on the largest geometries; caches up to that size are
+// still read around three times.
+func rangeLen(g geometry, b byte) int64 {
+	size := min(int64(g.sets*g.ways)*g.lineSize, 16<<10)
+	span := min(int64(g.sets)*g.lineSize, 16<<10)
+	return [16]int64{
+		-5, 0, 1, g.lineSize - 1, g.lineSize, g.lineSize + 1, 3*g.lineSize + 5, int64(g.ways) * g.lineSize,
+		span, span + g.lineSize/2 + 1, 2*span - 1, size/2 + 7, size, size + 3*g.lineSize, 2*size - 1, 3 * size,
+	}[b&15]
+}
+
+// refReadRange is the spec of SetAssoc.ReadRange: one reference read per
+// line, for the lines at addr, addr+LineSize, ... below addr+n.
+func refReadRange(ref *refSetAssoc, addr, n int64) (misses int) {
+	for off := int64(0); off < n; off += ref.LineSize {
+		if !ref.Access(addr+off, false).Hit {
+			misses++
+		}
+	}
+	return misses
+}
+
+// untaggableLine returns a line of the ReadRange [addr, addr+n) that
+// SetAssoc cannot tag, if there is one. Tags grow with addresses, so
+// the first and last lines are the ones to check.
+func untaggableLine(g geometry, addr, n int64) (int64, bool) {
+	if n <= 0 {
+		return 0, false
+	}
+	last := addr + (n-1)/g.lineSize*g.lineSize
+	for _, a := range [2]int64{addr, last} {
+		if !taggable(g, a) {
+			return a, true
+		}
+	}
+	return 0, false
+}
+
 // runDiff runs prog, three bytes per step, against a fresh SetAssoc and
 // refSetAssoc of geometry g, and fails at the first divergence. A step on
-// an address SetAssoc cannot tag must panic and is skipped on both.
+// an address SetAssoc cannot tag must panic and is skipped on both, as
+// must a ReadRange that holds such an address or wraps past the largest
+// address. An op byte of 0xe0 or more is a ReadRange: bit 4 repeats the
+// previous range, and the low four bits pick the length.
 func runDiff(t *testing.T, g geometry, prog []byte) {
 	t.Helper()
 	size := int64(g.sets*g.ways) * g.lineSize
 	c := NewSetAssoc("diff", size, g.lineSize, g.ways)
 	ref := newRefSetAssoc("diff", size, g.lineSize, g.ways)
+	var lastAddr, lastLen int64
 	for step := 0; step+3 <= len(prog); step += 3 {
 		op, addr := prog[step]%64, opAddr(g, prog[step+1], prog[step+2])
+		if prog[step] >= 0xe0 {
+			n := rangeLen(g, prog[step])
+			if prog[step]&0x10 != 0 {
+				addr, n = lastAddr, lastLen
+			}
+			lastAddr, lastLen = addr, n
+			before := c.Stats()
+			bad, untaggable := untaggableLine(g, addr, n)
+			if untaggable || (n > 0 && addr > math.MaxInt64-n) {
+				if !panics(func() { c.ReadRange(addr, n) }) {
+					t.Fatalf("%v, step %d: ReadRange(%#x, %d) over an untaggable or wrapping range did not panic", g, step/3, addr, n)
+				}
+				if untaggable && !panics(func() { c.Access(bad, false) }) {
+					t.Fatalf("%v, step %d: Access(%#x) of an untaggable line did not panic", g, step/3, bad)
+				}
+				if c.Stats() != before {
+					t.Fatalf("%v, step %d: a refused ReadRange(%#x, %d) changed Stats", g, step/3, addr, n)
+				}
+				continue
+			}
+			if got, want := c.ReadRange(addr, n), refReadRange(ref, addr, n); got != want {
+				t.Fatalf("%v, step %d: ReadRange(%#x, %d) = %d misses, reference %d", g, step/3, addr, n, got, want)
+			}
+			if gs, ws := c.Stats(), ref.Stats(); gs != ws {
+				t.Fatalf("%v, step %d: after ReadRange(%#x, %d) Stats = %+v, reference %+v", g, step/3, addr, n, gs, ws)
+			}
+			continue
+		}
 		if op < 60 && !taggable(g, addr) {
 			if g.lineSize*int64(g.sets) >= 4 {
 				t.Fatalf("%v: address %#x untaggable in a cache with at least four bytes of line across its sets", g, addr)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/config"
 	"repro/internal/fabric"
@@ -53,7 +53,7 @@ func (p *Platform) memAccess(start sim.Time, src fabric.NodeID, addr, bytes int6
 	}
 	if root.Valid() {
 		root.Annotate("src", p.Net.Node(src).Name)
-		root.Annotate("bytes", fmt.Sprintf("%d", bytes))
+		root.Annotate("bytes", strconv.FormatInt(bytes, 10))
 		hopObs = func(l *fabric.Link, txStart, txEnd sim.Time) {
 			c := root.Child(spans.StageFabric, l.Name, txStart, txEnd)
 			if l.State() != fabric.LinkUp {
@@ -65,9 +65,9 @@ func (p *Platform) memAccess(start sim.Time, src fabric.NodeID, addr, bytes int6
 			if retry {
 				stage = spans.StageHBMECC
 			}
-			c := root.Child(stage, fmt.Sprintf("hbm.ch%d", servedCh), s, e)
+			c := root.Child(stage, "hbm.ch"+strconv.Itoa(servedCh), s, e)
 			if servedCh != hashedCh {
-				c.Annotate("rerouted", fmt.Sprintf("ch%d->ch%d", hashedCh, servedCh))
+				c.Annotate("rerouted", "ch"+strconv.Itoa(hashedCh)+"->ch"+strconv.Itoa(servedCh))
 			}
 		}
 	}
@@ -106,10 +106,10 @@ func (p *Platform) memAccess(start sim.Time, src fabric.NodeID, addr, bytes int6
 				if res.Hit {
 					result = "hit"
 				}
-				c := root.Child(spans.StageCache, fmt.Sprintf("mall%d", ch), done, res.Done,
+				c := root.Child(spans.StageCache, "mall"+strconv.Itoa(ch), done, res.Done,
 					spans.Attr{Key: "result", Val: result})
 				if wait := res.Begin - done; wait > 0 {
-					c.Annotate("queue_ns", fmt.Sprintf("%.3f", wait.Nanoseconds()))
+					c.Annotate("queue_ns", strconv.FormatFloat(wait.Nanoseconds(), 'f', 3, 64))
 				}
 			}
 			done = res.Done

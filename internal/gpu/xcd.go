@@ -284,12 +284,7 @@ func (x *XCD) executeWorkgroups(env *ExecEnv, start sim.Time, k *KernelSpec, wgI
 		if k.TileBytes > 0 && k.TileOf != nil {
 			// Tile reads filter through this XCD's L2: hits stay on
 			// die, misses add HBM-path traffic.
-			base := k.TileOf(wg)
-			for off := int64(0); off < k.TileBytes; off += config.CacheLineSize {
-				if res := x.l2.Access(base+off, false); !res.Hit {
-					rd += config.CacheLineSize
-				}
-			}
+			rd += int64(x.l2.ReadRange(k.TileOf(wg), k.TileBytes)) * x.l2.LineSize
 		}
 		// Concurrent workgroup slots hide launch overhead and memory
 		// time, but arithmetic serializes on the CU's pipelines.

@@ -6,7 +6,10 @@
 // RAM. The same channel machinery models host DDR for discrete baselines.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // AddressMap implements the interleaving scheme of §IV.D: every
 // InterleaveGranule (4 KB) of sequential physical addresses maps to the
@@ -24,16 +27,23 @@ type AddressMap struct {
 	// Capacity is the total address-space size, required when
 	// NUMADomains > 1 to locate the domain boundaries.
 	Capacity int64
+	// granuleShift is log2(Granule).
+	granuleShift uint
 }
 
 // NewAddressMap returns an interleaving map across stacks×channels with the
-// given granule. It panics on degenerate geometry.
+// given granule. It panics on degenerate geometry, and on a granule that
+// is not a power of two: the map finds an address's granule by shifting.
 func NewAddressMap(granule int64, stacks, channelsPerStack int) *AddressMap {
 	if granule <= 0 || stacks <= 0 || channelsPerStack <= 0 {
 		panic(fmt.Sprintf("mem: invariant violated: address map geometry must be positive (granule=%d stacks=%d ch=%d)",
 			granule, stacks, channelsPerStack))
 	}
-	return &AddressMap{Granule: granule, Stacks: stacks, Channels: channelsPerStack, NUMADomains: 1}
+	if granule&(granule-1) != 0 {
+		panic(fmt.Sprintf("mem: invariant violated: interleave granule %d must be a power of two", granule))
+	}
+	return &AddressMap{Granule: granule, Stacks: stacks, Channels: channelsPerStack, NUMADomains: 1,
+		granuleShift: uint(bits.TrailingZeros64(uint64(granule)))}
 }
 
 // hashGranule mixes the granule index so that strided access patterns do not
@@ -47,53 +57,54 @@ func hashGranule(g uint64) uint64 {
 	return g
 }
 
+// reduce reports h mod n, masking when n is a power of two. The stack
+// and channel counts of every HBM part are, but the 5-stack part and the
+// 12-channel DDR are not.
+func reduce(h uint64, n int) int {
+	if n&(n-1) == 0 {
+		return int(h & uint64(n-1))
+	}
+	return int(h % uint64(n))
+}
+
+// locate reports the HBM stack and the global channel index (stack *
+// Channels + local) of the granule holding addr. It hashes the granule
+// once: the stack comes from the hash's low bits and the channel within
+// the stack from its high bits, so the two selections stay decorrelated.
+func (m *AddressMap) locate(addr int64) (stack, channel int) {
+	h := hashGranule(uint64(addr) >> m.granuleShift)
+	if m.NUMADomains <= 1 {
+		stack = reduce(h, m.Stacks)
+	} else {
+		// NPS>1: the address space is statically partitioned into
+		// contiguous domains; the address's region selects the domain,
+		// the hash selects a stack within it.
+		perDomain := m.Stacks / m.NUMADomains
+		span := m.Capacity / int64(m.NUMADomains)
+		if span <= 0 {
+			span = 1
+		}
+		domain := int(addr / span)
+		if domain >= m.NUMADomains {
+			domain = m.NUMADomains - 1
+		}
+		stack = domain*perDomain + int(h%uint64(perDomain))
+	}
+	return stack, stack*m.Channels + reduce(h>>32, m.Channels)
+}
+
 // Stack reports which HBM stack the address belongs to.
 func (m *AddressMap) Stack(addr int64) int {
-	g := uint64(addr) / uint64(m.Granule)
-	if m.NUMADomains <= 1 {
-		return int(hashGranule(g) % uint64(m.Stacks))
-	}
-	// NPS>1: the address space is statically partitioned into contiguous
-	// domains; the address's region selects the domain, the hash selects
-	// a stack within it.
-	perDomain := m.Stacks / m.NUMADomains
-	span := m.Capacity / int64(m.NUMADomains)
-	if span <= 0 {
-		span = 1
-	}
-	domain := int(addr / span)
-	if domain >= m.NUMADomains {
-		domain = m.NUMADomains - 1
-	}
-	return domain*perDomain + int(hashGranule(g)%uint64(perDomain))
+	stack, _ := m.locate(addr)
+	return stack
 }
 
 // Channel reports the global channel index (stack*Channels + local) for the
 // address.
 func (m *AddressMap) Channel(addr int64) int {
-	g := uint64(addr) / uint64(m.Granule)
-	stack := m.Stack(addr)
-	// The channel within the stack comes from the high bits of the same
-	// hash, so stack and channel selection stay decorrelated.
-	local := int((hashGranule(g) >> 32) % uint64(m.Channels))
-	return stack*m.Channels + local
+	_, ch := m.locate(addr)
+	return ch
 }
 
 // TotalChannels reports stacks × channels-per-stack.
 func (m *AddressMap) TotalChannels() int { return m.Stacks * m.Channels }
-
-// GranuleSpan calls fn for each (channel, bytes) chunk of the byte range
-// [addr, addr+n), split at granule boundaries. This is how multi-granule
-// accesses fan out across channels.
-func (m *AddressMap) GranuleSpan(addr, n int64, fn func(channel int, bytes int64)) {
-	for n > 0 {
-		inGranule := m.Granule - addr%m.Granule
-		chunk := n
-		if chunk > inGranule {
-			chunk = inGranule
-		}
-		fn(m.Channel(addr), chunk)
-		addr += chunk
-		n -= chunk
-	}
-}

@@ -6,6 +6,12 @@ import (
 	"repro/internal/sim"
 )
 
+// The row-buffer model's geometry: 1 KiB rows spread over 16 banks.
+const (
+	rowShift = 10
+	banks    = 16
+)
+
 // Channel is one memory channel with a fixed bandwidth, an occupancy
 // horizon, and a bank/row-buffer model: accesses that hit an open row see
 // only the column latency, while row misses pay precharge + activate.
@@ -16,14 +22,12 @@ type Channel struct {
 	Index int
 	BW    float64 // bytes/sec
 
-	// Banks and RowBytes configure the row-buffer model; Banks == 0
-	// disables it.
-	Banks    int
-	RowBytes int64
 	// RowMissPenalty is the extra latency of precharge + activate.
 	RowMissPenalty sim.Time
 
-	openRows  []int64
+	// openRows[b] is the row open in bank b, or -1; nil until the first
+	// access with an address.
+	openRows  *[banks]int64
 	busyUntil sim.Time
 	bytes     uint64
 	reads     uint64
@@ -57,18 +61,18 @@ func (c *Channel) Occupy(start sim.Time, nbytes int64, write bool) sim.Time {
 }
 
 // OccupyAt claims the channel for nbytes at addr, applying the row-buffer
-// model when banks are configured and addr >= 0.
+// model when addr >= 0.
 func (c *Channel) OccupyAt(start sim.Time, addr, nbytes int64, write bool) sim.Time {
 	var penalty sim.Time
-	if c.Banks > 0 && addr >= 0 && c.RowBytes > 0 {
+	if addr >= 0 {
 		if c.openRows == nil {
-			c.openRows = make([]int64, c.Banks)
+			c.openRows = new([banks]int64)
 			for i := range c.openRows {
 				c.openRows[i] = -1
 			}
 		}
-		row := addr / c.RowBytes
-		bank := int(uint64(row) % uint64(c.Banks))
+		row := addr >> rowShift
+		bank := row & (banks - 1)
 		if c.openRows[bank] == row {
 			c.rowHits++
 		} else {
@@ -141,8 +145,7 @@ func NewHBM(name string, stacks, channelsPerStack int, stackBW float64, capacity
 	perChannel := stackBW / float64(channelsPerStack)
 	for i := 0; i < stacks*channelsPerStack; i++ {
 		m.channels = append(m.channels, &Channel{
-			Index: i, BW: perChannel,
-			Banks: 16, RowBytes: 1024, RowMissPenalty: 35 * sim.Nanosecond,
+			Index: i, BW: perChannel, RowMissPenalty: 35 * sim.Nanosecond,
 		})
 	}
 	return m
@@ -260,18 +263,26 @@ func (h *HBM) Access(start sim.Time, addr, nbytes int64, write bool) sim.Time {
 type AccessObserver func(hashedCh, servedCh int, start, end sim.Time, retry bool)
 
 // AccessObserved is Access with an optional per-channel observer; a nil
-// observer makes it exactly Access.
+// observer makes it exactly Access. Addresses are physical and never
+// negative.
 func (h *HBM) AccessObserved(start sim.Time, addr, nbytes int64, write bool, obs AccessObserver) sim.Time {
 	if nbytes <= 0 {
 		return start
 	}
+	if addr < 0 {
+		panic(fmt.Sprintf("mem: invariant violated: %s access at negative address %d", h.Name, addr))
+	}
+	m := h.Map
+	issue := start + h.Latency
 	end := start
-	pos := addr
-	h.Map.GranuleSpan(addr, nbytes, func(ch int, chunk int64) {
+	// Walk the range granule by granule: each chunk ends at the next
+	// granule boundary or at the end of the range.
+	for pos := addr; nbytes > 0; {
+		chunk := min(nbytes, m.Granule-pos&(m.Granule-1))
+		_, ch := m.locate(pos)
 		served := h.liveChannel(ch)
 		c := h.channels[served]
 		h.chunks++
-		issue := start + h.Latency
 		done := c.OccupyAt(issue, pos, chunk, write)
 		if obs != nil {
 			obs(ch, served, issue, done, false)
@@ -288,10 +299,11 @@ func (h *HBM) AccessObserved(start sim.Time, addr, nbytes int64, write bool, obs
 			}
 		}
 		pos += chunk
+		nbytes -= chunk
 		if done > end {
 			end = done
 		}
-	})
+	}
 	return end
 }
 

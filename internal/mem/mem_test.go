@@ -78,25 +78,6 @@ func TestAddressMapNUMADomains(t *testing.T) {
 	}
 }
 
-func TestGranuleSpanSplits(t *testing.T) {
-	m := NewAddressMap(4096, 8, 16)
-	var total int64
-	var chunks int
-	m.GranuleSpan(4000, 10000, func(ch int, n int64) {
-		total += n
-		chunks++
-		if n > 4096 {
-			t.Errorf("chunk %d exceeds granule", n)
-		}
-	})
-	if total != 10000 {
-		t.Errorf("GranuleSpan total = %d, want 10000", total)
-	}
-	if chunks != 4 { // 96 + 4096 + 4096 + 1712
-		t.Errorf("chunks = %d, want 4", chunks)
-	}
-}
-
 func TestHBMPeakBW(t *testing.T) {
 	// MI300A-like: 8 stacks × 16 channels, 5.3 TB/s total.
 	h := NewHBM("hbm3", 8, 16, 5.3e12/8, 128<<30, 100*sim.Nanosecond)

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // refSpace is the original map-backed Space, kept verbatim as the
@@ -421,4 +423,348 @@ func FuzzSpaceDifferential(f *testing.F) {
 		}
 		runDiff(t, diffSizes[prog[0]&1], prog[1:])
 	})
+}
+
+// ---------------------------------------------------------------------------
+// refHBM: the HBM timing model before the granule walk.
+//
+// refAddressMap, refChannel and refHBM keep the original address map,
+// channel and AccessObserved verbatim as the executable spec: the map
+// hashes each granule twice (Channel recomputes Stack) and divides by
+// run-time granule, stack, channel, row and bank counts, and
+// AccessObserved walks the range through GranuleSpan's callback.
+// ---------------------------------------------------------------------------
+
+type refAddressMap struct {
+	Granule     int64
+	Stacks      int
+	Channels    int // per stack
+	NUMADomains int
+	Capacity    int64
+}
+
+func newRefAddressMap(granule int64, stacks, channelsPerStack int) *refAddressMap {
+	return &refAddressMap{Granule: granule, Stacks: stacks, Channels: channelsPerStack, NUMADomains: 1}
+}
+
+// Stack reports which HBM stack the address belongs to.
+func (m *refAddressMap) Stack(addr int64) int {
+	g := uint64(addr) / uint64(m.Granule)
+	if m.NUMADomains <= 1 {
+		return int(hashGranule(g) % uint64(m.Stacks))
+	}
+	perDomain := m.Stacks / m.NUMADomains
+	span := m.Capacity / int64(m.NUMADomains)
+	if span <= 0 {
+		span = 1
+	}
+	domain := int(addr / span)
+	if domain >= m.NUMADomains {
+		domain = m.NUMADomains - 1
+	}
+	return domain*perDomain + int(hashGranule(g)%uint64(perDomain))
+}
+
+// Channel reports the global channel index (stack*Channels + local) for the
+// address.
+func (m *refAddressMap) Channel(addr int64) int {
+	g := uint64(addr) / uint64(m.Granule)
+	stack := m.Stack(addr)
+	local := int((hashGranule(g) >> 32) % uint64(m.Channels))
+	return stack*m.Channels + local
+}
+
+// GranuleSpan calls fn for each (channel, bytes) chunk of the byte range
+// [addr, addr+n), split at granule boundaries.
+func (m *refAddressMap) GranuleSpan(addr, n int64, fn func(channel int, bytes int64)) {
+	for n > 0 {
+		inGranule := m.Granule - addr%m.Granule
+		chunk := n
+		if chunk > inGranule {
+			chunk = inGranule
+		}
+		fn(m.Channel(addr), chunk)
+		addr += chunk
+		n -= chunk
+	}
+}
+
+type refChannel struct {
+	BW             float64
+	Banks          int
+	RowBytes       int64
+	RowMissPenalty sim.Time
+
+	openRows  []int64
+	busyUntil sim.Time
+	bytes     uint64
+	reads     uint64
+	writes    uint64
+	rowHits   uint64
+	rowMisses uint64
+	retired   bool
+	eccEvents uint64
+}
+
+func (c *refChannel) OccupyAt(start sim.Time, addr, nbytes int64, write bool) sim.Time {
+	var penalty sim.Time
+	if c.Banks > 0 && addr >= 0 && c.RowBytes > 0 {
+		if c.openRows == nil {
+			c.openRows = make([]int64, c.Banks)
+			for i := range c.openRows {
+				c.openRows[i] = -1
+			}
+		}
+		row := addr / c.RowBytes
+		bank := int(uint64(row) % uint64(c.Banks))
+		if c.openRows[bank] == row {
+			c.rowHits++
+		} else {
+			c.rowMisses++
+			c.openRows[bank] = row
+			penalty = c.RowMissPenalty
+		}
+	}
+	if c.busyUntil > start {
+		start = c.busyUntil
+	}
+	end := start + sim.FromSeconds(float64(nbytes)/c.BW)
+	c.busyUntil = end
+	c.bytes += uint64(nbytes)
+	if write {
+		c.writes++
+	} else {
+		c.reads++
+	}
+	return end + penalty
+}
+
+type refHBM struct {
+	Map        *refAddressMap
+	Latency    sim.Time
+	channels   []*refChannel
+	eccRate    float64
+	eccPenalty sim.Time
+	eccRNG     *sim.RNG
+	chunks     uint64
+}
+
+func newRefHBM(stacks, channelsPerStack int, stackBW float64, latency sim.Time) *refHBM {
+	m := &refHBM{Map: newRefAddressMap(4096, stacks, channelsPerStack), Latency: latency}
+	perChannel := stackBW / float64(channelsPerStack)
+	for i := 0; i < stacks*channelsPerStack; i++ {
+		m.channels = append(m.channels, &refChannel{
+			BW: perChannel, Banks: 16, RowBytes: 1024, RowMissPenalty: 35 * sim.Nanosecond,
+		})
+	}
+	return m
+}
+
+func (h *refHBM) liveChannel(ch int) int {
+	for range h.channels {
+		if !h.channels[ch].retired {
+			return ch
+		}
+		ch = (ch + 1) % len(h.channels)
+	}
+	return ch
+}
+
+func (h *refHBM) AccessObserved(start sim.Time, addr, nbytes int64, write bool, obs AccessObserver) sim.Time {
+	if nbytes <= 0 {
+		return start
+	}
+	end := start
+	pos := addr
+	h.Map.GranuleSpan(addr, nbytes, func(ch int, chunk int64) {
+		served := h.liveChannel(ch)
+		c := h.channels[served]
+		h.chunks++
+		issue := start + h.Latency
+		done := c.OccupyAt(issue, pos, chunk, write)
+		if obs != nil {
+			obs(ch, served, issue, done, false)
+		}
+		if h.eccRate > 0 && h.eccRNG != nil && h.eccRNG.Float64() < h.eccRate {
+			c.eccEvents++
+			retryAt := done + h.eccPenalty
+			done = c.OccupyAt(retryAt, pos, chunk, write)
+			if obs != nil {
+				obs(ch, served, retryAt, done, true)
+			}
+		}
+		pos += chunk
+		if done > end {
+			end = done
+		}
+	})
+	return end
+}
+
+func TestGranuleSpanSplits(t *testing.T) {
+	m := newRefAddressMap(4096, 8, 16)
+	var total int64
+	var chunks int
+	m.GranuleSpan(4000, 10000, func(ch int, n int64) {
+		total += n
+		chunks++
+		if n > 4096 {
+			t.Errorf("chunk %d exceeds granule", n)
+		}
+	})
+	if total != 10000 {
+		t.Errorf("GranuleSpan total = %d, want 10000", total)
+	}
+	if chunks != 4 { // 96 + 4096 + 4096 + 1712
+		t.Errorf("chunks = %d, want 4", chunks)
+	}
+}
+
+// occupancy is one AccessObserver callback.
+type occupancy struct {
+	hashed, served int
+	start, end     sim.Time
+	retry          bool
+}
+
+// hbmScenario is one device configuration of the HBM differential test.
+type hbmScenario struct {
+	stacks, channels int
+	nps              int     // NUMA domains
+	retire           []int   // channels mapped out, in order
+	eccRate          float64 // 0 disables the ECC storm
+}
+
+// checkHBMAgainstRef runs accesses against an HBM and a refHBM configured
+// as sc, and fails at the first difference in a returned time, an
+// observer callback, a channel's counters or horizon, or ChunksIssued.
+func checkHBMAgainstRef(t *testing.T, sc hbmScenario, seed int64, accesses int) {
+	t.Helper()
+	const capacity = 4 << 30
+	h := NewHBM("hbm", sc.stacks, sc.channels, 1e12, capacity, 100*sim.Nanosecond)
+	ref := newRefHBM(sc.stacks, sc.channels, 1e12, 100*sim.Nanosecond)
+	if sc.nps > 1 {
+		if err := h.SetNUMADomains(sc.nps); err != nil {
+			t.Fatal(err)
+		}
+		ref.Map.NUMADomains, ref.Map.Capacity = sc.nps, capacity
+	}
+	for _, ch := range sc.retire {
+		if err := h.RetireChannel(ch); err != nil {
+			t.Fatal(err)
+		}
+		ref.channels[ch].retired = true
+	}
+	if sc.eccRate > 0 {
+		if err := h.SetECCStorm(sc.eccRate, 400*sim.Nanosecond, uint64(seed)); err != nil {
+			t.Fatal(err)
+		}
+		ref.eccRate, ref.eccPenalty, ref.eccRNG = sc.eccRate, 400*sim.Nanosecond, sim.NewRNG(uint64(seed))
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var got, want []occupancy
+	record := func(log *[]occupancy) AccessObserver {
+		return func(hashed, served int, s, e sim.Time, retry bool) {
+			*log = append(*log, occupancy{hashed, served, s, e, retry})
+		}
+	}
+	var at sim.Time
+	for i := 0; i < accesses; i++ {
+		// Lengths from 1 B to 4 MiB, log-uniform; addresses unaligned,
+		// sometimes just short of a granule boundary so one byte
+		// straddles it.
+		n := int64(1) << rng.Intn(23)
+		n += rng.Int63n(n)
+		addr := rng.Int63n(capacity - n)
+		if rng.Intn(4) == 0 {
+			addr = addr&^4095 + 4095
+		}
+		write := rng.Intn(3) == 0
+		at += sim.Time(rng.Int63n(int64(2 * sim.Microsecond)))
+		got, want = got[:0], want[:0]
+		var obs, refObs AccessObserver
+		if rng.Intn(2) == 0 {
+			obs, refObs = record(&got), record(&want)
+		}
+		end := h.AccessObserved(at, addr, n, write, obs)
+		refEnd := ref.AccessObserved(at, addr, n, write, refObs)
+		where := fmt.Sprintf("%+v seed %d, access %d [%d, +%d)", sc, seed, i, addr, n)
+		if end != refEnd {
+			t.Fatalf("%s: AccessObserved = %v, reference %v", where, end, refEnd)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d observer callbacks, reference %d", where, len(got), len(want))
+		}
+		if j := firstDiff(len(got), func(j int) bool { return got[j] != want[j] }); j >= 0 {
+			t.Fatalf("%s: callback %d = %+v, reference %+v", where, j, got[j], want[j])
+		}
+		if h.ChunksIssued() != ref.chunks {
+			t.Fatalf("%s: ChunksIssued = %d, reference %d", where, h.ChunksIssued(), ref.chunks)
+		}
+		for ch, c := range h.Channels() {
+			rc := ref.channels[ch]
+			r, w := c.Counts()
+			hits, misses := c.RowStats()
+			if c.BytesMoved() != rc.bytes || r != rc.reads || w != rc.writes ||
+				hits != rc.rowHits || misses != rc.rowMisses ||
+				c.BusyUntil() != rc.busyUntil || c.ECCEvents() != rc.eccEvents {
+				t.Fatalf("%s: channel %d diverges: bytes %d/%d reads %d/%d writes %d/%d row hits %d/%d misses %d/%d busy %v/%v ecc %d/%d",
+					where, ch, c.BytesMoved(), rc.bytes, r, rc.reads, w, rc.writes,
+					hits, rc.rowHits, misses, rc.rowMisses, c.BusyUntil(), rc.busyUntil, c.ECCEvents(), rc.eccEvents)
+			}
+		}
+	}
+	// The address map answers like the reference everywhere, negative
+	// addresses included.
+	for i := 0; i < 2000; i++ {
+		addr := rng.Int63() - rng.Int63()
+		if h.Map.Stack(addr) != ref.Map.Stack(addr) || h.Map.Channel(addr) != ref.Map.Channel(addr) {
+			t.Fatalf("%+v: address %d maps to stack %d channel %d, reference stack %d channel %d", sc, addr,
+				h.Map.Stack(addr), h.Map.Channel(addr), ref.Map.Stack(addr), ref.Map.Channel(addr))
+		}
+	}
+}
+
+// TestHBMMatchesReference covers the MI300A's 8×16 geometry, 8×8, the
+// 5-stack part and the 12-channel DDR (whose counts take the modulo
+// path), NPS1 and NPS4, retired channels whose redirect wraps around the
+// channel list, and an ECC storm.
+func TestHBMMatchesReference(t *testing.T) {
+	var scenarios []hbmScenario
+	for _, g := range [][2]int{{8, 16}, {8, 8}, {5, 8}, {1, 12}} {
+		total := g[0] * g[1]
+		base := hbmScenario{stacks: g[0], channels: g[1], nps: 1}
+		retired := base
+		// Retiring the last channels makes their redirect wrap to 0.
+		retired.retire = []int{total - 1, total - 2, total / 2, 1}
+		storm := retired
+		storm.eccRate = 0.3
+		scenarios = append(scenarios, base, retired, storm)
+		if g[0]%4 == 0 {
+			nps := storm
+			nps.nps = 4
+			scenarios = append(scenarios, nps)
+		}
+	}
+	for _, sc := range scenarios {
+		for seed := int64(1); seed <= 2; seed++ {
+			checkHBMAgainstRef(t, sc, seed, 150)
+		}
+	}
+}
+
+func TestHBMNegativeAddressPanics(t *testing.T) {
+	h := NewHBM("hbm", 8, 16, 1e12, 1<<30, 0)
+	if !panics(func() { h.Access(0, -1, 64, false) }) {
+		t.Fatal("an access at a negative address did not panic")
+	}
+	if h.ChunksIssued() != 0 || h.BytesMoved() != 0 {
+		t.Fatal("a refused access moved bytes")
+	}
+}
+
+func TestAddressMapGranuleMustBePowerOfTwo(t *testing.T) {
+	if !panics(func() { NewAddressMap(3000, 8, 16) }) {
+		t.Fatal("a 3000-byte granule was accepted")
+	}
 }

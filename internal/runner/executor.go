@@ -1,11 +1,13 @@
 package runner
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"runtime/debug"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"time"
@@ -332,7 +334,10 @@ func retryDelay(opts Options, attempt int, rng *sim.RNG) time.Duration {
 func runAttempt(e Experiment, opts Options) Result {
 	timeout := opts.Timeout
 	done := make(chan Result, 1)
-	go func() {
+	// The experiment label lets a CPU or goroutine profile of a whole
+	// suite attribute each sample to the experiment that took it.
+	labels := pprof.Labels("experiment", e.ID)
+	go pprof.Do(opts.ctx(), labels, func(context.Context) {
 		ctx := newCtx(e.ID, opts)
 		res := Result{ID: e.ID, Desc: e.Desc, Status: StatusOK}
 		start := time.Now()
@@ -409,7 +414,7 @@ func runAttempt(e Experiment, opts Options) Result {
 				}
 			}
 		}
-	}()
+	})
 
 	ctx := opts.ctx()
 	if timeout <= 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -471,5 +472,30 @@ func TestClone(t *testing.T) {
 	}
 	if _, ok := r.Get("extra"); ok {
 		t.Error("clone registration leaked into the source registry")
+	}
+}
+
+// TestRunAttemptLabelsProfiles checks that an experiment body runs under
+// the pprof label naming its experiment, so suite profiles can be split
+// per experiment.
+func TestRunAttemptLabelsProfiles(t *testing.T) {
+	r := NewRegistry()
+	r.MustRegister(Experiment{ID: "labelled", Desc: "reads its own profile labels",
+		Run: func(*Ctx) (string, error) {
+			var b bytes.Buffer
+			if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+				return "", err
+			}
+			if !strings.Contains(b.String(), `"experiment":"labelled"`) {
+				return "", fmt.Errorf("goroutine profile carries no experiment label:\n%s", b.String())
+			}
+			return "ok\n", nil
+		}})
+	s, err := r.RunSuite(Options{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := s.Results[0]; res.Failed() {
+		t.Fatalf("labelled run failed (%s): %v", res.Status, res.Err)
 	}
 }

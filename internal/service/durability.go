@@ -331,8 +331,11 @@ func (s *Server) rebuildJobs(recovered []durable.JobRecovery) []*Job {
 // crash after the checkpoint still parks them instead of re-running a
 // possibly poisoning spec), plus a done for terminal ones (so a graceful
 // restart recreates them, exactly as replaying the uncompacted journal
-// would have). Jobs that were already terminal at this boot are dropped —
-// their records live one restart, then retire. s.mu must be held.
+// would have). A job whose start or done record is being journaled ahead
+// of its state counts as running or terminal, so the checkpoint cannot
+// drop that record. Jobs that were already terminal at this boot are
+// dropped — their records live one restart, then retire. s.mu must be
+// held.
 func (s *Server) checkpointRecords() []durable.Record {
 	var recs []durable.Record
 	for _, id := range s.order {
@@ -348,7 +351,9 @@ func (s *Server) checkpointRecords() []durable.Record {
 				Op: durable.OpDone, Job: job.id,
 				State: string(st.State), Attempts: st.Attempts,
 			})
-		case st.State == JobRunning || st.State == JobInterrupted:
+		case job.pending != nil && job.pending.Op == durable.OpDone:
+			recs = append(recs, *job.pending)
+		case st.State == JobRunning || st.State == JobInterrupted || job.pending != nil:
 			recs = append(recs, durable.Record{Op: durable.OpStart, Job: job.id})
 		}
 	}
@@ -426,11 +431,13 @@ func (s *Server) maybeRequeueInterrupted(job *Job) {
 	place, stored := s.placeLocked(job.spec, job.key, s.cache.Peek)
 	switch place {
 	case placeStored:
+		// Journal before publishing, as finishJob does.
+		rec := &durable.Record{Op: durable.OpDone, Job: job.id, State: string(stored.State), Attempts: stored.Attempts}
+		job.pending = rec
 		s.mu.Unlock()
+		s.journalAppendSync(*rec)
 		job.finish(stored.State, stored.Manifest, "", stored.Attempts)
 		s.observeJobLatency(job)
-		s.journalAppendSync(durable.Record{Op: durable.OpDone, Job: job.id,
-			State: string(stored.State), Attempts: stored.Attempts})
 		s.event(job, "requeue_interrupted", "from_cache", "interrupted job finished from cache",
 			"state", string(stored.State))
 		return

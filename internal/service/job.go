@@ -3,6 +3,8 @@ package service
 import (
 	"sync"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // JobState is one point in a job's lifecycle. Jobs move
@@ -125,6 +127,12 @@ type Job struct {
 	// while jobs that reached a terminal state in THIS process stay
 	// journaled until the next boot's checkpoint retires them.
 	bootTerminal bool
+	// pending is the last start or done record journaled ahead of the
+	// state it records: the state is published only once the record is
+	// durable, and a checkpoint taken in between writes the record
+	// itself. A pointer, so jobs that never run (cache hits) stay small.
+	// Guarded by Server.mu.
+	pending *durable.Record
 
 	mu          sync.Mutex
 	state       JobState

@@ -460,6 +460,17 @@ func (s *Server) processJob(id int, job *Job) {
 		s.finishJob(job, JobCancelled, nil, "cancelled: shutdown before the job ran", 0)
 		return
 	}
+	// The start record must be durable before the simulation begins:
+	// if this job is what crashes the process, replay sees the start and
+	// parks the job as interrupted instead of re-running it at boot — the
+	// guard against a poisoned spec crash-looping the daemon. It is
+	// durable before the job shows as running, too, as finishJob's done
+	// records are before a job shows as finished.
+	start := &durable.Record{Op: durable.OpStart, Job: job.id}
+	s.mu.Lock()
+	job.pending = start
+	s.mu.Unlock()
+	s.journalAppendSync(*start)
 	job.setState(JobRunning)
 	// The admission-to-pickup wait feeds latency-aware admission: once
 	// p95 exceeds Config.MaxQueueWait under backlog, fresh submissions
@@ -468,11 +479,6 @@ func (s *Server) processJob(id int, job *Job) {
 		s.queueWait.Observe(float64(st.QueuedNS) / 1e9)
 	}
 	s.event(job, "start", exp, "job started", "worker", id, "experiment", exp)
-	// The start record must be durable before the simulation begins:
-	// if this job is what crashes the process, replay sees the start and
-	// parks the job as interrupted instead of re-running it at boot — the
-	// guard against a poisoned spec crash-looping the daemon.
-	s.journalAppendSync(durable.Record{Op: durable.OpStart, Job: job.id})
 	var res runner.Result
 	var manifest []byte
 	func() {
@@ -624,25 +630,34 @@ func (s *Server) finishJob(job *Job, state JobState, manifest []byte, errMsg str
 		}
 	}
 	s.releaseTenantLocked(job.tenant)
+	done := append([]*Job{job}, fols...)
+	recs := make([]durable.Record, len(done))
+	for i, j := range done {
+		recs[i] = durable.Record{Op: durable.OpDone, Job: j.id, State: string(state), Attempts: attempts}
+		j.pending = &recs[i]
+	}
 	s.mu.Unlock()
 
-	done := append([]*Job{job}, fols...)
+	// The done records reach the journal before the terminal state
+	// becomes visible, so a client that sees a job finish can rely on its
+	// done record surviving a crash. A checkpoint taken in between writes
+	// the pending records itself. They share one group commit, outside
+	// s.mu.
+	for _, rec := range recs {
+		s.journalAppend(rec)
+	}
+	s.journalSync()
 	for _, j := range done {
-		j.finish(state, manifest, errMsg, attempts)
+		// Counted before publishing too, so a client that sees the job
+		// finish also sees it in the completion counters.
 		s.completed[state].Add(1)
+		j.finish(state, manifest, errMsg, attempts)
 		s.observeJobLatency(j)
 		st := j.Status()
 		s.event(j, "finish", string(state), "job finished",
 			"state", string(state), "attempts", attempts, "error", errMsg, "coalesced", j != job,
 			"queued_ns", st.QueuedNS, "run_ns", st.RunNS, "e2e_ns", st.E2ENS)
 	}
-	// Done records ride the next group commit rather than forcing their
-	// own fsync: if they are lost to a crash, replay re-admits the job and
-	// the content-addressed store finishes it from cache — idempotent.
-	for _, j := range done {
-		s.journalAppend(durable.Record{Op: durable.OpDone, Job: j.id, State: string(state), Attempts: attempts})
-	}
-	s.journalSync()
 	s.maybeCompactJournal()
 }
 

@@ -55,11 +55,18 @@ type Attribution struct {
 // jumps to the child's start; windows no child covers are attributed to
 // StageUntracked. The per-root stage contributions therefore sum exactly
 // to the root's end-to-end latency.
+//
+// The report is built once and returned again until a span or an event
+// is recorded or changed, so an experiment's report and its run's Dump
+// share one build. Callers must not modify it.
 func (r *Recorder) Attribution() *Attribution {
 	if r == nil {
 		return nil
 	}
-	return BuildAttribution(r.spans)
+	if r.att == nil {
+		r.att = BuildAttribution(r.spans)
+	}
+	return r.att
 }
 
 // BuildAttribution is Recorder.Attribution over an explicit span list.
@@ -84,6 +91,7 @@ func BuildAttribution(all []Span) *Attribution {
 	}
 	aggs := make(map[string]*kindAgg)
 	var kindOrder []string
+	var chain []stageTime
 	for _, root := range roots {
 		ka := aggs[root.Kind]
 		if ka == nil {
@@ -95,15 +103,16 @@ func BuildAttribution(all []Span) *Attribution {
 		e2e := root.End - root.Start
 		ka.e2e.Observe(e2e.Nanoseconds())
 		ka.total += e2e.Nanoseconds()
-		for stage, t := range criticalChain(root, children[root.Trace]) {
-			sa := ka.stages[stage]
+		chain = criticalChain(root, children[root.Trace], chain[:0])
+		for _, st := range chain {
+			sa := ka.stages[st.stage]
 			if sa == nil {
-				sa = &stageAgg{dist: metrics.NewDistribution(stage)}
-				ka.stages[stage] = sa
+				sa = &stageAgg{dist: metrics.NewDistribution(st.stage)}
+				ka.stages[st.stage] = sa
 			}
 			sa.count++
-			sa.total += t.Nanoseconds()
-			sa.dist.Observe(t.Nanoseconds())
+			sa.total += st.t.Nanoseconds()
+			sa.dist.Observe(st.t.Nanoseconds())
 		}
 	}
 
@@ -154,13 +163,32 @@ type stageAgg struct {
 	dist  *metrics.Distribution
 }
 
+// stageTime is one stage's share of a root's critical chain.
+type stageTime struct {
+	stage string
+	t     sim.Time
+}
+
+// addStage adds t to stage's entry in chain, appending the entry on the
+// stage's first contribution. A chain holds a handful of stages, so a
+// scan beats a map.
+func addStage(chain []stageTime, stage string, t sim.Time) []stageTime {
+	for i := range chain {
+		if chain[i].stage == stage {
+			chain[i].t += t
+			return chain
+		}
+	}
+	return append(chain, stageTime{stage, t})
+}
+
 // criticalChain attributes a root's end-to-end window to stages by
-// walking backwards from root.End. Children overlap freely (chunks fan
-// out over channels in parallel); the chain always follows the child
-// that was active at the cursor and reaches furthest back, which is the
-// path that actually gated completion.
-func criticalChain(root *Span, kids []*Span) map[string]sim.Time {
-	out := make(map[string]sim.Time)
+// walking backwards from root.End, appending one entry per stage to out.
+// Children overlap freely (chunks fan out over channels in parallel);
+// the chain always follows the child that was active at the cursor and
+// reaches furthest back, which is the path that actually gated
+// completion.
+func criticalChain(root *Span, kids []*Span, out []stageTime) []stageTime {
 	cursor := root.End
 	for cursor > root.Start {
 		// The active child covering cursor that starts earliest.
@@ -181,7 +209,7 @@ func criticalChain(root *Span, kids []*Span) map[string]sim.Time {
 					next = k.End
 				}
 			}
-			out[StageUntracked] += cursor - next
+			out = addStage(out, StageUntracked, cursor-next)
 			cursor = next
 			continue
 		}
@@ -193,7 +221,7 @@ func criticalChain(root *Span, kids []*Span) map[string]sim.Time {
 		if stage == "" {
 			stage = StageUntracked
 		}
-		out[stage] += cursor - lo
+		out = addStage(out, stage, cursor-lo)
 		cursor = lo
 	}
 	return out

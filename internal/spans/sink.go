@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/trace"
 )
@@ -61,8 +63,9 @@ func (r *Recorder) Dump() *Dump {
 		Spans:        make([]SpanRecord, 0, len(r.spans)),
 	}
 	for _, s := range r.spans {
+		trace := strconv.FormatUint(uint64(s.Trace), 16)
 		d.Spans = append(d.Spans, SpanRecord{
-			Trace: fmt.Sprintf("%016x", uint64(s.Trace)),
+			Trace: strings.Repeat("0", 16-len(trace)) + trace,
 			ID:    uint32(s.ID), Parent: uint32(s.Parent),
 			Kind: s.Kind, Stage: s.Stage, Name: s.Name,
 			StartNS: s.Start.Nanoseconds(), EndNS: s.End.Nanoseconds(),
@@ -90,8 +93,13 @@ func (d *Dump) WriteJSON(w io.Writer) error {
 // String renders a one-line description for deterministic experiment
 // footers.
 func (d *Dump) String() string {
-	return fmt.Sprintf("%d spans across %d sampled roots (of %d seen) @ rate %g",
-		len(d.Spans), d.RootsSampled, d.RootsSeen, d.SampleRate)
+	return summary(len(d.Spans), d.RootsSampled, d.RootsSeen, d.SampleRate)
+}
+
+// summary renders the one-line description Dump.String and
+// Recorder.String share.
+func summary(spans, sampled int, seen uint64, rate float64) string {
+	return fmt.Sprintf("%d spans across %d sampled roots (of %d seen) @ rate %g", spans, sampled, seen, rate)
 }
 
 // AddToTrace renders the recorded span trees onto tr as Chrome-trace

@@ -101,6 +101,9 @@ type Recorder struct {
 	spans     []Span
 	nextID    SpanID
 	events    []Event
+	// att is the report Attribution last built. Every call that records
+	// or changes a span or an event clears it.
+	att *Attribution
 }
 
 // NewRecorder returns a recorder whose TraceIDs and sampling decisions
@@ -121,6 +124,7 @@ func (r *Recorder) SetSampleRate(rate float64) {
 	if r == nil {
 		return
 	}
+	r.att = nil
 	if rate <= 0 || rate > 1 {
 		rate = 1
 	}
@@ -165,6 +169,7 @@ func (r *Recorder) Root(kind, name string, start sim.Time) Ref {
 	if r == nil {
 		return Ref{}
 	}
+	r.att = nil
 	idx := r.roots
 	r.roots++
 	g := r.rng.Fork(idx)
@@ -195,6 +200,7 @@ func (r *Recorder) RootTraced(trace TraceID, kind, name string, start sim.Time) 
 	if r == nil {
 		return Ref{}
 	}
+	r.att = nil
 	r.roots++
 	if len(r.spans) >= maxSpans {
 		r.truncated = true
@@ -215,6 +221,7 @@ func (r *Recorder) RecordEvent(at sim.Time, class, detail string) {
 	if r == nil {
 		return
 	}
+	r.att = nil
 	r.events = append(r.events, Event{At: at, Class: class, Detail: detail})
 }
 
@@ -224,6 +231,15 @@ func (r *Recorder) Events() []Event {
 		return nil
 	}
 	return append([]Event(nil), r.events...)
+}
+
+// String renders the one-line summary Dump.String renders for the
+// recorder's dump, from the recorder's counters alone.
+func (r *Recorder) String() string {
+	if r == nil {
+		return summary(0, 0, 0, 0)
+	}
+	return summary(len(r.spans), r.sampled, r.roots, r.rate)
 }
 
 // Spans returns the recorded spans in record order.
@@ -266,6 +282,7 @@ func (f Ref) Child(stage, name string, start, end sim.Time, attrs ...Attr) Ref {
 		start, end = end, start
 	}
 	r := f.r
+	r.att = nil
 	if len(r.spans) >= maxSpans {
 		r.truncated = true
 		return Ref{}
@@ -284,6 +301,7 @@ func (f Ref) Annotate(key, val string) {
 	if !f.Valid() {
 		return
 	}
+	f.r.att = nil
 	s := f.span()
 	s.Attrs = append(s.Attrs, Attr{Key: key, Val: val})
 }
@@ -293,6 +311,7 @@ func (f Ref) Finish(end sim.Time) {
 	if !f.Valid() {
 		return
 	}
+	f.r.att = nil
 	s := f.span()
 	if end > s.Start {
 		s.End = end

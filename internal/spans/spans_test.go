@@ -2,6 +2,7 @@ package spans
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -220,5 +221,50 @@ func TestAddToTraceValidates(t *testing.T) {
 	nilRec.AddToTrace(tr2, 0)
 	if tr2.Len() != 0 {
 		t.Error("nil recorder added trace events")
+	}
+}
+
+// TestAttributionReuseTracksMutations checks the attribution the
+// recorder keeps: after every call that records or changes a span or an
+// event, Attribution equals a fresh BuildAttribution over the spans, and
+// with nothing recorded in between it returns the same report.
+func TestAttributionReuseTracksMutations(t *testing.T) {
+	r := NewRecorder(3, 1)
+	var root, child Ref
+	steps := []struct {
+		name string
+		do   func()
+	}{
+		{"Root", func() { root = r.Root(KindMem, "mem.read", 0) }},
+		{"Child", func() { child = root.Child(StageFabric, "hop", 0, 40) }},
+		{"Finish", func() { root.Finish(100) }},
+		{"Child", func() { root.Child(StageHBM, "hbm.ch3", 30, 90) }},
+		{"Annotate", func() { child.Annotate("k", "v") }},
+		{"Finish", func() { root.Finish(130) }},
+		{"RootTraced", func() { r.RootTraced(42, KindDispatch, "job", 10).Finish(60) }},
+		{"RecordEvent", func() { r.RecordEvent(5, "ras.fault", "ecc") }},
+		{"SetSampleRate", func() { r.SetSampleRate(0.5) }},
+		{"Root", func() { r.Root(KindMem, "mem.write", 200).Finish(260) }},
+	}
+	for i, st := range steps {
+		before := r.Attribution()
+		st.do()
+		got := r.Attribution()
+		if want := BuildAttribution(r.Spans()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%s): Attribution = %+v, BuildAttribution = %+v", i, st.name, got, want)
+		}
+		if got == before {
+			t.Errorf("step %d (%s): Attribution returned the report built before the call", i, st.name)
+		}
+		if again := r.Attribution(); again != got {
+			t.Errorf("step %d (%s): a second Attribution with nothing recorded rebuilt the report", i, st.name)
+		}
+		d := r.Dump()
+		if d.Attribution != got {
+			t.Errorf("step %d (%s): Dump rebuilt the report", i, st.name)
+		}
+		if r.String() != d.String() {
+			t.Errorf("step %d (%s): recorder summary %q, dump summary %q", i, st.name, r.String(), d.String())
+		}
 	}
 }
