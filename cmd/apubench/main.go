@@ -8,10 +8,8 @@
 //	apubench -platform mi250x -workload openfoam -iters 20
 //	apubench -platform mi300x -workload llm
 //	apubench -workload gemm -dtype fp8 -sparse
-//	apubench -exp fig20            # run one registry experiment
-//	apubench -exp rasecc -telemetry ecc.json -sample-ns 100000
-//	apubench -exp spanmem -spans spans.json -span-sample 0.5
-//	apubench -list-experiments     # enumerate the shared registry
+//
+// Registry experiments run through cmd/repro (repro -exp <id>).
 package main
 
 import (
@@ -22,8 +20,6 @@ import (
 
 	apusim "repro"
 	"repro/internal/config"
-	"repro/internal/runner"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -34,75 +30,7 @@ func main() {
 	iters := flag.Int("iters", 10, "iterations / steps")
 	dtype := flag.String("dtype", "fp16", "GEMM data type: fp64 fp32 tf32 fp16 bf16 fp8 int8")
 	sparse := flag.Bool("sparse", false, "GEMM: use 4:2 structured sparsity")
-	exp := flag.String("exp", "", "run one experiment from the shared registry (see -list-experiments)")
-	listExp := flag.Bool("list-experiments", false, "list the shared experiment registry and exit")
-	retries := flag.Int("retries", 0, "with -exp: re-run a failing experiment up to N more times on fresh engines")
-	telemetryOut := flag.String("telemetry", "", "with -exp: write the run's sampled telemetry series (JSON)")
-	sampleNS := flag.Int64("sample-ns", 0, "with -exp: telemetry sampling cadence in simulated nanoseconds (0 = default)")
-	spansOut := flag.String("spans", "", "with -exp: write the run's causal span dump (JSON)")
-	spanSample := flag.Float64("span-sample", 1, "with -exp: span head-sampling rate in (0, 1]")
-	auditOn := flag.Bool("audit", false, "with -exp: arm runtime invariant auditing on the run")
-	strict := flag.Bool("strict", false, "with -exp: fail the run on audit violations (implies -audit)")
 	flag.Parse()
-	if *strict {
-		*auditOn = true
-	}
-
-	if *listExp {
-		fmt.Print(apusim.Experiments().List())
-		return
-	}
-	if *exp == "" && (*telemetryOut != "" || *sampleNS != 0 || *spansOut != "" || *auditOn) {
-		fmt.Fprintln(os.Stderr, "apubench: -telemetry, -sample-ns, -spans, -audit, and -strict require -exp (registry experiments own the sampled engines)")
-		os.Exit(2)
-	}
-	if *exp != "" {
-		suite, err := apusim.Experiments().RunSuite(runner.Options{
-			Parallel: 1, IDs: []string{*exp}, Retries: *retries,
-			SampleEvery: sim.Time(*sampleNS) * sim.Nanosecond,
-			SpanSample:  *spanSample,
-			Audit:       *auditOn,
-			Strict:      *strict,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "apubench: %v (use -list-experiments)\n", err)
-			os.Exit(2)
-		}
-		if err := suite.WriteOutputs(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "apubench:", err)
-			os.Exit(1)
-		}
-		if *telemetryOut != "" {
-			f, err := os.Create(*telemetryOut)
-			if err == nil {
-				err = suite.WriteTelemetryRuns(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "apubench: telemetry:", err)
-				os.Exit(1)
-			}
-		}
-		if *spansOut != "" {
-			f, err := os.Create(*spansOut)
-			if err == nil {
-				err = suite.WriteSpanRuns(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "apubench: spans:", err)
-				os.Exit(1)
-			}
-		}
-		if !suite.OK() {
-			os.Exit(1)
-		}
-		return
-	}
 
 	p, err := makePlatform(*platName)
 	if err != nil {

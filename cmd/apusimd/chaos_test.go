@@ -12,145 +12,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 )
-
-// daemon is one running apusimd process under test.
-type daemon struct {
-	cmd     *exec.Cmd
-	addr    string
-	logPath string
-}
-
-func buildDaemon(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "apusimd")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building apusimd: %v\n%s", err, out)
-	}
-	return bin
-}
-
-func startDaemon(t *testing.T, bin, dataDir string, extra ...string) *daemon {
-	t.Helper()
-	logPath := filepath.Join(t.TempDir(), "apusimd.log")
-	logf, err := os.Create(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	args := append([]string{"-listen", "127.0.0.1:0", "-data-dir", dataDir, "-workers", "1"}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = logf
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("starting apusimd: %v", err)
-	}
-	logf.Close()
-	d := &daemon{cmd: cmd, logPath: logPath}
-	t.Cleanup(func() { _ = cmd.Process.Kill(); _, _ = cmd.Process.Wait() })
-
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		log, _ := os.ReadFile(logPath)
-		for _, line := range strings.Split(string(log), "\n") {
-			if a, ok := strings.CutPrefix(line, "apusimd: listening on "); ok {
-				d.addr = strings.TrimSpace(a)
-			}
-		}
-		if d.addr != "" {
-			return d
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	log, _ := os.ReadFile(logPath)
-	t.Fatalf("apusimd never reported its address; log:\n%s", log)
-	return nil
-}
-
-type jobStatus struct {
-	ID         string `json:"id"`
-	State      string `json:"state"`
-	CacheHit   bool   `json:"cache_hit"`
-	TraceID    string `json:"trace_id"`
-	NonDurable bool   `json:"non_durable"`
-}
-
-func (d *daemon) submit(t *testing.T, spec string) (int, jobStatus) {
-	t.Helper()
-	resp, err := http.Post("http://"+d.addr+"/v1/jobs", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	var st jobStatus
-	if resp.StatusCode < 400 {
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatalf("decoding %q: %v", body, err)
-		}
-	}
-	return resp.StatusCode, st
-}
-
-func (d *daemon) get(t *testing.T, path string) (int, []byte) {
-	t.Helper()
-	resp, err := http.Get("http://" + d.addr + path)
-	if err != nil {
-		t.Fatalf("GET %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, body
-}
-
-// await polls a job until terminal; each poll also un-parks interrupted
-// recovered jobs, which is the documented re-run path.
-func (d *daemon) await(t *testing.T, id string, patience time.Duration) jobStatus {
-	t.Helper()
-	deadline := time.Now().Add(patience)
-	var st jobStatus
-	for time.Now().Before(deadline) {
-		code, body := d.get(t, "/v1/jobs/"+id)
-		if code != http.StatusOK {
-			t.Fatalf("GET job %s: %d: %s", id, code, body)
-		}
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatal(err)
-		}
-		switch st.State {
-		case "ok", "degraded", "violated", "failed", "cancelled":
-			return st
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("job %s stuck in %q", id, st.State)
-	return st
-}
-
-func (d *daemon) metric(t *testing.T, sample string) float64 {
-	t.Helper()
-	_, body := d.get(t, "/v1/metrics")
-	for _, line := range strings.Split(string(body), "\n") {
-		if rest, ok := strings.CutPrefix(line, sample+" "); ok {
-			var v float64
-			if _, err := fmt.Sscanf(rest, "%g", &v); err != nil {
-				t.Fatalf("parsing metric %s from %q: %v", sample, line, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("metric %s not exposed", sample)
-	return 0
-}
 
 func TestChaosKillCorruptRestart(t *testing.T) {
 	if testing.Short() {
@@ -180,10 +51,10 @@ func TestChaosKillCorruptRestart(t *testing.T) {
 		baseline[spec] = m
 	}
 
-	// Phase 2: occupy the single worker with a long job (~1.5s), coalesce
-	// a duplicate onto it, and queue fast jobs behind it — then SIGKILL
-	// mid-simulation. Every one of these jobs was acknowledged with 202,
-	// so none may be lost.
+	// Phase 2: occupy the single worker with the longest job, coalesce a
+	// duplicate onto it, and queue fast jobs behind it — then SIGKILL
+	// mid-simulation, once the long job shows as running. Every one of
+	// these jobs was acknowledged with 202, so none may be lost.
 	var inflight []string
 	long := `{"experiment": "managed"}`
 	for _, spec := range []string{long, long,
@@ -194,7 +65,7 @@ func TestChaosKillCorruptRestart(t *testing.T) {
 		}
 		inflight = append(inflight, st.ID)
 	}
-	time.Sleep(300 * time.Millisecond) // well inside the long job's runtime
+	d1.awaitRunning(t, inflight[0])
 	if err := d1.cmd.Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatalf("SIGKILL: %v", err)
 	}
@@ -220,15 +91,43 @@ func TestChaosKillCorruptRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Phase 4: restart on the same data dir and assert full recovery.
+	// Phase 4: restart on the same data dir and assert full recovery. The
+	// boot log's recovery summary agrees with the counters: the phase-1
+	// jobs replay as completed, the long job and its duplicate park as
+	// interrupted, the queued jobs re-queue, two entries are quarantined.
 	d2 := startDaemon(t, bin, dataDir)
-	if got := d2.metric(t, "apusimd_cache_quarantined_total"); got != 2 {
-		t.Errorf("quarantined = %g, want 2", got)
+	var summary string
+	for _, line := range strings.Split(d2.log(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "apusimd: recovery: "); ok {
+			summary = rest
+		}
 	}
-	interrupted := d2.metric(t, `apusimd_recovered_jobs_total{outcome="interrupted"}`)
-	requeued := d2.metric(t, `apusimd_recovered_jobs_total{outcome="requeued"}`)
-	if interrupted != 2 || requeued != 3 {
-		t.Errorf("recovery counters interrupted=%g requeued=%g, want 2/3", interrupted, requeued)
+	if summary == "" {
+		t.Fatalf("no recovery summary in daemon log:\n%s", d2.log())
+	}
+	logged := make(map[string]float64)
+	for _, field := range strings.Fields(summary) {
+		key, val, _ := strings.Cut(field, "=")
+		n, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("recovery summary %q: %v", summary, err)
+		}
+		logged[key] = n
+	}
+	for key, want := range map[string]float64{
+		"requeued": 3, "interrupted": 2, "from_cache": 0, "completed": 3, "failed": 0, "quarantined": 2,
+	} {
+		sample := `apusimd_recovered_jobs_total{outcome="` + key + `"}`
+		if key == "quarantined" {
+			sample = "apusimd_cache_quarantined_total"
+		}
+		got := d2.metric(t, sample)
+		if got != want {
+			t.Errorf("%s = %g, want %g", sample, got, want)
+		}
+		if l, ok := logged[key]; !ok || l != got {
+			t.Errorf("recovery summary %q disagrees with %s = %g", summary, sample, got)
+		}
 	}
 
 	// The boot-time replay is observable: every recovery decision appears
@@ -301,9 +200,13 @@ func TestChaosKillCorruptRestart(t *testing.T) {
 	// store; corrupted ones re-simulate — the determinism contract makes
 	// even the fresh bytes identical to the pre-crash baseline.
 	hitsBefore := d2.metric(t, "apusimd_cache_disk_hits_total")
+	served := 0
 	for _, spec := range quick {
 		code, st := d2.submit(t, spec)
-		if code != http.StatusOK && code != http.StatusAccepted {
+		switch {
+		case code == http.StatusOK && st.CacheHit:
+			served++
+		case code != http.StatusAccepted:
 			t.Fatalf("phase-4 resubmit %s: %d", spec, code)
 		}
 		fin := d2.await(t, st.ID, 15*time.Second)
@@ -318,12 +221,11 @@ func TestChaosKillCorruptRestart(t *testing.T) {
 	if hitsAfter := d2.metric(t, "apusimd_cache_disk_hits_total"); hitsAfter <= hitsBefore {
 		t.Errorf("disk hits %g -> %g: intact entries were not served from the store", hitsBefore, hitsAfter)
 	}
-
-	// The recovery summary reached the operator log.
-	log, _ := os.ReadFile(d2.logPath)
-	if !strings.Contains(string(log), "apusimd: recovery:") {
-		t.Errorf("no recovery summary in daemon log:\n%s", log)
+	if want := len(quick) - 2; served != want {
+		t.Errorf("%d resubmissions were 200 cache hits, want the %d intact entries", served, want)
 	}
+
+	d2.drain(t)
 }
 
 // healthzDurability reads the durability field from /v1/healthz.
@@ -358,6 +260,9 @@ func TestChaosDiskFaultStormKillHealedRestart(t *testing.T) {
 		"-chaos-enospc-bytes", "6144",
 		"-chaos-heal-after", "5s",
 		"-durability-probe", "50ms")
+	if got := d1.healthzDurability(t); got != "ok" {
+		t.Fatalf("fresh daemon durability %q, want ok", got)
+	}
 
 	type ack struct {
 		id, spec string
@@ -388,6 +293,13 @@ func TestChaosDiskFaultStormKillHealedRestart(t *testing.T) {
 	if !degradedSeen {
 		t.Fatal("60 submissions never exhausted the 6 KiB chaos byte budget; breaker never tripped")
 	}
+	// Once tripped, new work is still admitted, marked non-durable.
+	lateSpec := `{"experiment": "fig7"}`
+	code, late := d1.submit(t, lateSpec)
+	if code != http.StatusAccepted || !late.NonDurable {
+		t.Fatalf("submit after the trip: %d %+v, want 202 with non_durable", code, late)
+	}
+	acked = append(acked, ack{id: late.ID, spec: lateSpec})
 	// Degraded is an operating mode, not an outage: every acknowledged
 	// job still reaches a terminal state.
 	for _, a := range acked {
@@ -409,6 +321,9 @@ func TestChaosDiskFaultStormKillHealedRestart(t *testing.T) {
 	}
 	if v := d1.metric(t, "apusimd_durability_recovered_total"); v < 1 {
 		t.Errorf("recovered_total = %g, want >= 1", v)
+	}
+	if v := d1.metric(t, "apusimd_durability_armed"); v != 1 {
+		t.Errorf("durability_armed = %g after the heal, want 1", v)
 	}
 
 	// Post-heal jobs write through to the healed store; keep their bytes
@@ -437,12 +352,15 @@ func TestChaosDiskFaultStormKillHealedRestart(t *testing.T) {
 	_, _ = d1.cmd.Process.Wait()
 
 	// The degraded episode is visible in the operator log.
-	log1, _ := os.ReadFile(d1.logPath)
-	if !strings.Contains(string(log1), "degraded") {
-		t.Errorf("no degraded-mode line in the chaos daemon's log:\n%s", log1)
-	}
-	if !strings.Contains(string(log1), "CHAOS: fault injection healed") {
-		t.Errorf("scheduled heal never logged:\n%s", log1)
+	log1 := d1.log()
+	for _, line := range []string{
+		"durability degraded: entering memory-only mode",
+		"durability recovered: admissions journaled again",
+		"CHAOS: fault injection healed",
+	} {
+		if !strings.Contains(log1, line) {
+			t.Errorf("no %q line in the chaos daemon's log:\n%s", line, log1)
+		}
 	}
 
 	// Restart on the healed filesystem (no chaos flags): zero

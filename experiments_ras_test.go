@@ -99,7 +99,7 @@ func TestFaultPlanDegradedVsPartition(t *testing.T) {
 }
 
 // TestRASExperimentsRegistered confirms the registry carries the RAS suite
-// so cmd/repro, apubench -exp, and the benchmarks all see it.
+// so cmd/repro, apusimd and the benchmarks all see it.
 func TestRASExperimentsRegistered(t *testing.T) {
 	reg := Experiments()
 	for _, id := range rasIDs {

@@ -1,6 +1,6 @@
-// Package metrics provides the lightweight counters, distributions, and
-// table/series renderers used by every experiment harness in the repository
-// to print paper-style results.
+// Package metrics provides the lightweight distributions and table/series
+// renderers used by every experiment harness in the repository to print
+// paper-style results.
 package metrics
 
 import (
@@ -9,30 +9,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Counter is a monotonically increasing event count.
-type Counter struct {
-	name string
-	n    uint64
-}
-
-// NewCounter returns a named counter starting at zero.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value reports the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Name reports the counter's name.
-func (c *Counter) Name() string { return c.name }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
 
 // Distribution accumulates scalar samples and reports summary statistics.
 type Distribution struct {

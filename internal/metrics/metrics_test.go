@@ -8,22 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestCounter(t *testing.T) {
-	c := NewCounter("hits")
-	c.Inc()
-	c.Add(9)
-	if c.Value() != 10 {
-		t.Errorf("Value = %d, want 10", c.Value())
-	}
-	if c.Name() != "hits" {
-		t.Errorf("Name = %q", c.Name())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Error("Reset did not zero counter")
-	}
-}
-
 func TestDistributionStats(t *testing.T) {
 	d := NewDistribution("lat")
 	for _, v := range []float64{4, 2, 8, 6} {

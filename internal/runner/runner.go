@@ -4,7 +4,7 @@
 // observability.
 //
 // Every experiment in the repository is registered once (ID, description,
-// run function); cmd/repro, cmd/apubench, and the benchmark suite all
+// run function); cmd/repro, apusimd and the benchmark suite all
 // enumerate the same registry instead of keeping private copies. The
 // executor runs experiments concurrently — each on its own independent
 // sim.Engine, so no simulation state is ever shared between goroutines —

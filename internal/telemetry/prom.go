@@ -59,82 +59,46 @@ type PromRun struct {
 	Dump *Dump
 }
 
-// promMetric accumulates one metric's samples across runs, so HELP/TYPE
-// lines appear exactly once per metric name as the format requires.
-type promMetric struct {
-	name    string
-	help    string
-	typ     string
-	samples []string
-}
-
 // WritePromRuns writes one or more runs' dumps in Prometheus text
 // exposition format. Each sampled series contributes a gauge holding its
 // final sample; engine handler classes contribute one counter series per
-// class. Multi-run exports distinguish runs with a run="<id>" label.
+// class. Multi-run exports distinguish runs with a run="<id>" label. The
+// samples are registered in a transient Set, so a metric family's
+// HELP/TYPE header appears once however many runs carry it.
 func WritePromRuns(w io.Writer, runs []PromRun) error {
-	var order []string
-	byName := make(map[string]*promMetric)
-	add := func(name, help, typ, labels string, value float64) {
-		m := byName[name]
-		if m == nil {
-			m = &promMetric{name: name, help: help, typ: typ}
-			byName[name] = m
-			order = append(order, name)
-		}
-		m.samples = append(m.samples, fmt.Sprintf("%s%s %s", name, labels, promFloat(value)))
-	}
-	labelSet := func(runID string, extra ...string) string {
-		var parts []string
-		if runID != "" {
-			parts = append(parts, fmt.Sprintf("run=%q", promEscape(runID)))
-		}
-		parts = append(parts, extra...)
-		if len(parts) == 0 {
-			return ""
-		}
-		return "{" + strings.Join(parts, ",") + "}"
-	}
+	set := NewSet()
 	for _, run := range runs {
 		d := run.Dump
 		if d == nil {
 			continue
 		}
-		add(promNamePrefix+"telemetry_samples",
+		var runLabel []Label
+		if run.ID != "" {
+			runLabel = []Label{{"run", run.ID}}
+		}
+		set.Gauge(promNamePrefix+"telemetry_samples",
 			"Number of telemetry samples the run recorded.",
-			"gauge", labelSet(run.ID), float64(len(d.TimesNS)))
+			runLabel...).Set(float64(len(d.TimesNS)))
 		for _, s := range d.Series {
 			if len(s.Values) == 0 {
 				continue
 			}
-			add(promName(s.Name),
+			set.Gauge(promName(s.Name),
 				fmt.Sprintf("Final sampled value of probe %s (kind %s).", s.Name, s.Kind),
-				"gauge", labelSet(run.ID), s.Values[len(s.Values)-1])
+				runLabel...).Set(s.Values[len(s.Values)-1])
 		}
 		if d.Engine != nil {
 			for _, c := range d.Engine.Classes {
-				add(promNamePrefix+"events_fired_total",
+				set.Counter(promNamePrefix+"events_fired_total",
 					"Cumulative simulation events fired, by handler class.",
-					"counter",
-					labelSet(run.ID, fmt.Sprintf("class=%q", promEscape(c.Class))),
-					float64(c.Fired))
+					append(runLabel, Label{"class", c.Class})...).Add(float64(c.Fired))
 			}
-			add(promNamePrefix+"event_queue_high_water",
+			set.Gauge(promNamePrefix+"event_queue_high_water",
 				"Deepest the run's event queue ever was.",
-				"gauge", labelSet(run.ID), float64(d.Engine.QueueHighWater))
+				runLabel...).Set(float64(d.Engine.QueueHighWater))
 		}
 	}
-	var b strings.Builder
-	for _, name := range order {
-		m := byName[name]
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", m.name, m.help, m.name, m.typ)
-		for _, s := range m.samples {
-			b.WriteString(s)
-			b.WriteByte('\n')
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return set.WritePromText(w)
 }
 
 // WritePromText writes this dump alone in Prometheus text exposition

@@ -52,7 +52,12 @@ func TestWritePromTextSingleRun(t *testing.T) {
 
 func TestWritePromRunsGroupsMetricFamilies(t *testing.T) {
 	var buf bytes.Buffer
-	runs := []PromRun{{ID: "runA", Dump: promDump()}, {ID: "runB", Dump: promDump()}, {ID: "skipped"}}
+	runs := []PromRun{
+		{ID: "runA", Dump: promDump()},
+		{ID: "runB", Dump: promDump()},
+		{ID: "skipped"},
+		{ID: `a"b\c`, Dump: promDump()},
+	}
 	if err := WritePromRuns(&buf, runs); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +76,9 @@ func TestWritePromRunsGroupsMetricFamilies(t *testing.T) {
 	for _, want := range []string{
 		`apusim_hbm_bandwidth{run="runA"} 2e+12`,
 		`apusim_hbm_bandwidth{run="runB"} 2e+12`,
-		`apusim_events_fired_total{run="runA",class="hbm.tick"} 12`,
+		`apusim_events_fired_total{class="hbm.tick",run="runA"} 12`,
+		// Label values are escaped exactly once.
+		`apusim_hbm_bandwidth{run="a\"b\\c"} 2e+12`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("prom output missing %q:\n%s", want, out)

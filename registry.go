@@ -8,7 +8,7 @@ import (
 
 // This file assembles the experiment registry. Every table, figure, and
 // ablation in the evaluation is registered exactly once, by the file
-// that defines it; cmd/repro, cmd/apubench, and the benchmark suite all
+// that defines it; cmd/repro, apusimd and the benchmark suite all
 // enumerate this registry instead of keeping private experiment tables.
 
 var (
