@@ -6,8 +6,9 @@
 #     so -race is load-bearing, not decoration; the cmd/repro and
 #     cmd/apusimd tests build and drive the real binaries);
 #   the engine bench gate against BENCH_engine.json;
-#   three fuzz stages: the fault-plan parser, and the cache tag store and
-#     functional memory against their reference implementations.
+#   five fuzz stages: the fault-plan parser, and the cache tag store,
+#     functional memory, workgroup placement and span attribution against
+#     their reference implementations.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -111,5 +112,15 @@ echo "== functional memory differential fuzz smoke =="
 # reference it replaced: every return value, read buffer, panic and
 # TouchedBytes must match.
 go test ./internal/mem/ -run '^$' -fuzz '^FuzzSpaceDifferential$' -fuzztime 15s >/dev/null
+
+echo "== workgroup placement differential fuzz smoke =="
+# 15 seconds of coverage-guided fuzzing of the XCD placement tree against
+# the scan it replaced: every placement's CU and slot must match.
+go test ./internal/gpu/ -run '^$' -fuzz '^FuzzPlacementDifferential$' -fuzztime 15s >/dev/null
+
+echo "== span attribution differential fuzz smoke =="
+# 15 seconds of coverage-guided fuzzing of the span recorder's attribution
+# against the map-based builder it replaced: the reports must be equal.
+go test ./internal/spans/ -run '^$' -fuzz '^FuzzAttributionDifferential$' -fuzztime 15s >/dev/null
 
 echo "ci.sh: all checks passed"

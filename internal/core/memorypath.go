@@ -65,7 +65,7 @@ func (p *Platform) memAccess(start sim.Time, src fabric.NodeID, addr, bytes int6
 			if retry {
 				stage = spans.StageHBMECC
 			}
-			c := root.Child(stage, "hbm.ch"+strconv.Itoa(servedCh), s, e)
+			c := root.Child(stage, p.hbmSpanNames[servedCh], s, e)
 			if servedCh != hashedCh {
 				c.Annotate("rerouted", "ch"+strconv.Itoa(hashedCh)+"->ch"+strconv.Itoa(servedCh))
 			}
@@ -106,10 +106,10 @@ func (p *Platform) memAccess(start sim.Time, src fabric.NodeID, addr, bytes int6
 				if res.Hit {
 					result = "hit"
 				}
-				c := root.Child(spans.StageCache, "mall"+strconv.Itoa(ch), done, res.Done,
+				c := root.Child(spans.StageCache, p.mallSpanNames[ch], done, res.Done,
 					spans.Attr{Key: "result", Val: result})
 				if wait := res.Begin - done; wait > 0 {
-					c.Annotate("queue_ns", strconv.FormatFloat(wait.Nanoseconds(), 'f', 3, 64))
+					c.Annotate("queue_ns", formatNS(wait))
 				}
 			}
 			done = res.Done
@@ -127,6 +127,23 @@ func (p *Platform) memAccess(start sim.Time, src fabric.NodeID, addr, bytes int6
 	}
 	root.Finish(end)
 	return end
+}
+
+// formatNS renders t ≥ 0 in nanoseconds with three decimals from its
+// integer picoseconds, byte-identical to
+// strconv.FormatFloat(t.Nanoseconds(), 'f', 3, 64): below 2^43 ns the
+// float64 nearest t/1000 lies within half a unit of the third decimal of
+// the exact quotient, so both round to its digits. Larger (and negative)
+// times take the float path.
+func formatNS(t sim.Time) string {
+	if t < 0 || t >= 1<<43*sim.Nanosecond {
+		return strconv.FormatFloat(t.Nanoseconds(), 'f', 3, 64)
+	}
+	ps := int64(t % sim.Nanosecond)
+	var b [24]byte
+	out := strconv.AppendInt(b[:0], int64(t/sim.Nanosecond), 10)
+	out = append(out, '.', byte('0'+ps/100), byte('0'+ps/10%10), byte('0'+ps%10))
+	return string(out)
 }
 
 // gcdOf reverse-maps a fabric node to its XCD/GCD index.

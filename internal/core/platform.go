@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
@@ -70,6 +71,11 @@ type Platform struct {
 	// dispatch hot paths (BuildOptions.Spans). Nil costs the hot paths
 	// one pointer check.
 	spans *spans.Recorder
+	// hbmSpanNames and mallSpanNames are the memory path's per-channel
+	// child-span names ("hbm.ch<N>", "mall<N>"), built once when spans
+	// are armed.
+	hbmSpanNames  []string
+	mallSpanNames []string
 
 	// Fabric node handles.
 	iodNodes  []fabric.NodeID
@@ -117,6 +123,12 @@ func newPlatform(spec *config.PlatformSpec, harvestSeed uint64, sp *spans.Record
 
 	p.buildFabric()
 	p.buildCompute()
+	if sp != nil {
+		for ch := range p.HBM.Channels() {
+			p.hbmSpanNames = append(p.hbmSpanNames, "hbm.ch"+strconv.Itoa(ch))
+			p.mallSpanNames = append(p.mallSpanNames, "mall"+strconv.Itoa(ch))
+		}
+	}
 
 	agents := len(p.XCDs) + spec.CCDs + 1 // +1 for a host/IO agent
 	p.CPUCoherence = coherence.NewProbeFilter(spec.Name+".pf", agents)

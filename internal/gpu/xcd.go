@@ -94,6 +94,9 @@ type XCD struct {
 	// time-share the ALUs.
 	aluFree []sim.Time
 	stats   Stats
+	// place finds each workgroup's CU; its storage is allocated on the
+	// first dispatch and reused by every later one.
+	place placeTree
 }
 
 // NewXCD builds an XCD from its spec, harvesting CUs deterministically
@@ -262,10 +265,13 @@ func (x *XCD) executeWorkgroups(env *ExecEnv, start sim.Time, k *KernelSpec, wgI
 	if len(wgIDs) == 0 {
 		return start
 	}
-	occ := Occupancy(x.Spec, wgSize, k.LDSBytesPerGroup)
+	// Occupancy is per kernel, and CUs are disabled or reset only between
+	// calls, so the placement tree is rebuilt here and then kept current
+	// by refreshing the placed CU's leaf after each workgroup.
+	x.place.rebuild(x, Occupancy(x.Spec, wgSize, k.LDSBytesPerGroup))
 	end := start
 	for _, wg := range wgIDs {
-		cu, slot := x.earliestCUSlot(occ)
+		cu, slot := x.place.best(x)
 		if cu == nil {
 			panic(fmt.Sprintf("gpu: invariant violated: dispatch reached xcd%d with no enabled CUs (offline XCDs must be filtered by the partition)", x.ID))
 		}
@@ -308,6 +314,7 @@ func (x *XCD) executeWorkgroups(env *ExecEnv, start sim.Time, k *KernelSpec, wgI
 		}
 
 		cu.slotFree[slot] = done
+		x.place.update(x, cu.Index)
 		cu.wgDone++
 		x.stats.Workgroups++
 		x.stats.Flops += k.FlopsPerItem * float64(wgSize)
@@ -321,26 +328,98 @@ func (x *XCD) executeWorkgroups(env *ExecEnv, start sim.Time, k *KernelSpec, wgI
 	return end
 }
 
-// earliestCUSlot finds the enabled CU (and slot index) where a new
-// workgroup would actually begin executing first: the later of the slot's
-// availability and the CU's ALU horizon. This is what makes the ACE's
-// placement load-balance across CUs instead of stacking one CU's slots.
-func (x *XCD) earliestCUSlot(occ int) (*CU, int) {
-	var best *CU
-	bestSlot := 0
-	var bestKey sim.Time
-	for _, c := range x.cus {
-		if c.Disabled {
-			continue
+// placeTree is a tournament tree over an XCD's CUs that finds, in
+// O(log CUs), the enabled CU (and slot) where a new workgroup would
+// actually begin executing first: the later of its soonest-free slot
+// among the kernel's occ slots and its ALU horizon. That choice is what
+// makes the ACE's placement load-balance across CUs instead of stacking
+// one CU's slots.
+//
+// Leaf i (node size+i) is CU i; padding leaves past the last CU never
+// win. Each internal node holds the leaf that wins its subtree: an
+// enabled CU beats a disabled one, then the earlier key wins, then the
+// lower CU index. Each leaf's slot is its CU's lowest slot among those
+// free earliest, so the root is exactly the lowest CU, then lowest slot,
+// that a scan of every CU and slot would pick.
+type placeTree struct {
+	size int        // leaves: the smallest power of two ≥ the CU count
+	occ  int        // slots per CU the current kernel may use
+	win  []int32    // win[n]: the leaf winning node n's subtree (n ≥ 1)
+	key  []sim.Time // per leaf: when a workgroup placed there would begin
+	slot []uint8    // per leaf: the CU's soonest-free slot, or deadLeaf
+}
+
+// deadLeaf marks a disabled CU's or a padding leaf's slot.
+const deadLeaf = 0xff
+
+// rebuild sets every leaf from x's CUs for a kernel of occupancy occ and
+// recomputes every internal node: one pass over every CU's slots, the
+// cost of a single scan. The first call sizes the tree; padding leaves
+// stay dead.
+func (t *placeTree) rebuild(x *XCD, occ int) {
+	if t.win == nil {
+		t.size = 1
+		for t.size < len(x.cus) {
+			t.size <<= 1
 		}
-		s := c.earliestSlot(occ)
-		key := c.slotFree[s]
-		if alu := x.aluFree[c.Index]; alu > key {
-			key = alu
-		}
-		if best == nil || key < bestKey {
-			best, bestSlot, bestKey = c, s, key
+		t.win = make([]int32, 2*t.size)
+		t.key = make([]sim.Time, t.size)
+		t.slot = make([]uint8, t.size)
+		for i := range t.slot {
+			t.slot[i] = deadLeaf
+			t.win[t.size+i] = int32(i)
 		}
 	}
-	return best, bestSlot
+	t.occ = occ
+	for i := range x.cus {
+		t.setLeaf(x, i)
+	}
+	for n := t.size - 1; n >= 1; n-- {
+		t.win[n] = t.winner(t.win[2*n], t.win[2*n+1])
+	}
+}
+
+// update refreshes CU i's leaf after its slot or ALU horizon moved and
+// replays its path to the root.
+func (t *placeTree) update(x *XCD, i int) {
+	t.setLeaf(x, i)
+	for n := (t.size + i) / 2; n >= 1; n /= 2 {
+		t.win[n] = t.winner(t.win[2*n], t.win[2*n+1])
+	}
+}
+
+// best returns the winning CU and its slot, or nil when no CU is enabled.
+func (t *placeTree) best(x *XCD) (*CU, int) {
+	w := t.win[1]
+	if t.slot[w] == deadLeaf {
+		return nil, 0
+	}
+	return x.cus[w], int(t.slot[w])
+}
+
+// setLeaf sets CU i's key and slot, or marks its leaf dead when the CU
+// is disabled.
+func (t *placeTree) setLeaf(x *XCD, i int) {
+	c := x.cus[i]
+	if c.Disabled {
+		t.slot[i] = deadLeaf
+		return
+	}
+	s := c.earliestSlot(t.occ)
+	key := c.slotFree[s]
+	if alu := x.aluFree[i]; alu > key {
+		key = alu
+	}
+	t.key[i], t.slot[i] = key, uint8(s)
+}
+
+// winner returns whichever of leaves a < b wins the match.
+func (t *placeTree) winner(a, b int32) int32 {
+	if t.slot[b] == deadLeaf {
+		return a
+	}
+	if t.slot[a] == deadLeaf || t.key[b] < t.key[a] {
+		return b
+	}
+	return a
 }

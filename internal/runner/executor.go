@@ -80,9 +80,11 @@ type Result struct {
 	// TelemetryDump is the full deterministic columnar store for the same
 	// runs, for callers writing CSV/JSON series files.
 	TelemetryDump *telemetry.Dump
-	// Spans is the causal-span dump (with critical-path attribution),
-	// set only when the run built a recorder via Ctx.Spans.
-	Spans *spans.Dump
+	// Spans is the run's finished causal-span recorder, set only when the
+	// run built one via Ctx.Spans. Its attribution is built before the
+	// result is handed over, so readers (the manifest, WriteSpanRuns'
+	// on-demand dumps) only read it; nothing records on it afterwards.
+	Spans *spans.Recorder
 	// Audit is the invariant-audit report, set only when the suite ran
 	// with Options.Audit and the run completed far enough to be audited
 	// (ok or degraded before auditing). It lands in the manifest.
@@ -377,7 +379,10 @@ func runAttempt(e Experiment, opts Options) Result {
 				res.Telemetry = rec.Summary()
 			}
 			if sr := ctx.spanRecorder(); sr != nil {
-				res.Spans = sr.Dump()
+				// Build the report on the run's goroutine, so readers
+				// of the result only read the recorder.
+				sr.Attribution()
+				res.Spans = sr
 			}
 			done <- res
 		}()

@@ -110,8 +110,8 @@ func BuildManifest(s *SuiteResult) *Manifest {
 		for _, d := range r.RetryDelays {
 			rec.RetryDelaysMS = append(rec.RetryDelaysMS, d.Seconds()*1e3)
 		}
-		if r.Spans != nil {
-			rec.Spans = r.Spans.Attribution
+		if r.Spans.Len() > 0 {
+			rec.Spans = r.Spans.Attribution()
 		}
 		rec.Audit = r.Audit
 		if r.Err != nil {
@@ -168,10 +168,10 @@ type spanRun struct {
 	Spans *spans.Dump `json:"spans"`
 }
 
-// WriteSpanRuns writes every span-bearing run's full dump as indented
-// JSON, in registration order. Span dumps contain only simulated-time
-// data, so the output is byte-identical across repeated runs and
-// parallelism degrees for a fixed seed and fault plan.
+// WriteSpanRuns renders every span-bearing run's full dump and writes
+// them as indented JSON, in registration order. Span dumps contain only
+// simulated-time data, so the output is byte-identical across repeated
+// runs and parallelism degrees for a fixed seed and fault plan.
 func (s *SuiteResult) WriteSpanRuns(w io.Writer) error {
 	out := struct {
 		Schema string    `json:"schema"`
@@ -179,7 +179,7 @@ func (s *SuiteResult) WriteSpanRuns(w io.Writer) error {
 	}{Schema: SpanRunsSchema, Runs: []spanRun{}}
 	for _, r := range s.Results {
 		if r.Spans != nil {
-			out.Runs = append(out.Runs, spanRun{ID: r.ID, Spans: r.Spans})
+			out.Runs = append(out.Runs, spanRun{ID: r.ID, Spans: r.Spans.Dump()})
 		}
 	}
 	enc := json.NewEncoder(w)

@@ -64,25 +64,77 @@ func (r *Recorder) Attribution() *Attribution {
 		return nil
 	}
 	if r.att == nil {
-		r.att = BuildAttribution(r.spans)
+		g := r.group()
+		r.att = aggregate(g.roots, g.kidsOf)
 	}
 	return r.att
 }
 
-// BuildAttribution is Recorder.Attribution over an explicit span list.
-func BuildAttribution(all []Span) *Attribution {
-	// Group children by (trace, parent) — record order is deterministic.
-	children := make(map[TraceID][]*Span)
-	var roots []*Span
-	for i := range all {
-		s := &all[i]
-		if s.Parent == 0 {
-			roots = append(roots, s)
-		} else {
-			children[s.Trace] = append(children[s.Trace], s)
+// traceGroups holds every root in record order with its trace's
+// children: the children of trace slot k fill kids[off[k]:off[k+1]] in
+// record order.
+type traceGroups struct {
+	roots    []*Span
+	rootSlot []int32 // roots[i]'s trace slot
+	off      []int32
+	kids     []*Span
+}
+
+// kidsOf returns the children of roots[i]'s trace in record order.
+func (g *traceGroups) kidsOf(i int) []*Span {
+	k := g.rootSlot[i]
+	return g.kids[g.off[k]:g.off[k+1]]
+}
+
+// group sorts the store's children by trace in one counting pass: a slot
+// per trace, prefix offsets, and one flat []*Span. Grouping is by trace,
+// not by root, so roots that share a TraceID (RootTraced) share one slot
+// and each sees every child of the trace.
+func (r *Recorder) group() *traceGroups {
+	// slotOf[i] is span i's trace slot. A child inherits its parent's,
+	// found by index (a span's ID is its record index plus one); a root
+	// takes its trace's slot, opening one for a new TraceID.
+	g := &traceGroups{}
+	slotOf := make([]int32, r.n)
+	slots := make(map[TraceID]int32)
+	var count []int32 // children per slot
+	for i := 0; i < r.n; i++ {
+		s := r.at(i)
+		if s.Parent != 0 {
+			slotOf[i] = slotOf[s.Parent-1]
+			count[slotOf[i]]++
+			continue
+		}
+		slot, ok := slots[s.Trace]
+		if !ok {
+			slot = int32(len(count))
+			slots[s.Trace] = slot
+			count = append(count, 0)
+		}
+		slotOf[i] = slot
+		g.roots = append(g.roots, s)
+		g.rootSlot = append(g.rootSlot, slot)
+	}
+	g.off = make([]int32, len(count)+1)
+	for k, c := range count {
+		g.off[k+1] = g.off[k] + c
+	}
+	next := count // reused as each slot's fill cursor
+	copy(next, g.off)
+	g.kids = make([]*Span, r.n-len(g.roots))
+	for i := 0; i < r.n; i++ {
+		if s := r.at(i); s.Parent != 0 {
+			k := slotOf[i]
+			g.kids[next[k]] = s
+			next[k]++
 		}
 	}
+	return g
+}
 
+// aggregate builds the report from the roots in record order; kidsOf(i)
+// returns the children of roots[i]'s trace in record order.
+func aggregate(roots []*Span, kidsOf func(i int) []*Span) *Attribution {
 	type kindAgg struct {
 		kind   string
 		e2e    *metrics.Distribution
@@ -92,7 +144,7 @@ func BuildAttribution(all []Span) *Attribution {
 	aggs := make(map[string]*kindAgg)
 	var kindOrder []string
 	var chain []stageTime
-	for _, root := range roots {
+	for i, root := range roots {
 		ka := aggs[root.Kind]
 		if ka == nil {
 			ka = &kindAgg{kind: root.Kind, e2e: metrics.NewDistribution("e2e"),
@@ -103,7 +155,7 @@ func BuildAttribution(all []Span) *Attribution {
 		e2e := root.End - root.Start
 		ka.e2e.Observe(e2e.Nanoseconds())
 		ka.total += e2e.Nanoseconds()
-		chain = criticalChain(root, children[root.Trace], chain[:0])
+		chain = criticalChain(root, kidsOf(i), chain[:0])
 		for _, st := range chain {
 			sa := ka.stages[st.stage]
 			if sa == nil {

@@ -49,7 +49,9 @@ type Dump struct {
 	Attribution  *Attribution  `json:"attribution,omitempty"`
 }
 
-// Dump snapshots the recorder's store, including the attribution report.
+// Dump renders the recorder's store in wire form, including the
+// attribution report. On a recorder whose report is already built, as a
+// finished run's is, it only reads.
 func (r *Recorder) Dump() *Dump {
 	if r == nil {
 		return nil
@@ -60,24 +62,36 @@ func (r *Recorder) Dump() *Dump {
 		RootsSeen:    r.roots,
 		RootsSampled: r.sampled,
 		Truncated:    r.truncated,
-		Spans:        make([]SpanRecord, 0, len(r.spans)),
+		Spans:        make([]SpanRecord, r.n),
 	}
-	for _, s := range r.spans {
-		trace := strconv.FormatUint(uint64(s.Trace), 16)
-		d.Spans = append(d.Spans, SpanRecord{
-			Trace: strings.Repeat("0", 16-len(trace)) + trace,
+	// Each trace's hex ID is formatted once: a child copies its parent's
+	// (the record at the parent's index), and a root reuses the string of
+	// an earlier root on the same trace.
+	rootHex := make(map[TraceID]string)
+	for i := range d.Spans {
+		s := r.at(i)
+		var trace string
+		if s.Parent != 0 {
+			trace = d.Spans[s.Parent-1].Trace
+		} else if trace = rootHex[s.Trace]; trace == "" {
+			trace = strconv.FormatUint(uint64(s.Trace), 16)
+			trace = strings.Repeat("0", 16-len(trace)) + trace
+			rootHex[s.Trace] = trace
+		}
+		d.Spans[i] = SpanRecord{
+			Trace: trace,
 			ID:    uint32(s.ID), Parent: uint32(s.Parent),
 			Kind: s.Kind, Stage: s.Stage, Name: s.Name,
 			StartNS: s.Start.Nanoseconds(), EndNS: s.End.Nanoseconds(),
 			Attrs: s.Attrs,
-		})
+		}
 	}
 	for _, e := range r.events {
 		d.Events = append(d.Events, EventRecord{
 			AtNS: e.At.Nanoseconds(), Class: e.Class, Detail: e.Detail,
 		})
 	}
-	if len(r.spans) > 0 {
+	if r.n > 0 {
 		d.Attribution = r.Attribution()
 	}
 	return d
@@ -125,16 +139,7 @@ func (r *Recorder) AddToTrace(tr *trace.Trace, pid int) {
 		tr.NameThread(pid, tid, stage)
 		return tid
 	}
-	children := make(map[TraceID][]*Span)
-	var roots []*Span
-	for i := range r.spans {
-		s := &r.spans[i]
-		if s.Parent == 0 {
-			roots = append(roots, s)
-		} else {
-			children[s.Trace] = append(children[s.Trace], s)
-		}
-	}
+	g := r.group()
 	attrsOf := func(s *Span) map[string]string {
 		if len(s.Attrs) == 0 {
 			return nil
@@ -146,7 +151,7 @@ func (r *Recorder) AddToTrace(tr *trace.Trace, pid int) {
 		return m
 	}
 	flow := int64(0)
-	for _, root := range roots {
+	for i, root := range g.roots {
 		flow++
 		tr.Span(root.Name, root.Kind, pid, 0, root.Start, root.End, attrsOf(root))
 		// Flow events must bind to an enclosing 'X' span on their track;
@@ -155,7 +160,7 @@ func (r *Recorder) AddToTrace(tr *trace.Trace, pid int) {
 		if withFlow {
 			tr.Flow("s", root.Name, root.Kind, flow, pid, 0, root.Start)
 		}
-		kids := children[root.Trace]
+		kids := g.kidsOf(i)
 		for _, k := range kids {
 			tr.Span(k.Name, k.Stage, pid, tidOf(k.Stage), k.Start, k.End, attrsOf(k))
 		}

@@ -85,21 +85,36 @@ type Event struct {
 }
 
 // maxSpans is a safety valve: once a recorder holds this many spans it
-// stops sampling new roots (children of already-open roots still record,
-// so open trees stay complete). The cutoff depends only on deterministic
-// counts, so truncated dumps are still byte-stable.
+// stops recording new roots (Root and RootTraced refuse them and mark the
+// store truncated), but children of roots already in the store still
+// record, so recorded trees stay complete. That stays bounded: roots are
+// capped, and each root's children come from its own transaction. The
+// cutoff depends only on deterministic counts, so truncated dumps are
+// still byte-stable.
 const maxSpans = 1 << 20
 
+// The store keeps spans in fixed-size chunks that are never moved or
+// copied: growth allocates one more chunk, and a record index maps to
+// (chunk, offset) by shift and mask. A chunk of 256 104-byte spans stays
+// under the runtime's 32 KiB small-object limit.
+const (
+	chunkShift = 8
+	chunkLen   = 1 << chunkShift
+	chunkMask  = chunkLen - 1
+)
+
 // Recorder issues IDs and accumulates spans. It is not goroutine-safe:
-// like sim.Engine, each run owns its recorder exclusively.
+// like sim.Engine, each run owns its recorder exclusively. A span's ID is
+// its record index plus one, so a child finds its parent by index.
 type Recorder struct {
 	rng       *sim.RNG
 	rate      float64
 	roots     uint64 // root candidates seen (sampled or not)
 	sampled   int
 	truncated bool
-	spans     []Span
-	nextID    SpanID
+	chunks    []*[chunkLen]Span
+	n         int // spans recorded
+	limit     int // span count at which new roots are refused
 	events    []Event
 	// att is the report Attribution last built. Every call that records
 	// or changes a span or an event clears it.
@@ -115,7 +130,7 @@ func NewRecorder(seed uint64, rate float64) *Recorder {
 	if rate <= 0 || rate > 1 {
 		rate = 1
 	}
-	return &Recorder{rng: sim.NewRNG(seed).Fork(0x5bab5), rate: rate}
+	return &Recorder{rng: sim.NewRNG(seed).Fork(0x5bab5), rate: rate, limit: maxSpans}
 }
 
 // SetSampleRate replaces the head-sampling rate for subsequent roots.
@@ -176,17 +191,7 @@ func (r *Recorder) Root(kind, name string, start sim.Time) Ref {
 	if r.rate < 1 && g.Float64() >= r.rate {
 		return Ref{r: r}
 	}
-	if len(r.spans) >= maxSpans {
-		r.truncated = true
-		return Ref{r: r}
-	}
-	r.nextID++
-	r.spans = append(r.spans, Span{
-		Trace: TraceID(g.Uint64()), ID: r.nextID,
-		Kind: kind, Name: name, Start: start, End: start,
-	})
-	r.sampled++
-	return Ref{r: r, idx: len(r.spans)}
+	return r.addRoot(TraceID(g.Uint64()), kind, name, start)
 }
 
 // RootTraced records a root span under an explicit, caller-chosen
@@ -202,17 +207,41 @@ func (r *Recorder) RootTraced(trace TraceID, kind, name string, start sim.Time) 
 	}
 	r.att = nil
 	r.roots++
-	if len(r.spans) >= maxSpans {
+	return r.addRoot(trace, kind, name, start)
+}
+
+// addRoot records a sampled root, or refuses it and marks the store
+// truncated once the store is full.
+func (r *Recorder) addRoot(trace TraceID, kind, name string, start sim.Time) Ref {
+	if r.n >= r.limit {
 		r.truncated = true
 		return Ref{r: r}
 	}
-	r.nextID++
-	r.spans = append(r.spans, Span{
-		Trace: trace, ID: r.nextID,
-		Kind: kind, Name: name, Start: start, End: start,
-	})
 	r.sampled++
-	return Ref{r: r, idx: len(r.spans)}
+	return r.add(Span{Trace: trace, Kind: kind, Name: name, Start: start, End: start})
+}
+
+// add appends s with the next ID, growing the store by one chunk when the
+// last is full, and returns a Ref to it.
+func (r *Recorder) add(s Span) Ref {
+	if r.n>>chunkShift == len(r.chunks) {
+		r.chunks = append(r.chunks, new([chunkLen]Span))
+	}
+	r.n++
+	s.ID = SpanID(r.n)
+	*r.at(r.n - 1) = s
+	return Ref{r: r, idx: r.n}
+}
+
+// at returns the span at record index i.
+func (r *Recorder) at(i int) *Span { return &r.chunks[i>>chunkShift][i&chunkMask] }
+
+// Len reports how many spans the store holds.
+func (r *Recorder) Len() int {
+	if r == nil {
+		return 0
+	}
+	return r.n
 }
 
 // RecordEvent pins a global annotation (e.g. a RAS fault) at simulated
@@ -239,7 +268,7 @@ func (r *Recorder) String() string {
 	if r == nil {
 		return summary(0, 0, 0, 0)
 	}
-	return summary(len(r.spans), r.sampled, r.roots, r.rate)
+	return summary(r.n, r.sampled, r.roots, r.rate)
 }
 
 // Spans returns the recorded spans in record order.
@@ -247,7 +276,11 @@ func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	return append([]Span(nil), r.spans...)
+	out := make([]Span, r.n)
+	for i := 0; i < r.n; i += chunkLen {
+		copy(out[i:], r.chunks[i>>chunkShift][:])
+	}
+	return out
 }
 
 // Ref is a handle to a recorded span. The zero Ref (and any Ref obtained
@@ -255,7 +288,7 @@ func (r *Recorder) Spans() []Span {
 // no-op, so instrumentation never branches on sampling itself.
 type Ref struct {
 	r   *Recorder
-	idx int // 1-based index into r.spans; 0 = inert
+	idx int // record index + 1 (the span's ID); 0 = inert
 }
 
 // Valid reports whether the Ref refers to a live recorded span. Hot paths
@@ -269,11 +302,12 @@ func (f Ref) Valid() bool { return f.r != nil && f.idx > 0 }
 // tracing context at all".
 func (f Ref) Attached() bool { return f.r != nil }
 
-func (f Ref) span() *Span { return &f.r.spans[f.idx-1] }
+func (f Ref) span() *Span { return f.r.at(f.idx - 1) }
 
 // Child records a child span of f in the same trace, covering
 // [start, end] and attributing its time to stage. Reversed intervals are
 // swapped. It returns a Ref to the child so callers can annotate it.
+// Children record even when the store is full (see maxSpans).
 func (f Ref) Child(stage, name string, start, end sim.Time, attrs ...Attr) Ref {
 	if !f.Valid() {
 		return Ref{}
@@ -281,19 +315,12 @@ func (f Ref) Child(stage, name string, start, end sim.Time, attrs ...Attr) Ref {
 	if end < start {
 		start, end = end, start
 	}
-	r := f.r
-	r.att = nil
-	if len(r.spans) >= maxSpans {
-		r.truncated = true
-		return Ref{}
-	}
+	f.r.att = nil
 	parent := f.span()
-	r.nextID++
-	r.spans = append(r.spans, Span{
-		Trace: parent.Trace, ID: r.nextID, Parent: parent.ID,
+	return f.r.add(Span{
+		Trace: parent.Trace, Parent: parent.ID,
 		Stage: stage, Name: name, Start: start, End: end, Attrs: attrs,
 	})
-	return Ref{r: r, idx: len(r.spans)}
 }
 
 // Annotate appends a key/value attribute to the span.

@@ -3,6 +3,7 @@ package spans
 import (
 	"bytes"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/sim"
@@ -226,7 +227,7 @@ func TestAddToTraceValidates(t *testing.T) {
 
 // TestAttributionReuseTracksMutations checks the attribution the
 // recorder keeps: after every call that records or changes a span or an
-// event, Attribution equals a fresh BuildAttribution over the spans, and
+// event, Attribution equals a fresh reference build over the spans, and
 // with nothing recorded in between it returns the same report.
 func TestAttributionReuseTracksMutations(t *testing.T) {
 	r := NewRecorder(3, 1)
@@ -250,8 +251,8 @@ func TestAttributionReuseTracksMutations(t *testing.T) {
 		before := r.Attribution()
 		st.do()
 		got := r.Attribution()
-		if want := BuildAttribution(r.Spans()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d (%s): Attribution = %+v, BuildAttribution = %+v", i, st.name, got, want)
+		if want := refBuildAttribution(r.Spans()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%s): Attribution = %+v, reference = %+v", i, st.name, got, want)
 		}
 		if got == before {
 			t.Errorf("step %d (%s): Attribution returned the report built before the call", i, st.name)
@@ -266,5 +267,118 @@ func TestAttributionReuseTracksMutations(t *testing.T) {
 		if r.String() != d.String() {
 			t.Errorf("step %d (%s): recorder summary %q, dump summary %q", i, st.name, r.String(), d.String())
 		}
+	}
+}
+
+// TestChunkBoundaries records 255, 256 and 257 spans, one chunk's worth
+// either side of the first boundary, and checks Spans returns them all
+// in record order with their IDs. It then writes through Refs into
+// chunk 0 after chunk 2 exists: growth must never move a span.
+func TestChunkBoundaries(t *testing.T) {
+	for _, n := range []int{chunkLen - 1, chunkLen, chunkLen + 1} {
+		r := NewRecorder(2, 1)
+		root := r.Root(KindMem, "root", 0)
+		for i := 1; i < n; i++ {
+			root.Child(StageHBM, strconv.Itoa(i), sim.Time(i), sim.Time(i+1))
+		}
+		s := r.Spans()
+		if r.Len() != n || len(s) != n {
+			t.Fatalf("%d spans: Len %d, Spans returned %d", n, r.Len(), len(s))
+		}
+		if want := (n + chunkLen - 1) / chunkLen; len(r.chunks) != want {
+			t.Errorf("%d spans in %d chunks, want %d", n, len(r.chunks), want)
+		}
+		for i := 1; i < n; i++ {
+			if s[i].ID != SpanID(i+1) || s[i].Name != strconv.Itoa(i) || s[i].Parent != 1 {
+				t.Fatalf("%d spans: record %d = %+v, want ID %d named %d under the root", n, i, s[i], i+1, i)
+			}
+		}
+	}
+
+	r := NewRecorder(2, 1)
+	root := r.Root(KindMem, "root", 0)
+	early := root.Child(StageFabric, "early", 0, 1)
+	for r.Len() <= 2*chunkLen {
+		root.Child(StageHBM, "late", 2, 3)
+	}
+	if len(r.chunks) != 3 {
+		t.Fatalf("%d spans in %d chunks, want 3", r.Len(), len(r.chunks))
+	}
+	early.Annotate("k", "v")
+	early.Finish(99)
+	root.Finish(1000)
+	s := r.Spans()
+	if s[0].End != 1000 || s[1].End != 99 || !reflect.DeepEqual(s[1].Attrs, []Attr{{"k", "v"}}) {
+		t.Errorf("writes through chunk-0 Refs after growth: root %+v, early child %+v", s[0], s[1])
+	}
+	for i := range s {
+		if s[i].ID != SpanID(i+1) {
+			t.Fatalf("record %d has ID %d: Spans lost record order", i, s[i].ID)
+		}
+	}
+}
+
+// TestTruncationKeepsOpenTreesComplete fills a recorder to its cap and
+// checks the cap's contract: new roots (sampled or traced) are refused,
+// the store is marked truncated and RootsSampled stops, but a root
+// already in the store keeps recording children, so its latency is
+// attributed to their stages rather than to untracked. The truncated
+// dump is byte-stable.
+func TestTruncationKeepsOpenTreesComplete(t *testing.T) {
+	build := func() *Recorder {
+		r := NewRecorder(5, 1)
+		r.limit = 4
+		open := r.Root(KindMem, "open", 0)
+		open.Child(StageFabric, "hop0", 0, 10)
+		r.Root(KindMem, "closed", 5).Finish(20)
+		r.RootTraced(9, KindDispatch, "job", 6).Finish(30)
+		if ref := r.Root(KindMem, "refused", 40); ref.Valid() || !ref.Attached() {
+			t.Errorf("Root on a full store = %+v, want an attached, inert Ref", ref)
+		}
+		if r.RootTraced(9, KindDispatch, "refused", 40).Valid() {
+			t.Error("RootTraced on a full store recorded a root")
+		}
+		open.Child(StageCache, "mall0", 10, 30)
+		open.Child(StageHBM, "hbm.ch0", 30, 50).Annotate("k", "v")
+		open.Finish(50)
+		return r
+	}
+	r := build()
+	d := r.Dump()
+	if !d.Truncated {
+		t.Error("full store not marked truncated")
+	}
+	if r.RootsSampled() != 3 || r.RootsSeen() != 5 {
+		t.Errorf("sampled/seen = %d/%d, want 3/5", r.RootsSampled(), r.RootsSeen())
+	}
+	var kids []string
+	for _, s := range r.Spans() {
+		if s.Parent == 1 {
+			kids = append(kids, s.Name)
+		}
+	}
+	if want := []string{"hop0", "mall0", "hbm.ch0"}; !reflect.DeepEqual(kids, want) {
+		t.Errorf("open root's children = %v, want %v", kids, want)
+	}
+	for _, k := range r.Attribution().Kinds {
+		if k.Kind != KindMem {
+			continue
+		}
+		for _, s := range k.Stages {
+			// Only the childless "closed" root (15 ps) is untracked.
+			if s.Stage == StageUntracked && s.TotalNS != 0.015 {
+				t.Errorf("mem untracked total %g ns, want 0.015: the open root's late children were dropped", s.TotalNS)
+			}
+		}
+	}
+	var a, b bytes.Buffer
+	if err := d.WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := build().Dump().WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("identical truncated recorders dumped different bytes")
 	}
 }

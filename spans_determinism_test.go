@@ -89,57 +89,59 @@ func TestSpanSamplingDeterministicAndSubsetting(t *testing.T) {
 		if half == nil {
 			t.Fatalf("no sampled result for %s", r.ID)
 		}
-		if half.Spans.RootsSeen != r.Spans.RootsSeen {
+		if half.Spans.RootsSeen() != r.Spans.RootsSeen() {
 			t.Errorf("%s: candidate count changed with the rate (%d vs %d)",
-				r.ID, half.Spans.RootsSeen, r.Spans.RootsSeen)
+				r.ID, half.Spans.RootsSeen(), r.Spans.RootsSeen())
 		}
-		if half.Spans.RootsSampled >= r.Spans.RootsSampled {
+		if half.Spans.RootsSampled() >= r.Spans.RootsSampled() {
 			t.Errorf("%s: rate 0.5 sampled %d roots, full rate %d",
-				r.ID, half.Spans.RootsSampled, r.Spans.RootsSampled)
+				r.ID, half.Spans.RootsSampled(), r.Spans.RootsSampled())
 		}
 	}
 }
 
-// TestSpanRasDumpRecordsFaults checks the fault-plan-armed run's dump
-// carries the ras.fault events and the ECC-retry stage, sampled roots
-// with child spans under them, and an attribution report whose per-stage
+// TestSpanRasDumpRecordsFaults checks the fault-plan-armed run's recorder
+// holds the ras.fault events and the ECC-retry stage, sampled roots with
+// child spans under them, and an attribution report whose per-stage
 // shares sum to 1 within 1% for every kind.
 func TestSpanRasDumpRecordsFaults(t *testing.T) {
 	suite := runSpanSuite(t, 2, 1)
-	var d *spans.Dump
+	var rec *spans.Recorder
 	for _, r := range suite.Results {
 		if r.ID == "spanras" {
-			d = r.Spans
+			rec = r.Spans
 		}
 	}
-	if d == nil {
-		t.Fatal("no spanras dump")
+	if rec == nil {
+		t.Fatal("no spanras recorder")
 	}
-	if len(d.Events) != 2 {
-		t.Fatalf("spanras dump has %d events, want 2 ras.fault entries", len(d.Events))
+	events := rec.Events()
+	if len(events) != 2 {
+		t.Fatalf("spanras recorder has %d events, want 2 ras.fault entries", len(events))
 	}
-	for _, e := range d.Events {
+	for _, e := range events {
 		if e.Class != "ras.fault" {
 			t.Errorf("event class %q, want ras.fault", e.Class)
 		}
 	}
 	var ecc bool
-	for _, s := range d.Spans {
+	for _, s := range rec.Spans() {
 		if s.Stage == spans.StageHBMECC {
 			ecc = true
 		}
 	}
 	if !ecc {
-		t.Error("spanras dump has no hbm.ecc child span")
+		t.Error("spanras recorder has no hbm.ecc child span")
 	}
-	if d.RootsSampled <= 0 || len(d.Spans) <= d.RootsSampled {
-		t.Errorf("spanras dump has %d spans over %d sampled roots, want roots > 0 and children beyond them",
-			len(d.Spans), d.RootsSampled)
+	if rec.RootsSampled() <= 0 || rec.Len() <= rec.RootsSampled() {
+		t.Errorf("spanras recorder has %d spans over %d sampled roots, want roots > 0 and children beyond them",
+			rec.Len(), rec.RootsSampled())
 	}
-	if d.Attribution == nil || d.Attribution.Schema != spans.AttributionSchema {
-		t.Fatalf("spanras dump attribution %+v, want schema %q", d.Attribution, spans.AttributionSchema)
+	att := rec.Attribution()
+	if att == nil || att.Schema != spans.AttributionSchema {
+		t.Fatalf("spanras attribution %+v, want schema %q", att, spans.AttributionSchema)
 	}
-	for _, k := range d.Attribution.Kinds {
+	for _, k := range att.Kinds {
 		var share float64
 		for _, s := range k.Stages {
 			share += s.Share
