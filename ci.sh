@@ -6,9 +6,9 @@
 #     so -race is load-bearing, not decoration; the cmd/repro and
 #     cmd/apusimd tests build and drive the real binaries);
 #   the engine bench gate against BENCH_engine.json;
-#   five fuzz stages: the fault-plan parser, and the cache tag store,
-#     functional memory, workgroup placement and span attribution against
-#     their reference implementations.
+#   six fuzz stages: the fault-plan parser, and the cache tag store,
+#     functional memory, workgroup placement, span attribution and the
+#     engine's event queue against their reference implementations.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -122,5 +122,11 @@ echo "== span attribution differential fuzz smoke =="
 # 15 seconds of coverage-guided fuzzing of the span recorder's attribution
 # against the map-based builder it replaced: the reports must be equal.
 go test ./internal/spans/ -run '^$' -fuzz '^FuzzAttributionDifferential$' -fuzztime 15s >/dev/null
+
+echo "== event engine differential fuzz smoke =="
+# 15 seconds of coverage-guided fuzzing of sim.Engine against the
+# linear-scan reference engine: the firing trace, Now, Fired, Cancelled,
+# Drained and Quiescent must match after every operation.
+go test ./internal/sim/ -run '^$' -fuzz '^FuzzEngineDifferential$' -fuzztime 15s >/dev/null
 
 echo "ci.sh: all checks passed"

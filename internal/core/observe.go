@@ -11,33 +11,25 @@ import (
 )
 
 // BuildOptions configures platform assembly. The apusim facade's
-// functional options (WithSeed, WithTelemetry, WithSpans, WithAudit)
-// reduce to this struct.
+// functional options (WithTelemetry, WithSpans) reduce to this struct.
 type BuildOptions struct {
-	// HarvestSeed seeds the deterministic CU-harvesting RNG; 0 selects
-	// the historical default, so existing platforms are bit-identical.
-	HarvestSeed uint64
 	// Telemetry, when non-nil, has every component probe registered on it
 	// (see Instrument).
 	Telemetry *telemetry.Recorder
 	// Spans, when non-nil, records causal span trees for memory
 	// transactions and AQL dispatches.
 	Spans *spans.Recorder
-	// Audit, when non-nil, has every component conservation ledger
-	// registered on it (see AttachAudit).
-	Audit *audit.Auditor
 }
 
 // NewPlatformWith assembles a platform with explicit build options.
 func NewPlatformWith(spec *config.PlatformSpec, opts BuildOptions) (*Platform, error) {
-	p, err := newPlatform(spec, opts.HarvestSeed, opts.Spans)
+	p, err := newPlatform(spec, opts.Spans)
 	if err != nil {
 		return nil, err
 	}
 	if opts.Telemetry != nil {
 		p.Instrument(opts.Telemetry)
 	}
-	p.AttachAudit(opts.Audit)
 	return p, nil
 }
 

@@ -65,8 +65,6 @@ type Platform struct {
 	Power *power.Model
 	// gov tracks the live governor state for telemetry; built lazily.
 	gov *Governor
-	// harvestSeed drives deterministic CU harvesting (0 = default).
-	harvestSeed uint64
 	// spans, when non-nil, records causal span trees on the memory and
 	// dispatch hot paths (BuildOptions.Spans). Nil costs the hot paths
 	// one pointer check.
@@ -91,20 +89,24 @@ type Platform struct {
 // hbmLatency is the HBM array access latency.
 const hbmLatency = 120 * sim.Nanosecond
 
+// harvestSeed seeds the deterministic CU-harvesting RNG, so every build
+// of a spec harvests the same CUs.
+const harvestSeed = 0xC0FFEE
+
 // NewPlatform assembles a platform from its spec with default build
 // options (see NewPlatformWith in observe.go for the configurable form).
 func NewPlatform(spec *config.PlatformSpec) (*Platform, error) {
-	return newPlatform(spec, 0, nil)
+	return newPlatform(spec, nil)
 }
 
-// newPlatform assembles a platform; harvestSeed 0 selects the historical
-// default CU-harvesting seed. sp must be threaded in here (not set after
-// construction) because buildCompute copies it into the GPU ExecEnv.
-func newPlatform(spec *config.PlatformSpec, harvestSeed uint64, sp *spans.Recorder) (*Platform, error) {
+// newPlatform assembles a platform. sp must be threaded in here (not set
+// after construction) because buildCompute copies it into the GPU
+// ExecEnv.
+func newPlatform(spec *config.PlatformSpec, sp *spans.Recorder) (*Platform, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Platform{Spec: spec, Net: fabric.New(), harvestSeed: harvestSeed, spans: sp}
+	p := &Platform{Spec: spec, Net: fabric.New(), spans: sp}
 
 	// Memory system.
 	p.HBM = mem.NewHBM(spec.HBM.Generation, spec.HBM.Stacks, spec.HBM.ChannelsStack,
@@ -285,11 +287,7 @@ func (p *Platform) buildGCDFabric() {
 // complexes.
 func (p *Platform) buildCompute() {
 	spec := p.Spec
-	seed := p.harvestSeed
-	if seed == 0 {
-		seed = 0xC0FFEE
-	}
-	rng := sim.NewRNG(seed)
+	rng := sim.NewRNG(harvestSeed)
 	for i := 0; i < spec.XCDs; i++ {
 		p.XCDs = append(p.XCDs, gpu.NewXCD(i, spec.XCD, rng))
 	}

@@ -54,11 +54,8 @@ func (e *Engine) ClassName(c Class) string {
 	return e.classes[c].name
 }
 
-// Classes reports how many classes are interned (ClassDefault included).
-func (e *Engine) Classes() int { return len(e.classes) }
-
-// Hook observes engine execution. An observer installed with SetHook or
-// AddHook receives one callback per fired event with the event's interned
+// Hook observes engine execution. An observer installed with AddHook
+// receives one callback per fired event with the event's interned
 // class handle, its simulated firing time, and the wall-clock cost of its
 // handler. The engine measures handler wall time only while a hook is
 // installed or profiling is enabled, so an unobserved run pays nothing.
@@ -66,11 +63,6 @@ func (e *Engine) Classes() int { return len(e.classes) }
 type Hook interface {
 	EventDone(class Class, at Time, wall time.Duration)
 }
-
-// SetHook installs (or, with nil, removes) the execution observer,
-// replacing anything installed before. Components that must coexist with
-// other observers (the runtime watchdog, ad-hoc tracers) use AddHook.
-func (e *Engine) SetHook(h Hook) { e.hook = h }
 
 // AddHook chains h behind any observer already installed: every hook
 // receives every EventDone callback, in installation order. This is the
@@ -123,9 +115,6 @@ type ClassProfile struct {
 // (the default) the dispatch loop takes no timestamps and touches no
 // counters, so unprofiled runs pay nothing.
 func (e *Engine) EnableProfiling() { e.profiling = true }
-
-// ProfilingEnabled reports whether EnableProfiling was called.
-func (e *Engine) ProfilingEnabled() bool { return e.profiling }
 
 // ProfileSnapshot returns the aggregate counters of every class that has
 // fired at least one event, sorted by class name so output built from it

@@ -1,7 +1,9 @@
-// Package sim provides the discrete-event simulation kernel that underpins
-// every timing model in the repository: the Infinity Fabric network, the HBM
-// memory system, the GPU and CPU compute models, and the power governor all
-// schedule work on a shared Engine.
+// Package sim provides the discrete-event simulation kernel: simulated
+// time, a deterministic event engine, seeded random streams and a
+// watchdog. The timing models (fabric, HBM, caches, GPU dispatch) compute
+// their latencies synchronously and schedule nothing; the events come
+// from four schedulers: the runner's milestones and its completion
+// sentinel, the RAS fault injector, and the telemetry sampler.
 //
 // Time is measured in integer picoseconds (type Time) so that link
 // serialization delays, cache hit latencies, and multi-GHz clock periods can
@@ -9,12 +11,11 @@
 // the same instant fire in the order they were scheduled, which makes every
 // simulation in this repository fully deterministic for a given seed.
 //
-// The event queue is a two-tier calendar — a timing wheel of FIFO buckets
-// over a near-future window plus a far-future overflow heap (see wheel.go)
-// — with value-typed event slots recycled through a free list, so
-// steady-state scheduling allocates nothing. Handler classes are interned
-// Class handles (eng.Class("hbm.access") once at setup, integer IDs on the
-// hot path).
+// The event queue is one lazily sorted list (see queue.go) over
+// value-typed event slots recycled through a free list, so steady-state
+// scheduling allocates nothing. Handler classes are interned Class
+// handles (eng.Class("hbm.access") once at setup, integer IDs on the hot
+// path).
 package sim
 
 import (
@@ -43,26 +44,16 @@ type Engine struct {
 	classes  []classInfo
 	classIdx map[string]Class
 
-	// Event slot arena and free list (see wheel.go).
+	// Event slot arena and free list (see queue.go).
 	events []event
 	free   []int32
 
-	// Dispatch buffer: the expired bucket currently being fired, sorted
-	// by (at, seq) and consumed from dispatchPos. Everything with
-	// at < dispatchEnd lives here.
-	dispatch    []int32
-	dispatchPos int
-	dispatchEnd Time
-
-	// Timing wheel over [wheelStart, windowEnd).
-	wheelStart Time
-	windowEnd  Time
-	buckets    [wheelSize][]int32
-	occupied   [wheelSize / 64]uint64
-	nearCount  int
-
-	// Far-future overflow (min-heap by (at, seq)) and Forever sentinels.
-	overflow []int32
+	// Finite events, consumed from head; queue[head:] is sorted by
+	// (at, seq) unless unsorted is set. Forever sentinels live apart.
+	queue    []int32
+	head     int
+	unsorted bool
+	scratch  []int32 // merge buffer for sorting queue[head:]
 	forever  []int32
 
 	liveCount  int // queued, not cancelled (Forever sentinels included)
@@ -85,8 +76,7 @@ func NewEngine() *Engine {
 		classIdx: map[string]Class{DefaultClass: ClassDefault},
 		// Arena slot 0 is a permanent dummy (never allocated, never freed)
 		// so the zero EventID{idx: 0} can never match a real event.
-		events:    make([]event, 1),
-		windowEnd: windowSpan,
+		events: make([]event, 1),
 	}
 }
 
@@ -195,10 +185,10 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// fire pops the dispatch-buffer head (which nextLive just validated),
-// advances the clock, and runs the handler. The slot is reclaimed before
-// the handler runs, so a handler cancelling its own in-flight ID sees a
-// stale generation and reports false — the historical cancel-after-pop
+// fire pops the list head (which nextLive just validated), advances the
+// clock, and runs the handler. The slot is reclaimed before the handler
+// runs, so a handler cancelling its own in-flight ID sees a stale
+// generation and reports false — the historical cancel-after-pop
 // contract.
 func (e *Engine) fire(idx int32) {
 	ev := &e.events[idx]
@@ -206,7 +196,7 @@ func (e *Engine) fire(idx int32) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: invariant violated: event %q at %v fires before now %v (time moved backwards)", e.ClassName(class), at, e.now))
 	}
-	e.dispatchPos++
+	e.head++
 	e.liveCount--
 	e.liveFinite--
 	e.reclaim(idx)

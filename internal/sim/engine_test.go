@@ -273,41 +273,6 @@ func TestFromSeconds(t *testing.T) {
 	}
 }
 
-func TestClockBasics(t *testing.T) {
-	c := NewClock(1e9) // 1 GHz -> 1 ns period
-	if p := c.Period(); p != Nanosecond {
-		t.Errorf("Period = %v, want 1ns", p)
-	}
-	if d := c.Cycles(1000); d != Microsecond {
-		t.Errorf("Cycles(1000) = %v, want 1µs", d)
-	}
-	if n := c.CyclesAt(Microsecond); n != 1000 {
-		t.Errorf("CyclesAt(1µs) = %d, want 1000", n)
-	}
-}
-
-func TestClockNextEdge(t *testing.T) {
-	c := NewClock(1e9)
-	if e := c.NextEdge(0); e != 0 {
-		t.Errorf("NextEdge(0) = %v", e)
-	}
-	if e := c.NextEdge(1500); e != 2000 {
-		t.Errorf("NextEdge(1.5ns) = %v, want 2ns", e)
-	}
-	if e := c.NextEdge(2000); e != 2000 {
-		t.Errorf("NextEdge(2ns) = %v, want 2ns", e)
-	}
-}
-
-func TestClockInvalidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewClock(0) did not panic")
-		}
-	}()
-	NewClock(0)
-}
-
 // Property: for any batch of event offsets, events fire in nondecreasing
 // time order and every event fires exactly once.
 func TestEngineFiringOrderProperty(t *testing.T) {
@@ -403,17 +368,6 @@ func TestRNGPermIsPermutation(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineScheduleRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for j := 0; j < 1000; j++ {
-			e.Schedule(Time(j%97), ClassDefault, func(Time) {})
-		}
-		e.RunAll()
-	}
-}
-
 // testHook records EventDone callbacks for the profiling-hook tests.
 type testHook struct {
 	classes []Class
@@ -430,7 +384,7 @@ func (h *testHook) EventDone(class Class, _ Time, wall time.Duration) {
 func TestHookObservesClassesAndWall(t *testing.T) {
 	e := NewEngine()
 	h := &testHook{}
-	e.SetHook(h)
+	e.AddHook(h)
 	fault := e.Class("ras.fault")
 	sample := e.Class("telemetry.sample")
 	e.Schedule(10, fault, func(Time) {})
@@ -451,18 +405,6 @@ func TestHookObservesClassesAndWall(t *testing.T) {
 	}
 	if got := e.ClassName(fault); got != "ras.fault" {
 		t.Errorf("ClassName(fault) = %q", got)
-	}
-}
-
-func TestHookRemovable(t *testing.T) {
-	e := NewEngine()
-	h := &testHook{}
-	e.SetHook(h)
-	e.Schedule(1, ClassDefault, func(Time) {})
-	e.SetHook(nil)
-	e.RunAll()
-	if len(h.classes) != 0 {
-		t.Errorf("removed hook still observed %v", h.classes)
 	}
 }
 

@@ -49,16 +49,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Norm returns an approximately standard-normal value using the sum of 12
-// uniforms (Irwin-Hall), which is plenty for workload jitter modeling.
-func (r *RNG) Norm() float64 {
-	var s float64
-	for i := 0; i < 12; i++ {
-		s += r.Float64()
-	}
-	return s - 6
-}
-
 // Perm returns a random permutation of [0, n) via Fisher-Yates.
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -133,19 +133,6 @@ func NewRecorder(seed uint64, rate float64) *Recorder {
 	return &Recorder{rng: sim.NewRNG(seed).Fork(0x5bab5), rate: rate, limit: maxSpans}
 }
 
-// SetSampleRate replaces the head-sampling rate for subsequent roots.
-// Values outside (0, 1] select 1.
-func (r *Recorder) SetSampleRate(rate float64) {
-	if r == nil {
-		return
-	}
-	r.att = nil
-	if rate <= 0 || rate > 1 {
-		rate = 1
-	}
-	r.rate = rate
-}
-
 // SampleRate reports the head-sampling rate (0 on a nil recorder).
 func (r *Recorder) SampleRate() float64 {
 	if r == nil {

@@ -20,7 +20,6 @@ func TestNilRecorderAndZeroRefAreInert(t *testing.T) {
 		t.Errorf("nil recorder Root = %+v, want fully inert Ref", ref)
 	}
 	// Every method must no-op without panicking.
-	r.SetSampleRate(0.5)
 	r.RecordEvent(0, "c", "d")
 	if r.SampleRate() != 0 || r.RootsSeen() != 0 || r.RootsSampled() != 0 {
 		t.Error("nil recorder reports nonzero state")
@@ -244,7 +243,6 @@ func TestAttributionReuseTracksMutations(t *testing.T) {
 		{"Finish", func() { root.Finish(130) }},
 		{"RootTraced", func() { r.RootTraced(42, KindDispatch, "job", 10).Finish(60) }},
 		{"RecordEvent", func() { r.RecordEvent(5, "ras.fault", "ecc") }},
-		{"SetSampleRate", func() { r.SetSampleRate(0.5) }},
 		{"Root", func() { r.Root(KindMem, "mem.write", 200).Finish(260) }},
 	}
 	for i, st := range steps {

@@ -121,9 +121,10 @@ func NewSampler(eng *Engine, rec *Recorder, every Time) *Sampler {
 // ParseFaultPlan decodes and validates a JSON fault plan.
 func ParseFaultPlan(data []byte) (*FaultPlan, error) { return ras.ParsePlan(data) }
 
-// NewAuditor returns an empty invariant auditor. Pass it to New via
-// WithAudit (and to a watchdogged engine's drain check yourself if not
-// using the runner); calling Audit evaluates every registered check.
+// NewAuditor returns an empty invariant auditor. Register a platform's
+// ledgers on it with Platform.AttachAudit (and a watchdogged engine's
+// drain check yourself if not using the runner); calling Audit evaluates
+// every registered check.
 func NewAuditor() *Auditor { return audit.New() }
 
 // RandomFaultPlan draws a seed-driven random fault storm within spec's
@@ -139,21 +140,12 @@ func MI300AStormSpec() StormSpec { return ras.MI300AStorm() }
 type Option func(*buildConfig)
 
 type buildConfig struct {
-	seed        uint64
 	eng         *sim.Engine
 	rec         *telemetry.Recorder
 	sampleEvery sim.Time
 	plan        *ras.Plan
 	spanRec     *spans.Recorder
-	spanSample  float64
-	haveSample  bool
-	aud         *audit.Auditor
 }
-
-// WithSeed overrides the CU-harvesting RNG seed; 0 (the default) keeps
-// the historical seed, so platforms built without this option are
-// bit-identical to the classic constructors.
-func WithSeed(seed uint64) Option { return func(c *buildConfig) { c.seed = seed } }
 
 // WithEngine attaches the platform's observers to eng: the telemetry
 // recorder's engine profile (when WithTelemetry is also given) and the
@@ -182,21 +174,6 @@ func WithFaultPlan(plan *FaultPlan) Option { return func(c *buildConfig) { c.pla
 // Platforms built without this option pay nothing on those paths.
 func WithSpans(rec *SpanRecorder) Option { return func(c *buildConfig) { c.spanRec = rec } }
 
-// WithSpanSample sets the head-sampling rate on the recorder given via
-// WithSpans (values outside (0, 1] trace every root). Without WithSpans
-// it is ignored.
-func WithSpanSample(rate float64) Option {
-	return func(c *buildConfig) { c.spanSample = rate; c.haveSample = true }
-}
-
-// WithAudit registers the platform's conservation ledgers — fabric byte
-// conservation, HBM request/response accounting, Infinity Cache slice
-// accounting, dispatch and completion-signal ledgers, the governor's
-// shadow energy ledger — on a. A nil auditor is accepted and inert, so
-// callers can wire this unconditionally; platforms built without it pay
-// nothing at drain.
-func WithAudit(a *Auditor) Option { return func(c *buildConfig) { c.aud = a } }
-
 // New assembles a platform from a product spec plus functional options.
 // With no options it is exactly the classic constructors: NewMI300A and
 // friends are one-line wrappers over it.
@@ -208,14 +185,9 @@ func New(spec *PlatformSpec, opts ...Option) (*Platform, error) {
 	if cfg.plan != nil && cfg.eng == nil {
 		return nil, fmt.Errorf("apusim: WithFaultPlan requires WithEngine — faults are scheduled as engine events")
 	}
-	if cfg.spanRec != nil && cfg.haveSample {
-		cfg.spanRec.SetSampleRate(cfg.spanSample)
-	}
 	p, err := core.NewPlatformWith(spec, core.BuildOptions{
-		HarvestSeed: cfg.seed,
-		Telemetry:   cfg.rec,
-		Spans:       cfg.spanRec,
-		Audit:       cfg.aud,
+		Telemetry: cfg.rec,
+		Spans:     cfg.spanRec,
 	})
 	if err != nil {
 		return nil, err
