@@ -9,33 +9,42 @@
 #   six fuzz stages: the fault-plan parser, and the cache tag store,
 #     functional memory, workgroup placement, span attribution and the
 #     engine's event queue against their reference implementations.
-set -euo pipefail
+#
+# Every stage runs even when an earlier one fails; the script then exits
+# 1 and names the failed stages.
+set -uo pipefail
 cd "$(dirname "$0")"
 
-echo "== gofmt =="
-unformatted=$(gofmt -l .)
-if [ -n "$unformatted" ]; then
-    echo "gofmt: the following files need formatting:" >&2
-    echo "$unformatted" >&2
-    exit 1
-fi
+failed=()
 
-echo "== go vet =="
-go vet ./...
+# stage NAME CMD... runs one stage and records NAME if CMD fails.
+stage() {
+    local name=$1
+    shift
+    echo "== $name =="
+    if ! "$@"; then
+        echo "ci.sh: stage failed: $name" >&2
+        failed+=("$name")
+    fi
+}
 
-echo "== go build =="
-go build ./...
+gofmt_check() {
+    local unformatted
+    unformatted=$(gofmt -l .)
+    if [ -n "$unformatted" ]; then
+        echo "gofmt: the following files need formatting:" >&2
+        echo "$unformatted" >&2
+        return 1
+    fi
+}
 
-echo "== perfbench module vet =="
 # perfbench is a module of its own, so the stages above never compile it.
 # Vetting it against this tree makes a change to an API it calls fail
 # here instead of breaking the benchmark silently.
-(cd perfbench && GOWORK=off GOPROXY=off GOFLAGS=-buildvcs=false go vet .)
+perfbench_vet() {
+    (cd perfbench && GOWORK=off GOPROXY=off GOFLAGS=-buildvcs=false go vet .)
+}
 
-echo "== go test -race =="
-go test -race ./...
-
-echo "== engine bench gate =="
 # Engine microbenchmarks vs the committed BENCH_engine.json baseline:
 # >20% ns/op regression (median of 3 short runs) or any allocs/op
 # increase on the zero-alloc hot paths fails the build. The fresh
@@ -43,8 +52,9 @@ echo "== engine bench gate =="
 tmp_bench=$(mktemp)
 tmp_bench_json=$(mktemp)
 trap 'rm -f "$tmp_bench" "$tmp_bench_json"' EXIT
-go test ./internal/sim/ -run '^$' -bench '^BenchmarkEngine' -benchtime 0.25s -count 3 | tee "$tmp_bench"
-python3 - "$tmp_bench" BENCH_engine.json "$tmp_bench_json" <<'EOF'
+bench_gate() {
+    go test ./internal/sim/ -run '^$' -bench '^BenchmarkEngine' -benchtime 0.25s -count 3 | tee "$tmp_bench" || return 1
+    python3 - "$tmp_bench" BENCH_engine.json "$tmp_bench_json" <<'EOF'
 import json, re, statistics, sys
 
 raw = open(sys.argv[1]).read()
@@ -96,37 +106,49 @@ if failed:
     sys.exit(1)
 print("bench gate: all benchmarks within 20%% of baseline (measured -> %s)" % sys.argv[3])
 EOF
+}
 
-echo "== fault-plan fuzz smoke =="
+# fuzz PKG TARGET TIME runs one coverage-guided fuzz target for TIME.
+fuzz() {
+    go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime "$3" >/dev/null
+}
+
+stage "gofmt" gofmt_check
+stage "go vet" go vet ./...
+stage "go build" go build ./...
+stage "perfbench module vet" perfbench_vet
+stage "go test -race" go test -race ./...
+stage "engine bench gate" bench_gate
+
 # 30 seconds of coverage-guided fuzzing over the RAS fault-plan parser:
 # it must never panic, and accepted plans must round-trip.
-go test ./internal/ras/ -run '^$' -fuzz '^FuzzParsePlan$' -fuzztime 30s >/dev/null
+stage "fault-plan fuzz smoke" fuzz ./internal/ras/ FuzzParsePlan 30s
 
-echo "== cache tag store differential fuzz smoke =="
 # 15 seconds of coverage-guided fuzzing of SetAssoc against the reference
 # tag store it replaced: every return value and the Stats must match.
-go test ./internal/cache/ -run '^$' -fuzz '^FuzzSetAssocDifferential$' -fuzztime 15s >/dev/null
+stage "cache tag store differential fuzz smoke" fuzz ./internal/cache/ FuzzSetAssocDifferential 15s
 
-echo "== functional memory differential fuzz smoke =="
 # 15 seconds of coverage-guided fuzzing of mem.Space against the map-backed
 # reference it replaced: every return value, read buffer, panic and
 # TouchedBytes must match.
-go test ./internal/mem/ -run '^$' -fuzz '^FuzzSpaceDifferential$' -fuzztime 15s >/dev/null
+stage "functional memory differential fuzz smoke" fuzz ./internal/mem/ FuzzSpaceDifferential 15s
 
-echo "== workgroup placement differential fuzz smoke =="
 # 15 seconds of coverage-guided fuzzing of the XCD placement tree against
 # the scan it replaced: every placement's CU and slot must match.
-go test ./internal/gpu/ -run '^$' -fuzz '^FuzzPlacementDifferential$' -fuzztime 15s >/dev/null
+stage "workgroup placement differential fuzz smoke" fuzz ./internal/gpu/ FuzzPlacementDifferential 15s
 
-echo "== span attribution differential fuzz smoke =="
 # 15 seconds of coverage-guided fuzzing of the span recorder's attribution
 # against the map-based builder it replaced: the reports must be equal.
-go test ./internal/spans/ -run '^$' -fuzz '^FuzzAttributionDifferential$' -fuzztime 15s >/dev/null
+stage "span attribution differential fuzz smoke" fuzz ./internal/spans/ FuzzAttributionDifferential 15s
 
-echo "== event engine differential fuzz smoke =="
 # 15 seconds of coverage-guided fuzzing of sim.Engine against the
 # linear-scan reference engine: the firing trace, Now, Fired, Cancelled,
 # Drained and Quiescent must match after every operation.
-go test ./internal/sim/ -run '^$' -fuzz '^FuzzEngineDifferential$' -fuzztime 15s >/dev/null
+stage "event engine differential fuzz smoke" fuzz ./internal/sim/ FuzzEngineDifferential 15s
 
+if [ ${#failed[@]} -gt 0 ]; then
+    echo "ci.sh: ${#failed[@]} stage(s) failed:" >&2
+    printf '  %s\n' "${failed[@]}" >&2
+    exit 1
+fi
 echo "ci.sh: all checks passed"

@@ -52,6 +52,7 @@
 //	apusimd -workers 4 -queue 128  # pool and backlog sizing
 //	apusimd -tenant-max 8          # per-tenant in-flight cap (X-Tenant)
 //	apusimd -cache-bytes 16777216  # result cache LRU budget
+//	apusimd -job-timeout 30s       # one deadline per job, retries included
 //	apusimd -data-dir /var/lib/apusimd  # survive crashes and restarts
 //	apusimd -require-durability    # 503 while degraded instead of non-durable 202s
 //	apusimd -max-queue-wait 500ms  # shed with 429 when p95 queue wait exceeds 500ms
@@ -135,7 +136,7 @@ func main() {
 	queueDepth := flag.Int("queue", 64, "max jobs admitted but not yet running")
 	tenantMax := flag.Int("tenant-max", 0, "max in-flight jobs per tenant (0 = unlimited)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result cache LRU byte budget")
-	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-job wall-clock deadline")
+	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-job wall-clock deadline, retries included")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "how long a graceful drain may take before jobs are cancelled")
 	dataDir := flag.String("data-dir", "", "directory for the durable result store and job journal (empty = memory-only)")
 	requireDurability := flag.Bool("require-durability", false, "refuse submissions with 503 while storage durability is degraded, instead of accepting them as non-durable")
@@ -148,7 +149,6 @@ func main() {
 	chaosOpErr := flag.Float64("chaos-op-err-rate", 0, "TESTING: per-metadata-op probability of an injected failure")
 	chaosENOSPC := flag.Int64("chaos-enospc-bytes", 0, "TESTING: fail writes with ENOSPC after this many bytes")
 	chaosHealAfter := flag.Duration("chaos-heal-after", 0, "TESTING: stop all fault injection after this interval (0 = never)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base delay between job retry attempts (0 = 100ms default)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, error")
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	debugAddr := flag.String("debug-addr", "", "separate address for net/http/pprof (empty = profiling disabled)")
@@ -205,7 +205,6 @@ func main() {
 		DurabilityProbe:     *durabilityProbe,
 		JournalSegmentBytes: *journalSegBytes,
 		MaxQueueWait:        *maxQueueWait,
-		RetryBackoff:        *retryBackoff,
 		Logger:              logger,
 	})
 	if err != nil {

@@ -6,7 +6,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -116,6 +118,22 @@ func (d *daemon) drain(t *testing.T) {
 	}
 	if !strings.Contains(d.log(), "apusimd: drained cleanly") {
 		t.Errorf("no \"drained cleanly\" line after SIGTERM; log:\n%s", d.log())
+	}
+}
+
+// TestRemovedBackoffFlagExits2 pins that job retries run at once: the
+// daemon has no backoff flag, and the flag parser refuses the old one.
+func TestRemovedBackoffFlagExits2(t *testing.T) {
+	// A daemon that accepted the flag would serve until killed.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, buildDaemon(t), "-listen", "127.0.0.1:0", "-retry-backoff", "1s").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("apusimd -retry-backoff 1s: %v, want exit status 2; output:\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined") {
+		t.Errorf("output does not reject the flag:\n%s", out)
 	}
 }
 

@@ -15,7 +15,7 @@
 //	repro -list                # list experiment ids
 //	repro -manifest run.json   # also write a structured run manifest
 //	repro -summary             # print the suite summary table to stderr
-//	repro -retries 2           # re-run failing experiments with fresh engines
+//	repro -retries 2           # re-run failing experiments at once, on fresh engines
 //	repro -faults plan.json    # inject a RAS fault plan into an MI300A run
 //	repro -telemetry out.json  # write sampled telemetry series for runs that record them
 //	repro -sample-ns 100000    # telemetry sampling cadence (simulated ns)
@@ -34,6 +34,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -49,7 +50,7 @@ func main() {
 	exp := flag.String("exp", "", "run a single experiment by id (default: all)")
 	list := flag.Bool("list", false, "list experiment ids")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size (1 = sequential)")
-	timeout := flag.Duration("timeout", 5*time.Minute, "per-experiment wall-clock deadline (0 = none)")
+	timeout := flag.Duration("timeout", 5*time.Minute, "per-experiment wall-clock deadline, retries included (0 = none)")
 	manifest := flag.String("manifest", "", "write a JSON run manifest to this file")
 	summary := flag.Bool("summary", false, "print the suite summary table to stderr")
 	injectPanic := flag.Bool("inject-panic", false, "register a crashing experiment (tests panic isolation)")
@@ -178,33 +179,23 @@ func main() {
 	if *summary {
 		fmt.Fprint(os.Stderr, suite.SummaryTable().String())
 	}
-	if *manifest != "" {
-		if err := writeManifest(*manifest, suite); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: manifest: %v\n", err)
-			exit(1)
+	// Each file is written in registration order, so it is byte-identical
+	// at any -parallel degree.
+	for _, out := range []struct {
+		name, path string
+		write      func(io.Writer) error
+	}{
+		{"manifest", *manifest, func(w io.Writer) error { return runner.BuildManifest(suite).WriteJSON(w) }},
+		{"telemetry", *telemetryOut, suite.WriteTelemetryRuns},
+		{"spans", *spansOut, suite.WriteSpanRuns},
+		{"prom", *promOut, func(w io.Writer) error { return writeProm(w, suite) }},
+		{"audit", *auditOut, suite.WriteAuditRuns},
+	} {
+		if out.path == "" {
+			continue
 		}
-	}
-	if *telemetryOut != "" {
-		if err := writeTelemetry(*telemetryOut, suite); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: telemetry: %v\n", err)
-			exit(1)
-		}
-	}
-	if *spansOut != "" {
-		if err := writeSpans(*spansOut, suite); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: spans: %v\n", err)
-			exit(1)
-		}
-	}
-	if *promOut != "" {
-		if err := writeProm(*promOut, suite); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: prom: %v\n", err)
-			exit(1)
-		}
-	}
-	if *auditOut != "" {
-		if err := writeAudit(*auditOut, suite); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: audit: %v\n", err)
+		if err := writeFile(out.path, out.write); err != nil {
+			fmt.Fprintf(os.Stderr, "repro: %s: %v\n", out.name, err)
 			exit(1)
 		}
 	}
@@ -229,42 +220,14 @@ func main() {
 	exit(0)
 }
 
-func writeManifest(path string, suite *runner.SuiteResult) error {
+// writeFile creates path, fills it with write, and closes it; it returns
+// the first error of the three.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := runner.BuildManifest(suite).WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeTelemetry writes the sampled series of every telemetry-bearing
-// run — in registration order, so the file is byte-identical at any
-// -parallel degree.
-func writeTelemetry(path string, suite *runner.SuiteResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := suite.WriteTelemetryRuns(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeSpans writes the causal span dumps of every span-bearing run —
-// in registration order, so the file is byte-identical at any -parallel
-// degree.
-func writeSpans(path string, suite *runner.SuiteResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := suite.WriteSpanRuns(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -273,57 +236,33 @@ func writeSpans(path string, suite *runner.SuiteResult) error {
 
 // writeProm writes each telemetry-bearing run's final state in
 // Prometheus text exposition format, labeled by run ID.
-func writeProm(path string, suite *runner.SuiteResult) error {
+func writeProm(w io.Writer, suite *runner.SuiteResult) error {
 	var runs []telemetry.PromRun
 	for _, r := range suite.Results {
 		if r.TelemetryDump != nil {
 			runs = append(runs, telemetry.PromRun{ID: r.ID, Dump: r.TelemetryDump})
 		}
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WritePromRuns(f, runs); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeAudit writes each audited run's invariant report — in
-// registration order, so the file is byte-identical at any -parallel
-// degree.
-func writeAudit(path string, suite *runner.SuiteResult) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := suite.WriteAuditRuns(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return telemetry.WritePromRuns(w, runs)
 }
 
 // writeTraces exports the Fig. 14 program timelines and a Fig. 13
 // dispatch as Chrome traces.
 func writeTraces(prefix string) error {
-	f14, err := os.Create(prefix + "-fig14.json")
-	if err != nil {
-		return err
-	}
-	defer f14.Close()
-	if _, err := apusim.WriteTrace(f14, apusim.TraceSpec{Fig14N: 1 << 22}); err != nil {
-		return err
-	}
-	fd, err := os.Create(prefix + "-dispatch.json")
-	if err != nil {
-		return err
-	}
-	defer fd.Close()
-	if _, err := apusim.WriteTrace(fd, apusim.TraceSpec{Dispatch: true}); err != nil {
-		return err
+	for _, tr := range []struct {
+		suffix string
+		spec   apusim.TraceSpec
+	}{
+		{"-fig14.json", apusim.TraceSpec{Fig14N: 1 << 22}},
+		{"-dispatch.json", apusim.TraceSpec{Dispatch: true}},
+	} {
+		err := writeFile(prefix+tr.suffix, func(w io.Writer) error {
+			_, err := apusim.WriteTrace(w, tr.spec)
+			return err
+		})
+		if err != nil {
+			return err
+		}
 	}
 	fmt.Printf("wrote %s-fig14.json and %s-dispatch.json\n", prefix, prefix)
 	return nil
@@ -351,21 +290,11 @@ func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
 			errs = append(errs, cpu.Close())
 		}
 		if memPath != "" {
-			errs = append(errs, writeHeapProfile(memPath))
+			errs = append(errs, writeFile(memPath, func(w io.Writer) error {
+				runtime.GC()
+				return pprof.WriteHeapProfile(w)
+			}))
 		}
 		return errors.Join(errs...)
 	}, nil
-}
-
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -101,6 +101,27 @@ func TestProfileFlags(t *testing.T) {
 	}
 }
 
+// TestFailedOutputWriteExits1: an output file that cannot be created or
+// written fails the run with exit 1, naming the file's flag.
+func TestFailedOutputWriteExits1(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "out.json")
+	for flag, name := range map[string]string{
+		"-manifest": "manifest", "-telemetry": "telemetry", "-spans": "spans",
+		"-prom": "prom", "-audit-out": "audit",
+	} {
+		paths := []string{missing}
+		if _, err := os.Stat("/dev/full"); err == nil {
+			paths = append(paths, "/dev/full") // every write fails with ENOSPC
+		}
+		for _, path := range paths {
+			code, stderr := run(t, "-exp", "table1", flag, path)
+			if code != 1 || !strings.Contains(stderr, "repro: "+name+": ") {
+				t.Errorf("repro %s %s exited %d, want 1 with a %q error:\n%s", flag, path, code, name, stderr)
+			}
+		}
+	}
+}
+
 // TestFaultPlanExitCodes: a survivable fault plan completes (degraded,
 // exit 0); a plan that partitions the fabric fails the run with the
 // typed partition error (exit 1).

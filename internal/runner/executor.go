@@ -3,9 +3,7 @@ package runner
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math"
 	"runtime/debug"
 	"runtime/pprof"
 	"strings"
@@ -30,7 +28,10 @@ const (
 	// its engine — while operating under injected faults. It is distinct
 	// from failure: a degraded suite still passes.
 	StatusDegraded Status = "degraded"
-	StatusTimeout  Status = "timeout"
+	// StatusTimeout marks a run that exceeded Options.Timeout. It is a
+	// failure status, but retries do not apply — the deadline covers
+	// every attempt.
+	StatusTimeout Status = "timeout"
 	// StatusViolated marks a run aborted by the engine watchdog (livelock,
 	// runaway queue growth, handler stall) or — under Options.Strict —
 	// failed by audit invariant violations. It is a failure status: the
@@ -55,7 +56,8 @@ type Result struct {
 	Err error
 	// Stack is the panic stack trace, when Status is StatusPanic.
 	Stack string
-	// Wall is the run's wall-clock duration (the deadline, on timeout).
+	// Wall is the final attempt's wall-clock duration (the whole
+	// deadline, on timeout).
 	Wall time.Duration
 	// EventsFired and EventsPending are the run engine's counters at the
 	// end of the run. A clean run drains its queue (EventsPending == 0);
@@ -67,11 +69,6 @@ type Result struct {
 	Milestones []string
 	// Attempts is how many times the experiment ran (1 + retries used).
 	Attempts int
-	// RetryDelays are the backoff delays inserted before attempts 2..N,
-	// in order. They are computed deterministically from the experiment
-	// ID (seeded exponential backoff with jitter), so a retried run's
-	// manifest is reproducible. Empty when no retry waited.
-	RetryDelays []time.Duration
 	// Faults are the injected-fault summaries recorded via Ctx.RecordFault.
 	Faults []string
 	// Telemetry is the compact sampled-series summary, set only when the
@@ -269,72 +266,46 @@ func cancelledResult(e Experiment, cause error) Result {
 }
 
 // runOne executes a single experiment with panic recovery, an optional
-// wall-clock deadline, and up to retries additional attempts on failure.
-// Every attempt runs on a completely fresh context and engine, so a
-// crashed attempt cannot poison its successor; the final attempt's result
-// is returned with Attempts counting how many ran. Cancellation ends the
-// retry loop immediately: a cancelled attempt is never retried. With
-// Options.RetryBackoff set, each retry waits out a deterministic
-// exponentially-growing jittered delay first (interruptible by
-// Options.Context), and the delays are recorded on the result.
+// wall-clock deadline, and up to Options.Retries additional attempts on
+// failure. Every attempt runs on a completely fresh context and engine, so
+// a crashed attempt cannot poison its successor, and starts as soon as its
+// predecessor fails: a run is a pure function of its experiment, so there
+// is nothing to wait out. The deadline covers all attempts; a timed-out or
+// cancelled attempt is never retried. The final attempt's result is
+// returned with Attempts counting how many ran.
 func runOne(e Experiment, opts Options) Result {
-	var res Result
-	var delays []time.Duration
-	rng := sim.NewRNG(backoffSeed(e.ID))
+	var deadline time.Time
+	if opts.Timeout > 0 {
+		deadline = time.Now().Add(opts.Timeout)
+	}
 	for attempt := 1; ; attempt++ {
-		res = runAttempt(e, opts)
+		res := runAttempt(e, opts, deadline)
 		res.Attempts = attempt
-		res.RetryDelays = delays
-		if !res.Failed() || res.Status == StatusCancelled || attempt > opts.Retries {
+		if !res.Failed() || res.Status == StatusCancelled || res.Status == StatusTimeout || attempt > opts.Retries {
 			return res
 		}
-		if d := retryDelay(opts, attempt, rng); d > 0 {
-			delays = append(delays, d)
-			timer := time.NewTimer(d)
-			select {
-			case <-timer.C:
-			case <-opts.ctx().Done():
-				// The next runAttempt observes the cancellation and
-				// returns a typed cancelled result immediately.
-				timer.Stop()
-			}
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			// No time is left for another attempt.
+			res = timedOut(e, opts.Timeout)
+			res.Attempts = attempt
+			return res
 		}
 	}
 }
 
-// backoffSeed derives the deterministic jitter seed from the experiment
-// ID, the same way span recorders derive theirs — so recorded retry
-// delays are a pure function of (experiment, attempt).
-func backoffSeed(id string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	return h.Sum64()
-}
-
-// retryDelay computes the backoff before attempt+1: the base doubled per
-// completed attempt, scaled by a jitter factor in [0.5, 1.5) drawn from
-// the seeded stream, clamped to RetryBackoffMax when set. Desynchronizing
-// retries (jitter) matters when many runs fail together — a thundering
-// herd of identical retry schedules re-collides forever.
-func retryDelay(opts Options, attempt int, rng *sim.RNG) time.Duration {
-	if opts.RetryBackoff <= 0 {
-		return 0
+// runAttempt executes one attempt of an experiment with panic recovery,
+// bounded by the experiment's deadline (zero for none). The run happens
+// on a fresh goroutine so the deadline — or a cancelled Options.Context —
+// can abandon it; an abandoned run keeps its private engine and context,
+// so there is no shared state to race on.
+func runAttempt(e Experiment, opts Options, deadline time.Time) Result {
+	// A nil channel never fires: no deadline.
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		expired = timer.C
 	}
-	d := float64(opts.RetryBackoff) * math.Pow(2, float64(attempt-1))
-	d *= 0.5 + rng.Float64()
-	if max := opts.RetryBackoffMax; max > 0 && d > float64(max) {
-		d = float64(max)
-	}
-	return time.Duration(d)
-}
-
-// runAttempt executes one attempt of an experiment with panic recovery and
-// an optional wall-clock deadline. The run happens on a fresh goroutine so
-// a deadline — or a cancelled Options.Context — can abandon it; an
-// abandoned run keeps its private engine and context, so there is no
-// shared state to race on.
-func runAttempt(e Experiment, opts Options) Result {
-	timeout := opts.Timeout
 	done := make(chan Result, 1)
 	// The experiment label lets a CPU or goroutine profile of a whole
 	// suite attribute each sample to the experiment that took it.
@@ -343,9 +314,9 @@ func runAttempt(e Experiment, opts Options) Result {
 		ctx := newCtx(e.ID, opts)
 		res := Result{ID: e.ID, Desc: e.Desc, Status: StatusOK}
 		start := time.Now()
-		// The watchdog converts silent hangs into a typed abort: it rides
-		// the engine hook seam, so the telemetry profile (attached later by
-		// Ctx.Telemetry) chains behind it instead of replacing it.
+		// The watchdog converts silent hangs into a typed abort. The
+		// telemetry profile Ctx.Telemetry may arm later is the engine's
+		// per-class counters (EnableProfiling), not a second hook.
 		wcfg := sim.WatchdogConfig{}
 		if opts.Watchdog != nil {
 			wcfg = *opts.Watchdog
@@ -422,26 +393,22 @@ func runAttempt(e Experiment, opts Options) Result {
 	})
 
 	ctx := opts.ctx()
-	if timeout <= 0 {
-		select {
-		case res := <-done:
-			return res
-		case <-ctx.Done():
-			return cancelledResult(e, ctx.Err())
-		}
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
 	select {
 	case res := <-done:
 		return res
-	case <-timer.C:
-		return Result{
-			ID: e.ID, Desc: e.Desc, Status: StatusTimeout,
-			Err:  fmt.Errorf("exceeded %v deadline", timeout),
-			Wall: timeout,
-		}
+	case <-expired:
+		return timedOut(e, opts.Timeout)
 	case <-ctx.Done():
 		return cancelledResult(e, ctx.Err())
+	}
+}
+
+// timedOut synthesizes the typed result for an experiment that exceeded
+// its deadline.
+func timedOut(e Experiment, timeout time.Duration) Result {
+	return Result{
+		ID: e.ID, Desc: e.Desc, Status: StatusTimeout,
+		Err:  fmt.Errorf("exceeded %v deadline", timeout),
+		Wall: timeout,
 	}
 }

@@ -57,9 +57,6 @@ type ExperimentRecord struct {
 	// Attempts is how many times the experiment ran (1 unless -retries
 	// rescued a failing run).
 	Attempts int `json:"attempts,omitempty"`
-	// RetryDelaysMS are the deterministic backoff delays inserted before
-	// attempts 2..N, present only when a retry actually waited.
-	RetryDelaysMS []float64 `json:"retry_delays_ms,omitempty"`
 	// Faults are the injected-fault summaries the run recorded.
 	Faults []string `json:"faults,omitempty"`
 	// Telemetry is the run's sampled-series summary, present only for
@@ -106,9 +103,6 @@ func BuildManifest(s *SuiteResult) *Manifest {
 			Attempts:      r.Attempts,
 			Faults:        r.Faults,
 			Telemetry:     r.Telemetry,
-		}
-		for _, d := range r.RetryDelays {
-			rec.RetryDelaysMS = append(rec.RetryDelaysMS, d.Seconds()*1e3)
 		}
 		if r.Spans.Len() > 0 {
 			rec.Spans = r.Spans.Attribution()

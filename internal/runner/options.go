@@ -19,24 +19,19 @@ type Options struct {
 	// Parallel is the worker-pool size. It must be >= 1; use
 	// DefaultParallel() for one worker per CPU.
 	Parallel int
-	// Timeout is the per-experiment wall-clock deadline; 0 disables it.
-	// Negative deadlines are an error.
+	// Timeout is the per-experiment wall-clock deadline, covering every
+	// attempt: each retry runs against what is left of it, and a run
+	// that exceeds it ends StatusTimeout without further retries. 0
+	// disables it; negative deadlines are an error.
 	Timeout time.Duration
 	// Retries is how many additional attempts a failed experiment gets.
-	// Each attempt runs on a fresh context and engine — no state leaks
-	// from a failed attempt into its successor. The final attempt's result
-	// is reported, with Attempts recording how many ran. Negative counts
-	// are an error.
+	// Each attempt starts as soon as the previous one fails, on a fresh
+	// context and engine — no state leaks from a failed attempt into its
+	// successor, and since a run is a pure function of its experiment,
+	// waiting before a retry would change nothing. The final attempt's
+	// result is reported, with Attempts recording how many ran. Negative
+	// counts are an error.
 	Retries int
-	// RetryBackoff is the base delay inserted before each retry. Delays
-	// grow exponentially (base, 2·base, 4·base, …) with deterministic
-	// jitter seeded from the experiment ID, so a retried run's recorded
-	// delays are reproducible. 0 retries immediately; negative is an
-	// error. RetryBackoffMax, when > 0, caps each delay. A transient
-	// failure (a poisoned shared resource, a racing tenant) gets room to
-	// clear instead of being hammered with immediate re-attempts.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
 	// IDs restricts the run to a subset (still in registration order);
 	// nil runs everything.
 	IDs []string
@@ -55,13 +50,6 @@ type Options struct {
 	// context; values outside (0, 1] select 1 (trace every root), but NaN
 	// is an error. It only matters for experiments that call Ctx.Spans.
 	SpanSample float64
-	// TraceID, when non-empty, is the service-level trace correlation key
-	// for this suite run (apusimd threads each job's trace ID here). It is
-	// exposed to experiments via Ctx.TraceID for structured logging, and
-	// it is observability-only: nothing derived from it ever lands in a
-	// manifest, telemetry dump, or span dump, so the byte-identical
-	// determinism contract is untouched.
-	TraceID string
 	// OnResult, when set, is called once per experiment in registration
 	// order as soon as the result (and all earlier ones) are available,
 	// so callers can stream deterministic output while later experiments
@@ -120,14 +108,6 @@ func (o Options) Validate() error {
 	if o.Retries < 0 {
 		return &OptionsError{Field: "Retries", Value: o.Retries,
 			Reason: "retry budget must be >= 0"}
-	}
-	if o.RetryBackoff < 0 {
-		return &OptionsError{Field: "RetryBackoff", Value: o.RetryBackoff,
-			Reason: "retry backoff base must be >= 0 (0 retries immediately)"}
-	}
-	if o.RetryBackoffMax < 0 {
-		return &OptionsError{Field: "RetryBackoffMax", Value: o.RetryBackoffMax,
-			Reason: "retry backoff cap must be >= 0 (0 means uncapped)"}
 	}
 	if o.SampleEvery < 0 {
 		return &OptionsError{Field: "SampleEvery", Value: o.SampleEvery,

@@ -34,7 +34,6 @@ import (
 // ArmSampler.
 type Ctx struct {
 	id          string
-	traceID     string
 	eng         *sim.Engine
 	sampleEvery sim.Time
 	telem       *telemetry.Recorder
@@ -54,7 +53,7 @@ type Ctx struct {
 }
 
 func newCtx(id string, opts Options) *Ctx {
-	c := &Ctx{id: id, traceID: opts.TraceID, eng: sim.NewEngine(), sampleEvery: opts.SampleEvery, spanSample: opts.SpanSample}
+	c := &Ctx{id: id, eng: sim.NewEngine(), sampleEvery: opts.SampleEvery, spanSample: opts.SpanSample}
 	c.clsMilestone = c.eng.Class("runner.milestone")
 	c.clsSentinel = c.eng.Class("runner.sentinel")
 	if opts.Audit {
@@ -75,12 +74,6 @@ func (c *Ctx) Auditor() *audit.Auditor { return c.aud }
 
 // ID reports the experiment ID this context belongs to.
 func (c *Ctx) ID() string { return c.id }
-
-// TraceID reports the service-level trace correlation key the suite was
-// launched with (Options.TraceID), or "" for standalone runs. It exists
-// for structured logging only — it must never influence simulation
-// behavior or any deterministic artifact.
-func (c *Ctx) TraceID() string { return c.traceID }
 
 // Engine returns the run's private discrete-event engine.
 func (c *Ctx) Engine() *sim.Engine { return c.eng }

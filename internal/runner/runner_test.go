@@ -411,6 +411,58 @@ func TestRetriesExhaustedKeepsFailure(t *testing.T) {
 	}
 }
 
+// Options.Timeout is the deadline of the whole experiment: retries start
+// at once and run against what is left of it, and running out ends them.
+func TestRetriesShareOneDeadline(t *testing.T) {
+	// With time to spare, a run that fails twice is rescued by its third
+	// attempt.
+	r := NewRegistry()
+	var flakyCalls int32
+	r.MustRegister(Experiment{
+		ID: "flaky", Desc: "fails twice, then succeeds",
+		Run: func(*Ctx) (string, error) {
+			if atomic.AddInt32(&flakyCalls, 1) <= 2 {
+				return "", errors.New("transient failure")
+			}
+			return "recovered\n", nil
+		},
+	})
+	s, err := r.RunSuite(Options{Parallel: 1, Retries: 2, Timeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := s.Results[0]; res.Status != StatusOK || res.Attempts != 3 {
+		t.Fatalf("flaky = status %s attempts %d, want ok/3", res.Status, res.Attempts)
+	}
+
+	// Attempts that each fail after 30 ms exhaust a 100 ms deadline before
+	// the retry budget: the result is a timeout, not the last error.
+	r = NewRegistry()
+	var slowCalls int32
+	r.MustRegister(Experiment{
+		ID: "slowbad", Desc: "fails every attempt after 30 ms",
+		Run: func(*Ctx) (string, error) {
+			atomic.AddInt32(&slowCalls, 1)
+			time.Sleep(30 * time.Millisecond)
+			return "", errors.New("permanent failure")
+		},
+	})
+	s, err = r.RunSuite(Options{Parallel: 1, Retries: 5, Timeout: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := s.Results[0]
+	if res.Status != StatusTimeout || res.Attempts >= 6 {
+		t.Fatalf("slowbad = status %s attempts %d (%v), want timeout after fewer than 6", res.Status, res.Attempts, res.Err)
+	}
+	if got := atomic.LoadInt32(&slowCalls); got >= 6 {
+		t.Errorf("run function called %d times, want fewer than 6", got)
+	}
+	if res.Err == nil || res.Err.Error() != "exceeded 100ms deadline" {
+		t.Errorf("timeout error %v, want \"exceeded 100ms deadline\"", res.Err)
+	}
+}
+
 func TestDegradedDistinctFromFailed(t *testing.T) {
 	r := NewRegistry()
 	r.MustRegister(Experiment{

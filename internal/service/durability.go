@@ -431,11 +431,12 @@ func (s *Server) maybeRequeueInterrupted(job *Job) {
 	place, stored := s.placeLocked(job.spec, job.key, s.cache.Peek)
 	switch place {
 	case placeStored:
-		// Journal before publishing, as finishJob does.
+		// Journal and count before publishing, as finishJob does.
 		rec := &durable.Record{Op: durable.OpDone, Job: job.id, State: string(stored.State), Attempts: stored.Attempts}
 		job.pending = rec
 		s.mu.Unlock()
 		s.journalAppendSync(*rec)
+		s.completed[stored.State].Add(1)
 		job.finish(stored.State, stored.Manifest, "", stored.Attempts)
 		s.observeJobLatency(job)
 		s.event(job, "requeue_interrupted", "from_cache", "interrupted job finished from cache",

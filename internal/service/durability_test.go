@@ -198,10 +198,18 @@ func TestInterruptedJobFinishesFromStoredResult(t *testing.T) {
 		t.Fatalf("fresh run finished %s, want ok", fin.State)
 	}
 	_, want := d.get(t, "/v1/jobs/"+fresh.ID+"/manifest")
+	const okDone = `apusimd_jobs_completed_total{state="ok"}`
+	_, text := d.get(t, "/v1/metrics")
+	before := promValue(t, string(text), okDone)
 
 	fin := d.await(t, "j-000001")
 	if fin.State != JobOK || !fin.Recovered {
 		t.Fatalf("interrupted job finished %+v, want ok and recovered", fin)
+	}
+	// Finishing from the store is a completion like any other.
+	_, text = d.get(t, "/v1/metrics")
+	if after := promValue(t, string(text), okDone); after != before+1 {
+		t.Errorf("%s went from %g to %g, want +1", okDone, before, after)
 	}
 	for _, tr := range fin.Transitions {
 		if tr.State == JobRunning {

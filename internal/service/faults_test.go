@@ -283,6 +283,46 @@ func TestTimeoutMSJobReachesTerminalTimeout(t *testing.T) {
 	d.await(t, st2.ID)
 }
 
+// TestJobTimeoutBoundsRetriedJob pins JobTimeout as the deadline of the
+// whole job: a retried job that runs out of time ends in timeout, and its
+// retries neither restart the clock nor wait between attempts.
+func TestJobTimeoutBoundsRetriedJob(t *testing.T) {
+	const jobTimeout = 100 * time.Millisecond
+	d := newTestDaemon(t, Config{Workers: 1, JobTimeout: jobTimeout})
+	_, st := d.submit(t, `{"experiment": "exp-gated", "retries": 3}`)
+	fin := d.await(t, st.ID)
+	if fin.State != JobTimeout {
+		t.Fatalf("retried job finished %s (%s), want timeout", fin.State, fin.Error)
+	}
+	if e2e := time.Duration(fin.E2ENS); e2e >= 4*jobTimeout {
+		t.Errorf("retried job took %v end to end, want under 4x its %v deadline", e2e, jobTimeout)
+	}
+}
+
+// TestTimedOutJobsReportOneError pins one deadline per job: every job that
+// runs out of time reports the same error, naming the deadline.
+func TestTimedOutJobsReportOneError(t *testing.T) {
+	d := newTestDaemon(t, Config{Workers: 1})
+	texts := make(map[string]int)
+	for i := 0; i < 20; i++ {
+		// Timeouts are never cached, so each submission runs afresh.
+		_, st := d.submit(t, `{"experiment": "exp-gated", "timeout_ms": 20}`)
+		fin := d.await(t, st.ID)
+		if fin.State != JobTimeout {
+			t.Fatalf("job %d finished %s, want timeout", i, fin.State)
+		}
+		texts[fin.Error]++
+	}
+	if len(texts) != 1 {
+		t.Fatalf("timed-out jobs reported %d error texts, want 1: %v", len(texts), texts)
+	}
+	for text := range texts {
+		if !strings.Contains(text, "deadline") {
+			t.Errorf("timeout error %q does not name the deadline", text)
+		}
+	}
+}
+
 // TestLatencyShedsSlowQueue arms latency-aware admission and shows that
 // a backlogged server whose p95 queue wait exceeds MaxQueueWait sheds
 // fresh submissions with 429 queue_slow, even though the queue is

@@ -43,7 +43,8 @@ type Config struct {
 	// CacheBytes is the result cache's LRU byte budget; <= 0 selects
 	// 64 MiB. Set to 1 to effectively disable caching (no manifest fits).
 	CacheBytes int64
-	// JobTimeout is the per-job wall-clock deadline; <= 0 selects 2m.
+	// JobTimeout is the per-job wall-clock deadline, retries included;
+	// <= 0 selects 2m.
 	JobTimeout time.Duration
 	// DataDir, when non-empty, makes the server crash-safe: results are
 	// persisted to a content-addressed store under this directory and
@@ -72,10 +73,6 @@ type Config struct {
 	// shedding still applies; this catches queues that are shallow but
 	// slow.
 	MaxQueueWait time.Duration
-	// RetryBackoff is the base delay between a job's retry attempts;
-	// <= 0 selects 100ms. Delays grow exponentially per attempt with
-	// deterministic jitter and are capped at 10x the base.
-	RetryBackoff time.Duration
 	// Logger receives the daemon's structured log records (job lifecycle,
 	// admission control, recovery, drain). Nil discards them.
 	Logger *slog.Logger
@@ -186,9 +183,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.JobTimeout <= 0 {
 		cfg.JobTimeout = 2 * time.Minute
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 100 * time.Millisecond
 	}
 	if cfg.WatchHeartbeat <= 0 {
 		cfg.WatchHeartbeat = 15 * time.Second
@@ -528,36 +522,22 @@ func (s *Server) simulate(job *Job) (runner.Result, []byte) {
 		})
 		id = "faultplan"
 	}
-	// The job's wall-clock deadline: the spec's timeout_ms may only
-	// tighten the server default. Spec deadlines are enforced twice over —
-	// the runner's per-attempt timer and a real deadline on the run
-	// context — so a spec that retries cannot stretch its budget.
+	// The job's one wall-clock deadline covers every attempt; the spec's
+	// timeout_ms may only tighten the server default.
 	timeout := s.cfg.JobTimeout
-	runCtx := s.runCtx
-	if spec.TimeoutMS > 0 {
-		if d := time.Duration(spec.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-		var cancel context.CancelFunc
-		runCtx, cancel = context.WithTimeout(s.runCtx, timeout)
-		defer cancel()
+	if d := time.Duration(spec.TimeoutMS) * time.Millisecond; d > 0 && d < timeout {
+		timeout = d
 	}
 	opts := runner.Options{
-		Parallel:        1,
-		IDs:             []string{id},
-		Timeout:         timeout,
-		Retries:         spec.Retries,
-		RetryBackoff:    s.cfg.RetryBackoff,
-		RetryBackoffMax: 10 * s.cfg.RetryBackoff,
-		Context:         runCtx,
-		SampleEvery:     sim.Time(spec.SampleNS) * sim.Nanosecond,
-		SpanSample:      1,
-		Audit:           spec.Audit,
-		Strict:          spec.Strict,
-		// The trace ID rides along for structured logging only; the runner
-		// guarantees it never reaches a manifest or span dump, so cached
-		// manifest bytes stay identical with or without it.
-		TraceID: job.traceID,
+		Parallel:    1,
+		IDs:         []string{id},
+		Timeout:     timeout,
+		Retries:     spec.Retries,
+		Context:     s.runCtx,
+		SampleEvery: sim.Time(spec.SampleNS) * sim.Nanosecond,
+		SpanSample:  1,
+		Audit:       spec.Audit,
+		Strict:      spec.Strict,
 	}
 	if spec.Spans {
 		opts.SpanSample = spec.SpanSample
@@ -565,19 +545,6 @@ func (s *Server) simulate(job *Job) (runner.Result, []byte) {
 	suite, err := reg.RunSuite(opts)
 	if err != nil {
 		return runner.Result{ID: id, Status: runner.StatusError, Err: err, Attempts: 1}, nil
-	}
-	// A spec deadline firing mid-attempt surfaces as a context
-	// cancellation, which is indistinguishable from shutdown inside the
-	// runner. Out here it is distinguishable: the job's own deadline
-	// expired while the server's run context is still live, so the
-	// outcome is a timeout, not a cancellation.
-	if spec.TimeoutMS > 0 && runCtx.Err() == context.DeadlineExceeded && s.runCtx.Err() == nil {
-		if r := &suite.Results[0]; r.Status == runner.StatusCancelled {
-			r.Status = runner.StatusTimeout
-			if r.Err == nil {
-				r.Err = fmt.Errorf("job exceeded its %v wall-clock deadline", timeout)
-			}
-		}
 	}
 	suite.Wall = 0
 	for i := range suite.Results {

@@ -61,15 +61,15 @@ type Spec struct {
 	// violation instead of degrading it.
 	Audit  bool `json:"audit,omitempty"`
 	Strict bool `json:"strict,omitempty"`
-	// Retries is how many extra attempts a failing run gets, each on a
-	// fresh engine.
+	// Retries is how many extra attempts a failing run gets, each at once
+	// on a fresh engine, all within the job's one deadline.
 	Retries int `json:"retries,omitempty"`
-	// TimeoutMS is the job's wall-clock deadline in milliseconds; 0 means
-	// the server default. A spec deadline can only tighten the server's —
-	// the effective deadline is min(timeout_ms, server default). Jobs that
-	// exceed it reach the terminal "timeout" state. Part of the content
-	// hash: the deadline can change the outcome, so it is spec semantics,
-	// not an inert preference.
+	// TimeoutMS is the job's wall-clock deadline in milliseconds, retries
+	// included; 0 means the server default. A spec deadline can only
+	// tighten the server's — the effective deadline is min(timeout_ms,
+	// server default). Jobs that exceed it reach the terminal "timeout"
+	// state. Part of the content hash: the deadline can change the
+	// outcome, so it is spec semantics, not an inert preference.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// NoCache bypasses the result cache in both directions: the job
 	// neither reads a stored manifest nor coalesces onto an in-flight

@@ -86,8 +86,9 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 
 // Watchdog is an engine Hook that detects livelock (event storms with no
 // simulated-time progress), runaway queue growth, and single-handler
-// wall-clock stalls. Install attaches it through the engine's hook seam
-// (AddHook), so it composes with telemetry engine profiles.
+// wall-clock stalls. Install attaches it with AddHook; a telemetry engine
+// profile is the engine's per-class counters (EnableProfiling), which
+// run beside any hook.
 type Watchdog struct {
 	cfg      WatchdogConfig
 	eng      *Engine

@@ -1,8 +1,6 @@
 package apusim
 
 import (
-	"fmt"
-
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -143,13 +141,12 @@ type buildConfig struct {
 	eng         *sim.Engine
 	rec         *telemetry.Recorder
 	sampleEvery sim.Time
-	plan        *ras.Plan
 	spanRec     *spans.Recorder
 }
 
-// WithEngine attaches the platform's observers to eng: the telemetry
-// recorder's engine profile (when WithTelemetry is also given) and the
-// fault plan's scheduled events (when WithFaultPlan is given).
+// WithEngine attaches the telemetry recorder's engine profile to eng
+// (when WithTelemetry is also given). To inject faults, arm a plan on the
+// assembled platform with ArmFaultPlan.
 func WithEngine(eng *Engine) Option { return func(c *buildConfig) { c.eng = eng } }
 
 // WithTelemetry registers the full platform probe set — fabric link
@@ -162,11 +159,6 @@ func WithTelemetry(rec *Recorder) Option { return func(c *buildConfig) { c.rec =
 func WithSampleEvery(every Time) Option {
 	return func(c *buildConfig) { c.sampleEvery = every }
 }
-
-// WithFaultPlan arms plan against the assembled platform's fabric, HBM,
-// XCDs, and GPU partition. It requires WithEngine — faults are events,
-// and they need an engine to be scheduled on.
-func WithFaultPlan(plan *FaultPlan) Option { return func(c *buildConfig) { c.plan = plan } }
 
 // WithSpans wires rec into the platform's memory and dispatch hot paths:
 // every sampled memory transaction and AQL dispatch records a causal span
@@ -181,9 +173,6 @@ func New(spec *PlatformSpec, opts ...Option) (*Platform, error) {
 	var cfg buildConfig
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.plan != nil && cfg.eng == nil {
-		return nil, fmt.Errorf("apusim: WithFaultPlan requires WithEngine — faults are scheduled as engine events")
 	}
 	p, err := core.NewPlatformWith(spec, core.BuildOptions{
 		Telemetry: cfg.rec,
@@ -200,19 +189,12 @@ func New(spec *PlatformSpec, opts ...Option) (*Platform, error) {
 			cfg.rec.ObserveEngine(cfg.eng)
 		}
 	}
-	if cfg.plan != nil {
-		inj := ras.NewInjector(cfg.plan)
-		targets := ras.Targets{Net: p.Net, HBM: p.HBM, XCDs: p.XCDs, GPU: p.GPU, Spans: cfg.spanRec}
-		if _, err := inj.Arm(cfg.eng, targets); err != nil {
-			return nil, err
-		}
-	}
 	return p, nil
 }
 
-// ArmFaultPlan arms plan against p's components on eng, for callers that
-// built the platform first and want the injector back (its Applied log
-// and Errs). New's WithFaultPlan covers the common fire-and-forget case.
+// ArmFaultPlan arms plan against p's fabric, HBM, XCDs, and GPU partition
+// on eng — faults are engine events — and returns the injector (its
+// Applied log and Errs).
 func ArmFaultPlan(p *Platform, eng *Engine, plan *FaultPlan) (*FaultInjector, error) {
 	inj := ras.NewInjector(plan)
 	targets := ras.Targets{Net: p.Net, HBM: p.HBM, XCDs: p.XCDs, GPU: p.GPU, Spans: p.SpanRecorder()}

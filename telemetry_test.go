@@ -276,13 +276,9 @@ func TestManifestEmbedsTelemetrySummary(t *testing.T) {
 	}
 }
 
-// TestNewOptionValidation pins the facade's option rules: a fault plan
-// without an engine is an error, and the no-option path matches the
-// classic constructors.
+// TestNewOptionValidation pins the facade's no-option path: it matches
+// the classic constructors.
 func TestNewOptionValidation(t *testing.T) {
-	if _, err := New(SpecMI300A(), WithFaultPlan(&FaultPlan{})); err == nil {
-		t.Fatal("WithFaultPlan without WithEngine did not error")
-	}
 	a, err := New(SpecMI300A())
 	if err != nil {
 		t.Fatal(err)
