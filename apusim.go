@@ -82,7 +82,7 @@ const (
 // NewMI300A builds the MI300A APU platform (§IV): 228 CUs across six
 // XCDs, 24 "Zen 4" cores across three CCDs, 128 GB of unified HBM3 behind
 // a 256 MB Infinity Cache, all on four USR-meshed IODs. Options (e.g.
-// WithTelemetry) are accepted by New; this and the other product
+// WithSpans) are accepted by New; this and the other product
 // constructors are its no-option spellings.
 func NewMI300A() (*Platform, error) { return New(config.MI300A()) }
 

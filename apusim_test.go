@@ -19,7 +19,7 @@ func TestExperimentTable1Shape(t *testing.T) {
 }
 
 func TestExperimentFig7Ordering(t *testing.T) {
-	rows, _, err := ExperimentFig7()
+	rows, _, err := ExperimentFig7(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestExperimentFig12bcHotspots(t *testing.T) {
 }
 
 func TestExperimentFig13Cooperation(t *testing.T) {
-	r, err := ExperimentFig13()
+	r, err := ExperimentFig13(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestExperimentFig13Cooperation(t *testing.T) {
 }
 
 func TestExperimentFig14APUAdvantage(t *testing.T) {
-	r, _, err := ExperimentFig14(1 << 20)
+	r, _, err := ExperimentFig14(nil, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestExperimentFig14APUAdvantage(t *testing.T) {
 }
 
 func TestExperimentFig15Speedup(t *testing.T) {
-	r, err := ExperimentFig15(1<<20, 64)
+	r, err := ExperimentFig15(nil, 1<<20, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestExperimentFig17AllModes(t *testing.T) {
 }
 
 func TestExperimentFig18Topologies(t *testing.T) {
-	rs, _, err := ExperimentFig18()
+	rs, _, err := ExperimentFig18(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestExperimentFig19Uplifts(t *testing.T) {
 }
 
 func TestExperimentFig20Shape(t *testing.T) {
-	speedups, series, err := ExperimentFig20()
+	speedups, series, err := ExperimentFig20(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestExperimentFig20Shape(t *testing.T) {
 }
 
 func TestExperimentFig21Shape(t *testing.T) {
-	rows, _, err := ExperimentFig21()
+	rows, _, err := ExperimentFig21(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestExperimentFig21Shape(t *testing.T) {
 }
 
 func TestExperimentEHPv4Shape(t *testing.T) {
-	r, _, err := ExperimentEHPv4()
+	r, _, err := ExperimentEHPv4(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func BenchmarkFig7_IODBandwidths(b *testing.B) {
 	var rows []IODBandwidth
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, _, err = ExperimentFig7()
+		rows, _, err = ExperimentFig7(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func BenchmarkFig13_MultiXCDDispatch(b *testing.B) {
 	var r *Fig13Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = ExperimentFig13()
+		r, err = ExperimentFig13(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func BenchmarkFig14_UnifiedMemory(b *testing.B) {
 	var r *Fig14Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, _, err = ExperimentFig14(1 << 21)
+		r, _, err = ExperimentFig14(nil, 1<<21)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func BenchmarkFig15_FineGrainOverlap(b *testing.B) {
 	var r *OverlapResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = ExperimentFig15(1<<20, 64)
+		r, err = ExperimentFig15(nil, 1<<20, 64)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func BenchmarkFig18_NodeTopologies(b *testing.B) {
 	var rs [2]Fig18Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		rs, _, err = ExperimentFig18()
+		rs, _, err = ExperimentFig18(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func BenchmarkFig19_GenerationalUplift(b *testing.B) {
 	var rows []Fig19Row
 	for i := 0; i < b.N; i++ {
 		rows, _ = ExperimentFig19()
-		if _, err := MeasuredBandwidths(); err != nil {
+		if _, err := MeasuredBandwidths(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -200,7 +200,7 @@ func BenchmarkFig20_HPCSpeedups(b *testing.B) {
 	var speedups map[string]float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		speedups, _, err = ExperimentFig20()
+		speedups, _, err = ExperimentFig20(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func BenchmarkFig21_LLMInference(b *testing.B) {
 	var rows []Fig21Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, _, err = ExperimentFig21()
+		rows, _, err = ExperimentFig21(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,7 +239,7 @@ func BenchmarkSec3_EHPv4Ablation(b *testing.B) {
 	var r *EHPv4Ablation
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, _, err = ExperimentEHPv4()
+		r, _, err = ExperimentEHPv4(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -296,7 +296,7 @@ func BenchmarkAblation_SchedulingPolicy(b *testing.B) {
 	var r *PolicyAblation
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, _, err = ExperimentPolicyAblation()
+		r, _, err = ExperimentPolicyAblation(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func BenchmarkAblation_InfinityCachePrefetch(b *testing.B) {
 	var r *PrefetchAblation
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, err = ExperimentPrefetchAblation()
+		r, err = ExperimentPrefetchAblation(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func BenchmarkAblation_ShimDispatch(b *testing.B) {
 	var rows []ShimCrossover
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, _, err = ExperimentShim()
+		rows, _, err = ExperimentShim(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -382,7 +382,7 @@ func BenchmarkAblation_ManagedMemory(b *testing.B) {
 	var r *ManagedMemoryResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		r, _, err = ExperimentManagedMemory(1 << 21)
+		r, _, err = ExperimentManagedMemory(nil, 1<<21)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -427,7 +427,7 @@ func BenchmarkScale_StrongScaling(b *testing.B) {
 	var pts []ScalePoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, _, err = ExperimentStrongScale()
+		pts, _, err = ExperimentStrongScale(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -441,7 +441,7 @@ func BenchmarkAblation_TenantIsolation(b *testing.B) {
 	var rs [2]TenantIsolation
 	for i := 0; i < b.N; i++ {
 		var err error
-		rs, _, err = ExperimentTenantIsolation()
+		rs, _, err = ExperimentTenantIsolation(nil)
 		if err != nil {
 			b.Fatal(err)
 		}

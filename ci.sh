@@ -47,14 +47,14 @@ perfbench_vet() {
 
 # Engine microbenchmarks vs the committed BENCH_engine.json baseline:
 # >20% ns/op regression (median of 3 short runs) or any allocs/op
-# increase on the zero-alloc hot paths fails the build. The fresh
-# measurement JSON is emitted next to the raw output for inspection.
+# increase on the zero-alloc hot paths fails the build. The gate prints
+# one line per gated benchmark (median ns/op, baseline ns/op, their
+# ratio, allocs/op against baseline), so a red gate shows its numbers.
 tmp_bench=$(mktemp)
-tmp_bench_json=$(mktemp)
-trap 'rm -f "$tmp_bench" "$tmp_bench_json"' EXIT
+trap 'rm -f "$tmp_bench"' EXIT
 bench_gate() {
     go test ./internal/sim/ -run '^$' -bench '^BenchmarkEngine' -benchtime 0.25s -count 3 | tee "$tmp_bench" || return 1
-    python3 - "$tmp_bench" BENCH_engine.json "$tmp_bench_json" <<'EOF'
+    python3 - "$tmp_bench" BENCH_engine.json <<'EOF'
 import json, re, statistics, sys
 
 raw = open(sys.argv[1]).read()
@@ -64,47 +64,30 @@ for line in raw.splitlines():
     m = re.match(r"^(BenchmarkEngine\w+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(.*)$", line)
     if not m:
         continue
-    name, ns, rest = m.group(1), float(m.group(2)), m.group(3)
-    rate = re.search(r"([\d.]+) (?:events|ops)/s", rest)
-    allocs = re.search(r"(\d+) allocs/op", rest)
-    runs.setdefault(name, []).append({
-        "ns_per_op": ns,
-        "rate_per_s": float(rate.group(1)) if rate else None,
-        "allocs_per_op": int(allocs.group(1)) if allocs else None,
-    })
-
-measured = {
-    name: {
-        "ns_per_op": statistics.median(r["ns_per_op"] for r in rs),
-        "rate_per_s": statistics.median(r["rate_per_s"] for r in rs) if rs[0]["rate_per_s"] is not None else None,
-        "allocs_per_op": min(r["allocs_per_op"] for r in rs),
-    }
-    for name, rs in runs.items()
-}
-json.dump(measured, open(sys.argv[3], "w"), indent=2)
+    allocs = re.search(r"(\d+) allocs/op", m.group(3))
+    runs.setdefault(m.group(1), []).append(
+        (float(m.group(2)), int(allocs.group(1)) if allocs else None))
 
 failed = False
 for name, want in base.items():
     if not isinstance(want, dict):
         continue
-    got = measured.get(name)
-    if got is None:
+    rs = runs.get(name)
+    if not rs:
         print("bench gate: %s missing from this run" % name)
         failed = True
         continue
-    if got["ns_per_op"] > want["ns_per_op"] * 1.20:
-        print("bench gate: %s regressed: %.2f ns/op vs baseline %.2f (+%.0f%%)"
-              % (name, got["ns_per_op"], want["ns_per_op"],
-                 100 * (got["ns_per_op"] / want["ns_per_op"] - 1)))
-        failed = True
-    if got["allocs_per_op"] > want["allocs_per_op"]:
-        print("bench gate: %s allocates %d/op, baseline %d"
-              % (name, got["allocs_per_op"], want["allocs_per_op"]))
-        failed = True
+    ns = statistics.median(r[0] for r in rs)
+    allocs = min(r[1] for r in rs)
+    bad = ns > want["ns_per_op"] * 1.20 or allocs > want["allocs_per_op"]
+    print("bench gate: %-29s %10.2f ns/op, baseline %10.2f (%.2fx); %d allocs/op, baseline %d%s"
+          % (name, ns, want["ns_per_op"], ns / want["ns_per_op"],
+             allocs, want["allocs_per_op"], "  FAILED" if bad else ""))
+    failed = failed or bad
 if failed:
-    print("bench gate: see fresh measurements in", sys.argv[3])
+    print("bench gate: failed: more than 1.20x baseline ns/op, or more allocs/op")
     sys.exit(1)
-print("bench gate: all benchmarks within 20%% of baseline (measured -> %s)" % sys.argv[3])
+print("bench gate: all benchmarks within 20% of baseline")
 EOF
 }
 

@@ -13,19 +13,18 @@ import (
 
 func main() {
 	// 1. Assemble the APU: 6 XCDs + 3 CCDs on 4 IODs, 128 GB HBM3 behind
-	// a 256 MB Infinity Cache, all coherent in one package. The options
-	// attach a telemetry recorder (every component registers its probes
-	// during assembly) and an engine for sampling on; with no options New
-	// is exactly apusim.NewMI300A.
-	eng := apusim.NewEngine()
-	rec := apusim.NewRecorder()
-	apu, err := apusim.New(apusim.SpecMI300A(),
-		apusim.WithEngine(eng),
-		apusim.WithTelemetry(rec),
-		apusim.WithSampleEvery(10*apusim.Microsecond))
+	// a 256 MB Infinity Cache, all coherent in one package. Then attach a
+	// telemetry recorder: every component registers its probes on it, it
+	// profiles the engine the sampler runs on, and it samples every 10 µs.
+	apu, err := apusim.NewMI300A()
 	if err != nil {
 		log.Fatal(err)
 	}
+	eng := apusim.NewEngine()
+	rec := apusim.NewRecorder()
+	apu.Instrument(rec)
+	rec.ObserveEngine(eng)
+	rec.SetCadence(10 * apusim.Microsecond)
 	fmt.Printf("platform: %s — %d CUs, %d cores, %.1f TB/s HBM, %d MB Infinity Cache\n",
 		apu.Spec.Name, apu.Spec.TotalCUs(), apu.Spec.TotalCores(),
 		apu.Spec.PeakMemoryBW()/1e12, apu.Spec.InfinityCacheBytes()>>20)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/audit"
 	"repro/internal/chiplet"
 	"repro/internal/config"
 	"repro/internal/fabric"
@@ -19,6 +20,12 @@ import (
 // the paper's evaluation, each returning structured results plus a
 // rendered, paper-style table or series. cmd/repro prints them;
 // bench_test.go regenerates them under `go test -bench`.
+//
+// An experiment that builds a platform takes its run's *runner.Ctx and
+// builds every platform through ctx.Platform, which wires in the run's
+// auditor and span recorder; bare components (networks, HBMs, caches,
+// partitions) register on ctx.Auditor() through the audit helpers. A nil
+// ctx builds plain, unaudited platforms, as tests and benchmarks do.
 
 // ExperimentTable1 reproduces Table 1: peak operations-per-clock-per-CU
 // for CDNA 2 (MI250X) versus CDNA 3 (MI300A), all data types.
@@ -58,8 +65,8 @@ type IODBandwidth struct {
 // ExperimentFig7 reproduces Fig. 7: bandwidths across the IOD's
 // interfaces (3D-bonded chiplet, USR horizontal/vertical, HBM stack, x16),
 // measured by saturating each interface with back-to-back transfers.
-func ExperimentFig7() ([]IODBandwidth, *metrics.Table, error) {
-	p, err := NewMI300A()
+func ExperimentFig7(ctx *runner.Ctx) ([]IODBandwidth, *metrics.Table, error) {
+	p, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -244,8 +251,8 @@ type Fig13Result struct {
 // read by the ACE in every XCD of the partition, each launching its
 // subset of workgroups, with completion synchronization to a nominated
 // XCD.
-func ExperimentFig13() (*Fig13Result, error) {
-	p, err := NewMI300A()
+func ExperimentFig13(ctx *runner.Ctx) (*Fig13Result, error) {
+	p, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return nil, err
 	}
@@ -278,21 +285,21 @@ type Fig14Result struct {
 // ExperimentFig14 reproduces Fig. 14: the same computation as a CPU-only
 // program, a discrete-GPU program with explicit copies (on MI250X), and a
 // unified-memory APU program (on MI300A).
-func ExperimentFig14(n int) (*Fig14Result, *metrics.Table, error) {
+func ExperimentFig14(ctx *runner.Ctx, n int) (*Fig14Result, *metrics.Table, error) {
 	if n <= 0 {
 		n = 1 << 22
 	}
 	// Each program gets a fresh platform so no queueing state leaks
 	// between runs.
-	cpuPlat, err := NewMI300A()
+	cpuPlat, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return nil, nil, err
 	}
-	disc, err := NewMI250X()
+	disc, err := ctx.Platform(config.MI250X())
 	if err != nil {
 		return nil, nil, err
 	}
-	apu, err := NewMI300A()
+	apu, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -323,11 +330,11 @@ func ExperimentFig14(n int) (*Fig14Result, *metrics.Table, error) {
 
 // ExperimentFig15 reproduces Fig. 15: fine-grained decoupling of GPU
 // production and CPU consumption through coherent flags.
-func ExperimentFig15(n, chunks int) (*OverlapResult, error) {
+func ExperimentFig15(ctx *runner.Ctx, n, chunks int) (*OverlapResult, error) {
 	if n <= 0 {
 		n, chunks = 1<<20, 64
 	}
-	p, err := NewMI300A()
+	p, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return nil, err
 	}
@@ -368,7 +375,7 @@ type Fig18Result struct {
 
 // ExperimentFig18 reproduces Fig. 18: the 4×MI300A and 8×MI300X node
 // architectures, validated and measured under all-to-all traffic.
-func ExperimentFig18() ([2]Fig18Result, *metrics.Table, error) {
+func ExperimentFig18(ctx *runner.Ctx) ([2]Fig18Result, *metrics.Table, error) {
 	var out [2]Fig18Result
 	build := []func() (*Node, error){QuadAPUNode, OctoAcceleratorNode}
 	t := metrics.NewTable("Fig. 18: node topologies",
@@ -389,6 +396,7 @@ func ExperimentFig18() ([2]Fig18Result, *metrics.Table, error) {
 			BisectionBW:    n.BisectionBWPerDir(),
 		}
 		net := n.BuildNetwork()
+		audit.Fabric(ctx.Auditor(), net)
 		const bytes = 32 << 20
 		var end sim.Time
 		var count int
@@ -457,12 +465,12 @@ func gb(b int64) float64       { return float64(b) / (1 << 30) }
 
 // ExperimentFig20 reproduces Fig. 20: measured speedups of the HPC
 // workload proxies on MI300A over MI250X.
-func ExperimentFig20() (map[string]float64, *metrics.Series, error) {
-	a, err := NewMI300A()
+func ExperimentFig20(ctx *runner.Ctx) (map[string]float64, *metrics.Series, error) {
+	a, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := NewMI250X()
+	m, err := ctx.Platform(config.MI250X())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -488,8 +496,16 @@ type Fig21Row struct {
 // ExperimentFig21 reproduces Fig. 21: Llama-2 70B inference latency
 // (batch 1, 2048 input, 128 output tokens) for MI300X vLLM versus the
 // baseline GPU under vLLM, TensorRT-LLM, and TensorRT-LLM FP8.
-func ExperimentFig21() ([]Fig21Row, *metrics.Table, error) {
-	results, err := workload.RunFig21()
+func ExperimentFig21(ctx *runner.Ctx) ([]Fig21Row, *metrics.Table, error) {
+	mi300x, err := ctx.Platform(config.MI300X())
+	if err != nil {
+		return nil, nil, err
+	}
+	base, err := ctx.Platform(config.BaselineGPU())
+	if err != nil {
+		return nil, nil, err
+	}
+	results, err := workload.RunFig21(mi300x, base)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -526,12 +542,12 @@ type EHPv4Ablation struct {
 }
 
 // ExperimentEHPv4 runs the §III ablation.
-func ExperimentEHPv4() (*EHPv4Ablation, *metrics.Table, error) {
-	a, err := NewMI300A()
+func ExperimentEHPv4(ctx *runner.Ctx) (*EHPv4Ablation, *metrics.Table, error) {
+	a, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return nil, nil, err
 	}
-	e, err := NewEHPv4()
+	e, err := ctx.Platform(config.EHPv4())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -562,7 +578,6 @@ type TSVAlignmentReport struct {
 	RedundantTSVs int
 	PGTSVs        int
 	Permutations  int // orientation × compute-kind combinations checked
-	USRPairsOK    int
 	MI300AValid   bool
 	MI300XValid   bool
 }
@@ -593,17 +608,15 @@ func ExperimentTSVAlignment() (*TSVAlignmentReport, error) {
 	r.MI300AValid = a.Validate() == nil
 	x := chiplet.AssembleMI300X()
 	r.MI300XValid = x.Validate() == nil
-	// USR pairing count comes from package validation; count facing pairs.
-	r.USRPairsOK = 4
 	return r, nil
 }
 
 // MeasuredBandwidths runs the platform bandwidth measurement used in the
 // Fig. 19 "measured" column for every platform.
-func MeasuredBandwidths() (*metrics.Table, error) {
+func MeasuredBandwidths(ctx *runner.Ctx) (*metrics.Table, error) {
 	t := metrics.NewTable("Measured vs peak HBM bandwidth", "Platform", "Peak", "Measured", "Fraction")
-	for _, mk := range []func() (*Platform, error){NewMI250X, NewMI300A, NewMI300X} {
-		p, err := mk()
+	for _, spec := range []*PlatformSpec{config.MI250X(), config.MI300A(), config.MI300X()} {
+		p, err := ctx.Platform(spec)
 		if err != nil {
 			return nil, err
 		}
@@ -636,8 +649,8 @@ func registerCoreExperiments(r *runner.Registry) {
 			return ExperimentTable1().String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "fig7", Desc: "IOD interface bandwidths",
-		Run: func(*runner.Ctx) (string, error) {
-			_, t, err := ExperimentFig7()
+		Run: func(ctx *runner.Ctx) (string, error) {
+			_, t, err := ExperimentFig7(ctx)
 			if err != nil {
 				return "", err
 			}
@@ -664,8 +677,8 @@ func registerCoreExperiments(r *runner.Registry) {
 			return b.String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "fig13", Desc: "Cooperative multi-XCD dispatch flow",
-		Run: func(*runner.Ctx) (string, error) {
-			res, err := ExperimentFig13()
+		Run: func(ctx *runner.Ctx) (string, error) {
+			res, err := ExperimentFig13(ctx)
 			if err != nil {
 				return "", err
 			}
@@ -673,16 +686,16 @@ func registerCoreExperiments(r *runner.Registry) {
 				res.PacketsDecoded, res.PerXCD, res.SyncMessages, res.Completion), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "fig14", Desc: "CPU-only vs discrete vs APU programs",
-		Run: func(*runner.Ctx) (string, error) {
-			_, t, err := ExperimentFig14(1 << 22)
+		Run: func(ctx *runner.Ctx) (string, error) {
+			_, t, err := ExperimentFig14(ctx, 1<<22)
 			if err != nil {
 				return "", err
 			}
 			return t.String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "fig15", Desc: "Fine-grained GPU/CPU overlap",
-		Run: func(*runner.Ctx) (string, error) {
-			res, err := ExperimentFig15(1<<20, 64)
+		Run: func(ctx *runner.Ctx) (string, error) {
+			res, err := ExperimentFig15(ctx, 1<<20, 64)
 			if err != nil {
 				return "", err
 			}
@@ -698,8 +711,8 @@ func registerCoreExperiments(r *runner.Registry) {
 			return t.String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "fig18", Desc: "Node topologies",
-		Run: func(*runner.Ctx) (string, error) {
-			_, t, err := ExperimentFig18()
+		Run: func(ctx *runner.Ctx) (string, error) {
+			_, t, err := ExperimentFig18(ctx)
 			if err != nil {
 				return "", err
 			}
@@ -709,31 +722,31 @@ func registerCoreExperiments(r *runner.Registry) {
 		Run: func(ctx *runner.Ctx) (string, error) {
 			_, t := ExperimentFig19()
 			ctx.Milestone("uplift-table")
-			bw, err := MeasuredBandwidths()
+			bw, err := MeasuredBandwidths(ctx)
 			if err != nil {
 				return "", err
 			}
 			return t.String() + bw.String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "fig20", Desc: "HPC workload speedups MI300A vs MI250X",
-		Run: func(*runner.Ctx) (string, error) {
-			_, s, err := ExperimentFig20()
+		Run: func(ctx *runner.Ctx) (string, error) {
+			_, s, err := ExperimentFig20(ctx)
 			if err != nil {
 				return "", err
 			}
 			return s.BarChart(40), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "fig21", Desc: "Llama-2 70B inference latency",
-		Run: func(*runner.Ctx) (string, error) {
-			_, t, err := ExperimentFig21()
+		Run: func(ctx *runner.Ctx) (string, error) {
+			_, t, err := ExperimentFig21(ctx)
 			if err != nil {
 				return "", err
 			}
 			return t.String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "ehpv4", Desc: "§III EHPv4 shortcoming ablation",
-		Run: func(*runner.Ctx) (string, error) {
-			_, t, err := ExperimentEHPv4()
+		Run: func(ctx *runner.Ctx) (string, error) {
+			_, t, err := ExperimentEHPv4(ctx)
 			if err != nil {
 				return "", err
 			}

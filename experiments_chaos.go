@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
@@ -32,11 +31,10 @@ import (
 // the last live channel) — are recorded as degraded results, not
 // failures; anything else is a real error.
 func ExperimentChaosStorm(ctx *runner.Ctx, seed uint64) (string, error) {
-	p, err := core.NewPlatform(config.MI300A())
+	p, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return "", err
 	}
-	p.AttachAudit(ctx.Auditor())
 
 	plan := ras.RandomPlan(seed, ras.MI300AStorm())
 	inj := ras.NewInjector(plan)

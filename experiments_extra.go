@@ -3,6 +3,7 @@ package apusim
 import (
 	"fmt"
 
+	"repro/internal/audit"
 	"repro/internal/cache"
 	"repro/internal/chiplet"
 	"repro/internal/config"
@@ -32,12 +33,12 @@ type ShimCrossover struct {
 
 // ExperimentShim measures where the §VI.B shim library starts routing
 // standard calls to the GPU, on the APU versus a discrete platform.
-func ExperimentShim() ([]ShimCrossover, *metrics.Table, error) {
+func ExperimentShim(ctx *runner.Ctx) ([]ShimCrossover, *metrics.Table, error) {
 	t := metrics.NewTable("§VI.B shim dispatch: CPU→GPU crossover size",
 		"Platform", "DGEMM n", "DAXPY n")
 	var out []ShimCrossover
-	for _, mk := range []func() (*Platform, error){NewMI300A, NewMI250X} {
-		p, err := mk()
+	for _, spec := range []*PlatformSpec{config.MI300A(), config.MI250X()} {
+		p, err := ctx.Platform(spec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -64,19 +65,19 @@ type ManagedMemoryResult struct {
 // ExperimentManagedMemory runs the §VI.B page-migration contrast: the
 // same program under true unified memory (MI300A), explicit hipMemcpy
 // (MI250X), and driver page migration (MI250X).
-func ExperimentManagedMemory(n int) (*ManagedMemoryResult, *metrics.Table, error) {
+func ExperimentManagedMemory(ctx *runner.Ctx, n int) (*ManagedMemoryResult, *metrics.Table, error) {
 	if n <= 0 {
 		n = 1 << 22
 	}
-	apu, err := NewMI300A()
+	apu, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return nil, nil, err
 	}
-	d1, err := NewMI250X()
+	d1, err := ctx.Platform(config.MI250X())
 	if err != nil {
 		return nil, nil, err
 	}
-	d2, err := NewMI250X()
+	d2, err := ctx.Platform(config.MI250X())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -113,15 +114,17 @@ type PolicyAblation struct {
 // ExperimentPolicyAblation runs a tiled kernel (4 consecutive workgroups
 // share a 1 MB tile) under block and round-robin scheduling and reports
 // L2 reuse and completion time.
-func ExperimentPolicyAblation() (*PolicyAblation, *metrics.Table, error) {
+func ExperimentPolicyAblation(ctx *runner.Ctx) (*PolicyAblation, *metrics.Table, error) {
 	spec := config.MI300A().XCD
-	mk := func(policy gpu.Policy) (*gpu.Partition, error) {
+	mk := func(policy gpu.Policy) *gpu.Partition {
 		rng := sim.NewRNG(7)
 		var xs []*gpu.XCD
 		for i := 0; i < 6; i++ {
 			xs = append(xs, gpu.NewXCD(i, spec, rng))
 		}
-		return gpu.NewPartition(policy.String(), xs, nil, policy), nil
+		p := gpu.NewPartition(policy.String(), xs, nil, policy)
+		audit.Partition(ctx.Auditor(), p)
+		return p
 	}
 	k := &gpu.KernelSpec{
 		Name: "tiled", Class: config.Matrix, Dtype: config.FP16,
@@ -131,10 +134,7 @@ func ExperimentPolicyAblation() (*PolicyAblation, *metrics.Table, error) {
 	const items = 6 * 16 * 256
 	r := &PolicyAblation{}
 	for _, policy := range []gpu.Policy{gpu.PolicyBlock, gpu.PolicyRoundRobin} {
-		p, err := mk(policy)
-		if err != nil {
-			return nil, nil, err
-		}
+		p := mk(policy)
 		done, err := p.Dispatch(0, k, items, 256, 0)
 		if err != nil {
 			return nil, nil, err
@@ -167,9 +167,10 @@ type PrefetchAblation struct {
 
 // ExperimentPrefetchAblation streams sequential traffic through the
 // memory-side cache with and without the §IV.D hardware prefetcher.
-func ExperimentPrefetchAblation() (*PrefetchAblation, error) {
+func ExperimentPrefetchAblation(ctx *runner.Ctx) (*PrefetchAblation, error) {
 	run := func(prefetch bool) float64 {
 		ic := cache.NewInfinityCache(8, 2<<20, 17e12/16, 25*sim.Nanosecond, prefetch)
+		audit.InfinityCache(ctx.Auditor(), ic)
 		var now sim.Time
 		// A streaming read: each 4 KB interleave granule (32 lines) is a
 		// sequential run within one channel's slice, as in §IV.D.
@@ -291,24 +292,24 @@ func registerExtraExperiments(r *runner.Registry) {
 			return t.String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "shim", Desc: "§VI.B shim library CPU/GPU dispatch crossover",
-		Run: func(*runner.Ctx) (string, error) {
-			_, t, err := ExperimentShim()
+		Run: func(ctx *runner.Ctx) (string, error) {
+			_, t, err := ExperimentShim(ctx)
 			if err != nil {
 				return "", err
 			}
 			return t.String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "managed", Desc: "Page-migration pseudo-unified memory vs APU",
-		Run: func(*runner.Ctx) (string, error) {
-			_, t, err := ExperimentManagedMemory(1 << 22)
+		Run: func(ctx *runner.Ctx) (string, error) {
+			_, t, err := ExperimentManagedMemory(ctx, 1<<22)
 			if err != nil {
 				return "", err
 			}
 			return t.String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "policy", Desc: "§VI.A workgroup scheduling policy ablation",
-		Run: func(*runner.Ctx) (string, error) {
-			_, t, err := ExperimentPolicyAblation()
+		Run: func(ctx *runner.Ctx) (string, error) {
+			_, t, err := ExperimentPolicyAblation(ctx)
 			if err != nil {
 				return "", err
 			}
@@ -328,8 +329,8 @@ func registerExtraExperiments(r *runner.Registry) {
 			return t.String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "prefetch", Desc: "Infinity Cache stream prefetcher ablation",
-		Run: func(*runner.Ctx) (string, error) {
-			res, err := ExperimentPrefetchAblation()
+		Run: func(ctx *runner.Ctx) (string, error) {
+			res, err := ExperimentPrefetchAblation(ctx)
 			if err != nil {
 				return "", err
 			}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestExperimentShimCrossovers(t *testing.T) {
-	rows, _, err := ExperimentShim()
+	rows, _, err := ExperimentShim(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestExperimentShimCrossovers(t *testing.T) {
 }
 
 func TestExperimentManagedMemoryOrdering(t *testing.T) {
-	r, _, err := ExperimentManagedMemory(1 << 20)
+	r, _, err := ExperimentManagedMemory(nil, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestExperimentManagedMemoryOrdering(t *testing.T) {
 }
 
 func TestExperimentPolicyAblationTradeoff(t *testing.T) {
-	r, _, err := ExperimentPolicyAblation()
+	r, _, err := ExperimentPolicyAblation(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestExperimentPolicyAblationTradeoff(t *testing.T) {
 }
 
 func TestExperimentPrefetchAblation(t *testing.T) {
-	r, err := ExperimentPrefetchAblation()
+	r, err := ExperimentPrefetchAblation(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestWriteDispatchTrace(t *testing.T) {
 }
 
 func TestExperimentTenantIsolation(t *testing.T) {
-	rs, _, err := ExperimentTenantIsolation()
+	rs, _, err := ExperimentTenantIsolation(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestExperimentTenantIsolation(t *testing.T) {
 }
 
 func TestExperimentEfficiency(t *testing.T) {
-	rows, _, err := ExperimentEfficiency()
+	rows, _, err := ExperimentEfficiency(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestExperimentEnergyPerPhase(t *testing.T) {
 }
 
 func TestExperimentStrongScale(t *testing.T) {
-	pts, _, err := ExperimentStrongScale()
+	pts, _, err := ExperimentStrongScale(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

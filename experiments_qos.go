@@ -3,8 +3,8 @@ package apusim
 import (
 	"fmt"
 
+	"repro/internal/audit"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/power"
@@ -32,13 +32,14 @@ type TenantIsolation struct {
 // ExperimentTenantIsolation streams tenant A's working set with and
 // without a saturating neighbor, under NPS1 (shared interleave: high peak,
 // no isolation) and NPS4 (dedicated quarter: lower peak, full isolation).
-func ExperimentTenantIsolation() ([2]TenantIsolation, *metrics.Table, error) {
+func ExperimentTenantIsolation(ctx *runner.Ctx) ([2]TenantIsolation, *metrics.Table, error) {
 	spec := config.MI300X()
 	capacity := spec.HBM.TotalCapacity()
 
 	run := func(nps int, withNeighbor bool) (float64, error) {
 		h := mem.NewHBM(spec.HBM.Generation, spec.HBM.Stacks, spec.HBM.ChannelsStack,
 			spec.HBM.StackBW, capacity, 120*sim.Nanosecond)
+		audit.HBM(ctx.Auditor(), h, "hbm")
 		if err := h.SetNUMADomains(nps); err != nil {
 			return 0, err
 		}
@@ -100,12 +101,12 @@ type EfficiencyRow struct {
 // goal is "world-class performance and power efficiency for both HPC and
 // ML". Socket powers come from the platform power models (MI300A 550 W
 // TDP vs MI250X 560 W), so perf/W uplift ≈ speedup × (560/550).
-func ExperimentEfficiency() ([]EfficiencyRow, *metrics.Table, error) {
-	a, err := NewMI300A()
+func ExperimentEfficiency(ctx *runner.Ctx) ([]EfficiencyRow, *metrics.Table, error) {
+	a, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := NewMI250X()
+	m, err := ctx.Platform(config.MI250X())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -162,11 +163,13 @@ type ScalePoint struct {
 
 // ExperimentStrongScale strong-scales a GROMACS-class workload across the
 // Fig. 18(a) quad-APU node with a 1 MB per-step gradient exchange.
-func ExperimentStrongScale() ([]ScalePoint, *metrics.Table, error) {
+func ExperimentStrongScale(ctx *runner.Ctx) ([]ScalePoint, *metrics.Table, error) {
 	w := &workload.GROMACS{Atoms: 3_000_000, Steps: 100}
-	pts, err := scale.StrongScale(w,
-		func() (*core.Platform, error) { return core.NewPlatform(config.MI300A()) },
-		topology.QuadAPUNode, 4, 100, 1<<20)
+	apu, err := ctx.Platform(config.MI300A())
+	if err != nil {
+		return nil, nil, err
+	}
+	pts, err := scale.StrongScale(ctx.Auditor(), w, apu, topology.QuadAPUNode, 4, 100, 1<<20)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -189,16 +192,16 @@ func ExperimentStrongScale() ([]ScalePoint, *metrics.Table, error) {
 // experiments: scaling, isolation, and energy efficiency.
 func registerQoSExperiments(r *runner.Registry) {
 	r.MustRegister(runner.Experiment{ID: "scale", Desc: "Strong scaling across the Fig. 18a node",
-		Run: func(*runner.Ctx) (string, error) {
-			_, t, err := ExperimentStrongScale()
+		Run: func(ctx *runner.Ctx) (string, error) {
+			_, t, err := ExperimentStrongScale(ctx)
 			if err != nil {
 				return "", err
 			}
 			return t.String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "isolation", Desc: "NPS1 vs NPS4 tenant isolation",
-		Run: func(*runner.Ctx) (string, error) {
-			_, t, err := ExperimentTenantIsolation()
+		Run: func(ctx *runner.Ctx) (string, error) {
+			_, t, err := ExperimentTenantIsolation(ctx)
 			if err != nil {
 				return "", err
 			}
@@ -206,7 +209,7 @@ func registerQoSExperiments(r *runner.Registry) {
 		}})
 	r.MustRegister(runner.Experiment{ID: "efficiency", Desc: "Perf/W: MI300A vs MI250X on the Fig. 20 suite",
 		Run: func(ctx *runner.Ctx) (string, error) {
-			_, t, err := ExperimentEfficiency()
+			_, t, err := ExperimentEfficiency(ctx)
 			if err != nil {
 				return "", err
 			}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -70,11 +69,10 @@ type LinkFaultPoint struct {
 // bandwidth must land strictly between zero and healthy — the machine
 // degrades, it does not partition.
 func ExperimentLinkDownSTREAM(ctx *runner.Ctx) ([]LinkFaultPoint, *metrics.Table, error) {
-	p, err := core.NewPlatform(config.MI300A())
+	p, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return nil, nil, err
 	}
-	p.AttachAudit(ctx.Auditor())
 	a := p.Net.NodeByName("IOD-A").ID
 	b := p.Net.NodeByName("IOD-B").ID
 	const bytes = 256 << 20
@@ -291,7 +289,7 @@ func ExperimentXCDLossInference(ctx *runner.Ctx) ([]XCDLossPoint, *metrics.Table
 	tokens := func(nXCDs int) (float64, error) {
 		s := config.MI300A()
 		s.XCDs = nXCDs
-		pl, err := core.NewPlatform(s)
+		pl, err := ctx.Platform(s)
 		if err != nil {
 			return 0, err
 		}
@@ -465,11 +463,10 @@ func ExperimentECCStorm(ctx *runner.Ctx) ([]ECCStage, *metrics.Table, error) {
 // compute returns the typed error (fabric.ErrPartitioned, gpu.ErrNoCompute)
 // so cmd/repro exits nonzero.
 func ExperimentFaultPlan(ctx *runner.Ctx, plan *ras.Plan) (string, error) {
-	p, err := core.NewPlatform(config.MI300A())
+	p, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return "", err
 	}
-	p.AttachAudit(ctx.Auditor())
 	inj, err := armPlan(ctx, plan, ras.Targets{Net: p.Net, HBM: p.HBM, XCDs: p.XCDs, GPU: p.GPU})
 	if err != nil {
 		return "", err

@@ -72,8 +72,10 @@ func spanFooter(rec *spans.Recorder) string {
 // channel occupancy — and the HBM + cache stages must dominate, because
 // that is what "memory-bound" means in this machine.
 func ExperimentSpanMemory(ctx *runner.Ctx) (*spans.Attribution, string, error) {
+	// The recorder comes first: Platform threads it in only once the run
+	// has one.
 	rec := ctx.Spans()
-	p, err := New(config.MI300A(), WithEngine(ctx.Engine()), WithSpans(rec))
+	p, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return nil, "", err
 	}
@@ -115,7 +117,7 @@ func ExperimentSpanMemory(ctx *runner.Ctx) (*spans.Attribution, string, error) {
 // flow amortizes over the kernel body.
 func ExperimentSpanDispatch(ctx *runner.Ctx) (*spans.Attribution, string, error) {
 	rec := ctx.Spans()
-	p, err := New(config.MI300A(), WithEngine(ctx.Engine()), WithSpans(rec))
+	p, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return nil, "", err
 	}
@@ -152,7 +154,7 @@ func ExperimentSpanDispatch(ctx *runner.Ctx) (*spans.Attribution, string, error)
 // tax in the attribution table.
 func ExperimentSpanFaults(ctx *runner.Ctx) (*spans.Attribution, string, error) {
 	rec := ctx.Spans()
-	p, err := New(config.MI300A(), WithEngine(ctx.Engine()), WithSpans(rec))
+	p, err := ctx.Platform(config.MI300A())
 	if err != nil {
 		return nil, "", err
 	}

@@ -114,15 +114,6 @@ func (o Orientation) Compose(p Orientation) Orientation {
 // PointSet is a set of exact pad/TSV positions.
 type PointSet map[Point]struct{}
 
-// NewPointSet builds a set from points.
-func NewPointSet(pts ...Point) PointSet {
-	s := make(PointSet, len(pts))
-	for _, p := range pts {
-		s[p] = struct{}{}
-	}
-	return s
-}
-
 // Add inserts p.
 func (s PointSet) Add(p Point) { s[p] = struct{}{} }
 

@@ -120,9 +120,6 @@ func (d *Directory) Stats() Stats { return d.stats }
 // ResetStats zeroes the counters.
 func (d *Directory) ResetStats() { d.stats = Stats{} }
 
-// TrackedLines reports the number of lines with directory state.
-func (d *Directory) TrackedLines() int { return len(d.lines) }
-
 func (d *Directory) checkAgent(a int) {
 	if a < 0 || a >= d.agents {
 		panic(fmt.Sprintf("coherence: invariant violated: agent %d outside [0, %d)", a, d.agents))

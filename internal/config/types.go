@@ -120,11 +120,6 @@ func (r *RateTable) SparseOps(d DataType) float64 {
 	return r.MatrixOps[d]
 }
 
-// Supports reports whether the architecture implements the format at all.
-func (r *RateTable) Supports(class EngineClass, d DataType) bool {
-	return r.Ops(class, d) > 0
-}
-
 // CDNA2Rates is the MI250X column of the paper's Table 1.
 func CDNA2Rates() *RateTable {
 	return &RateTable{

@@ -10,12 +10,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// BuildOptions configures platform assembly. The apusim facade's
-// functional options (WithTelemetry, WithSpans) reduce to this struct.
+// BuildOptions configures platform assembly: what must be threaded in
+// while the platform is built rather than attached afterwards. The apusim
+// facade's WithSpans option and runner.Ctx.Platform reduce to it.
 type BuildOptions struct {
-	// Telemetry, when non-nil, has every component probe registered on it
-	// (see Instrument).
-	Telemetry *telemetry.Recorder
 	// Spans, when non-nil, records causal span trees for memory
 	// transactions and AQL dispatches.
 	Spans *spans.Recorder
@@ -23,14 +21,7 @@ type BuildOptions struct {
 
 // NewPlatformWith assembles a platform with explicit build options.
 func NewPlatformWith(spec *config.PlatformSpec, opts BuildOptions) (*Platform, error) {
-	p, err := newPlatform(spec, opts.Spans)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Telemetry != nil {
-		p.Instrument(opts.Telemetry)
-	}
-	return p, nil
+	return newPlatform(spec, opts.Spans)
 }
 
 // Instrument registers the full platform probe set on rec, in a fixed

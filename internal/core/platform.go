@@ -81,7 +81,6 @@ type Platform struct {
 	ccdNodes  []fabric.NodeID
 	hbmNodes  []fabric.NodeID // one per stack
 	hostNode  fabric.NodeID
-	haveHost  bool
 	ioNodes   []fabric.NodeID
 	streamPos int64
 }
@@ -174,7 +173,6 @@ func (p *Platform) buildFabric() {
 	if spec.Memory == config.DiscreteMemory {
 		host := p.Net.AddNode("host", fabric.KindHost)
 		p.hostNode = host.ID
-		p.haveHost = true
 		// Host attaches to the device over its link (PCIe or IF).
 		attach := p.iodNodes
 		if len(attach) == 0 {
@@ -345,9 +343,6 @@ func (p *Platform) SpanRecorder() *spans.Recorder { return p.spans }
 
 // NewQueue returns a user-mode AQL queue sized for the platform.
 func (p *Platform) NewQueue(name string) *hsa.Queue { return hsa.NewQueue(name, 64) }
-
-// HostNode reports the host's fabric node (discrete platforms only).
-func (p *Platform) HostNode() (fabric.NodeID, bool) { return p.hostNode, p.haveHost }
 
 // XCDNode reports XCD i's fabric node.
 func (p *Platform) XCDNode(i int) fabric.NodeID { return p.xcdNodes[i%len(p.xcdNodes)] }

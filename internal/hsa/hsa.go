@@ -108,10 +108,6 @@ type Signal struct {
 	Name    string
 	value   int64
 	setTime sim.Time
-	// decs counts Sub calls — the "response" side of completion-signal
-	// accounting. For a signal armed at N and consumed to zero purely by
-	// completion decrements, decs must equal N at drain.
-	decs uint64
 }
 
 // NewSignal returns a signal with the given initial value.
@@ -136,14 +132,10 @@ func (s *Signal) Set(t sim.Time, v int64) {
 // Sub subtracts d at simulated time t (the typical completion decrement).
 func (s *Signal) Sub(t sim.Time, d int64) {
 	s.value -= d
-	s.decs++
 	if t > s.setTime {
 		s.setTime = t
 	}
 }
-
-// Decrements reports how many Sub calls the signal has absorbed.
-func (s *Signal) Decrements() uint64 { return s.decs }
 
 // Reached reports whether the signal is at or below target, and when the
 // transition happened.

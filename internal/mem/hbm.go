@@ -344,14 +344,6 @@ func (h *HBM) RowStats() (hits, misses uint64) {
 	return hits, misses
 }
 
-// AchievedBW reports average bandwidth over [0, horizon].
-func (h *HBM) AchievedBW(horizon sim.Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(h.BytesMoved()) / horizon.Seconds()
-}
-
 // ResetStats clears occupancy, counters, and row-buffer state. RAS
 // configuration — channel retirement and the ECC-storm model — survives a
 // reset, so measurements taken after a fault stay degraded; only the event

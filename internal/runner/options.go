@@ -56,10 +56,12 @@ type Options struct {
 	// are still running.
 	OnResult func(Result)
 	// Audit arms the invariant auditor on every run: each Ctx carries a
-	// live audit.Auditor that experiments wire into their platform
-	// builds, and completed runs are audited at drain. Violations mark
-	// the run degraded (or failed, under Strict) and the report lands in
-	// the result and manifest.
+	// live audit.Auditor with the engine's drain check, Ctx.Platform
+	// registers the ledgers of every platform the run builds, and
+	// experiments register bare components on Ctx.Auditor. Completed
+	// runs are audited at drain. Violations mark the run degraded (or
+	// failed, under Strict) and the report lands in the result and
+	// manifest.
 	Audit bool
 	// Strict makes any audit violation fail the run as StatusViolated
 	// instead of recording it and continuing degraded.

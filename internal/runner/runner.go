@@ -19,6 +19,8 @@ import (
 	"sync"
 
 	"repro/internal/audit"
+	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/spans"
 	"repro/internal/telemetry"
@@ -58,19 +60,42 @@ func newCtx(id string, opts Options) *Ctx {
 	c.clsSentinel = c.eng.Class("runner.sentinel")
 	if opts.Audit {
 		c.aud = audit.New()
-		// Every audited run gets the drain-quiescence check; experiments
-		// attach component ledgers by passing Auditor() into their
-		// platform builds.
+		// Every audited run gets the drain-quiescence check; Platform
+		// adds each built platform's ledgers, and experiments register
+		// bare components through the audit helpers.
 		audit.Engine(c.aud, c.eng)
 	}
 	return c
 }
 
+// Platform builds a platform from spec for this run. It is the one way a
+// run builds a platform: the run's span recorder is threaded in when the
+// run has made one (Spans was called), and the platform's conservation
+// ledgers are registered on the run's auditor. A nil Ctx builds a plain
+// platform, so tests and benchmarks share the experiments' code path.
+func (c *Ctx) Platform(spec *config.PlatformSpec) (*core.Platform, error) {
+	var sp *spans.Recorder
+	if c != nil {
+		sp = c.spanRec
+	}
+	p, err := core.NewPlatformWith(spec, core.BuildOptions{Spans: sp})
+	if err != nil {
+		return nil, err
+	}
+	p.AttachAudit(c.Auditor())
+	return p, nil
+}
+
 // Auditor returns the run's invariant auditor: non-nil only when the
-// suite ran with Options.Audit. A nil auditor is safe to pass anywhere —
-// every audit registration on it is a no-op — so experiments wire it
-// unconditionally.
-func (c *Ctx) Auditor() *audit.Auditor { return c.aud }
+// suite ran with Options.Audit, and nil on a nil Ctx. A nil auditor is
+// safe to pass anywhere — every audit registration on it is a no-op — so
+// experiments register bare components on it unconditionally.
+func (c *Ctx) Auditor() *audit.Auditor {
+	if c == nil {
+		return nil
+	}
+	return c.aud
+}
 
 // ID reports the experiment ID this context belongs to.
 func (c *Ctx) ID() string { return c.id }

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/config"
 )
 
 func testRegistry() *Registry {
@@ -267,6 +269,48 @@ func TestCtxMilestonesAndEngineStats(t *testing.T) {
 	}
 	if res.EventsPending != 0 {
 		t.Errorf("EventsPending = %d, want 0", res.EventsPending)
+	}
+}
+
+// TestCtxPlatform checks the run's platform builder: a nil Ctx builds a
+// plain platform, an audited run gets each platform's ledgers, and the
+// run's span recorder is threaded in only once the run has made one.
+func TestCtxPlatform(t *testing.T) {
+	var none *Ctx
+	if none.Auditor() != nil {
+		t.Error("nil Ctx has an auditor")
+	}
+	if p, err := none.Platform(config.MI300A()); err != nil || p.SpanRecorder() != nil {
+		t.Fatalf("nil Ctx: platform %v, err %v; want a plain platform", p, err)
+	}
+
+	ctx := newCtx("p", Options{Parallel: 1, Audit: true})
+	drain := ctx.Auditor().Checks()
+	untraced, err := ctx.Platform(config.MI300A())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if untraced.SpanRecorder() != nil {
+		t.Error("platform traced before the run made a span recorder")
+	}
+	// MI300A: fabric, HBM, Infinity Cache, GPU partition and governor.
+	if got := ctx.Auditor().Checks() - drain; got != 5 {
+		t.Errorf("MI300A added %d audit checks, want 5", got)
+	}
+	rec := ctx.Spans()
+	traced, err := ctx.Platform(config.MI300A())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced.SpanRecorder() != rec {
+		t.Error("platform built after Spans does not record on the run's recorder")
+	}
+	if err := ctx.Auditor().Audit(ctx.Engine().Now()).Err(); err != nil {
+		t.Error(err)
+	}
+
+	if newCtx("q", Options{Parallel: 1}).Auditor() != nil {
+		t.Error("unaudited run has an auditor")
 	}
 }
 

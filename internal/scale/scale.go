@@ -10,6 +10,7 @@ package scale
 import (
 	"fmt"
 
+	"repro/internal/audit"
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -30,19 +31,17 @@ type Point struct {
 	Efficiency float64
 }
 
-// StrongScale runs w's phases divided across 1..maxSockets sockets of a
-// node built by nodeFn, exchanging exchangeBytes per iteration through a
-// direct all-reduce. iterations scales the communication count.
-func StrongScale(w workload.Workload, mkPlatform func() (*core.Platform, error),
+// StrongScale runs w's phases on the single-socket platform p1, then
+// divides them across 1..maxSockets sockets of a node built by nodeFn,
+// exchanging exchangeBytes per iteration through a direct all-reduce.
+// iterations scales the communication count. The fabric of every
+// communicator it builds is registered on a (a nil auditor skips that).
+func StrongScale(a *audit.Auditor, w workload.Workload, p1 *core.Platform,
 	nodeFn func() (*topology.Node, error), maxSockets, iterations int, exchangeBytes int64) ([]Point, error) {
 	if maxSockets < 1 {
 		return nil, fmt.Errorf("scale: need at least one socket")
 	}
 	// Single-socket baseline.
-	p1, err := mkPlatform()
-	if err != nil {
-		return nil, err
-	}
 	baseSecs, _ := workload.Run(w, p1)
 	baseTime := sim.FromSeconds(baseSecs)
 
@@ -81,6 +80,7 @@ func StrongScale(w workload.Workload, mkPlatform func() (*core.Platform, error),
 			if err != nil {
 				return nil, err
 			}
+			audit.Fabric(a, comm.Network())
 			var commTotal sim.Time
 			var t sim.Time
 			for it := 0; it < iterations; it++ {

@@ -3,24 +3,41 @@ package scale
 import (
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
-func mi300a() (*core.Platform, error) { return core.NewPlatform(config.MI300A()) }
+func mi300a(t *testing.T) *core.Platform {
+	t.Helper()
+	p, err := core.NewPlatform(config.MI300A())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 func TestStrongScaleComputeHeavy(t *testing.T) {
 	// A compute-heavy workload with small exchanges scales nearly
 	// linearly across the quad-APU node.
 	w := &workload.GROMACS{Atoms: 3_000_000, Steps: 100}
-	pts, err := StrongScale(w, mi300a, topology.QuadAPUNode, 4, 100, 1<<20)
+	a := audit.New()
+	pts, err := StrongScale(a, w, mi300a(t), topology.QuadAPUNode, 4, 100, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 4 {
 		t.Fatalf("points = %d", len(pts))
+	}
+	// One fabric ledger per multi-socket communicator, and the bytes of
+	// every all-reduce add up.
+	if a.Checks() != 3 {
+		t.Errorf("auditor has %d checks, want 3 (communicators of 2, 3 and 4 sockets)", a.Checks())
+	}
+	if err := a.Audit(0).Err(); err != nil {
+		t.Error(err)
 	}
 	if pts[0].Speedup != 1 || pts[0].CommTime != 0 {
 		t.Errorf("baseline point wrong: %+v", pts[0])
@@ -40,7 +57,7 @@ func TestStrongScaleCommBound(t *testing.T) {
 	// A tiny workload with huge per-iteration exchanges stops scaling:
 	// communication dominates and efficiency collapses.
 	w := &workload.STREAM{Elements: 1 << 22, Iterations: 1}
-	pts, err := StrongScale(w, mi300a, topology.QuadAPUNode, 4, 50, 1<<30)
+	pts, err := StrongScale(nil, w, mi300a(t), topology.QuadAPUNode, 4, 50, 1<<30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +71,11 @@ func TestStrongScaleCommBound(t *testing.T) {
 
 func TestStrongScaleValidation(t *testing.T) {
 	w := &workload.STREAM{Elements: 1 << 20, Iterations: 1}
-	if _, err := StrongScale(w, mi300a, topology.QuadAPUNode, 0, 1, 1024); err == nil {
+	if _, err := StrongScale(nil, w, mi300a(t), topology.QuadAPUNode, 0, 1, 1024); err == nil {
 		t.Error("zero sockets accepted")
 	}
 	// Requesting more sockets than the node has clamps.
-	pts, err := StrongScale(w, mi300a, topology.QuadAPUNode, 16, 1, 1024)
+	pts, err := StrongScale(nil, w, mi300a(t), topology.QuadAPUNode, 16, 1, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,6 @@ func NewSampler(eng *sim.Engine, rec *Recorder, every sim.Time) *Sampler {
 	return &Sampler{eng: eng, rec: rec, every: every}
 }
 
-// Every reports the sampling cadence.
-func (s *Sampler) Every() sim.Time { return s.every }
-
 // Arm schedules one tick at every grid point k×every in [Now, until] and
 // returns how many were scheduled. The ticks fire as the engine runs; the
 // caller advances the engine as usual (the runner's end-of-run drain

@@ -158,21 +158,12 @@ func RunInference(p *core.Platform, m LLMModel, cfg ServingConfig, req Inference
 	return res, nil
 }
 
-// RunFig21 executes the full Fig. 21 comparison and returns results keyed
-// by configuration name.
-func RunFig21() (map[string]*InferenceResult, error) {
+// RunFig21 executes the full Fig. 21 comparison on an MI300X and a
+// baseline-GPU platform and returns results keyed by configuration name.
+func RunFig21(mi300x, base *core.Platform) (map[string]*InferenceResult, error) {
 	m := Llama2_70B()
 	req := Fig21Request()
 	cfgs := Fig21Configs()
-
-	mi300x, err := core.NewPlatform(config.MI300X())
-	if err != nil {
-		return nil, err
-	}
-	base, err := core.NewPlatform(config.BaselineGPU())
-	if err != nil {
-		return nil, err
-	}
 
 	out := make(map[string]*InferenceResult, len(cfgs))
 	for key, cfg := range cfgs {

@@ -133,7 +133,7 @@ func TestLlama70BModel(t *testing.T) {
 }
 
 func TestFig21Shapes(t *testing.T) {
-	results, err := RunFig21()
+	results, err := RunFig21(plat(t, config.MI300X()), plat(t, config.BaselineGPU()))
 	if err != nil {
 		t.Fatal(err)
 	}

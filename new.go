@@ -135,61 +135,26 @@ func RandomFaultPlan(seed uint64, spec StormSpec) *FaultPlan { return ras.Random
 func MI300AStormSpec() StormSpec { return ras.MI300AStorm() }
 
 // Option configures platform assembly in New.
-type Option func(*buildConfig)
-
-type buildConfig struct {
-	eng         *sim.Engine
-	rec         *telemetry.Recorder
-	sampleEvery sim.Time
-	spanRec     *spans.Recorder
-}
-
-// WithEngine attaches the telemetry recorder's engine profile to eng
-// (when WithTelemetry is also given). To inject faults, arm a plan on the
-// assembled platform with ArmFaultPlan.
-func WithEngine(eng *Engine) Option { return func(c *buildConfig) { c.eng = eng } }
-
-// WithTelemetry registers the full platform probe set — fabric link
-// utilization, per-stack HBM bandwidth, ECC retries, Infinity Cache hit
-// rate, XCD occupancy, power/thermal — on rec during assembly.
-func WithTelemetry(rec *Recorder) Option { return func(c *buildConfig) { c.rec = rec } }
-
-// WithSampleEvery records the sampling cadence on the recorder given via
-// WithTelemetry; 0 keeps the recorder's existing cadence.
-func WithSampleEvery(every Time) Option {
-	return func(c *buildConfig) { c.sampleEvery = every }
-}
+type Option func(*core.BuildOptions)
 
 // WithSpans wires rec into the platform's memory and dispatch hot paths:
 // every sampled memory transaction and AQL dispatch records a causal span
 // tree on it, and armed fault plans annotate it with fault events.
-// Platforms built without this option pay nothing on those paths.
-func WithSpans(rec *SpanRecorder) Option { return func(c *buildConfig) { c.spanRec = rec } }
+// Platforms built without this option pay nothing on those paths. Spans
+// must be threaded in at assembly; everything else attaches to a built
+// platform (Platform.Instrument for telemetry probes, ArmFaultPlan for
+// faults, Platform.AttachAudit for ledgers).
+func WithSpans(rec *SpanRecorder) Option { return func(o *core.BuildOptions) { o.Spans = rec } }
 
 // New assembles a platform from a product spec plus functional options.
 // With no options it is exactly the classic constructors: NewMI300A and
 // friends are one-line wrappers over it.
 func New(spec *PlatformSpec, opts ...Option) (*Platform, error) {
-	var cfg buildConfig
+	var bo core.BuildOptions
 	for _, o := range opts {
-		o(&cfg)
+		o(&bo)
 	}
-	p, err := core.NewPlatformWith(spec, core.BuildOptions{
-		Telemetry: cfg.rec,
-		Spans:     cfg.spanRec,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cfg.rec != nil {
-		if cfg.sampleEvery > 0 {
-			cfg.rec.SetCadence(cfg.sampleEvery)
-		}
-		if cfg.eng != nil {
-			cfg.rec.ObserveEngine(cfg.eng)
-		}
-	}
-	return p, nil
+	return core.NewPlatformWith(spec, bo)
 }
 
 // ArmFaultPlan arms plan against p's fabric, HBM, XCDs, and GPU partition

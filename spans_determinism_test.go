@@ -206,9 +206,8 @@ func TestManifestEmbedsSpanAttribution(t *testing.T) {
 // span recorder's trees with flow arrows alongside other tracks, and that
 // the result passes trace validation.
 func TestWriteTraceComposesSpans(t *testing.T) {
-	eng := NewEngine()
 	rec := NewSpanRecorder(11, 1)
-	p, err := New(SpecMI300A(), WithEngine(eng), WithSpans(rec))
+	p, err := New(SpecMI300A(), WithSpans(rec))
 	if err != nil {
 		t.Fatal(err)
 	}

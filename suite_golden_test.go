@@ -39,6 +39,31 @@ const (
 // of the suite's wall time.
 var goldenSlow = map[string]bool{"fig14": true, "managed": true}
 
+// drainOnly are the experiments that build no fabric, HBM, cache or GPU
+// partition, so their audited runs carry the engine's drain check alone.
+var drainOnly = map[string]bool{
+	"table1": true, "fig12a": true, "fig12bc": true, "fig17": true,
+	"tsv": true, "fig11": true, "powershift": true, "scopes": true,
+}
+
+// checkAuditCoverage fails when an audited experiment outside drainOnly
+// reports no more than the drain check: it built a platform outside
+// ctx.Platform, or a bare component it did not register on the run's
+// auditor.
+func checkAuditCoverage(t *testing.T, s *runner.SuiteResult) {
+	t.Helper()
+	for _, r := range s.Results {
+		switch n := r.Audit.Checks; {
+		case drainOnly[r.ID] && n != 1:
+			t.Errorf("%s reports %d audit checks at -parallel %d; it builds components now, so take it off drainOnly",
+				r.ID, n, s.Parallel)
+		case !drainOnly[r.ID] && n <= 1:
+			t.Errorf("%s reports only the drain check at -parallel %d: its components carry no ledgers",
+				r.ID, s.Parallel)
+		}
+	}
+}
+
 // runGoldenSuite runs reg's experiments except skip, audited, at the
 // given worker-pool width.
 func runGoldenSuite(t *testing.T, reg *runner.Registry, parallel int, skip map[string]bool) *runner.SuiteResult {
@@ -155,6 +180,7 @@ func TestSuiteGolden(t *testing.T) {
 	RegisterChaosStorms(chaosReg, goldenChaosSeed, goldenChaosStorms)
 
 	seq := runGoldenSuite(t, reg, 1, nil)
+	checkAuditCoverage(t, seq)
 	seqChaos := runGoldenSuite(t, chaosReg, 1, nil)
 	got := renderGolden(t, seq, seqChaos)
 
@@ -176,6 +202,7 @@ func TestSuiteGolden(t *testing.T) {
 	}
 
 	par := spliceResults(reg, runGoldenSuite(t, reg, goldenParallel, goldenSlow), seq)
+	checkAuditCoverage(t, par)
 	parChaos := runGoldenSuite(t, chaosReg, goldenParallel, nil)
 	if got := renderGolden(t, par, parChaos); got != string(want) {
 		t.Fatalf("suite at -parallel %d drifted from %s. First difference at %s",

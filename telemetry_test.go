@@ -177,13 +177,15 @@ func TestRASECCSeriesShowDecay(t *testing.T) {
 // emits both complete ('X') span events and counter ('C') events when a
 // sampled recorder is composed with a dispatch timeline.
 func TestWriteTraceMixesSpansAndCounters(t *testing.T) {
-	eng := NewEngine()
-	rec := NewRecorder()
-	if _, err := New(SpecMI300A(),
-		WithEngine(eng), WithTelemetry(rec),
-		WithSampleEvery(50*Microsecond)); err != nil {
+	p, err := NewMI300A()
+	if err != nil {
 		t.Fatal(err)
 	}
+	eng := NewEngine()
+	rec := NewRecorder()
+	p.Instrument(rec)
+	rec.ObserveEngine(eng)
+	rec.SetCadence(50 * Microsecond)
 	if n := NewSampler(eng, rec, 0).Arm(200 * Microsecond); n == 0 {
 		t.Fatal("sampler armed no ticks")
 	}

@@ -97,7 +97,7 @@ func WriteTrace(w io.Writer, spec TraceSpec) (*TraceResult, error) {
 // timelines: one process track per program (basePID, basePID+1,
 // basePID+2), one span per step.
 func addFig14Spans(tr *trace.Trace, n, basePID int) (*Fig14Result, error) {
-	r, _, err := ExperimentFig14(n)
+	r, _, err := ExperimentFig14(nil, n)
 	if err != nil {
 		return nil, err
 	}
@@ -113,32 +113,18 @@ func addFig14Spans(tr *trace.Trace, n, basePID int) (*Fig14Result, error) {
 	return r, nil
 }
 
-// addDispatchSpans runs a multi-XCD dispatch and records per-XCD busy
-// spans on process pid, visualizing the Fig. 13 cooperative flow.
+// addDispatchSpans runs the Fig. 13 multi-XCD dispatch and records
+// per-XCD busy spans on process pid, visualizing the cooperative flow.
 func addDispatchSpans(tr *trace.Trace, pid int) (*Fig13Result, error) {
-	p, err := NewMI300A()
-	if err != nil {
-		return nil, err
-	}
-	k := &KernelSpec{
-		Name: "fig13", Class: Vector, Dtype: FP32,
-		FlopsPerItem: 1000, BytesReadPerItem: 8,
-	}
-	const items = 6 * 38 * 2 * 256
-	done, err := p.GPU.Dispatch(0, k, items, 256, 0)
+	r, err := ExperimentFig13(nil)
 	if err != nil {
 		return nil, err
 	}
 	tr.NameProcess(pid, "MI300A SPX partition")
-	r := &Fig13Result{XCDs: len(p.XCDs), Workgroups: items / 256, Completion: done}
-	for i, x := range p.XCDs {
-		st := x.Stats()
-		r.PerXCD = append(r.PerXCD, st.Workgroups)
-		r.SyncMessages += st.SyncMessages
-		r.PacketsDecoded += st.PacketsDecoded
+	for i, wgs := range r.PerXCD {
 		tr.NameThread(pid, i, fmt.Sprintf("XCD%d", i))
-		tr.Span(k.Name, "dispatch", pid, i, 0, done, map[string]string{
-			"workgroups": fmt.Sprint(st.Workgroups),
+		tr.Span("fig13", "dispatch", pid, i, 0, r.Completion, map[string]string{
+			"workgroups": fmt.Sprint(wgs),
 		})
 	}
 	return r, nil
