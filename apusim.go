@@ -38,8 +38,6 @@ type (
 	Platform = core.Platform
 	// PlatformSpec describes a product configuration.
 	PlatformSpec = config.PlatformSpec
-	// Phase is one analytic workload phase.
-	Phase = core.Phase
 	// PhaseResult is a phase's timing breakdown.
 	PhaseResult = core.PhaseResult
 	// KernelSpec is a GPU kernel (functional body + resource footprint).
@@ -58,8 +56,6 @@ type (
 	PartitionConfig = partition.Config
 	// Node is a multi-socket system topology.
 	Node = topology.Node
-	// DataType is an arithmetic format (FP64 ... INT8).
-	DataType = config.DataType
 )
 
 // Data types (paper Table 1).
@@ -81,9 +77,7 @@ const (
 
 // NewMI300A builds the MI300A APU platform (§IV): 228 CUs across six
 // XCDs, 24 "Zen 4" cores across three CCDs, 128 GB of unified HBM3 behind
-// a 256 MB Infinity Cache, all on four USR-meshed IODs. Options (e.g.
-// WithSpans) are accepted by New; this and the other product
-// constructors are its no-option spellings.
+// a 256 MB Infinity Cache, all on four USR-meshed IODs.
 func NewMI300A() (*Platform, error) { return New(config.MI300A()) }
 
 // NewMI300X builds the MI300X accelerator platform (§VII): the CCDs

@@ -213,7 +213,7 @@ func TestExperimentFig20Shape(t *testing.T) {
 }
 
 func TestExperimentFig21Shape(t *testing.T) {
-	rows, _, err := ExperimentFig21(nil)
+	rows, _, err := ExperimentFig21()
 	if err != nil {
 		t.Fatal(err)
 	}

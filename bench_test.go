@@ -13,7 +13,6 @@ import (
 	"repro/internal/collective"
 	"repro/internal/config"
 	"repro/internal/gpu"
-	"repro/internal/kernels"
 	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -215,7 +214,7 @@ func BenchmarkFig21_LLMInference(b *testing.B) {
 	var rows []Fig21Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, _, err = ExperimentFig21(nil)
+		rows, _, err = ExperimentFig21()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -448,32 +447,6 @@ func BenchmarkAblation_TenantIsolation(b *testing.B) {
 	}
 	b.ReportMetric(rs[0].DegradationPct, "nps1-degradation-%")
 	b.ReportMetric(rs[1].DegradationPct, "nps4-degradation-%")
-}
-
-// BenchmarkKernels_SpMV runs the CSR SpMV kernel end-to-end on MI300A.
-func BenchmarkKernels_SpMV(b *testing.B) {
-	p, err := NewMI300A()
-	if err != nil {
-		b.Fatal(err)
-	}
-	const rows = 1 << 18
-	m, err := kernels.BuildCSRStencil(p.DeviceMem, rows)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, _ := p.DeviceMem.Alloc(rows*8, 4096)
-	y, _ := p.DeviceMem.Alloc(rows*8, 4096)
-	k := kernels.SpMV(m, x, y)
-	b.ResetTimer()
-	var now Time
-	for i := 0; i < b.N; i++ {
-		done, err := p.GPU.Dispatch(now, k, rows, 256, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		now = done
-	}
-	b.ReportMetric(float64(rows)*float64(b.N)/now.Seconds()/1e9, "simulated-grows/s")
 }
 
 // BenchmarkICacheStudy runs the §IV.B shared-vs-private I-cache study.

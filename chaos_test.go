@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
+	"repro/internal/gpu"
 	"repro/internal/runner"
 )
 
@@ -49,7 +51,7 @@ func TestChaosStormsCompleteWithoutPanicsHangsOrViolations(t *testing.T) {
 		case runner.StatusError:
 			// A typed error is an acceptable outcome; an untyped one
 			// means a storm found a real bug.
-			if !errors.Is(r.Err, ErrPartitioned) && !errors.Is(r.Err, ErrNoCompute) {
+			if !errors.Is(r.Err, fabric.ErrPartitioned) && !errors.Is(r.Err, gpu.ErrNoCompute) {
 				t.Errorf("%s: untyped error: %v", r.ID, r.Err)
 			}
 		default:

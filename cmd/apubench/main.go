@@ -141,7 +141,7 @@ func runLLM(p *apusim.Platform) {
 	m := workload.Llama2_70B()
 	cfg := workload.Fig21Configs()["mi300x-vllm"]
 	cfg.Label = "vLLM FP16 on " + p.Spec.Name
-	r, err := workload.RunInference(p, m, cfg, workload.Fig21Request())
+	r, err := workload.RunInference(p.Spec, m, cfg, workload.Fig21Request())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "apubench:", err)
 		os.Exit(1)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -77,5 +79,35 @@ func TestParseDtype(t *testing.T) {
 	}
 	if _, err := parseDtype("fp4"); err == nil {
 		t.Error("parseDtype(\"fp4\") succeeded, want an error")
+	}
+}
+
+// TestLLMWorkload builds the command and runs -workload llm on the MI300X
+// and the MI250X. The inference model is a roofline over the platform
+// spec; its report is pinned byte for byte.
+func TestLLMWorkload(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "apubench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building apubench: %v\n%s", err, out)
+	}
+	for platform, want := range map[string]string{
+		"mi300x": `vLLM FP16 on MI300X: Llama-2-70B, BS=1, 2048 in / 128 out
+  prompt  594.304ms
+  decode  4.874s (38.08 ms/token, bandwidth-bound)
+  total   5.469s (23.41 tok/s), weights fit in HBM: true
+`,
+		"mi250x": `vLLM FP16 on MI250X: Llama-2-70B, BS=1, 2048 in / 128 out
+  prompt  2.029s
+  decode  7.884s (61.59 ms/token, bandwidth-bound)
+  total   9.913s (12.91 tok/s), weights fit in HBM: false
+`,
+	} {
+		out, err := exec.Command(bin, "-platform", platform, "-workload", "llm").Output()
+		if err != nil {
+			t.Fatalf("apubench -platform %s -workload llm: %v", platform, err)
+		}
+		if string(out) != want {
+			t.Errorf("apubench -platform %s -workload llm printed\n%s\nwant\n%s", platform, out, want)
+		}
 	}
 }

@@ -96,7 +96,8 @@ func main() {
 	// 7. Sampled telemetry: arm a sampler over the kernel's span and drain
 	// the engine — every registered probe (fabric, HBM, cache, XCDs,
 	// power/thermal) gets one value per tick. The same recorder can feed
-	// WriteCSV/WriteJSON or counter tracks in a Chrome trace (WriteTrace).
+	// a JSON series dump (Dump) or counter tracks in a Chrome trace
+	// (WriteTrace).
 	ticks := apusim.NewSampler(eng, rec, 0).Arm(done)
 	eng.RunAll()
 	fmt.Printf("telemetry: %d probes x %d ticks (schema %s)\n",

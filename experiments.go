@@ -40,14 +40,14 @@ func ExperimentTable1() *metrics.Table {
 			return metrics.FormatFloat(v)
 		}
 		t.AddRow(rt.Name,
-			na(rt.Ops(config.Vector, config.FP64)), na(rt.Ops(config.Vector, config.FP32)),
-			na(rt.Ops(config.Matrix, config.FP64)), na(rt.Ops(config.Matrix, config.FP32)),
-			na(rt.Ops(config.Matrix, config.TF32)), na(rt.Ops(config.Matrix, config.FP16)),
-			na(rt.Ops(config.Matrix, config.BF16)), na(rt.Ops(config.Matrix, config.FP8)),
-			na(rt.Ops(config.Matrix, config.INT8)),
+			na(rt.Ops(Vector, FP64)), na(rt.Ops(Vector, FP32)),
+			na(rt.Ops(Matrix, FP64)), na(rt.Ops(Matrix, FP32)),
+			na(rt.Ops(Matrix, TF32)), na(rt.Ops(Matrix, FP16)),
+			na(rt.Ops(Matrix, BF16)), na(rt.Ops(Matrix, FP8)),
+			na(rt.Ops(Matrix, INT8)),
 			na(func() float64 {
-				if rt.SparseMatrixOps[config.FP8] > 0 {
-					return rt.SparseMatrixOps[config.FP8]
+				if rt.SparseMatrixOps[FP8] > 0 {
+					return rt.SparseMatrixOps[FP8]
 				}
 				return 0
 			}()))
@@ -496,16 +496,8 @@ type Fig21Row struct {
 // ExperimentFig21 reproduces Fig. 21: Llama-2 70B inference latency
 // (batch 1, 2048 input, 128 output tokens) for MI300X vLLM versus the
 // baseline GPU under vLLM, TensorRT-LLM, and TensorRT-LLM FP8.
-func ExperimentFig21(ctx *runner.Ctx) ([]Fig21Row, *metrics.Table, error) {
-	mi300x, err := ctx.Platform(config.MI300X())
-	if err != nil {
-		return nil, nil, err
-	}
-	base, err := ctx.Platform(config.BaselineGPU())
-	if err != nil {
-		return nil, nil, err
-	}
-	results, err := workload.RunFig21(mi300x, base)
+func ExperimentFig21() ([]Fig21Row, *metrics.Table, error) {
+	results, err := workload.RunFig21(config.MI300X(), config.BaselineGPU())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -737,8 +729,8 @@ func registerCoreExperiments(r *runner.Registry) {
 			return s.BarChart(40), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "fig21", Desc: "Llama-2 70B inference latency",
-		Run: func(ctx *runner.Ctx) (string, error) {
-			_, t, err := ExperimentFig21(ctx)
+		Run: func(*runner.Ctx) (string, error) {
+			_, t, err := ExperimentFig21()
 			if err != nil {
 				return "", err
 			}

@@ -289,12 +289,8 @@ func ExperimentXCDLossInference(ctx *runner.Ctx) ([]XCDLossPoint, *metrics.Table
 	tokens := func(nXCDs int) (float64, error) {
 		s := config.MI300A()
 		s.XCDs = nXCDs
-		pl, err := ctx.Platform(s)
-		if err != nil {
-			return 0, err
-		}
 		cfg := workload.Fig21Configs()["mi300x-vllm"]
-		r, err := workload.RunInference(pl, workload.Llama2_70B(), cfg, workload.Fig21Request())
+		r, err := workload.RunInference(s, workload.Llama2_70B(), cfg, workload.Fig21Request())
 		if err != nil {
 			return 0, err
 		}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/fabric"
 	"repro/internal/gpu"
-	"repro/internal/hsa"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
@@ -129,24 +128,6 @@ func Partition(a *Auditor, p *gpu.Partition) {
 			})
 		}
 		return vs
-	})
-}
-
-// Queue registers ring-index sanity for an AQL queue: the consumer never
-// passes the producer and occupancy never exceeds the ring.
-func Queue(a *Auditor, q *hsa.Queue) {
-	if !a.Enabled() || q == nil {
-		return
-	}
-	a.Register("hsa."+q.Name, func(sim.Time) []Violation {
-		if err := q.CheckRing(); err != nil {
-			return []Violation{{
-				Ledger: "ring-indices",
-				Detail: err.Error(),
-				Want:   float64(q.WriteIndex()), Got: float64(q.ReadIndex()),
-			}}
-		}
-		return nil
 	})
 }
 

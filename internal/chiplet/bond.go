@@ -101,11 +101,3 @@ func (b BondInterface) MaxPowerAtDroop(areaMM2, supplyVolts, pgFraction, droopFr
 	maxCurrent := supplyVolts * droopFrac / rEff
 	return maxCurrent * supplyVolts
 }
-
-// ThermalAdvantage reports the relative thermal conduction of hybrid
-// bonding versus microbump stacking (§V.A: "superior thermal conduction
-// properties compared to microbump-based 3D stacking"). Direct
-// metal-to-metal contact plus dielectric fusion conducts roughly 3x
-// better than a bump array with underfill; this constant feeds the
-// thermal model's vertical conductance for stacked chiplets.
-func ThermalAdvantage() float64 { return 3.0 }

@@ -61,12 +61,6 @@ func TestIRDropErrorsOnNoPads(t *testing.T) {
 	}
 }
 
-func TestThermalAdvantage(t *testing.T) {
-	if ThermalAdvantage() <= 1 {
-		t.Error("hybrid bonding should conduct better than microbumps (§V.A)")
-	}
-}
-
 // Property: droop scales linearly with power and inversely with area.
 func TestIRDropScalingProperty(t *testing.T) {
 	f := func(wRaw, aRaw uint8) bool {

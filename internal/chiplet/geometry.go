@@ -25,18 +25,6 @@ type Rect struct {
 	X, Y, W, H int
 }
 
-// Contains reports whether p lies within r (inclusive lower, exclusive
-// upper edges).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.X && p.X < r.X+r.W && p.Y >= r.Y && p.Y < r.Y+r.H
-}
-
-// Center reports the rectangle's center.
-func (r Rect) Center() Point { return Point{r.X + r.W/2, r.Y + r.H/2} }
-
-// Area reports the area in µm².
-func (r Rect) Area() int64 { return int64(r.W) * int64(r.H) }
-
 // Overlaps reports whether two rectangles intersect with positive area.
 func (r Rect) Overlaps(o Rect) bool {
 	return r.X < o.X+o.W && o.X < r.X+r.W && r.Y < o.Y+o.H && o.Y < r.Y+r.H

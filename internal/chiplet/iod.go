@@ -255,13 +255,6 @@ func (d *IODDesign) CheckPGInvariance() error {
 	return nil
 }
 
-// PGCurrentCapacity reports the deliverable current in amps for a chiplet
-// footprint, at the §V.D density of >1.5 A/mm² through the TSV grid.
-func (d *IODDesign) PGCurrentCapacity(r Rect) float64 {
-	areaMM2 := float64(r.Area()) / 1e6
-	return 1.5 * areaMM2
-}
-
 // PlacedUSR reports the USR lanes of an instance by placed edge. Mirrored
 // tapeouts have their TX and RX modules swapped (§V.C) so that every TX
 // always faces an RX on the neighbor.

@@ -3,12 +3,12 @@
 // probe-filter protocol (MOESI); GPUs within a socket are kept coherent by
 // a directory using a slightly simpler protocol (MSI); and GPUs in other
 // sockets are software-coherent via scope flushes, which keeps hardware
-// coherence bandwidth off the inter-socket links.
+// coherence bandwidth off the inter-socket links (internal/multisocket
+// models that side analytically).
 //
 // The models here are functional directories: they track per-line sharer
 // sets and owner state, enforce the protocol invariants, and count the
-// probe/invalidation traffic that the platform layer converts into fabric
-// time and power.
+// probe and invalidation traffic.
 package coherence
 
 import (
@@ -56,7 +56,6 @@ type Stats struct {
 	Invalidations uint64 // sharer copies killed by writes
 	DirectHits    uint64 // requests satisfied with no probes
 	Transfers     uint64 // cache-to-cache data transfers
-	Evictions     uint64
 }
 
 // entry is one directory line: an owner (for E/O/M) and a sharer bitmask.
@@ -107,9 +106,6 @@ func newDirectory(name string, agents int, moesi bool) *Directory {
 	}
 	return &Directory{name: name, agents: agents, moesi: moesi, lines: make(map[LineAddr]*entry)}
 }
-
-// Name reports the directory's name.
-func (d *Directory) Name() string { return d.name }
 
 // Agents reports the number of tracked caching agents.
 func (d *Directory) Agents() int { return d.agents }
@@ -211,31 +207,6 @@ func (d *Directory) Write(a int, line LineAddr) Outcome {
 	return Outcome{Probes: probes, CacheTransfer: transfer}
 }
 
-// Evict removes agent a's copy of line, handling owner handoff.
-func (d *Directory) Evict(a int, line LineAddr) {
-	d.checkAgent(a)
-	e := d.lines[line]
-	if e == nil || e.state == Invalid {
-		return
-	}
-	bit := uint64(1) << a
-	if e.sharers&bit == 0 {
-		return
-	}
-	d.stats.Evictions++
-	e.sharers &^= bit
-	if e.sharers == 0 {
-		delete(d.lines, line)
-		return
-	}
-	if e.owner == a {
-		// Hand ownership to the lowest remaining sharer; dirty data is
-		// written back so the line degrades to Shared.
-		e.owner = bits.TrailingZeros64(e.sharers)
-		e.state = Shared
-	}
-}
-
 // StateOf reports the directory state and sharer count for a line.
 func (d *Directory) StateOf(line LineAddr) (State, int) {
 	e := d.lines[line]
@@ -245,16 +216,9 @@ func (d *Directory) StateOf(line LineAddr) (State, int) {
 	return e.state, bits.OnesCount64(e.sharers)
 }
 
-// HasCopy reports whether agent a holds line.
-func (d *Directory) HasCopy(a int, line LineAddr) bool {
-	d.checkAgent(a)
-	e := d.lines[line]
-	return e != nil && e.sharers&(1<<a) != 0
-}
-
 // CheckInvariants validates protocol invariants over all tracked lines,
-// returning the first violation found (nil if clean). Used by property
-// tests and by the platform's debug mode.
+// returning the first violation found (nil if clean). The property tests
+// run it after every access.
 func (d *Directory) CheckInvariants() error {
 	for line, e := range d.lines {
 		n := bits.OnesCount64(e.sharers)
@@ -285,20 +249,4 @@ func (d *Directory) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// ScopeFlush models software coherence between sockets (§IV.D): flushing
-// a scope invalidates every line agent a holds, returning how many lines
-// (an estimate of flush traffic). This is the release-side operation a
-// kernel performs before cross-socket visibility.
-func (d *Directory) ScopeFlush(a int) int {
-	d.checkAgent(a)
-	var flushed int
-	for line, e := range d.lines {
-		if e.sharers&(1<<a) != 0 {
-			flushed++
-			d.Evict(a, line)
-		}
-	}
-	return flushed
 }

@@ -1,10 +1,9 @@
 // Package collective implements the communication collectives that HPC
 // and ML workloads run over the Fig. 18 node topologies: ring and
-// fully-connected (direct) all-reduce, all-gather, reduce-scatter, and
-// broadcast, each timed on the node's fabric model with per-link
-// contention. The paper's node designs — two x16 links per APU pair
-// (Fig. 18a) or one per accelerator pair (Fig. 18b) — determine which
-// algorithm wins at which message size.
+// fully-connected (direct) all-reduce, each timed on the node's fabric
+// model with per-link contention. The paper's node designs — two x16
+// links per APU pair (Fig. 18a) or one per accelerator pair (Fig. 18b) —
+// determine which algorithm wins at which message size.
 package collective
 
 import (
@@ -38,9 +37,6 @@ func NewComm(n *topology.Node) (*Comm, error) {
 	}
 	return c, nil
 }
-
-// Size reports the number of ranks.
-func (c *Comm) Size() int { return len(c.ranks) }
 
 // Network exposes the underlying fabric (for stats).
 func (c *Comm) Network() *fabric.Network { return c.net }
@@ -120,61 +116,6 @@ func (c *Comm) DirectAllReduce(start sim.Time, bytes int64) (*Result, error) {
 	}
 	res := &Result{Algorithm: "direct-allreduce", Bytes: bytes, Steps: 2, Time: t - start}
 	res.BusBW = algoBusBW(bytes, p, res.Time)
-	return res, nil
-}
-
-// AllGather distributes each rank's bytes/p shard to every peer
-// directly.
-func (c *Comm) AllGather(start sim.Time, bytes int64) (*Result, error) {
-	p := len(c.ranks)
-	shard := bytes / int64(p)
-	if shard == 0 {
-		shard = 1
-	}
-	var end sim.Time
-	for r := 0; r < p; r++ {
-		for peer := 0; peer < p; peer++ {
-			if peer == r {
-				continue
-			}
-			done, err := c.send(start, r, peer, shard)
-			if err != nil {
-				return nil, err
-			}
-			if done > end {
-				end = done
-			}
-		}
-	}
-	res := &Result{Algorithm: "allgather", Bytes: bytes, Steps: 1, Time: end - start}
-	if res.Time > 0 {
-		res.BusBW = float64(shard) * float64(p-1) / res.Time.Seconds()
-	}
-	return res, nil
-}
-
-// Broadcast sends bytes from root to every other rank directly.
-func (c *Comm) Broadcast(start sim.Time, root int, bytes int64) (*Result, error) {
-	if root < 0 || root >= len(c.ranks) {
-		return nil, fmt.Errorf("collective: root %d out of range", root)
-	}
-	var end sim.Time
-	for peer := range c.ranks {
-		if peer == root {
-			continue
-		}
-		done, err := c.send(start, root, peer, bytes)
-		if err != nil {
-			return nil, err
-		}
-		if done > end {
-			end = done
-		}
-	}
-	res := &Result{Algorithm: "broadcast", Bytes: bytes, Steps: 1, Time: end - start}
-	if res.Time > 0 {
-		res.BusBW = float64(bytes) / res.Time.Seconds()
-	}
 	return res, nil
 }
 

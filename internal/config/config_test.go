@@ -194,16 +194,6 @@ func TestEHPv4Shortcomings(t *testing.T) {
 	}
 }
 
-func TestUnifiedVsDiscreteHostBW(t *testing.T) {
-	a, m := MI300A(), MI250X()
-	if a.EffectiveHostLinkBW() != a.PeakMemoryBW() {
-		t.Error("APU host link should be HBM speed (zero copy)")
-	}
-	if m.EffectiveHostLinkBW() >= m.PeakMemoryBW()/10 {
-		t.Error("discrete host link should be a small fraction of HBM BW")
-	}
-}
-
 // Property: for every platform and dtype, sparse >= dense matrix rate, and
 // flops scale linearly with CU count.
 func TestRateMonotonicityProperty(t *testing.T) {

@@ -104,16 +104,3 @@ func (p *PlatformSpec) CPUPeakFlops() float64 {
 	}
 	return float64(p.TotalCores()) * p.CCD.ClockHz * p.CCD.FlopsCore
 }
-
-// EffectiveHostLinkBW reports the per-direction CPU<->GPU bandwidth: for a
-// unified-memory APU this is the full HBM bandwidth (data is not moved);
-// for discrete platforms it is the host link.
-func (p *PlatformSpec) EffectiveHostLinkBW() float64 {
-	if p.Memory == UnifiedMemory {
-		return p.PeakMemoryBW()
-	}
-	if p.Host != nil {
-		return p.Host.LinkBW
-	}
-	return 0
-}

@@ -11,11 +11,6 @@ const (
 	MiB = 1 << 20
 	GiB = 1 << 30
 
-	// InterleaveGranule is the physical-address interleave granularity
-	// across HBM stacks (§IV.D: "Every 4KB of sequential physical
-	// addresses map to the same HBM stack").
-	InterleaveGranule = 4 * KiB
-
 	// CacheLineSize is the CDNA 3 L1 line size (§IV.B: 128 B).
 	CacheLineSize = 128
 )

@@ -194,20 +194,6 @@ func TestDevicePresentation(t *testing.T) {
 	}
 }
 
-func TestNewPartitionOf(t *testing.T) {
-	p := mustPlatform(t, config.MI300A())
-	tpx, err := p.NewPartitionOf("tpx0", []int{0, 1}, gpu.PolicyBlock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tpx.TotalCUs() != 76 {
-		t.Errorf("TPX partition CUs = %d, want 76", tpx.TotalCUs())
-	}
-	if _, err := p.NewPartitionOf("bad", []int{9}, gpu.PolicyBlock); err == nil {
-		t.Error("out-of-range XCD accepted")
-	}
-}
-
 func TestFlagVisibilityLatencySmall(t *testing.T) {
 	p := mustPlatform(t, config.MI300A())
 	lat := p.FlagVisibilityLatency()

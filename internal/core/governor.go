@@ -74,19 +74,6 @@ func (g *Governor) Observe(act power.Activity) (power.Allocation, float64) {
 	return g.alloc, g.scale
 }
 
-// Allocate is Observe plus energy-meter accrual at simulated time t, for
-// callers driving the governor from an engine timeline.
-func (g *Governor) Allocate(t sim.Time, act power.Activity) (power.Allocation, float64) {
-	alloc, scale := g.Observe(act)
-	if t > g.shadowT {
-		g.shadowJ += g.shadowW * (t - g.shadowT).Seconds()
-		g.shadowT = t
-	}
-	g.shadowW = alloc.Total()
-	g.meter.SetAllocation(t, alloc)
-	return alloc, scale
-}
-
 // Allocation reports the current per-domain grant.
 func (g *Governor) Allocation() power.Allocation { return g.alloc }
 

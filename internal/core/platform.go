@@ -20,7 +20,6 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/fabric"
 	"repro/internal/gpu"
-	"repro/internal/hsa"
 	"repro/internal/mem"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -323,26 +322,9 @@ func (p *Platform) buildCompute() {
 	}
 }
 
-// NewPartitionOf returns a GPU partition over the XCD indices, sharing the
-// platform's execution environment (used for TPX/CPX modes).
-func (p *Platform) NewPartitionOf(name string, xcdIdx []int, policy gpu.Policy) (*gpu.Partition, error) {
-	var xs []*gpu.XCD
-	for _, i := range xcdIdx {
-		if i < 0 || i >= len(p.XCDs) {
-			return nil, fmt.Errorf("core: XCD %d out of range", i)
-		}
-		xs = append(xs, p.XCDs[i])
-	}
-	env := &gpu.ExecEnv{Mem: p.DeviceMem, MemTime: p.GPUMemTime, Spans: p.spans}
-	return gpu.NewPartition(name, xs, env, policy), nil
-}
-
 // SpanRecorder reports the platform's span recorder (nil when the
 // platform was built without BuildOptions.Spans).
 func (p *Platform) SpanRecorder() *spans.Recorder { return p.spans }
-
-// NewQueue returns a user-mode AQL queue sized for the platform.
-func (p *Platform) NewQueue(name string) *hsa.Queue { return hsa.NewQueue(name, 64) }
 
 // XCDNode reports XCD i's fabric node.
 func (p *Platform) XCDNode(i int) fabric.NodeID { return p.xcdNodes[i%len(p.xcdNodes)] }

@@ -40,7 +40,7 @@ type Task struct {
 	BytesRead    int64
 	BytesWritten int64
 	// Body optionally performs real loads/stores; it receives the task's
-	// chunk index when run via ExecuteParallel (0 otherwise).
+	// chunk index.
 	Body func(env *Env, chunk int)
 }
 
@@ -94,9 +94,6 @@ func (c *Complex) Cores() int { return len(c.cores) }
 
 // L3 returns CCD d's L3 model.
 func (c *Complex) L3(d int) *cache.SetAssoc { return c.l3s[d] }
-
-// Env returns the execution environment.
-func (c *Complex) Env() *Env { return c.env }
 
 // Stats returns a copy of the counters.
 func (c *Complex) Stats() Stats { return c.stats }
@@ -154,12 +151,6 @@ func (c *Complex) run(start sim.Time, t Task, chunk int) sim.Time {
 	return done
 }
 
-// Execute runs the task on a single core starting at start and returns its
-// completion time.
-func (c *Complex) Execute(start sim.Time, t Task) sim.Time {
-	return c.run(start, t, 0)
-}
-
 // TaskTime reports the single-core duration of a task without placing it
 // on a core (compute-only; memory time must be charged by the caller).
 // Used when modeling an explicitly single-threaded consumer loop.
@@ -188,21 +179,5 @@ func (c *Complex) ExecuteParallel(start sim.Time, t Task, chunks int) sim.Time {
 			end = done
 		}
 	}
-	return end
-}
-
-// SpinWait models a core polling a coherent flag until target (the Fig. 15
-// consumer loop): the core is considered busy until the flag's set time
-// plus the coherence-miss visibility latency.
-func (c *Complex) SpinWait(start, flagSetAt sim.Time, visibility sim.Time) sim.Time {
-	end := flagSetAt + visibility
-	if end < start {
-		end = start
-	}
-	core := c.earliestCore()
-	if core.nextFree < end {
-		core.nextFree = end
-	}
-	c.stats.BusyTime += end - start
 	return end
 }

@@ -26,7 +26,7 @@ func TestComplexGeometry(t *testing.T) {
 func TestExecuteComputeTime(t *testing.T) {
 	c := newComplex(nil)
 	// One core at 3.7 GHz × 16 flops/clk = 59.2 GF. 59.2e9 flops = 1 s.
-	done := c.Execute(0, Task{Name: "t", Flops: 59.2e9})
+	done := c.ExecuteParallel(0, Task{Name: "t", Flops: 59.2e9}, 1)
 	if got := done.Seconds(); got < 0.999 || got > 1.001 {
 		t.Errorf("compute time = %v s, want ~1", got)
 	}
@@ -34,7 +34,7 @@ func TestExecuteComputeTime(t *testing.T) {
 
 func TestExecuteParallelScales(t *testing.T) {
 	c := newComplex(nil)
-	t1 := c.Execute(0, Task{Flops: 59.2e9})
+	t1 := c.ExecuteParallel(0, Task{Flops: 59.2e9}, 1)
 	c.ResetStats()
 	t24 := c.ExecuteParallel(0, Task{Flops: 59.2e9}, 24)
 	speedup := float64(t1) / float64(t24)
@@ -55,7 +55,7 @@ func TestTasksQueueOnBusyCores(t *testing.T) {
 	c := NewComplex(config.MI300A().CCD, 1, nil) // 8 cores
 	var last sim.Time
 	for i := 0; i < 16; i++ {
-		last = c.Execute(0, Task{Flops: 59.2e9}) // 1s each
+		last = c.ExecuteParallel(0, Task{Flops: 59.2e9}, 1) // 1s each
 	}
 	// 16 one-second tasks on 8 cores: finish at ~2 s.
 	if got := last.Seconds(); got < 1.99 || got > 2.01 {
@@ -92,29 +92,15 @@ func TestMemTimeDominatesMemBoundTask(t *testing.T) {
 	}
 	c := newComplex(env)
 	// 46 GB of traffic at 460 GB/s floor = 100 ms; trivial compute.
-	done := c.Execute(0, Task{Flops: 1e6, BytesRead: 46e9})
+	done := c.ExecuteParallel(0, Task{Flops: 1e6, BytesRead: 46e9}, 1)
 	if got := done.Milliseconds(); got < 99 {
 		t.Errorf("mem-bound task = %v ms, want >= ~100", got)
 	}
 }
 
-func TestSpinWait(t *testing.T) {
-	c := newComplex(nil)
-	// Flag set at 10µs, visibility 100ns: consumer proceeds at 10.1µs.
-	end := c.SpinWait(0, 10*sim.Microsecond, 100*sim.Nanosecond)
-	if end != 10*sim.Microsecond+100*sim.Nanosecond {
-		t.Errorf("SpinWait = %v", end)
-	}
-	// If the flag was set before the consumer started waiting, no stall.
-	end = c.SpinWait(50*sim.Microsecond, 10*sim.Microsecond, 100*sim.Nanosecond)
-	if end != 50*sim.Microsecond {
-		t.Errorf("pre-set flag SpinWait = %v, want 50µs", end)
-	}
-}
-
 func TestStatsAccumulate(t *testing.T) {
 	c := newComplex(nil)
-	c.Execute(0, Task{Flops: 100, BytesRead: 64, BytesWritten: 32})
+	c.ExecuteParallel(0, Task{Flops: 100, BytesRead: 64, BytesWritten: 32}, 1)
 	st := c.Stats()
 	if st.Tasks != 1 || st.Flops != 100 || st.BytesRead != 64 || st.BytesWritten != 32 {
 		t.Errorf("stats = %+v", st)
@@ -132,7 +118,7 @@ func TestParallelNeverSlowerProperty(t *testing.T) {
 		flops := float64(flopsMant)*1e6 + 1e6
 		n := int(chunks)%24 + 1
 		c1 := newComplex(nil)
-		serial := c1.Execute(0, Task{Flops: flops})
+		serial := c1.ExecuteParallel(0, Task{Flops: flops}, 1)
 		c2 := newComplex(nil)
 		parallel := c2.ExecuteParallel(0, Task{Flops: flops}, n)
 		return parallel <= serial+sim.Nanosecond

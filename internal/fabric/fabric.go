@@ -67,7 +67,6 @@ const (
 	KindHBM
 	KindIOPort
 	KindHost
-	KindOther
 )
 
 // String names the node kind.
@@ -154,28 +153,6 @@ func (l *Link) BytesAtDown() uint64 { return l.bytesAtDown }
 // BusyUntil reports the link's current occupancy horizon.
 func (l *Link) BusyUntil() sim.Time { return l.busyUntil }
 
-// Utilization reports the fraction of [0, horizon] the link spent busy,
-// approximated from bytes carried and clamped to [0, 1] (queued traffic can
-// push the raw byte-derived ratio past 1.0, which is meaningless as a duty
-// cycle and pollutes summary tables).
-func (l *Link) Utilization(horizon sim.Time) float64 {
-	if horizon <= 0 || l.BW <= 0 {
-		return 0
-	}
-	bw := l.EffectiveBW()
-	if bw <= 0 {
-		bw = l.BW
-	}
-	u := float64(l.bytes) / bw / horizon.Seconds()
-	if u > 1 {
-		return 1
-	}
-	if u < 0 {
-		return 0
-	}
-	return u
-}
-
 // EnergyPJ reports transport energy consumed so far in picojoules.
 func (l *Link) EnergyPJ() float64 {
 	return float64(l.bytes) * 8 * l.Kind.EnergyPerBit()
@@ -231,9 +208,6 @@ func (n *Network) NodeByName(name string) *Node {
 	}
 	return nil
 }
-
-// Nodes returns all nodes.
-func (n *Network) Nodes() []*Node { return n.nodes }
 
 // Links returns all directed links.
 func (n *Network) Links() []*Link { return n.links }
@@ -398,13 +372,8 @@ func (n *Network) TransferObserved(start sim.Time, src, dst NodeID, bytes int64,
 	return n.TransferPathObserved(start, path, bytes, obs), nil
 }
 
-// TransferPath is Transfer over an explicit path (useful once a route has
-// been resolved and reused).
-func (n *Network) TransferPath(start sim.Time, path []*Link, bytes int64) sim.Time {
-	return n.TransferPathObserved(start, path, bytes, nil)
-}
-
-// TransferPathObserved is TransferPath with an optional per-hop observer.
+// TransferPathObserved is Transfer over an explicit, already-resolved
+// path, with an optional per-hop observer.
 func (n *Network) TransferPathObserved(start sim.Time, path []*Link, bytes int64, obs HopObserver) sim.Time {
 	arrive := start
 	end := start

@@ -156,17 +156,6 @@ func TestLinkStatsAndEnergy(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	n := New()
-	a := n.AddNode("A", KindIOD).ID
-	b := n.AddNode("B", KindIOD).ID
-	l := n.Connect(a, b, config.LinkUSR, 1e9, 0)
-	n.Transfer(0, a, b, 5e8) // 0.5 s busy
-	if u := l.Utilization(sim.Second); u < 0.49 || u > 0.51 {
-		t.Errorf("Utilization = %g, want ~0.5", u)
-	}
-}
-
 func TestNodeLookup(t *testing.T) {
 	n := New()
 	n.AddNode("iod0", KindIOD)
@@ -356,27 +345,6 @@ func TestLinkDerateSlowsSerialization(t *testing.T) {
 	}
 }
 
-// Boundary test for the Utilization clamp: traffic worth 2x the horizon's
-// capacity must report exactly 1.0, not 2.0.
-func TestUtilizationClampedAtBoundary(t *testing.T) {
-	n := New()
-	a := n.AddNode("A", KindIOD).ID
-	b := n.AddNode("B", KindIOD).ID
-	l := n.Connect(a, b, config.LinkUSR, 1e9, 0)
-	n.Transfer(0, a, b, 2e9) // 2 s of traffic into a 1 s horizon
-	if u := l.Utilization(sim.Second); u != 1 {
-		t.Errorf("over-capacity Utilization = %g, want clamped 1.0", u)
-	}
-	n.ResetStats()
-	n.Transfer(0, a, b, 1e9) // exactly at capacity
-	if u := l.Utilization(sim.Second); u != 1 {
-		t.Errorf("at-capacity Utilization = %g, want 1.0", u)
-	}
-	if u := l.Utilization(0); u != 0 {
-		t.Errorf("zero-horizon Utilization = %g, want 0", u)
-	}
-}
-
 func BenchmarkTransfer(b *testing.B) {
 	n := New()
 	a := n.AddNode("A", KindIOD).ID
@@ -388,6 +356,6 @@ func BenchmarkTransfer(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.TransferPath(sim.Time(i), path, 4096)
+		n.TransferPathObserved(sim.Time(i), path, 4096, nil)
 	}
 }

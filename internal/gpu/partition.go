@@ -50,8 +50,6 @@ type Partition struct {
 	// to xcds. Offline dies receive no work but keep their stats.
 	offline []bool
 
-	kernelsDone uint64
-
 	// Dispatch ledger: every workgroup a processed packet enqueued must be
 	// assigned to exactly one live XCD (the per-ACE assign() computation
 	// covers [0, n) with no overlap), and every completion signal armed on
@@ -126,9 +124,6 @@ func (p *Partition) TotalCUs() int {
 	}
 	return n
 }
-
-// KernelsCompleted reports retired dispatches.
-func (p *Partition) KernelsCompleted() uint64 { return p.kernelsDone }
 
 // DispatchLedger reports (workgroups enqueued by processed packets,
 // workgroups assigned to live XCDs) — equal when dispatch conserved work.
@@ -266,7 +261,6 @@ func (p *Partition) Process(now sim.Time, q *hsa.Queue) (sim.Time, error) {
 		}
 	}
 	q.Advance()
-	p.kernelsDone++
 	if pkt.Completion != nil {
 		p.signalsArmed++
 		pkt.Completion.Sub(kernelDone, 1)
@@ -277,65 +271,6 @@ func (p *Partition) Process(now sim.Time, q *hsa.Queue) (sim.Time, error) {
 	}
 	root.Finish(kernelDone)
 	return kernelDone, nil
-}
-
-// ProcessAll drains a set of user-mode queues, interleaving them in
-// round-robin order as the hardware queue scheduler would, and honoring
-// barrier-AND packets whose dependency signals are produced by kernels on
-// other queues. It returns when every queue is empty, or an error on an
-// unsatisfiable dependency (deadlock).
-func (p *Partition) ProcessAll(start sim.Time, queues []*hsa.Queue) (sim.Time, error) {
-	times := make([]sim.Time, len(queues))
-	for i := range times {
-		times[i] = start
-	}
-	end := start
-	for {
-		progress := false
-		pending := false
-		for i, q := range queues {
-			pkt, ok := q.Peek()
-			if !ok {
-				continue
-			}
-			pending = true
-			if pkt.Type == hsa.PacketBarrierAnd {
-				ready := true
-				var depTime sim.Time
-				for _, dep := range pkt.BarrierDeps {
-					done, at := dep.Reached(0)
-					if !done {
-						ready = false
-						break
-					}
-					if at > depTime {
-						depTime = at
-					}
-				}
-				if !ready {
-					continue // retry after other queues make progress
-				}
-				if depTime > times[i] {
-					times[i] = depTime
-				}
-			}
-			done, err := p.Process(times[i], q)
-			if err != nil {
-				return end, err
-			}
-			times[i] = done
-			if done > end {
-				end = done
-			}
-			progress = true
-		}
-		if !pending {
-			return end, nil
-		}
-		if !progress {
-			return end, fmt.Errorf("gpu: queue set deadlocked on unsatisfiable barrier")
-		}
-	}
 }
 
 // Dispatch is a convenience wrapper: it enqueues a 1-D kernel dispatch on

@@ -100,7 +100,7 @@ func (p *Packet) Validate() error {
 	return nil
 }
 
-// Signal is an HSA signal: a 64-bit value decremented/set by producers and
+// Signal is an HSA signal: a 64-bit value decremented by producers and
 // observed by consumers. SetTime records when the final transition to the
 // observed value occurred in simulated time, so hosts can compute when a
 // wait would have returned.
@@ -120,14 +120,6 @@ func (s *Signal) Value() int64 { return s.value }
 
 // SetTime reports when the value last changed.
 func (s *Signal) SetTime() sim.Time { return s.setTime }
-
-// Set stores v at simulated time t.
-func (s *Signal) Set(t sim.Time, v int64) {
-	s.value = v
-	if t > s.setTime {
-		s.setTime = t
-	}
-}
 
 // Sub subtracts d at simulated time t (the typical completion decrement).
 func (s *Signal) Sub(t sim.Time, d int64) {
@@ -167,23 +159,6 @@ func NewQueue(name string, capacity int) *Queue {
 	return &Queue{Name: name, ring: make([]Packet, capacity), mask: uint64(capacity - 1)}
 }
 
-// CheckRing validates the ring-index invariants the HSA memory layout
-// depends on: the consumer never passes the producer and the occupancy
-// never exceeds the ring. A violation means an Advance/Enqueue pairing
-// bug, reported as (want, got) pairs by the audit layer.
-func (q *Queue) CheckRing() error {
-	if q.writeIdx < q.readIdx {
-		return fmt.Errorf("hsa: queue %s read index %d passed write index %d", q.Name, q.readIdx, q.writeIdx)
-	}
-	if d := q.Depth(); d > len(q.ring) {
-		return fmt.Errorf("hsa: queue %s depth %d exceeds capacity %d", q.Name, d, len(q.ring))
-	}
-	return nil
-}
-
-// Capacity reports the ring size.
-func (q *Queue) Capacity() int { return len(q.ring) }
-
 // Depth reports packets currently queued.
 func (q *Queue) Depth() int { return int(q.writeIdx - q.readIdx) }
 
@@ -217,15 +192,6 @@ func (q *Queue) Peek() (Packet, bool) {
 		return Packet{}, false
 	}
 	return q.ring[q.readIdx&q.mask], true
-}
-
-// At returns the packet at absolute index idx, which must be in
-// [readIdx, writeIdx).
-func (q *Queue) At(idx uint64) (Packet, bool) {
-	if idx < q.readIdx || idx >= q.writeIdx {
-		return Packet{}, false
-	}
-	return q.ring[idx&q.mask], true
 }
 
 // Advance retires the packet at the read index (done once per packet by

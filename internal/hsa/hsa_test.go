@@ -69,23 +69,6 @@ func TestQueueWrapAround(t *testing.T) {
 	}
 }
 
-func TestQueueAt(t *testing.T) {
-	q := NewQueue("q", 8)
-	q.Enqueue(dispatch("a", 64, 64))
-	q.Enqueue(dispatch("b", 64, 64))
-	p, ok := q.At(1)
-	if !ok || p.KernelName != "b" {
-		t.Errorf("At(1) = %v, %v", p.KernelName, ok)
-	}
-	if _, ok := q.At(2); ok {
-		t.Error("At(writeIdx) should fail")
-	}
-	q.Advance()
-	if _, ok := q.At(0); ok {
-		t.Error("At(retired) should fail")
-	}
-}
-
 func TestQueueAdvanceEmptyPanics(t *testing.T) {
 	q := NewQueue("q", 2)
 	defer func() {
@@ -159,13 +142,13 @@ func TestSignalSemantics(t *testing.T) {
 }
 
 func TestSignalSetTimeMonotonic(t *testing.T) {
-	s := NewSignal("s", 0)
-	s.Set(10*sim.Microsecond, 1)
-	s.Set(5*sim.Microsecond, 2) // out-of-order set must not move time back
+	s := NewSignal("s", 3)
+	s.Sub(10*sim.Microsecond, 1)
+	s.Sub(5*sim.Microsecond, 1) // an out-of-order decrement must not move time back
 	if s.SetTime() != 10*sim.Microsecond {
 		t.Errorf("SetTime = %v", s.SetTime())
 	}
-	if s.Value() != 2 {
+	if s.Value() != 1 {
 		t.Errorf("Value = %d", s.Value())
 	}
 }

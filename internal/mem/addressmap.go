@@ -11,9 +11,9 @@ import (
 	"math/bits"
 )
 
-// AddressMap implements the interleaving scheme of §IV.D: every
-// InterleaveGranule (4 KB) of sequential physical addresses maps to the
-// same HBM stack before moving to another stack chosen by an address hash.
+// AddressMap implements the interleaving scheme of §IV.D: every Granule
+// of sequential physical addresses (4 KB on the HBM) maps to the same
+// HBM stack before moving to another stack chosen by an address hash.
 // Within a stack, granules round-robin across the stack's channels.
 type AddressMap struct {
 	Granule  int64
@@ -105,6 +105,3 @@ func (m *AddressMap) Channel(addr int64) int {
 	_, ch := m.locate(addr)
 	return ch
 }
-
-// TotalChannels reports stacks × channels-per-stack.
-func (m *AddressMap) TotalChannels() int { return m.Stacks * m.Channels }

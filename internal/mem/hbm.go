@@ -54,12 +54,6 @@ func (c *Channel) ECCEvents() uint64 { return c.eccEvents }
 // was retired (meaningful only while Retired() is true).
 func (c *Channel) OpsAtRetire() uint64 { return c.opsAtRetire }
 
-// Occupy claims the channel for nbytes starting no earlier than start and
-// returns the completion time (no bank modeling; kept for flat devices).
-func (c *Channel) Occupy(start sim.Time, nbytes int64, write bool) sim.Time {
-	return c.OccupyAt(start, -1, nbytes, write)
-}
-
 // OccupyAt claims the channel for nbytes at addr, applying the row-buffer
 // model when addr >= 0.
 func (c *Channel) OccupyAt(start sim.Time, addr, nbytes int64, write bool) sim.Time {

@@ -311,7 +311,7 @@ func TestChannelMonotonicProperty(t *testing.T) {
 		c := &Channel{BW: 1e11}
 		var prev sim.Time
 		for _, sz := range sizes {
-			end := c.Occupy(0, int64(sz)+1, false)
+			end := c.OccupyAt(0, -1, int64(sz)+1, false)
 			if end < prev {
 				return false
 			}

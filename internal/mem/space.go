@@ -37,12 +37,6 @@ func NewSpace(name string, size int64) *Space {
 	return &Space{name: name, size: size}
 }
 
-// Name reports the space's name.
-func (s *Space) Name() string { return s.name }
-
-// Size reports the space's capacity in bytes.
-func (s *Space) Size() int64 { return s.size }
-
 // Allocated reports the current bump-allocator watermark.
 func (s *Space) Allocated() int64 { return s.brk }
 

@@ -11,14 +11,11 @@ import (
 )
 
 // Distribution accumulates scalar samples and reports summary statistics.
+// The zero value is an empty distribution.
 type Distribution struct {
-	name    string
 	samples []float64
 	sorted  bool
 }
-
-// NewDistribution returns a named, empty distribution.
-func NewDistribution(name string) *Distribution { return &Distribution{name: name} }
 
 // Observe records one sample.
 func (d *Distribution) Observe(v float64) {
@@ -28,9 +25,6 @@ func (d *Distribution) Observe(v float64) {
 
 // N reports the number of samples.
 func (d *Distribution) N() int { return len(d.samples) }
-
-// Name reports the distribution's name.
-func (d *Distribution) Name() string { return d.name }
 
 // Sum reports the sample total.
 func (d *Distribution) Sum() float64 {
@@ -49,8 +43,8 @@ func (d *Distribution) Mean() float64 {
 	return d.Sum() / float64(len(d.samples))
 }
 
-// Min reports the smallest sample, or 0 with no samples (matching Mean
-// and StdDev, so empty distributions never leak infinities into tables).
+// Min reports the smallest sample, or 0 with no samples (matching Mean,
+// so empty distributions never leak infinities into tables).
 func (d *Distribution) Min() float64 {
 	if len(d.samples) == 0 {
 		return 0
@@ -78,21 +72,6 @@ func (d *Distribution) Max() float64 {
 	return m
 }
 
-// StdDev reports the population standard deviation.
-func (d *Distribution) StdDev() float64 {
-	n := len(d.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := d.Mean()
-	var ss float64
-	for _, v := range d.samples {
-		dv := v - mean
-		ss += dv * dv
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Quantile reports the q-quantile (0..1) by nearest-rank on the sorted
 // samples. It returns 0 with no samples.
 func (d *Distribution) Quantile(q float64) float64 {
@@ -116,9 +95,6 @@ func (d *Distribution) Quantile(q float64) float64 {
 	}
 	return d.samples[idx]
 }
-
-// Median reports the 0.5-quantile.
-func (d *Distribution) Median() float64 { return d.Quantile(0.5) }
 
 // Table renders aligned text tables for experiment output.
 type Table struct {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestDistributionStats(t *testing.T) {
-	d := NewDistribution("lat")
+	d := new(Distribution)
 	for _, v := range []float64{4, 2, 8, 6} {
 		d.Observe(v)
 	}
@@ -25,15 +25,11 @@ func TestDistributionStats(t *testing.T) {
 	if d.Sum() != 20 {
 		t.Errorf("Sum = %v", d.Sum())
 	}
-	want := math.Sqrt(5) // population stddev of {2,4,6,8}
-	if math.Abs(d.StdDev()-want) > 1e-9 {
-		t.Errorf("StdDev = %v, want %v", d.StdDev(), want)
-	}
 }
 
 func TestDistributionEmpty(t *testing.T) {
-	d := NewDistribution("e")
-	if d.Mean() != 0 || d.Median() != 0 || d.StdDev() != 0 {
+	d := new(Distribution)
+	if d.Mean() != 0 || d.Quantile(0.5) != 0 {
 		t.Error("empty distribution stats should be zero")
 	}
 	if d.Min() != 0 || d.Max() != 0 {
@@ -72,7 +68,7 @@ func TestFormatFloatNonFinite(t *testing.T) {
 }
 
 func TestDistributionQuantile(t *testing.T) {
-	d := NewDistribution("q")
+	d := new(Distribution)
 	for i := 1; i <= 100; i++ {
 		d.Observe(float64(i))
 	}
@@ -82,7 +78,7 @@ func TestDistributionQuantile(t *testing.T) {
 	if q := d.Quantile(1); q != 100 {
 		t.Errorf("Q1 = %v", q)
 	}
-	med := d.Median()
+	med := d.Quantile(0.5)
 	if med < 49 || med > 52 {
 		t.Errorf("median = %v, want ~50", med)
 	}
@@ -94,7 +90,7 @@ func TestQuantileMonotonicProperty(t *testing.T) {
 		if len(vals) == 0 {
 			return true
 		}
-		d := NewDistribution("p")
+		d := new(Distribution)
 		for _, v := range vals {
 			if math.IsNaN(v) {
 				return true
@@ -125,17 +121,17 @@ func TestQuantileOrderInvarianceProperty(t *testing.T) {
 		if len(clean) == 0 {
 			return true
 		}
-		d1 := NewDistribution("a")
+		d1 := new(Distribution)
 		for _, v := range clean {
 			d1.Observe(v)
 		}
 		sorted := append([]float64(nil), clean...)
 		sort.Float64s(sorted)
-		d2 := NewDistribution("b")
+		d2 := new(Distribution)
 		for _, v := range sorted {
 			d2.Observe(v)
 		}
-		return d1.Median() == d2.Median()
+		return d1.Quantile(0.5) == d2.Quantile(0.5)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -152,22 +152,3 @@ func (s *System) Crossover(lo, hi int64) int64 {
 	}
 	return hi
 }
-
-// CPUSharingAcrossSockets exercises the node-wide probe filter: CPU agents
-// on different sockets read/write a shared line, staying hardware
-// coherent (no flushes), and reports the probe count.
-func (s *System) CPUSharingAcrossSockets(writes int) (probes uint64, err error) {
-	line := coherence.LineAddr(0x1000)
-	perSocket := s.CPUDir.Agents() / len(s.Node.Sockets)
-	for i := 0; i < writes; i++ {
-		// Reader on socket (i%4), writer on socket ((i+1)%4).
-		reader := (i % len(s.Node.Sockets)) * perSocket
-		writer := ((i + 1) % len(s.Node.Sockets)) * perSocket
-		s.CPUDir.Read(reader, line)
-		s.CPUDir.Write(writer, line)
-		if err := s.CPUDir.CheckInvariants(); err != nil {
-			return 0, err
-		}
-	}
-	return s.CPUDir.Stats().ProbesSent, nil
-}

@@ -64,17 +64,6 @@ func TestCoherenceBandwidthTax(t *testing.T) {
 	}
 }
 
-func TestCPUSharingStaysCoherent(t *testing.T) {
-	s := system(t)
-	probes, err := s.CPUSharingAcrossSockets(100)
-	if err != nil {
-		t.Fatalf("invariant violation: %v", err)
-	}
-	if probes == 0 {
-		t.Error("cross-socket CPU sharing generated no probes")
-	}
-}
-
 func TestSystemGeometry(t *testing.T) {
 	s := system(t)
 	if len(s.GPUDirs) != 4 {

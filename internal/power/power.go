@@ -2,12 +2,10 @@
 // socket TDP shared by the compute chiplets, the memory system, and the
 // data-movement fabric, with dynamic reallocation between them as
 // workloads transition between compute-dominated and memory-intensive
-// phases (Fig. 12a). It also checks the vertical power-delivery limits of
-// the TSV grid (1.5 A/mm² to stacked chiplets, +0.5 A/mm² for the IOD).
+// phases (Fig. 12a).
 package power
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/sim"
@@ -217,43 +215,6 @@ func MemoryIntensive() Activity {
 	a[DomainUSR] = 1.0
 	a[DomainIO] = 0.50
 	return a
-}
-
-// Delivery checks vertical power-delivery feasibility per §V.D.
-type Delivery struct {
-	// SupplyVolts is the chiplet supply voltage.
-	SupplyVolts float64
-	// StackedLimitAmpsPerMM2 is the TSV grid's current density to the
-	// stacked chiplets (paper: >1.5 A/mm²).
-	StackedLimitAmpsPerMM2 float64
-	// IODExtraAmpsPerMM2 is the additional microbump current for the IOD
-	// itself (paper: 0.5 A/mm²).
-	IODExtraAmpsPerMM2 float64
-}
-
-// DefaultDelivery returns the §V.D limits at a 0.75 V supply.
-func DefaultDelivery() Delivery {
-	return Delivery{SupplyVolts: 0.75, StackedLimitAmpsPerMM2: 1.5, IODExtraAmpsPerMM2: 0.5}
-}
-
-// CheckStacked verifies watts delivered to a stacked chiplet of areaMM2.
-func (d Delivery) CheckStacked(watts, areaMM2 float64) error {
-	amps := watts / d.SupplyVolts
-	limit := d.StackedLimitAmpsPerMM2 * areaMM2
-	if amps > limit {
-		return fmt.Errorf("power: %.1f A over %.0f mm² exceeds TSV limit %.1f A", amps, areaMM2, limit)
-	}
-	return nil
-}
-
-// CheckIOD verifies the IOD's own power through the microbump interface.
-func (d Delivery) CheckIOD(watts, areaMM2 float64) error {
-	amps := watts / d.SupplyVolts
-	limit := d.IODExtraAmpsPerMM2 * areaMM2
-	if amps > limit {
-		return fmt.Errorf("power: IOD %.1f A over %.0f mm² exceeds microbump limit %.1f A", amps, areaMM2, limit)
-	}
-	return nil
 }
 
 // EnergyMeter integrates allocation over simulated time for workload-level

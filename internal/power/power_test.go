@@ -84,23 +84,6 @@ func TestMI300XModelHasNoCCDPower(t *testing.T) {
 	}
 }
 
-func TestDeliveryLimits(t *testing.T) {
-	d := DefaultDelivery()
-	// An XCD of ~93.5 mm² at 1.5 A/mm² and 0.75 V can sink ~105 W.
-	if err := d.CheckStacked(100, 93.5); err != nil {
-		t.Errorf("100 W XCD rejected: %v", err)
-	}
-	if err := d.CheckStacked(120, 93.5); err == nil {
-		t.Error("over-limit stacked power accepted")
-	}
-	if err := d.CheckIOD(150, 480); err != nil {
-		t.Errorf("IOD 150 W rejected: %v", err)
-	}
-	if err := d.CheckIOD(200, 480); err == nil {
-		t.Error("over-limit IOD power accepted")
-	}
-}
-
 func TestEnergyMeterIntegrates(t *testing.T) {
 	var e EnergyMeter
 	m := MI300AModel()

@@ -316,7 +316,7 @@ func runAttempt(e Experiment, opts Options, deadline time.Time) Result {
 		start := time.Now()
 		// The watchdog converts silent hangs into a typed abort. The
 		// telemetry profile Ctx.Telemetry may arm later is the engine's
-		// per-class counters (EnableProfiling), not a second hook.
+		// per-class counters (EnableProfiling), which run beside it.
 		wcfg := sim.WatchdogConfig{}
 		if opts.Watchdog != nil {
 			wcfg = *opts.Watchdog

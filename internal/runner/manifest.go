@@ -217,7 +217,7 @@ func (s *SuiteResult) SummaryTable() *metrics.Table {
 		fmt.Sprintf("suite summary: %d experiments, %d failed, %d degraded, parallel %d, wall %.0f ms",
 			len(s.Results), len(s.Failed()), len(s.Degraded()), s.Parallel, s.Wall.Seconds()*1e3),
 		"id", "status", "attempts", "wall ms", "fired", "pending", "bytes")
-	wall := metrics.NewDistribution("wall ms")
+	wall := new(metrics.Distribution)
 	for _, r := range s.Results {
 		t.AddRowf(r.ID, string(r.Status), r.Attempts, r.Wall.Seconds()*1e3,
 			int(r.EventsFired), r.EventsPending, len(r.Output))

@@ -688,13 +688,6 @@ func (s *Server) closeJournal() {
 	})
 }
 
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // apiError is the JSON error envelope every non-2xx response carries.
 type apiError struct {
 	Error string `json:"error"`

@@ -26,10 +26,6 @@ import (
 	"repro/internal/ras"
 )
 
-// SpecSchema identifies the job-spec JSON layout accepted by POST
-// /v1/jobs; bump on incompatible changes.
-const SpecSchema = "apusim-job-spec/v1"
-
 // Spec is one job's run specification: what to simulate and which
 // observability options to arm. Exactly one of Experiment or FaultPlan
 // selects the work — a registered experiment by ID, or an ad-hoc RAS

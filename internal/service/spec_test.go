@@ -9,8 +9,9 @@ import (
 
 // goldenSpecJSON is a pinned wire-form spec; goldenSpecHash is its pinned
 // content address. If this test breaks, the canonical form changed — that
-// invalidates every stored cache entry in the wild, so bump SpecSchema
-// and re-pin deliberately, don't just update the constant.
+// invalidates every stored cache entry in the wild, so bump the
+// apusim-job-spec version and re-pin deliberately, don't just update the
+// constant.
 const (
 	goldenSpecJSON = `{
 		"fault_plan": {

@@ -68,18 +68,6 @@ func DAXPY(n int) Call {
 	}
 }
 
-// DotProduct describes x·y over n float64 elements.
-func DotProduct(n int) Call {
-	fn := float64(n)
-	return Call{
-		Name:  fmt.Sprintf("ddot-%d", n),
-		Flops: 2 * fn,
-		Bytes: 16 * fn,
-		Class: config.Vector,
-		Dtype: config.FP64,
-	}
-}
-
 // Estimate is the router's cost prediction for one target.
 type Estimate struct {
 	Target Target

@@ -111,8 +111,9 @@ func TestRoutePicksMinimumProperty(t *testing.T) {
 			c = DGEMM(n)
 		case 1:
 			c = DAXPY(n * 1024)
-		default:
-			c = DotProduct(n * 1024)
+		default: // a dot product: 2n flops over 16n bytes
+			fn := float64(n * 1024)
+			c = Call{Name: "ddot", Flops: 2 * fn, Bytes: 16 * fn, Class: config.Vector, Dtype: config.FP64}
 		}
 		target, cpu, gpu := r.Route(c)
 		if gpu.Time < cpu.Time {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"sort"
-	"time"
-)
+import "sort"
 
 // Class is an interned handler-class handle. Components intern their
 // classes once at setup time (eng.Class("hbm.access")) and pass the
@@ -54,44 +51,6 @@ func (e *Engine) ClassName(c Class) string {
 	return e.classes[c].name
 }
 
-// Hook observes engine execution. An observer installed with AddHook
-// receives one callback per fired event with the event's interned
-// class handle, its simulated firing time, and the wall-clock cost of its
-// handler. The engine measures handler wall time only while a hook is
-// installed or profiling is enabled, so an unobserved run pays nothing.
-// Resolve handles to names with Engine.ClassName.
-type Hook interface {
-	EventDone(class Class, at Time, wall time.Duration)
-}
-
-// AddHook chains h behind any observer already installed: every hook
-// receives every EventDone callback, in installation order. This is the
-// seam that lets several observers share one engine without clobbering
-// each other.
-func (e *Engine) AddHook(h Hook) {
-	if h == nil {
-		return
-	}
-	if e.hook == nil {
-		e.hook = h
-		return
-	}
-	if m, ok := e.hook.(*multiHook); ok {
-		m.hooks = append(m.hooks, h)
-		return
-	}
-	e.hook = &multiHook{hooks: []Hook{e.hook, h}}
-}
-
-// multiHook fans one EventDone callback out to several observers.
-type multiHook struct{ hooks []Hook }
-
-func (m *multiHook) EventDone(class Class, at Time, wall time.Duration) {
-	for _, h := range m.hooks {
-		h.EventDone(class, at, wall)
-	}
-}
-
 // ClassProfile is one class's aggregate execution counters, snapshotted
 // by ProfileSnapshot.
 type ClassProfile struct {
@@ -110,10 +69,10 @@ type ClassProfile struct {
 
 // EnableProfiling turns on the engine's per-class aggregate counters:
 // every fired event increments its class's fired count and accumulates
-// its handler's wall-clock cost. Unlike a per-event Hook, profiling is a
-// pair of in-place counter bumps with no callback — and while disabled
-// (the default) the dispatch loop takes no timestamps and touches no
-// counters, so unprofiled runs pay nothing.
+// its handler's wall-clock cost: a pair of in-place counter bumps with no
+// callback. While profiling is disabled (the default) and no watchdog is
+// installed, the dispatch loop takes no timestamps and touches no
+// counters, so an unobserved run pays nothing.
 func (e *Engine) EnableProfiling() { e.profiling = true }
 
 // ProfileSnapshot returns the aggregate counters of every class that has

@@ -64,7 +64,7 @@ type Engine struct {
 	cancelled uint64
 	hwm       int
 
-	hook      Hook
+	watchdog  *Watchdog
 	profiling bool
 }
 
@@ -138,14 +138,6 @@ func (e *Engine) Schedule(at Time, class Class, fn Handler) EventID {
 	return EventID{idx: idx, gen: ev.gen}
 }
 
-// After queues fn to run d picoseconds from now under class. A negative d
-// panics via Schedule with the class name in the message — an earlier
-// version silently clamped it to 0, which hid causality bugs until the
-// stale event fired far from the buggy caller.
-func (e *Engine) After(d Time, class Class, fn Handler) EventID {
-	return e.Schedule(e.now+d, class, fn)
-}
-
 // Cancel marks a previously scheduled event dead. It returns false if the
 // event already fired or was already cancelled. Cancelled Forever
 // sentinels are reclaimed immediately; cancelled finite events are
@@ -202,7 +194,7 @@ func (e *Engine) fire(idx int32) {
 	e.reclaim(idx)
 	e.now = at
 	e.fired++
-	if e.hook == nil && !e.profiling {
+	if e.watchdog == nil && !e.profiling {
 		fn(at)
 		return
 	}
@@ -214,8 +206,8 @@ func (e *Engine) fire(idx int32) {
 		ci.fired++
 		ci.wallNS += wall.Nanoseconds()
 	}
-	if e.hook != nil {
-		e.hook.EventDone(class, at, wall)
+	if e.watchdog != nil {
+		e.watchdog.eventDone(class, at, wall)
 	}
 }
 

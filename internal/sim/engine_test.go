@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestEngineOrdersEventsByTime(t *testing.T) {
@@ -49,7 +48,7 @@ func TestEngineScheduleFromHandler(t *testing.T) {
 	var times []Time
 	e.Schedule(5, ClassDefault, func(now Time) {
 		times = append(times, now)
-		e.After(7, ClassDefault, func(now Time) { times = append(times, now) })
+		e.Schedule(now+7, ClassDefault, func(now Time) { times = append(times, now) })
 	})
 	e.RunAll()
 	if len(times) != 2 || times[0] != 5 || times[1] != 12 {
@@ -356,58 +355,6 @@ func TestRNGForkDeterministicAndDecorrelated(t *testing.T) {
 	}
 }
 
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(7)
-	p := r.Perm(50)
-	seen := make(map[int]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
-// testHook records EventDone callbacks for the profiling-hook tests.
-type testHook struct {
-	classes []Class
-	wallOK  bool
-}
-
-func (h *testHook) EventDone(class Class, _ Time, wall time.Duration) {
-	h.classes = append(h.classes, class)
-	if wall >= 0 {
-		h.wallOK = true
-	}
-}
-
-func TestHookObservesClassesAndWall(t *testing.T) {
-	e := NewEngine()
-	h := &testHook{}
-	e.AddHook(h)
-	fault := e.Class("ras.fault")
-	sample := e.Class("telemetry.sample")
-	e.Schedule(10, fault, func(Time) {})
-	e.Schedule(5, ClassDefault, func(Time) {})
-	e.Schedule(20, sample, func(Time) {})
-	e.RunAll()
-	want := []Class{ClassDefault, fault, sample}
-	if len(h.classes) != len(want) {
-		t.Fatalf("hook saw %v, want %v", h.classes, want)
-	}
-	for i := range want {
-		if h.classes[i] != want[i] {
-			t.Fatalf("hook saw %v, want %v", h.classes, want)
-		}
-	}
-	if !h.wallOK {
-		t.Error("hook never saw a wall duration")
-	}
-	if got := e.ClassName(fault); got != "ras.fault" {
-		t.Errorf("ClassName(fault) = %q", got)
-	}
-}
-
 func TestClassInterningIsIdempotent(t *testing.T) {
 	e := NewEngine()
 	a := e.Class("hbm.access")
@@ -505,18 +452,4 @@ func TestPastSchedulingPanicNamesEventClass(t *testing.T) {
 		}
 	}()
 	e.Schedule(50, e.Class("ras.fault"), func(Time) {})
-}
-
-func TestAfterNegativeDelayPanics(t *testing.T) {
-	// After used to clamp negative delays to "now", silently reordering
-	// causality; it must now panic like any past-scheduling attempt.
-	e := NewEngine()
-	e.Schedule(100, ClassDefault, func(Time) {})
-	e.RunAll()
-	defer func() {
-		if recover() == nil {
-			t.Error("After with a negative delay did not panic")
-		}
-	}()
-	e.After(-10, ClassDefault, func(Time) {})
 }

@@ -10,7 +10,6 @@ type Time int64
 
 // Common durations.
 const (
-	Picosecond  Time = 1
 	Nanosecond  Time = 1000
 	Microsecond Time = 1000 * Nanosecond
 	Millisecond Time = 1000 * Microsecond

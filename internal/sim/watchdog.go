@@ -54,7 +54,7 @@ type WatchdogConfig struct {
 	// MaxHandlerWall trips when a single handler spends longer than this
 	// in wall-clock time. It catches handlers that eventually return after
 	// pathological compute; a handler that never returns is beyond any
-	// in-process hook and remains the runner timeout's job.
+	// in-process check and remains the runner timeout's job.
 	MaxHandlerWall time.Duration
 }
 
@@ -84,11 +84,11 @@ func (c WatchdogConfig) withDefaults() WatchdogConfig {
 	return c
 }
 
-// Watchdog is an engine Hook that detects livelock (event storms with no
-// simulated-time progress), runaway queue growth, and single-handler
-// wall-clock stalls. Install attaches it with AddHook; a telemetry engine
-// profile is the engine's per-class counters (EnableProfiling), which
-// run beside any hook.
+// Watchdog detects livelock (event storms with no simulated-time
+// progress), runaway queue growth, and single-handler wall-clock stalls.
+// Install arms it on an engine, whose dispatch loop then calls it after
+// every fired event; a telemetry engine profile is the engine's per-class
+// counters (EnableProfiling), which run beside it.
 type Watchdog struct {
 	cfg      WatchdogConfig
 	eng      *Engine
@@ -115,14 +115,14 @@ func (w *Watchdog) Install(eng *Engine) {
 	}
 	w.queueMax = w.cfg.QueueFactor * base
 	w.lastAt = eng.Now()
-	eng.AddHook(w)
+	eng.watchdog = w
 }
 
-// EventDone implements Hook: after every fired event it checks the three
-// bounds and panics with a *WatchdogTrip on the first violation. The
-// class handle is resolved to a name only on the trip path, so the
-// per-event cost stays integer-only.
-func (w *Watchdog) EventDone(class Class, at Time, wall time.Duration) {
+// eventDone runs after every fired event: it checks the three bounds and
+// panics with a *WatchdogTrip on the first violation. The class handle
+// is resolved to a name only on the trip path, so the per-event cost
+// stays integer-only.
+func (w *Watchdog) eventDone(class Class, at Time, wall time.Duration) {
 	w.events++
 	if at > w.lastAt {
 		w.lastAt = at

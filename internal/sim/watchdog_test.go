@@ -122,21 +122,3 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 		t.Fatalf("ran %d steps, want 500", n)
 	}
 }
-
-func TestWatchdogComposesWithOtherHooks(t *testing.T) {
-	eng := NewEngine()
-	var seen int
-	eng.AddHook(hookFunc(func(Class, Time, time.Duration) { seen++ }))
-	NewWatchdog(WatchdogConfig{EventBudget: 50}).Install(eng)
-
-	eng.Schedule(1, eng.Class("tick"), func(Time) {})
-	eng.RunAll()
-	if seen != 1 {
-		t.Fatalf("earlier hook saw %d events after watchdog install, want 1", seen)
-	}
-}
-
-// hookFunc adapts a func to the Hook interface for tests.
-type hookFunc func(class Class, at Time, wall time.Duration)
-
-func (f hookFunc) EventDone(class Class, at Time, wall time.Duration) { f(class, at, wall) }

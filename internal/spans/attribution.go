@@ -147,7 +147,7 @@ func aggregate(roots []*Span, kidsOf func(i int) []*Span) *Attribution {
 	for i, root := range roots {
 		ka := aggs[root.Kind]
 		if ka == nil {
-			ka = &kindAgg{kind: root.Kind, e2e: metrics.NewDistribution("e2e"),
+			ka = &kindAgg{kind: root.Kind, e2e: new(metrics.Distribution),
 				stages: make(map[string]*stageAgg)}
 			aggs[root.Kind] = ka
 			kindOrder = append(kindOrder, root.Kind)
@@ -159,7 +159,7 @@ func aggregate(roots []*Span, kidsOf func(i int) []*Span) *Attribution {
 		for _, st := range chain {
 			sa := ka.stages[st.stage]
 			if sa == nil {
-				sa = &stageAgg{dist: metrics.NewDistribution(st.stage)}
+				sa = &stageAgg{dist: new(metrics.Distribution)}
 				ka.stages[st.stage] = sa
 			}
 			sa.count++

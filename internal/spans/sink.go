@@ -1,9 +1,7 @@
 package spans
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -37,7 +35,7 @@ type EventRecord struct {
 
 // Dump is the full span store in wire form. Everything in it derives from
 // the seed, the plan, and simulated time, so identical runs produce
-// byte-identical WriteJSON output at any parallelism degree.
+// byte-identical JSON at any parallelism degree.
 type Dump struct {
 	Schema       string        `json:"schema"`
 	SampleRate   float64       `json:"sample_rate"`
@@ -95,13 +93,6 @@ func (r *Recorder) Dump() *Dump {
 		d.Attribution = r.Attribution()
 	}
 	return d
-}
-
-// WriteJSON writes the dump as indented JSON.
-func (d *Dump) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
 }
 
 // String renders a one-line description for deterministic experiment

@@ -133,14 +133,6 @@ func NewRecorder(seed uint64, rate float64) *Recorder {
 	return &Recorder{rng: sim.NewRNG(seed).Fork(0x5bab5), rate: rate, limit: maxSpans}
 }
 
-// SampleRate reports the head-sampling rate (0 on a nil recorder).
-func (r *Recorder) SampleRate() float64 {
-	if r == nil {
-		return 0
-	}
-	return r.rate
-}
-
 // Enabled reports whether the recorder exists — the hot-path guard that
 // lets instrumentation skip even the label formatting when tracing is off.
 func (r *Recorder) Enabled() bool { return r != nil }

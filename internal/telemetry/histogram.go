@@ -128,13 +128,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum reports the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Quantile returns the deterministic q-quantile estimate (q in [0, 1]):
 // the observation rank's bucket located by cumulative count, linearly
 // interpolated between the bucket's bounds. The estimate depends only on
@@ -155,21 +148,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return quantileLocked(h.bounds, h.counts, h.count, q)
-}
-
-// Quantile computes the same estimate from a snapshot, so callers holding
-// one snapshot can derive p50/p95/p99 from a single consistent state.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	return quantileLocked(s.Bounds, s.Counts, s.Count, q)
 }
 
 func quantileLocked(bounds []float64, counts []uint64, count uint64, q float64) float64 {

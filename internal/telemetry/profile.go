@@ -20,10 +20,9 @@ type ClassStats struct {
 
 // EngineProfile is a view over an engine's per-class aggregate counters.
 //
-// It used to be a sim hook that received one string-keyed callback per
-// fired event; the engine now keeps per-class-ID counters itself (two
-// integer bumps per event, no callback, nothing while profiling is off —
-// so unprofiled runs still pay nothing), and this type reduces the
+// The engine keeps per-class-ID counters itself (two integer bumps per
+// event, no callback, nothing while profiling is off — so unprofiled
+// runs pay nothing), and this type reduces the
 // end-of-run ProfileSnapshot to the stable ClassStats shape the dump and
 // summary sinks embed.
 type EngineProfile struct {

@@ -100,9 +100,3 @@ func WritePromRuns(w io.Writer, runs []PromRun) error {
 	}
 	return set.WritePromText(w)
 }
-
-// WritePromText writes this dump alone in Prometheus text exposition
-// format, with unlabeled samples.
-func (d *Dump) WritePromText(w io.Writer) error {
-	return WritePromRuns(w, []PromRun{{Dump: d}})
-}

@@ -24,7 +24,7 @@ func promDump() *Dump {
 
 func TestWritePromTextSingleRun(t *testing.T) {
 	var buf bytes.Buffer
-	if err := promDump().WritePromText(&buf); err != nil {
+	if err := WritePromRuns(&buf, []PromRun{{Dump: promDump()}}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

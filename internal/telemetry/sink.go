@@ -1,11 +1,7 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"strconv"
-	"strings"
 
 	"repro/internal/trace"
 )
@@ -16,7 +12,7 @@ const DumpSchema = "apusim-telemetry/v1"
 
 // Dump is the full sampled store in columnar form. Everything in it is
 // deterministic for a given seed and fault plan: identical runs produce
-// byte-identical WriteJSON/WriteCSV output at any parallelism degree.
+// byte-identical JSON at any parallelism degree.
 // (Handler wall time is deliberately absent — see Summary.)
 type Dump struct {
 	Schema   string      `json:"schema"`
@@ -63,41 +59,6 @@ func (r *Recorder) Dump() *Dump {
 	}
 	return d
 }
-
-// WriteJSON writes the dump as indented JSON.
-func (d *Dump) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// WriteCSV writes the dump as one header row ("t_ns" then probe names)
-// followed by one row per sample.
-func (d *Dump) WriteCSV(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("t_ns")
-	for _, s := range d.Series {
-		b.WriteByte(',')
-		b.WriteString(s.Name)
-	}
-	b.WriteByte('\n')
-	for i, t := range d.TimesNS {
-		b.WriteString(strconv.FormatFloat(t, 'g', -1, 64))
-		for _, s := range d.Series {
-			b.WriteByte(',')
-			b.WriteString(strconv.FormatFloat(s.Values[i], 'g', -1, 64))
-		}
-		b.WriteByte('\n')
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// WriteJSON dumps the recorder's store as JSON (convenience sink).
-func (r *Recorder) WriteJSON(w io.Writer) error { return r.Dump().WriteJSON(w) }
-
-// WriteCSV dumps the recorder's store as CSV (convenience sink).
-func (r *Recorder) WriteCSV(w io.Writer) error { return r.Dump().WriteCSV(w) }
 
 // AddCounters appends every sampled series to tr as Chrome-trace counter
 // ('C') events on process pid — one counter track per probe, one event per

@@ -1,10 +1,10 @@
 // Package telemetry is the deterministic, simulated-time sampling layer:
 // components register named probes on a Recorder, a Sampler scheduled on
 // the run's sim.Engine snapshots every probe at a fixed simulated-time
-// cadence into columnar series, and engine profiling hooks (events fired
-// per handler class, queue-depth high-water mark, wall-ns per handler)
-// land in the same store. The sampled store fans out to three sinks:
-// Chrome-trace counter events (AddCounters), a CSV/JSON series dump
+// cadence into columnar series, and engine profiling counters (events
+// fired per handler class, queue-depth high-water mark, wall-ns per
+// handler) land in the same store. The sampled store fans out to three
+// sinks: Chrome-trace counter events (AddCounters), a JSON series dump
 // (Dump), and a compact per-run summary for the run manifest (Summary).
 //
 // Determinism is the design constraint that shapes everything here.
@@ -109,13 +109,6 @@ func (r *Recorder) Gauge(name string, fn func(now sim.Time) float64) {
 	r.MustRegister(name, KindGauge, func(now, _ sim.Time) float64 { return fn(now) })
 }
 
-// Occupancy registers an instantaneous ratio probe clamped to [0, 1].
-func (r *Recorder) Occupancy(name string, fn func(now sim.Time) float64) {
-	r.MustRegister(name, KindOccupancy, func(now, _ sim.Time) float64 {
-		return clamp01(fn(now))
-	})
-}
-
 // Rate registers a probe that differences a cumulative counter: each
 // sample is (counter delta since the previous sample) / (interval
 // seconds). The first sample establishes the baseline and reads 0.
@@ -168,9 +161,6 @@ func (r *Recorder) Sample(now sim.Time) {
 	}
 }
 
-// Samples reports how many rows have been recorded.
-func (r *Recorder) Samples() int { return len(r.times) }
-
 // Probes reports how many probes are registered.
 func (r *Recorder) Probes() int { return len(r.probes) }
 
@@ -213,9 +203,8 @@ func (r *Recorder) Cadence() sim.Time { return r.cadence }
 // ObserveEngine enables the engine's per-class aggregate profiling for
 // this recorder, so per-class fired counts, handler wall time, and the
 // queue-depth high-water mark land in the same store as the sampled
-// series. Profiling is counter-based rather than hook-based, so it
-// coexists with any hooks already installed (for example the runtime
-// watchdog) without touching the hook chain.
+// series. Profiling is counter-based, so it runs beside the runtime
+// watchdog without touching it.
 func (r *Recorder) ObserveEngine(eng *sim.Engine) {
 	if r.profile == nil {
 		r.profile = NewEngineProfile(eng)

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/chiplet"
-	"repro/internal/sim"
 )
 
 func flatMap(nx, ny int, w float64) [][]float64 {
@@ -209,81 +208,4 @@ func TestCellMapping(t *testing.T) {
 	if x1 <= x0 || y1 <= y0 {
 		t.Error("degenerate rect mapped to empty cell range")
 	}
-}
-
-func TestTransientWarmsTowardSteadyState(t *testing.T) {
-	s := NewSolver(16, 16)
-	s.MaxIters = 5000
-	g := flatMap(16, 16, 0)
-	g[8][8] = 4
-	steady := s.Solve(g)
-	steadyMax, _, _ := steady.Max()
-
-	tr := NewTransient(s, 10*sim.Millisecond)
-	var prevMax float64 = s.AmbientC
-	for i := 0; i < 5; i++ {
-		if err := tr.Run(g, 20*sim.Millisecond, sim.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		m, _, _ := tr.Field().Max()
-		if m < prevMax-1e-9 {
-			t.Errorf("temperature fell during warm-up at step %d", i)
-		}
-		prevMax = m
-	}
-	finalMax, _, _ := tr.Field().Max()
-	if finalMax > steadyMax+0.5 {
-		t.Errorf("transient overshot steady state: %.2f > %.2f", finalMax, steadyMax)
-	}
-	if finalMax < s.AmbientC+0.5 {
-		t.Error("transient never warmed")
-	}
-}
-
-func TestTransientPhaseTransitionMovesHotspot(t *testing.T) {
-	// Heat the left half, let it settle, then switch power to the right
-	// half: the hotspot migrates.
-	s := NewSolver(24, 12)
-	left := flatMap(24, 12, 0)
-	right := flatMap(24, 12, 0)
-	for j := 4; j < 8; j++ {
-		for i := 2; i < 6; i++ {
-			left[j][i] = 2
-		}
-		for i := 18; i < 22; i++ {
-			right[j][i] = 2
-		}
-	}
-	tr := NewTransient(s, 5*sim.Millisecond)
-	if err := tr.Run(left, 100*sim.Millisecond, sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	_, x1, _ := tr.Field().Max()
-	if x1 >= 12 {
-		t.Fatalf("phase-1 hotspot at x=%d, want left half", x1)
-	}
-	if err := tr.Run(right, 100*sim.Millisecond, sim.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	_, x2, _ := tr.Field().Max()
-	if x2 < 12 {
-		t.Errorf("phase-2 hotspot at x=%d, want right half after transition", x2)
-	}
-}
-
-func TestTransientValidation(t *testing.T) {
-	s := NewSolver(8, 8)
-	tr := NewTransient(s, sim.Millisecond)
-	if err := tr.Step(flatMap(8, 8, 0), 0); err == nil {
-		t.Error("zero dt accepted")
-	}
-	if err := tr.Step(flatMap(4, 4, 0), sim.Millisecond); err == nil {
-		t.Error("wrong-shape power map accepted")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive time constant did not panic")
-		}
-	}()
-	NewTransient(s, 0)
 }

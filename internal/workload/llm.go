@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -115,11 +114,12 @@ const promptMFU = 0.45
 const decodeBWEff = 0.85
 
 // RunInference models one request on a platform under a serving config.
-func RunInference(p *core.Platform, m LLMModel, cfg ServingConfig, req InferenceRequest) (*InferenceResult, error) {
+// The model is a roofline over the product spec's peaks, so it needs no
+// assembled platform.
+func RunInference(spec *config.PlatformSpec, m LLMModel, cfg ServingConfig, req InferenceRequest) (*InferenceResult, error) {
 	if req.Batch <= 0 || req.InputTokens <= 0 || req.OutputTokens <= 0 {
 		return nil, fmt.Errorf("workload: degenerate request %+v", req)
 	}
-	spec := p.Spec
 	peak := spec.PeakFlops(config.Matrix, cfg.Weights)
 	if peak == 0 {
 		// Unsupported format (e.g. FP8 on CDNA 2): fall back to FP16.
@@ -159,19 +159,19 @@ func RunInference(p *core.Platform, m LLMModel, cfg ServingConfig, req Inference
 }
 
 // RunFig21 executes the full Fig. 21 comparison on an MI300X and a
-// baseline-GPU platform and returns results keyed by configuration name.
-func RunFig21(mi300x, base *core.Platform) (map[string]*InferenceResult, error) {
+// baseline-GPU spec and returns results keyed by configuration name.
+func RunFig21(mi300x, base *config.PlatformSpec) (map[string]*InferenceResult, error) {
 	m := Llama2_70B()
 	req := Fig21Request()
 	cfgs := Fig21Configs()
 
 	out := make(map[string]*InferenceResult, len(cfgs))
 	for key, cfg := range cfgs {
-		plat := base
+		spec := base
 		if key == "mi300x-vllm" {
-			plat = mi300x
+			spec = mi300x
 		}
-		r, err := RunInference(plat, m, cfg, req)
+		r, err := RunInference(spec, m, cfg, req)
 		if err != nil {
 			return nil, err
 		}

@@ -133,7 +133,7 @@ func TestLlama70BModel(t *testing.T) {
 }
 
 func TestFig21Shapes(t *testing.T) {
-	results, err := RunFig21(plat(t, config.MI300X()), plat(t, config.BaselineGPU()))
+	results, err := RunFig21(config.MI300X(), config.BaselineGPU())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +178,7 @@ func TestFig21Shapes(t *testing.T) {
 func TestRunInferenceFallbackForUnsupportedFP8(t *testing.T) {
 	// FP8 serving on CDNA 2 (MI250X) falls back to FP16 peaks rather
 	// than failing.
-	p := plat(t, config.MI250X())
-	r, err := RunInference(p, Llama2_70B(), ServingConfig{
+	r, err := RunInference(config.MI250X(), Llama2_70B(), ServingConfig{
 		Label: "fp8-on-cdna2", Weights: config.FP8, FrameworkEff: 0.8, FP8TrafficFactor: 0.8,
 	}, Fig21Request())
 	if err != nil {
@@ -191,8 +190,7 @@ func TestRunInferenceFallbackForUnsupportedFP8(t *testing.T) {
 }
 
 func TestRunInferenceValidation(t *testing.T) {
-	p := plat(t, config.MI300X())
-	if _, err := RunInference(p, Llama2_70B(), Fig21Configs()["mi300x-vllm"], InferenceRequest{}); err == nil {
+	if _, err := RunInference(config.MI300X(), Llama2_70B(), Fig21Configs()["mi300x-vllm"], InferenceRequest{}); err == nil {
 		t.Error("degenerate request accepted")
 	}
 }

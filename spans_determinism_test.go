@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/spans"
 )
@@ -206,8 +207,8 @@ func TestManifestEmbedsSpanAttribution(t *testing.T) {
 // span recorder's trees with flow arrows alongside other tracks, and that
 // the result passes trace validation.
 func TestWriteTraceComposesSpans(t *testing.T) {
-	rec := NewSpanRecorder(11, 1)
-	p, err := New(SpecMI300A(), WithSpans(rec))
+	rec := spans.NewRecorder(11, 1)
+	p, err := core.NewPlatformWith(SpecMI300A(), core.BuildOptions{Spans: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,6 +44,7 @@ var goldenSlow = map[string]bool{"fig14": true, "managed": true}
 var drainOnly = map[string]bool{
 	"table1": true, "fig12a": true, "fig12bc": true, "fig17": true,
 	"tsv": true, "fig11": true, "powershift": true, "scopes": true,
+	"fig21": true,
 }
 
 // checkAuditCoverage fails when an audited experiment outside drainOnly
