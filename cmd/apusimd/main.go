@@ -18,11 +18,13 @@
 // Results are cached under the SHA-256 content address of the normalized
 // spec: resubmitting identical work returns the stored manifest
 // byte-for-byte, and identical in-flight submissions coalesce onto one
-// run. SIGINT/SIGTERM drains gracefully — new submissions get 503,
-// admitted jobs finish, and a second signal (or the -drain-grace
-// deadline) forces cancellation. SIGQUIT dumps the debug snapshot
-// (worker states plus the flight recorder of recent lifecycle events) to
-// stderr without stopping the daemon.
+// run. A fresh submission that finds the queue full (-queue) is shed with
+// 429 and a Retry-After; the X-Tenant header labels a job's log lines,
+// latency histograms and shed counters. SIGINT/SIGTERM drains gracefully
+// — new submissions get 503, admitted jobs finish, and a second signal
+// (or the -drain-grace deadline) forces cancellation. SIGQUIT dumps the
+// debug snapshot (worker states plus the flight recorder of recent
+// lifecycle events) to stderr without stopping the daemon.
 //
 // With -data-dir the daemon is crash-safe: results persist in a
 // content-addressed store under the directory, every admission is
@@ -50,12 +52,10 @@
 //	apusimd                        # listen on :8080
 //	apusimd -listen 127.0.0.1:9090 # elsewhere
 //	apusimd -workers 4 -queue 128  # pool and backlog sizing
-//	apusimd -tenant-max 8          # per-tenant in-flight cap (X-Tenant)
 //	apusimd -cache-bytes 16777216  # result cache LRU budget
 //	apusimd -job-timeout 30s       # one deadline per job, retries included
 //	apusimd -data-dir /var/lib/apusimd  # survive crashes and restarts
 //	apusimd -require-durability    # 503 while degraded instead of non-durable 202s
-//	apusimd -max-queue-wait 500ms  # shed with 429 when p95 queue wait exceeds 500ms
 //	apusimd -log-format json -log-level debug  # structured logs on stderr
 //	apusimd -debug-addr 127.0.0.1:6060         # pprof on a private port
 package main
@@ -134,7 +134,6 @@ func main() {
 	listen := flag.String("listen", ":8080", "address to serve the HTTP API on")
 	workers := flag.Int("workers", 0, "worker-pool size (0 = one per CPU)")
 	queueDepth := flag.Int("queue", 64, "max jobs admitted but not yet running")
-	tenantMax := flag.Int("tenant-max", 0, "max in-flight jobs per tenant (0 = unlimited)")
 	cacheBytes := flag.Int64("cache-bytes", 64<<20, "result cache LRU byte budget")
 	jobTimeout := flag.Duration("job-timeout", 2*time.Minute, "per-job wall-clock deadline, retries included")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "how long a graceful drain may take before jobs are cancelled")
@@ -142,7 +141,6 @@ func main() {
 	requireDurability := flag.Bool("require-durability", false, "refuse submissions with 503 while storage durability is degraded, instead of accepting them as non-durable")
 	durabilityProbe := flag.Duration("durability-probe", 2*time.Second, "cadence of the degraded-mode disk probe that re-arms durability")
 	journalSegBytes := flag.Int64("journal-segment-bytes", 0, "journal segment rotation threshold in bytes (0 = 1 MiB default)")
-	maxQueueWait := flag.Duration("max-queue-wait", 0, "shed submissions with 429 once p95 queue wait exceeds this under backlog (0 = depth-based shedding only)")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "TESTING: PRNG seed for deterministic disk-fault injection")
 	chaosWriteErr := flag.Float64("chaos-write-err-rate", 0, "TESTING: per-write probability of an injected I/O failure")
 	chaosSyncErr := flag.Float64("chaos-sync-err-rate", 0, "TESTING: per-fsync probability of an injected failure")
@@ -196,7 +194,6 @@ func main() {
 		FaultPlanRun:        apusim.ExperimentFaultPlan,
 		Workers:             *workers,
 		QueueDepth:          *queueDepth,
-		TenantMaxInFlight:   *tenantMax,
 		CacheBytes:          *cacheBytes,
 		JobTimeout:          *jobTimeout,
 		DataDir:             *dataDir,
@@ -204,7 +201,6 @@ func main() {
 		RequireDurability:   *requireDurability,
 		DurabilityProbe:     *durabilityProbe,
 		JournalSegmentBytes: *journalSegBytes,
-		MaxQueueWait:        *maxQueueWait,
 		Logger:              logger,
 	})
 	if err != nil {

@@ -121,19 +121,30 @@ func (d *daemon) drain(t *testing.T) {
 	}
 }
 
-// TestRemovedBackoffFlagExits2 pins that job retries run at once: the
-// daemon has no backoff flag, and the flag parser refuses the old one.
+// TestRemovedBackoffFlagExits2 pins the flags of deleted mechanisms as
+// gone: job retries run at once (no backoff), and admission has no
+// per-tenant cap and no p95 queue-wait shedder. The flag parser must
+// refuse each of them.
 func TestRemovedBackoffFlagExits2(t *testing.T) {
-	// A daemon that accepted the flag would serve until killed.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	out, err := exec.CommandContext(ctx, buildDaemon(t), "-listen", "127.0.0.1:0", "-retry-backoff", "1s").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("apusimd -retry-backoff 1s: %v, want exit status 2; output:\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "flag provided but not defined") {
-		t.Errorf("output does not reject the flag:\n%s", out)
+	bin := buildDaemon(t)
+	for _, args := range [][]string{
+		{"-retry-backoff", "1s"},
+		{"-tenant-max", "1"},
+		{"-max-queue-wait", "1s"},
+	} {
+		t.Run(args[0][1:], func(t *testing.T) {
+			// A daemon that accepted the flag would serve until killed.
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, bin, append([]string{"-listen", "127.0.0.1:0"}, args...)...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("apusimd %s: %v, want exit status 2; output:\n%s", strings.Join(args, " "), err, out)
+			}
+			if !strings.Contains(string(out), "flag provided but not defined") {
+				t.Errorf("output does not reject the flag:\n%s", out)
+			}
+		})
 	}
 }
 

@@ -8,7 +8,9 @@
 //
 // The models here are functional directories: they track per-line sharer
 // sets and owner state, enforce the protocol invariants, and count the
-// probe and invalidation traffic.
+// probe and invalidation traffic. No platform builds them: they are §IV.D
+// claim code, exercised by this package's tests, and Fig. 15's coherent
+// flags use core's analytic FlagVisibilityLatency.
 package coherence
 
 import (

@@ -18,32 +18,21 @@ const perXCDAreaMM2 = 115.0
 const hotspotAmbientC = 35.0
 
 // Governor tracks the live outcome of the socket power model — the
-// current per-domain allocation, the dynamic throttle scale, accrued
-// energy, and a hotspot temperature estimate — so telemetry probes can
-// sample a power/thermal timeline instead of only end-of-run aggregates.
-// RunPhase routes every allocation through it once one exists.
+// current per-domain allocation, the dynamic throttle scale, and a
+// hotspot temperature estimate — so telemetry probes can sample a
+// power/thermal timeline instead of only end-of-run aggregates. RunPhase
+// routes every allocation through it once one exists.
 type Governor struct {
 	model   *power.Model
 	xcdArea float64
 	alloc   power.Allocation
 	scale   float64
-	meter   power.EnergyMeter
-
-	// Shadow energy ledger: an independent Σ total-watts × dt integral
-	// maintained alongside the per-domain meter. At drain the two must
-	// agree within float tolerance — a drift means an allocation was
-	// accrued twice, skipped, or applied with a stale timestamp.
-	shadowJ float64
-	shadowT sim.Time
-	shadowW float64
 }
 
 // newGovernor starts the governor in the all-idle allocation.
 func newGovernor(m *power.Model, xcds int) *Governor {
 	g := &Governor{model: m, xcdArea: perXCDAreaMM2 * float64(maxInt(xcds, 1))}
 	g.alloc, g.scale = m.Allocate(power.Activity{})
-	g.meter.SetAllocation(0, g.alloc)
-	g.shadowW = g.alloc.Total()
 	return g
 }
 
@@ -67,8 +56,7 @@ func (p *Platform) allocatePower(act power.Activity) (power.Allocation, float64)
 }
 
 // Observe allocates for the activity and records the outcome as the
-// governor's current state, without advancing the energy meter (analytic
-// callers like RunPhase have no simulated timestamp).
+// governor's current state.
 func (g *Governor) Observe(act power.Activity) (power.Allocation, float64) {
 	g.alloc, g.scale = g.model.Allocate(act)
 	return g.alloc, g.scale
@@ -80,19 +68,6 @@ func (g *Governor) Allocation() power.Allocation { return g.alloc }
 // Scale reports the current dynamic throttle factor (1 = unthrottled).
 func (g *Governor) Scale() float64 { return g.scale }
 
-// EnergyJ reports energy accrued through simulated time t.
-func (g *Governor) EnergyJ(t sim.Time) float64 { return g.meter.EnergyJ(t) }
-
-// ShadowEnergyJ reports the shadow ledger's energy through simulated time
-// t without mutating ledger state.
-func (g *Governor) ShadowEnergyJ(t sim.Time) float64 {
-	j := g.shadowJ
-	if t > g.shadowT {
-		j += g.shadowW * (t - g.shadowT).Seconds()
-	}
-	return j
-}
-
 // HotspotC estimates the package hotspot from the XCD domain's current
 // power density — a closed-form stand-in for the full thermal solve,
 // cheap enough to run at sampling cadence.
@@ -101,8 +76,8 @@ func (g *Governor) HotspotC() float64 {
 }
 
 // instrumentPower registers the governor's telemetry probes: one watts
-// gauge per power domain, the throttle scale, total socket watts, accrued
-// energy, and the hotspot estimate.
+// gauge per power domain, the throttle scale, total socket watts, and the
+// hotspot estimate.
 func (p *Platform) instrumentPower(rec *telemetry.Recorder) {
 	g := p.Governor()
 	if g == nil {
@@ -115,6 +90,5 @@ func (p *Platform) instrumentPower(rec *telemetry.Recorder) {
 	}
 	rec.Gauge("power.total_w", func(sim.Time) float64 { return g.Allocation().Total() })
 	rec.Gauge("power.scale", func(sim.Time) float64 { return g.Scale() })
-	rec.Gauge("power.energy_j", func(now sim.Time) float64 { return g.EnergyJ(now) })
 	rec.Gauge("thermal.hotspot_c", func(sim.Time) float64 { return g.HotspotC() })
 }

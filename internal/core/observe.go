@@ -1,11 +1,8 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/audit"
 	"repro/internal/config"
-	"repro/internal/sim"
 	"repro/internal/spans"
 	"repro/internal/telemetry"
 )
@@ -41,9 +38,9 @@ func (p *Platform) Instrument(rec *telemetry.Recorder) {
 }
 
 // AttachAudit registers the platform's conservation ledgers on a, in a
-// fixed order mirroring Instrument (fabric, HBM, host DDR, GPU partition,
-// governor energy) so reports are deterministic. Safe to call with a nil
-// auditor — every registration is then a no-op.
+// fixed order mirroring Instrument (fabric, HBM, host DDR, Infinity
+// Cache, GPU partition) so reports are deterministic. Safe to call with a
+// nil auditor — every registration is then a no-op.
 func (p *Platform) AttachAudit(a *audit.Auditor) {
 	if !a.Enabled() {
 		return
@@ -57,29 +54,4 @@ func (p *Platform) AttachAudit(a *audit.Auditor) {
 		audit.InfinityCache(a, p.InfCache)
 	}
 	audit.Partition(a, p.GPU)
-	p.attachEnergyAudit(a)
-}
-
-// attachEnergyAudit registers the governor's energy-conservation check:
-// the per-domain meter and the independent shadow ledger must agree on
-// accrued joules within float tolerance. Registered here (not in the
-// audit package) because the governor is a core-internal concept.
-func (p *Platform) attachEnergyAudit(a *audit.Auditor) {
-	g := p.Governor()
-	if g == nil {
-		return
-	}
-	a.Register("governor", func(now sim.Time) []audit.Violation {
-		meterJ := g.EnergyJ(now)
-		shadowJ := g.ShadowEnergyJ(now)
-		tol := 1e-9 + 1e-6*math.Max(math.Abs(meterJ), math.Abs(shadowJ))
-		if math.Abs(meterJ-shadowJ) > tol {
-			return []audit.Violation{{
-				Ledger: "energy-conservation",
-				Detail: "per-domain energy meter diverged from the Σ watts × dt shadow ledger",
-				Want:   shadowJ, Got: meterJ,
-			}}
-		}
-		return nil
-	})
 }

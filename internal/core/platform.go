@@ -1,13 +1,13 @@
 // Package core assembles the paper's primary contribution: a complete
 // MI300-class platform model. From a config.PlatformSpec it instantiates
 // the in-package Infinity Fabric spanning the four IODs (§IV.A), the HBM
-// channels and memory-side Infinity Cache (§IV.D), the probe-filter and
-// GPU coherence directories, the XCD partitions with cooperative AQL
-// dispatch (§VI.A), the CCD complex (§IV.C), and the socket power model —
-// and exposes the timing paths (GPU→HBM, CPU→HBM, host↔device) that every
-// experiment in the repository exercises. The same constructor builds the
-// MI250X, EHPv4, and baseline-GPU comparison platforms from their specs,
-// differing only in topology and parameters, never in code path.
+// channels and memory-side Infinity Cache (§IV.D), the XCD partitions
+// with cooperative AQL dispatch (§VI.A), the CCD complex (§IV.C), and the
+// socket power model — and exposes the timing paths (GPU→HBM, CPU→HBM,
+// host↔device) that every experiment in the repository exercises. The
+// same constructor builds the MI250X, EHPv4, and baseline-GPU comparison
+// platforms from their specs, differing only in topology and parameters,
+// never in code path.
 package core
 
 import (
@@ -15,7 +15,6 @@ import (
 	"strconv"
 
 	"repro/internal/cache"
-	"repro/internal/coherence"
 	"repro/internal/config"
 	"repro/internal/cpu"
 	"repro/internal/fabric"
@@ -54,11 +53,6 @@ type Platform struct {
 	// HostCPU models the external host for discrete platforms.
 	CPU     *cpu.Complex
 	HostCPU *cpu.Complex
-
-	// CPUCoherence is the EPYC-style probe filter spanning CCDs and
-	// XCDs; GPUCoherence is the simpler intra-socket GPU directory.
-	CPUCoherence *coherence.Directory
-	GPUCoherence *coherence.Directory
 
 	// Power is the socket power model (nil for concept platforms).
 	Power *power.Model
@@ -129,10 +123,6 @@ func newPlatform(spec *config.PlatformSpec, sp *spans.Recorder) (*Platform, erro
 			p.mallSpanNames = append(p.mallSpanNames, "mall"+strconv.Itoa(ch))
 		}
 	}
-
-	agents := len(p.XCDs) + spec.CCDs + 1 // +1 for a host/IO agent
-	p.CPUCoherence = coherence.NewProbeFilter(spec.Name+".pf", agents)
-	p.GPUCoherence = coherence.NewGPUDirectory(spec.Name+".gpudir", maxInt(len(p.XCDs), 1))
 
 	switch spec.Name {
 	case "MI300A":
@@ -369,7 +359,5 @@ func (p *Platform) ResetStats() {
 	if p.HostCPU != nil {
 		p.HostCPU.ResetStats()
 	}
-	p.CPUCoherence.ResetStats()
-	p.GPUCoherence.ResetStats()
 	p.streamPos = 0
 }

@@ -364,8 +364,6 @@ type Journal struct {
 	appends     int64
 	segments    int64
 	checkpoints int64
-	recsSinceCP int64
-	doneSinceCP int64
 	closed      bool
 
 	syncMu    sync.Mutex // serializes fsyncs; batches waiters behind one
@@ -485,10 +483,6 @@ func (j *Journal) Append(rec Record) error {
 	j.activeBytes += int64(len(framed))
 	j.writeGen++
 	j.appends++
-	j.recsSinceCP++
-	if rec.Op == OpDone {
-		j.doneSinceCP++
-	}
 	return nil
 }
 
@@ -603,7 +597,6 @@ func (j *Journal) Checkpoint(live []Record) error {
 	j.activeBytes = int64(buf.Len())
 	j.writeGen++
 	j.syncedGen = j.writeGen // everything live is in the synced segment
-	j.recsSinceCP, j.doneSinceCP = 0, 0
 	j.checkpoints++
 	remaining := int64(1)
 	if names, err := j.fs.ReadDir(j.dir); err == nil {
@@ -631,22 +624,15 @@ type JournalStats struct {
 	// Checkpoints counts compactions performed.
 	Segments    int64
 	Checkpoints int64
-	// RecordsSinceCheckpoint and DonesSinceCheckpoint feed the dead-
-	// record-ratio compaction policy: every done record implies its
-	// submit/start records are dead weight too.
-	RecordsSinceCheckpoint int64
-	DonesSinceCheckpoint   int64
 }
 
 // Stats returns a snapshot of the journal counters.
 func (j *Journal) Stats() JournalStats {
 	j.mu.Lock()
 	st := JournalStats{
-		Appends:                j.appends,
-		Segments:               j.segments,
-		Checkpoints:            j.checkpoints,
-		RecordsSinceCheckpoint: j.recsSinceCP,
-		DonesSinceCheckpoint:   j.doneSinceCP,
+		Appends:     j.appends,
+		Segments:    j.segments,
+		Checkpoints: j.checkpoints,
 	}
 	j.mu.Unlock()
 	j.syncMu.Lock()

@@ -12,9 +12,6 @@
 package multisocket
 
 import (
-	"fmt"
-
-	"repro/internal/coherence"
 	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -39,12 +36,6 @@ type System struct {
 	// the producer socket's L2s/L1s and fencing outstanding writes. This
 	// is what makes software coherence a bad deal for tiny handoffs.
 	FlushOverhead sim.Time
-
-	// GPUDirs is the per-socket intra-socket GPU directory.
-	GPUDirs []*coherence.Directory
-	// CPUDir is the node-wide CPU probe filter (hardware coherent
-	// across all sockets, per §IV.D).
-	CPUDir *coherence.Directory
 }
 
 // NewQuadAPUSystem builds the scope model over the Fig. 18(a) node.
@@ -54,7 +45,7 @@ func NewQuadAPUSystem() (*System, error) {
 		return nil, err
 	}
 	spec := config.MI300A()
-	s := &System{
+	return &System{
 		Node:               node,
 		PairBWPerDir:       node.PairBWPerDir(node.Sockets[0].Name, node.Sockets[1].Name),
 		IFLatency:          150 * sim.Nanosecond,
@@ -62,15 +53,7 @@ func NewQuadAPUSystem() (*System, error) {
 		ProbeOverheadBytes: 64,
 		LocalBW:            spec.PeakMemoryBW(),
 		FlushOverhead:      10 * sim.Microsecond,
-	}
-	for i := range node.Sockets {
-		s.GPUDirs = append(s.GPUDirs,
-			coherence.NewGPUDirectory(fmt.Sprintf("socket%d.gpudir", i), spec.XCDs))
-	}
-	// CPU probe filter spans every CCD and XCD in the node.
-	agents := len(node.Sockets) * (spec.CCDs + spec.XCDs)
-	s.CPUDir = coherence.NewProbeFilter("node.pf", agents)
-	return s, nil
+	}, nil
 }
 
 // HandoffResult is the cost of moving a producer kernel's output to a

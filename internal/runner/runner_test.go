@@ -293,9 +293,9 @@ func TestCtxPlatform(t *testing.T) {
 	if untraced.SpanRecorder() != nil {
 		t.Error("platform traced before the run made a span recorder")
 	}
-	// MI300A: fabric, HBM, Infinity Cache, GPU partition and governor.
-	if got := ctx.Auditor().Checks() - drain; got != 5 {
-		t.Errorf("MI300A added %d audit checks, want 5", got)
+	// MI300A: fabric, HBM, Infinity Cache and GPU partition.
+	if got := ctx.Auditor().Checks() - drain; got != 4 {
+		t.Errorf("MI300A added %d audit checks, want 4", got)
 	}
 	rec := ctx.Spans()
 	traced, err := ctx.Platform(config.MI300A())

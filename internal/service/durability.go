@@ -108,8 +108,8 @@ func (s *Server) openDurable() ([]*Job, error) {
 	s.journal = journal
 	requeue := s.rebuildJobs(durable.BuildRecovery(recs))
 
-	// Checkpoint the journal down to the still-live jobs so boot-time
-	// replay cost tracks in-flight work, not daemon lifetime. Every job
+	// Checkpoint the journal down to the still-live jobs, so the previous
+	// process's terminal jobs replay at this boot and retire. Every job
 	// that is terminal now is bootTerminal and none is running, so the
 	// checkpoint holds the queued and interrupted jobs only; terminal
 	// results live in the store under their content address. A failed
@@ -126,8 +126,7 @@ func (s *Server) openDurable() ([]*Job, error) {
 }
 
 // durabilityLoop is the breaker's background goroutine: while degraded it
-// probes the data dir on the configured cadence and re-arms on success;
-// while healthy it serves journal-compaction requests from finishJob.
+// probes the data dir on the configured cadence and re-arms on success.
 // Runs only when a journal exists; exits when Drain closes probeStop.
 func (s *Server) durabilityLoop() {
 	defer s.wg.Done()
@@ -140,10 +139,6 @@ func (s *Server) durabilityLoop() {
 		case <-tick.C:
 			if s.durability.Load() == durabilityDegraded {
 				s.probeAndRecover()
-			}
-		case <-s.compactCh:
-			if s.durabilityOKNow() {
-				s.checkpointJournal("compaction")
 			}
 		}
 	}
@@ -207,40 +202,6 @@ func (s *Server) probeAndRecover() {
 	s.recoveredDur.Inc()
 	s.log.Info("durability recovered: admissions journaled again", "durability", "ok")
 	s.flight.Record(FlightEvent{Event: "durability", Detail: "recovered"})
-}
-
-// checkpointJournal rewrites the journal to the live job set under s.mu.
-// Used by background compaction and the graceful-drain flush.
-func (s *Server) checkpointJournal(why string) {
-	s.mu.Lock()
-	recs := s.checkpointRecords()
-	err := s.journal.Checkpoint(recs)
-	s.mu.Unlock()
-	if err != nil {
-		s.journalErrors.Inc()
-		s.tripDurability("journal checkpoint ("+why+")", err)
-		return
-	}
-	s.log.Debug("journal checkpointed", "reason", why, "live_records", len(recs))
-}
-
-// maybeCompactJournal nudges the durability loop to checkpoint when the
-// journal has accumulated enough dead weight: at least 64 records since
-// the last checkpoint, two thirds of them done markers (a done pairs
-// with a submit, so ≥ 2/3 done means most record pairs are complete).
-// Non-blocking — a pending request already covers this one.
-func (s *Server) maybeCompactJournal() {
-	if s.journal == nil || !s.durabilityOKNow() {
-		return
-	}
-	st := s.journal.Stats()
-	if st.RecordsSinceCheckpoint < 64 || st.DonesSinceCheckpoint*3 < st.RecordsSinceCheckpoint*2 {
-		return
-	}
-	select {
-	case s.compactCh <- struct{}{}:
-	default:
-	}
 }
 
 // rebuildJobs folds replayed journal records into live jobs, applying
@@ -316,7 +277,6 @@ func (s *Server) rebuildJobs(recovered []durable.JobRecovery) []*Job {
 				s.noteRecovered(job, "interrupted")
 			default:
 				s.claimLeaderLocked(job)
-				s.tenantInFlight[job.tenant]++
 				requeue = append(requeue, job)
 				s.noteRecovered(job, "requeued")
 			}
@@ -450,7 +410,6 @@ func (s *Server) maybeRequeueInterrupted(job *Job) {
 			return
 		}
 		s.claimLeaderLocked(job)
-		s.tenantInFlight[job.tenant]++
 	}
 	// Transition before the send: the worker may set running immediately,
 	// and setState ignores nothing here (interrupted is not terminal).

@@ -388,11 +388,10 @@ func TestLoadShed429CarriesRetryAfter(t *testing.T) {
 	}
 }
 
-// TestTenantCapsUnderConcurrentDrain races a storm of submissions for a
-// capped tenant against Drain: no job may be accepted and then lost, and
-// the in-flight accounting must come back to zero (no leaked cap slots).
-func TestTenantCapsUnderConcurrentDrain(t *testing.T) {
-	d := newTestDaemon(t, Config{Workers: 2, TenantMaxInFlight: 2, QueueDepth: 64})
+// TestSubmitStormUnderConcurrentDrain races a storm of submissions
+// against Drain: no job may be accepted and then lost.
+func TestSubmitStormUnderConcurrentDrain(t *testing.T) {
+	d := newTestDaemon(t, Config{Workers: 2, QueueDepth: 64})
 
 	var mu sync.Mutex
 	var accepted []string
@@ -404,7 +403,7 @@ func TestTenantCapsUnderConcurrentDrain(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				spec := fmt.Sprintf(`{"experiment": "exp-%d", "seed": %d}`, (g+i)%10, g*100+i)
-				code, st := d.submit(t, spec, "X-Tenant", "storm")
+				code, st := d.submit(t, spec)
 				if code == http.StatusAccepted || code == http.StatusOK {
 					mu.Lock()
 					accepted = append(accepted, st.ID)
@@ -439,12 +438,5 @@ func TestTenantCapsUnderConcurrentDrain(t *testing.T) {
 		if !st.State.Terminal() {
 			t.Errorf("accepted job %s stuck in %s after drain: %s", id, st.State, body)
 		}
-	}
-	// The cap accounting must fully unwind.
-	d.srv.mu.Lock()
-	leaked := len(d.srv.tenantInFlight)
-	d.srv.mu.Unlock()
-	if leaked != 0 {
-		t.Errorf("tenantInFlight holds %d tenants after drain, want 0 (leaked cap slots)", leaked)
 	}
 }

@@ -323,58 +323,6 @@ func TestTimedOutJobsReportOneError(t *testing.T) {
 	}
 }
 
-// TestLatencyShedsSlowQueue arms latency-aware admission and shows that
-// a backlogged server whose p95 queue wait exceeds MaxQueueWait sheds
-// fresh submissions with 429 queue_slow, even though the queue is
-// nowhere near its depth bound.
-func TestLatencyShedsSlowQueue(t *testing.T) {
-	d := newTestDaemon(t, Config{
-		Workers: 1, QueueDepth: 64,
-		MaxQueueWait: 10 * time.Millisecond,
-	})
-	// Occupy the only worker so the server counts as backlogged.
-	_, gated := d.submit(t, `{"experiment": "exp-gated"}`)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, body := d.get(t, "/v1/jobs/"+gated.ID)
-		var now JobStatus
-		_ = json.Unmarshal(body, &now)
-		if now.State == JobRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("gated job never started (state %s)", now.State)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	// Feed the latency signal directly: eight observed 1s queue waits put
-	// p95 far beyond the 10ms bound.
-	for i := 0; i < minQueueWaitSamples; i++ {
-		d.srv.queueWait.Observe(1.0)
-	}
-
-	resp, err := d.http.Client().Post(d.http.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"experiment": "exp-0"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("slow-queue submit: %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("queue_slow 429 carries no Retry-After")
-	}
-	_, text := d.get(t, "/v1/metrics")
-	if v := promValue(t, string(text), `apusimd_jobs_rejected_total{reason="queue_slow"}`); v < 1 {
-		t.Errorf(`rejected{reason="queue_slow"} = %g, want >= 1`, v)
-	}
-	// Cache hits still serve during shedding: reading is not admission.
-	close(d.gate)
-	d.gate = make(chan struct{})
-	d.await(t, gated.ID)
-}
-
 // TestDrainCompactsJournal pins the graceful-shutdown compaction: a
 // daemon that rotated through many segments while running leaves exactly
 // one compact checkpoint segment behind, and a restart replays the same

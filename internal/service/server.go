@@ -35,11 +35,6 @@ type Config struct {
 	// QueueDepth bounds the admitted-but-not-running backlog; a full
 	// queue rejects submissions with 429. <= 0 selects 64.
 	QueueDepth int
-	// TenantMaxInFlight caps one tenant's queued+running fresh jobs, so a
-	// sweep from one client cannot starve everyone else; 0 disables the
-	// cap. Cache hits and coalesced jobs are exempt — they consume no
-	// worker.
-	TenantMaxInFlight int
 	// CacheBytes is the result cache's LRU byte budget; <= 0 selects
 	// 64 MiB. Set to 1 to effectively disable caching (no manifest fits).
 	CacheBytes int64
@@ -67,12 +62,6 @@ type Config struct {
 	// JournalSegmentBytes is the journal's segment rotation threshold;
 	// <= 0 selects the durable package default (1 MiB).
 	JournalSegmentBytes int64
-	// MaxQueueWait, when positive, arms latency-aware admission: once the
-	// observed p95 queue wait exceeds it while the server is backlogged,
-	// fresh submissions are shed with 429 + Retry-After. Depth-based
-	// shedding still applies; this catches queues that are shallow but
-	// slow.
-	MaxQueueWait time.Duration
 	// Logger receives the daemon's structured log records (job lifecycle,
 	// admission control, recovery, drain). Nil discards them.
 	Logger *slog.Logger
@@ -108,7 +97,6 @@ type Server struct {
 	fs           durable.FS
 	durability   atomic.Int32
 	probeStop    chan struct{}
-	compactCh    chan struct{}
 
 	metrics        *telemetry.Set
 	submitted      *telemetry.Var
@@ -123,7 +111,6 @@ type Server struct {
 	shedRetryAfter *telemetry.Var
 	degradedTotal  *telemetry.Var
 	recoveredDur   *telemetry.Var
-	queueWait      *telemetry.Histogram
 
 	// The observability plane (observe.go): structured logger, flight
 	// recorder, per-worker state slots, and the lazily registered
@@ -142,16 +129,15 @@ type Server struct {
 	// processed — the seam the supervision tests use to inject panics.
 	testHookJob func(*Job)
 
-	mu             sync.Mutex
-	draining       bool
-	queue          chan *Job
-	jobs           map[string]*Job
-	order          []string
-	seq            int
-	leaders        map[string]*Job   // content key → in-flight cacheable run
-	followers      map[string][]*Job // content key → jobs coalesced onto it
-	tenantInFlight map[string]int
-	running        int
+	mu        sync.Mutex
+	draining  bool
+	queue     chan *Job
+	jobs      map[string]*Job
+	order     []string
+	seq       int
+	leaders   map[string]*Job   // content key → in-flight cacheable run
+	followers map[string][]*Job // content key → jobs coalesced onto it
+	running   int
 	// pendingEnqueue counts fresh admissions that have left the depth
 	// check but not yet pushed onto the queue: the WAL fsync now happens
 	// between the two (an admission must be durable before its 202, and
@@ -197,19 +183,17 @@ func New(cfg Config) (*Server, error) {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	s := &Server{
-		cfg:            cfg,
-		cache:          NewCache(cfg.CacheBytes),
-		jobs:           make(map[string]*Job),
-		leaders:        make(map[string]*Job),
-		followers:      make(map[string][]*Job),
-		tenantInFlight: make(map[string]int),
-		log:            cfg.Logger,
-		flight:         newFlightRecorder(cfg.FlightEvents),
-		workerStates:   make([]atomic.Pointer[workerState], cfg.Workers),
-		tenantSheds:    make(map[string]*telemetry.Var),
-		fs:             cfg.FS,
-		probeStop:      make(chan struct{}),
-		compactCh:      make(chan struct{}, 1),
+		cfg:          cfg,
+		cache:        NewCache(cfg.CacheBytes),
+		jobs:         make(map[string]*Job),
+		leaders:      make(map[string]*Job),
+		followers:    make(map[string][]*Job),
+		log:          cfg.Logger,
+		flight:       newFlightRecorder(cfg.FlightEvents),
+		workerStates: make([]atomic.Pointer[workerState], cfg.Workers),
+		tenantSheds:  make(map[string]*telemetry.Var),
+		fs:           cfg.FS,
+		probeStop:    make(chan struct{}),
 	}
 	s.runCtx, s.cancelRun = context.WithCancel(context.Background())
 	s.initMetrics()
@@ -234,8 +218,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if s.journal != nil {
 		// The durability loop owns the recovery probe (re-arming a
-		// degraded server) and background journal compaction; it exits
-		// when Drain closes probeStop.
+		// degraded server); it exits when Drain closes probeStop.
 		s.wg.Add(1)
 		go s.durabilityLoop()
 	}
@@ -251,7 +234,7 @@ func (s *Server) initMetrics() {
 	s.submitted = m.Counter("apusimd_jobs_submitted_total",
 		"Jobs accepted for processing, including cache hits and coalesced jobs.")
 	s.rejected = map[string]*telemetry.Var{}
-	for _, reason := range []string{"queue_full", "tenant_limit", "draining", "invalid", "durability", "queue_slow"} {
+	for _, reason := range []string{"queue_full", "draining", "invalid", "durability"} {
 		s.rejected[reason] = m.Counter("apusimd_jobs_rejected_total",
 			"Submissions refused at admission, by reason.",
 			telemetry.Label{Key: "reason", Value: reason})
@@ -375,12 +358,6 @@ func (s *Server) initMetrics() {
 		"Times a storage failure tripped the server into degraded memory-only mode.")
 	s.recoveredDur = m.Counter("apusimd_durability_recovered_total",
 		"Times the background probe re-armed durability after degradation.")
-	s.queueWait = m.Histogram("apusimd_queue_wait_seconds",
-		"Admission-to-pickup wall-clock wait across all jobs that reached a worker (drives latency-aware admission).",
-		telemetry.LatencyBuckets())
-	m.GaugeFunc("apusimd_queue_wait_p95_seconds",
-		"p95 of apusimd_queue_wait_seconds: the latency-aware admission signal.",
-		func() float64 { return s.queueWait.Quantile(0.95) })
 	s.workerPanics = m.Counter("apusimd_worker_panics_total",
 		"Panics that escaped a job and were isolated by the worker supervisor.")
 	s.workerRestarts = m.Counter("apusimd_worker_restarts_total",
@@ -466,12 +443,6 @@ func (s *Server) processJob(id int, job *Job) {
 	s.mu.Unlock()
 	s.journalAppendSync(*start)
 	job.setState(JobRunning)
-	// The admission-to-pickup wait feeds latency-aware admission: once
-	// p95 exceeds Config.MaxQueueWait under backlog, fresh submissions
-	// shed before joining a queue that is already too slow.
-	if st := job.Status(); st.QueuedNS > 0 {
-		s.queueWait.Observe(float64(st.QueuedNS) / 1e9)
-	}
 	s.event(job, "start", exp, "job started", "worker", id, "experiment", exp)
 	var res runner.Result
 	var manifest []byte
@@ -596,7 +567,6 @@ func (s *Server) finishJob(job *Job, state JobState, manifest []byte, errMsg str
 			s.cache.Put(job.key, Entry{State: state, Manifest: manifest, Attempts: attempts})
 		}
 	}
-	s.releaseTenantLocked(job.tenant)
 	done := append([]*Job{job}, fols...)
 	recs := make([]durable.Record, len(done))
 	for i, j := range done {
@@ -625,7 +595,6 @@ func (s *Server) finishJob(job *Job, state JobState, manifest []byte, errMsg str
 			"state", string(state), "attempts", attempts, "error", errMsg, "coalesced", j != job,
 			"queued_ns", st.QueuedNS, "run_ns", st.RunNS, "e2e_ns", st.E2ENS)
 	}
-	s.maybeCompactJournal()
 }
 
 // Drain stops the server gracefully: new submissions are refused with
@@ -772,7 +741,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, job.Status())
 		return
 	}
-	if ref := s.admissionRefusalLocked(tenant, place); ref.code != 0 {
+	if ref := s.admissionRefusalLocked(place); ref.code != 0 {
 		s.mu.Unlock()
 		s.refuse(w, tenant, ref)
 		return
@@ -781,10 +750,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if place == placeCoalesce {
 		s.followLocked(job)
 	} else {
-		// The tenant and queue slots are reserved now (pendingEnqueue keeps
-		// the later channel send non-blocking and the depth bound exact);
-		// the leader slot is claimed only once the admission is durable.
-		s.tenantInFlight[tenant]++
+		// The queue slot is reserved now (pendingEnqueue keeps the later
+		// channel send non-blocking and the depth bound exact); the leader
+		// slot is claimed only once the admission is durable.
 		s.pendingEnqueue++
 	}
 	journaled := s.journal != nil && s.durabilityOKNow()
@@ -927,8 +895,8 @@ func (s *Server) claimLeaderLocked(job *Job) {
 
 // unadmitLocked rolls back an admission that was never acknowledged (its
 // journal write failed, or drain closed the queue during the fsync): the
-// job leaves the job table and its follower or tenant slot, as if the
-// submission had been refused outright. s.mu must be held.
+// job leaves the job table and, if it coalesced, its follower slot, as if
+// the submission had been refused outright. s.mu must be held.
 func (s *Server) unadmitLocked(job *Job, place placement) {
 	if place == placeCoalesce {
 		fols := s.followers[job.key]
@@ -938,8 +906,6 @@ func (s *Server) unadmitLocked(job *Job, place placement) {
 				break
 			}
 		}
-	} else {
-		s.releaseTenantLocked(job.tenant)
 	}
 	delete(s.jobs, job.id)
 	for i := len(s.order) - 1; i >= 0; i-- {
@@ -949,15 +915,6 @@ func (s *Server) unadmitLocked(job *Job, place placement) {
 		}
 	}
 	s.jobsTotal.Add(-1)
-}
-
-// releaseTenantLocked returns one of tenant's in-flight slots. s.mu must
-// be held.
-func (s *Server) releaseTenantLocked(tenant string) {
-	s.tenantInFlight[tenant]--
-	if s.tenantInFlight[tenant] <= 0 {
-		delete(s.tenantInFlight, tenant)
-	}
 }
 
 // refusal is one refused submission: its HTTP status, its
@@ -988,43 +945,18 @@ func (s *Server) refuse(w http.ResponseWriter, tenant string, ref refusal) {
 	writeErr(w, ref.code, "%s", ref.msg)
 }
 
-// minQueueWaitSamples is how many queue-wait observations the latency
-// shedder needs before it trusts the p95.
-const minQueueWaitSamples = 8
-
 // admissionRefusalLocked applies admission control. A job that leads
-// needs a worker, so it must fit its tenant's in-flight cap, the queue
-// depth and the queue-wait bound; with RequireDurability, no job is
-// admitted while the journal cannot hold it. s.mu must be held.
-func (s *Server) admissionRefusalLocked(tenant string, place placement) refusal {
-	if place == placeLead {
-		overload := func(reason, format string, args ...any) refusal {
-			return refusal{code: http.StatusTooManyRequests, reason: reason,
-				retryAfter: s.retryAfterLocked(), msg: fmt.Sprintf(format, args...)}
-		}
-		// Fresh admissions are bounded by the configured depth, not the
-		// channel capacity — after a crash the channel is oversized to hold
-		// replayed jobs, and that headroom is not new admission budget.
-		// pendingEnqueue counts admissions between their journal fsync and
-		// their channel send, so reservations hold the bound exact.
-		backlog := len(s.queue) + s.pendingEnqueue
-		switch {
-		case s.cfg.TenantMaxInFlight > 0 && s.tenantInFlight[tenant] >= s.cfg.TenantMaxInFlight:
-			return overload("tenant_limit", "tenant %q already has %d jobs in flight (limit %d)",
-				tenant, s.cfg.TenantMaxInFlight, s.cfg.TenantMaxInFlight)
-		case backlog >= s.cfg.QueueDepth:
-			return overload("queue_full", "job queue is full (%d deep); retry with backoff", s.cfg.QueueDepth)
-		case s.cfg.MaxQueueWait > 0 && s.queueWait.Count() >= minQueueWaitSamples &&
-			(backlog > 0 || s.running >= s.cfg.Workers):
-			// Latency-aware shedding holds its fire below a minimum sample
-			// count and while the server is idle: the histogram never
-			// decays, so a slow period an hour ago must not shed on a
-			// drained queue.
-			if p95 := s.queueWait.Quantile(0.95); p95 > s.cfg.MaxQueueWait.Seconds() {
-				return overload("queue_slow", "queue wait p95 %.2fs exceeds the %s bound; retry with backoff",
-					p95, s.cfg.MaxQueueWait)
-			}
-		}
+// needs a worker, so it must fit the queue depth; with RequireDurability,
+// no job is admitted while the journal cannot hold it. s.mu must be held.
+func (s *Server) admissionRefusalLocked(place placement) refusal {
+	// Fresh admissions are bounded by the configured depth, not the
+	// channel capacity — after a crash the channel is oversized to hold
+	// replayed jobs, and that headroom is not new admission budget.
+	// pendingEnqueue counts admissions between their journal fsync and
+	// their channel send, so reservations hold the bound exact.
+	if place == placeLead && len(s.queue)+s.pendingEnqueue >= s.cfg.QueueDepth {
+		return refusal{code: http.StatusTooManyRequests, reason: "queue_full", retryAfter: s.retryAfterLocked(),
+			msg: fmt.Sprintf("job queue is full (%d deep); retry with backoff", s.cfg.QueueDepth)}
 	}
 	if s.journal != nil && !s.durabilityOKNow() && s.cfg.RequireDurability {
 		return refusal{code: http.StatusServiceUnavailable, reason: "durability", retryAfter: 1,

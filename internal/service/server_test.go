@@ -275,28 +275,6 @@ func TestCoalescingWaitsOnInFlightRun(t *testing.T) {
 	}
 }
 
-func TestTenantInFlightLimit(t *testing.T) {
-	d := newTestDaemon(t, Config{Workers: 4, TenantMaxInFlight: 1})
-	code, _ := d.submit(t, `{"experiment": "exp-gated", "no_cache": true}`, "X-Tenant", "alice")
-	if code != http.StatusAccepted {
-		t.Fatalf("first job: status %d", code)
-	}
-	if code, _ := d.submit(t, `{"experiment": "exp-gated", "no_cache": true}`, "X-Tenant", "alice"); code != http.StatusTooManyRequests {
-		t.Errorf("alice's second in-flight job: status %d, want 429", code)
-	}
-	// The limit is per tenant: bob is unaffected by alice's backlog.
-	if code, _ := d.submit(t, `{"experiment": "exp-gated", "no_cache": true}`, "X-Tenant", "bob"); code != http.StatusAccepted {
-		t.Errorf("bob's job: status %d, want 202", code)
-	}
-	// Coalescing consumes no worker, so it is exempt from the cap.
-	if code, st := d.submit(t, `{"experiment": "exp-gated"}`, "X-Tenant", "carol"); code != http.StatusAccepted {
-		t.Errorf("carol's first job: status %d, want 202", code)
-	} else if code, st2 := d.submit(t, `{"experiment": "exp-gated"}`, "X-Tenant", "carol"); code != http.StatusAccepted || !st2.Coalesced {
-		_ = st
-		t.Errorf("carol's coalesced duplicate: status %d %+v, want an exempt 202", code, st2)
-	}
-}
-
 func TestQueueFullRejects(t *testing.T) {
 	d := newTestDaemon(t, Config{Workers: 1, QueueDepth: 1})
 	// Worker 1 blocks on the gated job; the queue holds exactly one more.

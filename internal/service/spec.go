@@ -3,8 +3,8 @@
 // submit a run spec, get a job ID, stream status transitions, fetch the
 // run manifest — backed by a bounded job queue, a worker pool generalized
 // from internal/runner (per-job engines, panic isolation, timeouts,
-// retries), admission control with per-tenant fairness, and a
-// content-addressed result cache.
+// retries), queue-depth admission control, and a content-addressed
+// result cache.
 //
 // The cache is what turns the repository's determinism contract into
 // throughput: a run is a pure function of its normalized (spec, seed,

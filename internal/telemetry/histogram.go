@@ -13,9 +13,7 @@ import (
 // opposed to the simulated-time probes the Recorder samples. A Histogram
 // renders in the Prometheus histogram exposition format (_bucket lines
 // with cumulative counts and le labels, plus _sum and _count), so the
-// daemon's /v1/metrics endpoint feeds histogram_quantile() directly, and
-// it computes deterministic p50/p95/p99 estimates in-process for SLO
-// reporting without a scrape round trip.
+// daemon's /v1/metrics endpoint feeds histogram_quantile() directly.
 
 // ExpBuckets returns n exponentially growing bucket upper bounds:
 // start, start*factor, start*factor², …. It panics on non-positive
@@ -119,61 +117,4 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Count:  h.count,
 		Sum:    h.sum,
 	}
-}
-
-// Count reports the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Quantile returns the deterministic q-quantile estimate (q in [0, 1]):
-// the observation rank's bucket located by cumulative count, linearly
-// interpolated between the bucket's bounds. The estimate depends only on
-// the bucket counts — never on observation order — so concurrent
-// observers and repeated calls always agree. It returns 0 for an empty
-// histogram and the last finite bound for ranks landing in the overflow
-// bucket (the classic Prometheus clamp).
-func (h *Histogram) Quantile(q float64) float64 {
-	if math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return quantileLocked(h.bounds, h.counts, h.count, q)
-}
-
-func quantileLocked(bounds []float64, counts []uint64, count uint64, q float64) float64 {
-	if count == 0 {
-		return 0
-	}
-	rank := q * float64(count)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum float64
-	for i, c := range counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i >= len(bounds) { // overflow bucket: clamp to the last bound
-			return bounds[len(bounds)-1]
-		}
-		lower := 0.0
-		if i > 0 {
-			lower = bounds[i-1]
-		}
-		upper := bounds[i]
-		return lower + (upper-lower)*(rank-prev)/float64(c)
-	}
-	return bounds[len(bounds)-1]
 }

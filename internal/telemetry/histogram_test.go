@@ -64,51 +64,6 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4}, nil)
-	if q := h.Quantile(0.5); q != 0 {
-		t.Errorf("empty histogram p50 = %g, want 0", q)
-	}
-	// 100 observations, all in the first bucket: rank interpolates
-	// linearly across [0, 1].
-	for i := 0; i < 100; i++ {
-		h.Observe(0.5)
-	}
-	if q := h.Quantile(0.5); math.Abs(q-0.5) > 1e-9 {
-		t.Errorf("p50 = %g, want 0.5", q)
-	}
-	if q := h.Quantile(1); math.Abs(q-1) > 1e-9 {
-		t.Errorf("p100 = %g, want 1 (upper bound of the occupied bucket)", q)
-	}
-
-	// Overflow ranks clamp to the last finite bound.
-	over := newHistogram([]float64{1, 2, 4}, nil)
-	over.Observe(100)
-	if q := over.Quantile(0.99); q != 4 {
-		t.Errorf("overflow p99 = %g, want clamp to 4", q)
-	}
-}
-
-// TestQuantileOrderIndependent pins the determinism contract: the
-// estimate depends only on bucket counts, so any insertion order of the
-// same multiset yields identical quantiles.
-func TestQuantileOrderIndependent(t *testing.T) {
-	vals := []float64{0.0005, 0.003, 0.01, 0.01, 0.02, 0.1, 0.1, 0.1, 1.5, 30}
-	a := newHistogram(LatencyBuckets(), nil)
-	b := newHistogram(LatencyBuckets(), nil)
-	for _, v := range vals {
-		a.Observe(v)
-	}
-	for i := len(vals) - 1; i >= 0; i-- {
-		b.Observe(vals[i])
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.95, 0.99, 1} {
-		if qa, qb := a.Quantile(q), b.Quantile(q); qa != qb {
-			t.Errorf("q=%g: forward %g != reverse %g", q, qa, qb)
-		}
-	}
-}
-
 func TestSetHistogramGetOrCreate(t *testing.T) {
 	s := NewSet()
 	l := Label{Key: "tenant", Value: "a"}
