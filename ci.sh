@@ -6,9 +6,10 @@
 #     so -race is load-bearing, not decoration; the cmd/repro and
 #     cmd/apusimd tests build and drive the real binaries);
 #   the engine bench gate against BENCH_engine.json;
-#   six fuzz stages: the fault-plan parser, and the cache tag store,
-#     functional memory, workgroup placement, span attribution and the
-#     engine's event queue against their reference implementations.
+#   seven fuzz stages: the fault-plan parser, and the cache tag store,
+#     functional memory, workgroup placement, span attribution, the
+#     engine's event queue and the fabric's route search against their
+#     reference implementations.
 #
 # Every stage runs even when an earlier one fails; the script then exits
 # 1 and names the failed stages.
@@ -128,6 +129,12 @@ stage "span attribution differential fuzz smoke" fuzz ./internal/spans/ FuzzAttr
 # linear-scan reference engine: the firing trace, Now, Fired, Cancelled,
 # Drained and Quiescent must match after every operation.
 stage "event engine differential fuzz smoke" fuzz ./internal/sim/ FuzzEngineDifferential 15s
+
+# 15 seconds of coverage-guided fuzzing of the fabric's route search
+# against the map-based search it replaced, on random topologies with
+# downed and derated links: every Route path and ErrPartitioned must match
+# after every link state change.
+stage "route search differential fuzz smoke" fuzz ./internal/fabric/ FuzzRouteDifferential 15s
 
 if [ ${#failed[@]} -gt 0 ]; then
     echo "ci.sh: ${#failed[@]} stage(s) failed:" >&2

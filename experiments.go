@@ -23,9 +23,12 @@ import (
 //
 // An experiment that builds a platform takes its run's *runner.Ctx and
 // builds every platform through ctx.Platform, which wires in the run's
-// auditor and span recorder; bare components (networks, HBMs, caches,
-// partitions) register on ctx.Auditor() through the audit helpers. A nil
-// ctx builds plain, unaudited platforms, as tests and benchmarks do.
+// auditor and span recorder and releases the platform's storage when the
+// run ends; bare components (networks, HBMs, caches, partitions) register
+// on ctx.Auditor() through the audit helpers, and bare caches and XCDs
+// queue their release with ctx.ReleaseAtEnd. A nil ctx builds plain,
+// unaudited platforms that are never released, as tests and benchmarks
+// do.
 
 // ExperimentTable1 reproduces Table 1: peak operations-per-clock-per-CU
 // for CDNA 2 (MI250X) versus CDNA 3 (MI300A), all data types.

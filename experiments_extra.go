@@ -120,7 +120,9 @@ func ExperimentPolicyAblation(ctx *runner.Ctx) (*PolicyAblation, *metrics.Table,
 		rng := sim.NewRNG(7)
 		var xs []*gpu.XCD
 		for i := 0; i < 6; i++ {
-			xs = append(xs, gpu.NewXCD(i, spec, rng))
+			x := gpu.NewXCD(i, spec, rng)
+			ctx.ReleaseAtEnd(x)
+			xs = append(xs, x)
 		}
 		p := gpu.NewPartition(policy.String(), xs, nil, policy)
 		audit.Partition(ctx.Auditor(), p)
@@ -171,6 +173,7 @@ func ExperimentPrefetchAblation(ctx *runner.Ctx) (*PrefetchAblation, error) {
 	run := func(prefetch bool) float64 {
 		ic := cache.NewInfinityCache(8, 2<<20, 17e12/16, 25*sim.Nanosecond, prefetch)
 		audit.InfinityCache(ctx.Auditor(), ic)
+		ctx.ReleaseAtEnd(ic)
 		var now sim.Time
 		// A streaming read: each 4 KB interleave granule (32 lines) is a
 		// sequential run within one channel's slice, as in §IV.D.

@@ -55,7 +55,9 @@ const (
 // takes a block of Ways contiguous keys from the arena on its own first
 // fill: the valid ones first and most-recent-first. A key is the line's
 // tag within its set shifted left two bits over the line's state. A set
-// keeps its block for the cache's lifetime, through Invalidate and Flush.
+// keeps its block for the cache's lifetime, through Invalidate and Flush,
+// until Release hands the directory and pages to the package free list
+// that later caches take theirs from.
 type SetAssoc struct {
 	Name     string
 	LineSize int64
@@ -78,6 +80,9 @@ type SetAssoc struct {
 	pageShift uint
 	pageMask  int
 	blocks    uint32
+	// released is set by Release; a released cache panics on its next
+	// fill.
+	released bool
 }
 
 // NewSetAssoc builds a cache of the given total size. Size must be a
@@ -358,14 +363,18 @@ func (c *SetAssoc) fill(set int, keys []int64, valid int, key int64) Result {
 	return res
 }
 
-// allocate gives set a block on its first fill, allocating the directory
-// and a new page as needed, and returns the set's keys.
+// allocate gives set a block on its first fill, taking the directory
+// and a new page from the free list as needed, and returns the set's
+// keys.
 func (c *SetAssoc) allocate(set int) []int64 {
 	if c.dir == nil {
-		c.dir = make([]uint32, c.Sets)
+		if c.released {
+			panic(fmt.Sprintf("cache: invariant violated: %s was filled after Release handed its storage back", c.Name))
+		}
+		c.dir = recycled.dirs.take(c.Sets)
 	}
 	if int(c.blocks)&c.pageMask == 0 {
-		c.pages = append(c.pages, make([]int64, c.Ways<<c.pageShift))
+		c.pages = append(c.pages, recycled.keys.take(c.Ways<<c.pageShift))
 	}
 	c.blocks++
 	c.dir[set] = c.blocks

@@ -359,3 +359,81 @@ func BenchmarkSetAssocAccess(b *testing.B) {
 }
 
 var sinkResult Result
+
+// drainRecycled empties the package free list, so a test that fills it
+// leaves the next test a fresh process's state.
+func drainRecycled() {
+	recycled.mu.Lock()
+	defer recycled.mu.Unlock()
+	recycled.bytes = 0
+	recycled.dirs.byLen = nil
+	recycled.keys.byLen = nil
+}
+
+func TestSetAssocReleasedPanicsOnFill(t *testing.T) {
+	t.Cleanup(drainRecycled)
+	c := NewSetAssoc("l2", 64<<10, 128, 8)
+	for a := int64(0); a < 32<<10; a += 128 {
+		c.Access(a, true)
+	}
+	before := c.Stats()
+	c.Release()
+	c.Release() // a second Release does nothing
+	if got := c.Stats(); got != before {
+		t.Errorf("Stats after Release = %+v, want %+v", got, before)
+	}
+	if c.Occupancy() != 0 || c.Contains(0) {
+		t.Error("a released cache still holds lines")
+	}
+	for name, fill := range map[string]func(){
+		"Access":    func() { c.Access(0, false) },
+		"Prefetch":  func() { c.Prefetch(0) },
+		"ReadRange": func() { c.ReadRange(0, 4096) },
+	} {
+		if !panics(fill) {
+			t.Errorf("%s on a released cache did not panic", name)
+		}
+	}
+	ic := NewInfinityCache(2, 16<<10, 1e12, 0, true)
+	ic.Access(0, 0, 0, 128, true)
+	ic.Release()
+	if ic.Stats().Misses != 1 || !panics(func() { ic.Access(0, 0, 1<<20, 128, false) }) {
+		t.Error("a released Infinity Cache lost its counters or took a fill")
+	}
+}
+
+// TestRecycleKeepsAtMostTheCap releases more tag storage than recycleCap
+// and checks the free list kept no more than the cap, and close to it.
+func TestRecycleKeepsAtMostTheCap(t *testing.T) {
+	drainRecycled()
+	t.Cleanup(drainRecycled)
+	const sets, ways, line = 1024, 16, 128
+	perCache := sets*4 + sets*ways*8 // directory and every key page
+	var caches []*SetAssoc
+	for n := 0; n*perCache <= 2*recycleCap; n++ {
+		c := NewSetAssoc("mall", sets*ways*line, line, ways)
+		for s := int64(0); s < sets; s++ {
+			c.Access(s*line, true) // claims every set's block
+		}
+		caches = append(caches, c)
+	}
+	for _, c := range caches {
+		c.Release()
+	}
+	recycled.mu.Lock()
+	kept := recycled.bytes
+	recycled.mu.Unlock()
+	if kept > recycleCap || kept < recycleCap-perCache {
+		t.Errorf("released %d caches of %d B; free list keeps %d B, want at most the %d B cap and within a cache of it",
+			len(caches), perCache, kept, recycleCap)
+	}
+	// A new cache of the same geometry takes its storage from the list.
+	c := NewSetAssoc("mall", sets*ways*line, line, ways)
+	c.Access(0, false)
+	recycled.mu.Lock()
+	taken := kept - recycled.bytes
+	recycled.mu.Unlock()
+	if want := sets*4 + sets*ways*8/32; taken != want {
+		t.Errorf("a cache's first fill took %d B from the free list, want its directory and one page, %d B", taken, want)
+	}
+}

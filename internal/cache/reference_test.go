@@ -310,12 +310,18 @@ func untaggableLine(g geometry, addr, n int64) (int64, bool) {
 	return 0, false
 }
 
+// releaseOp is the op byte that releases the cache and goes on with a new
+// one of the same geometry, built on the released storage, against a
+// fresh reference.
+const releaseOp = 0xdf
+
 // runDiff runs prog, three bytes per step, against a fresh SetAssoc and
 // refSetAssoc of geometry g, and fails at the first divergence. A step on
 // an address SetAssoc cannot tag must panic and is skipped on both, as
 // must a ReadRange that holds such an address or wraps past the largest
 // address. An op byte of 0xe0 or more is a ReadRange: bit 4 repeats the
-// previous range, and the low four bits pick the length.
+// previous range, and the low four bits pick the length. releaseOp
+// recycles the cache.
 func runDiff(t *testing.T, g geometry, prog []byte) {
 	t.Helper()
 	size := int64(g.sets*g.ways) * g.lineSize
@@ -324,6 +330,15 @@ func runDiff(t *testing.T, g geometry, prog []byte) {
 	var lastAddr, lastLen int64
 	for step := 0; step+3 <= len(prog); step += 3 {
 		op, addr := prog[step]%64, opAddr(g, prog[step+1], prog[step+2])
+		if prog[step] == releaseOp {
+			c.Release()
+			if taggable(g, addr) && !panics(func() { c.Access(addr, false) }) {
+				t.Fatalf("%v, step %d: a released cache took a fill", g, step/3)
+			}
+			c = NewSetAssoc("diff", size, g.lineSize, g.ways)
+			ref = newRefSetAssoc("diff", size, g.lineSize, g.ways)
+			continue
+		}
 		if prog[step] >= 0xe0 {
 			n := rangeLen(g, prog[step])
 			if prog[step]&0x10 != 0 {

@@ -340,6 +340,29 @@ func (p *Platform) IODNode(i int) fabric.NodeID {
 	return p.iodNodes[i%len(p.iodNodes)]
 }
 
+// Release hands the storage of the platform's caches (the Infinity
+// Cache slices, the XCD L2s and the CCD L3s) and of its address spaces
+// back to their packages' free lists, for later platforms to reuse.
+// Counters stay readable; any later cache fill or memory access panics.
+// The runner releases every platform a run built once the run has ended.
+func (p *Platform) Release() {
+	if p.InfCache != nil {
+		p.InfCache.Release()
+	}
+	for _, x := range p.XCDs {
+		x.Release()
+	}
+	if p.CPU != nil {
+		p.CPU.Release()
+	}
+	if p.HostCPU != nil {
+		p.HostCPU.Release()
+	}
+	// On an APU HostMem is DeviceMem, whose second Release does nothing.
+	p.DeviceMem.Release()
+	p.HostMem.Release()
+}
+
 // ResetStats clears all component statistics (topology retained).
 func (p *Platform) ResetStats() {
 	p.Net.ResetStats()

@@ -95,6 +95,13 @@ func (c *Complex) Cores() int { return len(c.cores) }
 // L3 returns CCD d's L3 model.
 func (c *Complex) L3(d int) *cache.SetAssoc { return c.l3s[d] }
 
+// Release hands the L3s' tag storage back (see cache.SetAssoc.Release).
+func (c *Complex) Release() {
+	for _, l3 := range c.l3s {
+		l3.Release()
+	}
+}
+
 // Stats returns a copy of the counters.
 func (c *Complex) Stats() Stats { return c.stats }
 

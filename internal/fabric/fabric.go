@@ -16,7 +16,6 @@ package fabric
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/config"
 	"repro/internal/sim"
@@ -162,9 +161,15 @@ func (l *Link) EnergyPJ() float64 {
 type Network struct {
 	nodes []*Node
 	links []*Link
-	adj   map[NodeID][]*Link
+	// adj[u] is node u's outgoing links, in link ID order: addLink
+	// appends them as it numbers them.
+	adj [][]*Link
 	// routes caches hop-minimal paths keyed by src<<32|dst.
 	routes map[int64][]*Link
+	// best, frontier and next are bfs's scratch state, reused by every
+	// search: best is indexed by NodeID.
+	best           []searchState
+	frontier, next []NodeID
 	// priority links form the high-priority communication channel used
 	// for ACE-to-ACE synchronization (§VI.A); keyed like routes.
 	priorityLat map[int64]sim.Time
@@ -178,7 +183,6 @@ type Network struct {
 // New returns an empty network.
 func New() *Network {
 	return &Network{
-		adj:         make(map[NodeID][]*Link),
 		routes:      make(map[int64][]*Link),
 		priorityLat: make(map[int64]sim.Time),
 	}
@@ -188,6 +192,7 @@ func New() *Network {
 func (n *Network) AddNode(name string, kind NodeKind) *Node {
 	node := &Node{ID: NodeID(len(n.nodes)), Name: name, Kind: kind}
 	n.nodes = append(n.nodes, node)
+	n.adj = append(n.adj, nil)
 	return node
 }
 
@@ -226,8 +231,8 @@ func (n *Network) Connect(a, b NodeID, kind config.LinkKind, bwPerDir float64, l
 // topology mutation — adding links or changing link health — or cached
 // routes/latencies keep steering traffic over a stale view of the fabric.
 func (n *Network) invalidateCaches() {
-	n.routes = make(map[int64][]*Link)
-	n.priorityLat = make(map[int64]sim.Time)
+	clear(n.routes)
+	clear(n.priorityLat)
 }
 
 // SetLinkState changes the health of the directed link with the given ID
@@ -303,47 +308,56 @@ func (n *Network) Route(src, dst NodeID) ([]*Link, error) {
 	return p, nil
 }
 
+// searchState is one node's entry in a route search: the best path
+// found to it so far, as a hop count, a total latency and its last link.
+type searchState struct {
+	seen bool
+	hops int
+	lat  sim.Time
+	via  *Link
+	prev NodeID
+}
+
+// bfs searches level by level from src, visiting each node's links in ID
+// order and keeping, for every node, the path with the fewest hops and,
+// among those, the lowest latency that reached it first.
 func (n *Network) bfs(src, dst NodeID) ([]*Link, error) {
-	type state struct {
-		hops int
-		lat  sim.Time
-		via  *Link
-		prev NodeID
+	if cap(n.best) < len(n.nodes) {
+		n.best = make([]searchState, len(n.nodes))
 	}
-	best := map[NodeID]state{src: {}}
-	frontier := []NodeID{src}
+	best := n.best[:len(n.nodes)]
+	clear(best)
+	best[src].seen = true
+	frontier, next := append(n.frontier[:0], src), n.next
 	for len(frontier) > 0 {
-		var next []NodeID
+		next = next[:0]
 		for _, u := range frontier {
 			su := best[u]
-			links := append([]*Link(nil), n.adj[u]...)
-			sort.Slice(links, func(i, j int) bool { return links[i].ID < links[j].ID })
-			for _, l := range links {
+			for _, l := range n.adj[u] {
 				if l.state == LinkDown {
 					continue
 				}
-				cand := state{hops: su.hops + 1, lat: su.lat + l.Latency, via: l, prev: u}
-				sv, seen := best[l.Dst]
-				if !seen || cand.hops < sv.hops || (cand.hops == sv.hops && cand.lat < sv.lat) {
-					best[l.Dst] = cand
+				cand := searchState{seen: true, hops: su.hops + 1, lat: su.lat + l.Latency, via: l, prev: u}
+				sv := &best[l.Dst]
+				if !sv.seen || cand.hops < sv.hops || (cand.hops == sv.hops && cand.lat < sv.lat) {
+					*sv = cand
 					next = append(next, l.Dst)
 				}
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
-	if _, ok := best[dst]; !ok {
+	n.frontier, n.next = frontier, next
+	if !best[dst].seen {
 		return nil, fmt.Errorf("%w: no route %s -> %s", ErrPartitioned, n.nodes[src].Name, n.nodes[dst].Name)
 	}
-	var path []*Link
+	hops := best[dst].hops
+	path := make([]*Link, hops)
 	for at := dst; at != src; {
 		s := best[at]
-		path = append(path, s.via)
+		hops--
+		path[hops] = s.via
 		at = s.prev
-	}
-	// Reverse into src->dst order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
 	}
 	return path, nil
 }

@@ -1,7 +1,12 @@
 package fabric
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -357,5 +362,163 @@ func BenchmarkTransfer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.TransferPathObserved(sim.Time(i), path, 4096, nil)
+	}
+}
+
+// refBFS is the route search before it kept its state in a slice indexed
+// by NodeID, kept verbatim as the executable spec Route is checked
+// against: a map per search, and a sorted copy of each visited node's
+// links.
+func refBFS(n *Network, src, dst NodeID) ([]*Link, error) {
+	type state struct {
+		hops int
+		lat  sim.Time
+		via  *Link
+		prev NodeID
+	}
+	best := map[NodeID]state{src: {}}
+	frontier := []NodeID{src}
+	for len(frontier) > 0 {
+		var next []NodeID
+		for _, u := range frontier {
+			su := best[u]
+			links := append([]*Link(nil), n.adj[u]...)
+			sort.Slice(links, func(i, j int) bool { return links[i].ID < links[j].ID })
+			for _, l := range links {
+				if l.state == LinkDown {
+					continue
+				}
+				cand := state{hops: su.hops + 1, lat: su.lat + l.Latency, via: l, prev: u}
+				sv, seen := best[l.Dst]
+				if !seen || cand.hops < sv.hops || (cand.hops == sv.hops && cand.lat < sv.lat) {
+					best[l.Dst] = cand
+					next = append(next, l.Dst)
+				}
+			}
+		}
+		frontier = next
+	}
+	if _, ok := best[dst]; !ok {
+		return nil, fmt.Errorf("%w: no route %s -> %s", ErrPartitioned, n.nodes[src].Name, n.nodes[dst].Name)
+	}
+	var path []*Link
+	for at := dst; at != src; {
+		s := best[at]
+		path = append(path, s.via)
+		at = s.prev
+	}
+	// Reverse into src->dst order.
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
+	}
+	return path, nil
+}
+
+// The route differential decodes a fuzz input into a topology and a
+// sequence of link state changes. topo[0] sets the node count, 2 to 40;
+// each following four bytes connect two nodes (a, b, then the latency in
+// nanoseconds as a little-endian uint16), up to 64 connections. Each three
+// bytes of ops set one link's state: the link, then the state (mod 3),
+// then the derate as (b+1)/256. The committed corpus holds every platform
+// spec's fabric; internal/core's TestRouteFuzzSeedsMatchPlatforms writes
+// and checks those seeds.
+const (
+	maxRouteNodes    = 40
+	maxRouteConnects = 64
+	maxRouteOps      = 32
+)
+
+// routeNetwork builds the network topo describes.
+func routeNetwork(topo []byte) *Network {
+	n := New()
+	if len(topo) == 0 {
+		return n
+	}
+	nodes := 2 + int(topo[0])%(maxRouteNodes-1)
+	for i := 0; i < nodes; i++ {
+		n.AddNode(fmt.Sprintf("n%d", i), KindIOD)
+	}
+	topo = topo[1:]
+	for c := 0; c < maxRouteConnects && len(topo) >= 4; c++ {
+		lat := sim.Time(binary.LittleEndian.Uint16(topo[2:])) * sim.Nanosecond
+		n.Connect(NodeID(int(topo[0])%nodes), NodeID(int(topo[1])%nodes), config.LinkUSR, 1e12, lat)
+		topo = topo[4:]
+	}
+	return n
+}
+
+// checkRoutes fails unless Route gives every ordered pair of distinct
+// nodes the reference's path, or the reference's error.
+func checkRoutes(t *testing.T, n *Network, after string) {
+	t.Helper()
+	for s := range n.nodes {
+		for d := range n.nodes {
+			if s == d {
+				continue
+			}
+			src, dst := NodeID(s), NodeID(d)
+			got, gerr := n.Route(src, dst)
+			want, werr := refBFS(n, src, dst)
+			if fmt.Sprint(gerr) != fmt.Sprint(werr) || errors.Is(gerr, ErrPartitioned) != errors.Is(werr, ErrPartitioned) {
+				t.Fatalf("after %s: Route(%d, %d) error %v, reference %v", after, s, d, gerr, werr)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("after %s: Route(%d, %d) = %v, reference %v", after, s, d, linkIDs(got), linkIDs(want))
+			}
+		}
+	}
+}
+
+func linkIDs(path []*Link) []int {
+	ids := make([]int, len(path))
+	for i, l := range path {
+		ids[i] = l.ID
+	}
+	return ids
+}
+
+// runRouteDiff checks Route against refBFS on topo's network, first as
+// built and then after each of ops' link state changes.
+func runRouteDiff(t *testing.T, topo, ops []byte) {
+	n := routeNetwork(topo)
+	checkRoutes(t, n, "build")
+	if len(n.links) == 0 {
+		return
+	}
+	for i := 0; i < maxRouteOps && len(ops) >= 3; i++ {
+		id, state, derate := int(ops[0])%len(n.links), LinkState(ops[1]%3), float64(ops[2])/256+1.0/256
+		if err := n.SetLinkState(id, state, derate); err != nil {
+			t.Fatalf("op %d: SetLinkState(%d, %v, %g): %v", i, id, state, derate, err)
+		}
+		checkRoutes(t, n, fmt.Sprintf("op %d (link %d %v)", i, id, state))
+		ops = ops[3:]
+	}
+}
+
+func FuzzRouteDifferential(f *testing.F) {
+	// The 2x2 IOD mesh of mesh2x2, with A->B down, then B->A down,
+	// which sends A-B traffic around the ring, then A->C down too,
+	// which leaves A unable to send at all.
+	mesh := []byte{2, 0, 1, 5, 0, 2, 3, 5, 0, 0, 2, 5, 0, 1, 3, 5, 0}
+	f.Add(mesh, []byte{0, 2, 0, 1, 2, 0, 4, 2, 0})
+	// The same mesh with one link derated and brought back up.
+	f.Add(mesh, []byte{2, 1, 127, 2, 0, 0})
+	f.Fuzz(runRouteDiff)
+}
+
+func TestRouteMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		topo := make([]byte, 1+4*(1+rng.Intn(maxRouteConnects)))
+		ops := make([]byte, 3*rng.Intn(12))
+		rng.Read(topo)
+		rng.Read(ops)
+		// Few nodes and short latencies make equal-hop paths and ties
+		// common.
+		topo[0] = byte(rng.Intn(12))
+		for j := 3; j < len(topo); j += 4 {
+			topo[j], topo[j+1] = topo[j]%8, 0
+		}
+		runRouteDiff(t, topo, ops)
 	}
 }

@@ -219,6 +219,9 @@ func (x *XCD) InFlightWorkgroups(now sim.Time) int {
 // L2 exposes the shared L2 model.
 func (x *XCD) L2() *cache.SetAssoc { return x.l2 }
 
+// Release hands the L2's tag storage back (see cache.SetAssoc.Release).
+func (x *XCD) Release() { x.l2.Release() }
+
 // Stats returns a copy of the counters.
 func (x *XCD) Stats() Stats { return x.stats }
 

@@ -542,3 +542,64 @@ func TestRowStatsCount(t *testing.T) {
 		t.Errorf("row stats = %d/%d, want 1 hit / 2 misses", hits, misses)
 	}
 }
+
+// drainFreePages empties the package free list, so a test that fills it
+// leaves the next test a fresh process's state.
+func drainFreePages() {
+	freePages.mu.Lock()
+	defer freePages.mu.Unlock()
+	freePages.list = nil
+}
+
+func TestSpaceReleasedPanicsOnAccess(t *testing.T) {
+	t.Cleanup(drainFreePages)
+	s := NewSpace("dev", 1<<30)
+	s.WriteFloat64(8, 2.5)
+	base, _ := s.Alloc(4096, 0)
+	s.Release()
+	s.Release() // a second Release does nothing
+	if s.TouchedBytes() != pageSize || s.Allocated() != base+4096 {
+		t.Errorf("after Release TouchedBytes = %d, Allocated = %d; want %d and %d", s.TouchedBytes(), s.Allocated(), pageSize, base+4096)
+	}
+	for name, access := range map[string]func(){
+		"WriteFloat64":  func() { s.WriteFloat64(8, 1) },
+		"Write":         func() { s.Write(1<<20, []byte{1}) },
+		"WriteFloat64s": func() { s.WriteFloat64s(0, []float64{1}) },
+		"ReadFloat64":   func() { s.ReadFloat64(8) },
+	} {
+		if !panics(access) {
+			t.Errorf("%s on a released space did not panic", name)
+		}
+	}
+	// A space built on the recycled page reads it as zero.
+	fresh := NewSpace("dev", 1<<30)
+	fresh.WriteUint32(0, 7)
+	if got := fresh.ReadFloat64(8); got != 0 {
+		t.Errorf("recycled page reads %g at 8, want 0", got)
+	}
+}
+
+// TestFreePagesKeepAtMostTheCap releases more pages than freePagesCap and
+// checks the free list kept exactly the cap.
+func TestFreePagesKeepAtMostTheCap(t *testing.T) {
+	drainFreePages()
+	t.Cleanup(drainFreePages)
+	const pages = freePagesCap + 40
+	var spaces []*Space
+	for i := 0; i < 4; i++ {
+		s := NewSpace("dev", 1<<40)
+		for p := int64(0); p < pages/4; p++ {
+			s.WriteUint64(p<<pageBits, 1)
+		}
+		spaces = append(spaces, s)
+	}
+	for _, s := range spaces {
+		s.Release()
+	}
+	freePages.mu.Lock()
+	kept := len(freePages.list)
+	freePages.mu.Unlock()
+	if kept != freePagesCap {
+		t.Errorf("released %d pages; free list keeps %d, want the cap, %d", pages, kept, freePagesCap)
+	}
+}

@@ -268,11 +268,16 @@ func firstDiff(n int, differs func(i int) bool) int {
 	return -1
 }
 
+// releaseOp is the op byte that releases a space and goes on with a new
+// one of the same size, built on the released pages, against a fresh
+// reference: a recycled page must read as zero until written.
+const releaseOp = 0xfb
+
 // runDiff runs prog against two fresh Spaces and two refSpaces of the
 // given size, and fails at the first divergence: a return value, a read
 // buffer, whether the step panicked, or a space's Allocated or
 // TouchedBytes. At the end every reference page must exist in the Space
-// with the same bytes.
+// with the same bytes. releaseOp recycles one of the spaces.
 func runDiff(t *testing.T, size int64, prog []byte) {
 	t.Helper()
 	spaces := [2]*Space{NewSpace("a", size), NewSpace("b", size)}
@@ -281,6 +286,16 @@ func runDiff(t *testing.T, size int64, prog []byte) {
 	var prev int64
 	for step := 0; len(r.b) > 0; step++ {
 		op, which := r.byte(), int(r.byte()&1)
+		if op == releaseOp {
+			s := spaces[which]
+			s.Release()
+			if !panics(func() { s.WriteUint32(0, 1) }) {
+				t.Fatalf("size %d, step %d: a released space took a write", size, step)
+			}
+			spaces[which] = NewSpace(s.name, size)
+			refs[which] = newRefSpace(s.name, size)
+			continue
+		}
 		s, ref := spaces[which], refs[which]
 		addr := r.addr(size, prev)
 		prev = addr

@@ -26,6 +26,9 @@ type Space struct {
 	pages   []*page
 	touched int64 // committed pages
 	brk     int64 // bump allocator watermark
+	// released is set by Release; a released space panics on any
+	// access to a page it does not hold, which is every page.
+	released bool
 }
 
 // NewSpace returns an address space of the given byte size. It commits no
@@ -83,13 +86,22 @@ func (s *Space) page(idx int64, create bool) *page {
 	if idx < int64(len(s.pages)) && s.pages[idx] != nil {
 		return s.pages[idx]
 	}
+	return s.missingPage(idx, create)
+}
+
+// missingPage is page for a page the space does not hold, kept out of
+// line so that page inlines into every access.
+func (s *Space) missingPage(idx int64, create bool) *page {
+	if s.released {
+		panic(fmt.Sprintf("mem: invariant violated: %q was accessed after Release handed its pages back", s.name))
+	}
 	if !create {
 		return nil
 	}
 	if idx >= int64(len(s.pages)) {
 		s.pages = append(s.pages, make([]*page, idx+1-int64(len(s.pages)))...)
 	}
-	p := new(page)
+	p := newPage()
 	s.pages[idx] = p
 	s.touched++
 	return p

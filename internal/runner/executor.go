@@ -355,6 +355,11 @@ func runAttempt(e Experiment, opts Options, deadline time.Time) Result {
 				sr.Attribution()
 				res.Spans = sr
 			}
+			// Last: the body has returned and the result no longer
+			// reads the run's components, so their storage can go to
+			// the next run. A deadline or cancellation that abandoned
+			// this attempt does not get here until the body returns.
+			ctx.release()
 			done <- res
 		}()
 		ctx.Milestone("start")

@@ -52,6 +52,10 @@ type Ctx struct {
 	milestones []string
 	faults     []string
 	degraded   bool
+	// releases is what the run built and hands back at its end: every
+	// platform Platform built and every component ReleaseAtEnd queued,
+	// in that order.
+	releases []interface{ Release() }
 }
 
 func newCtx(id string, opts Options) *Ctx {
@@ -70,8 +74,9 @@ func newCtx(id string, opts Options) *Ctx {
 
 // Platform builds a platform from spec for this run. It is the one way a
 // run builds a platform: the run's span recorder is threaded in when the
-// run has made one (Spans was called), and the platform's conservation
-// ledgers are registered on the run's auditor. A nil Ctx builds a plain
+// run has made one (Spans was called), the platform's conservation
+// ledgers are registered on the run's auditor, and the platform is
+// released when the run ends (see ReleaseAtEnd). A nil Ctx builds a plain
 // platform, so tests and benchmarks share the experiments' code path.
 func (c *Ctx) Platform(spec *config.PlatformSpec) (*core.Platform, error) {
 	var sp *spans.Recorder
@@ -83,7 +88,35 @@ func (c *Ctx) Platform(spec *config.PlatformSpec) (*core.Platform, error) {
 		return nil, err
 	}
 	p.AttachAudit(c.Auditor())
+	c.ReleaseAtEnd(p)
 	return p, nil
+}
+
+// ReleaseAtEnd queues r's Release for the end of the run, beside the
+// platforms Platform built: a bare cache or XCD an experiment builds
+// hands its storage back to its package's free list the same way. The
+// runner releases the queue on the run's goroutine once the run's body
+// has returned and its result is complete, so a run that outlives its
+// deadline keeps its storage while it still simulates. A nil Ctx
+// releases nothing.
+func (c *Ctx) ReleaseAtEnd(r interface{ Release() }) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.releases = append(c.releases, r)
+	c.mu.Unlock()
+}
+
+// release releases everything the run queued, in queue order.
+func (c *Ctx) release() {
+	c.mu.Lock()
+	rs := c.releases
+	c.releases = nil
+	c.mu.Unlock()
+	for _, r := range rs {
+		r.Release()
+	}
 }
 
 // Auditor returns the run's invariant auditor: non-nil only when the

@@ -7,11 +7,14 @@ import (
 	"fmt"
 	"runtime/pprof"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/gpu"
 )
 
 func testRegistry() *Registry {
@@ -594,4 +597,116 @@ func TestRunAttemptLabelsProfiles(t *testing.T) {
 	if res := s.Results[0]; res.Failed() {
 		t.Fatalf("labelled run failed (%s): %v", res.Status, res.Err)
 	}
+}
+
+// TestRunReleasesWhatItBuilt checks that a run hands back every platform
+// Ctx.Platform built and every component ReleaseAtEnd queued, and that a
+// nil Ctx releases nothing.
+func TestRunReleasesWhatItBuilt(t *testing.T) {
+	var p *core.Platform
+	var x *gpu.XCD
+	r := NewRegistry()
+	r.MustRegister(Experiment{ID: "build", Desc: "builds a platform and a bare XCD",
+		Run: func(ctx *Ctx) (string, error) {
+			var err error
+			if p, err = ctx.Platform(config.MI300A()); err != nil {
+				return "", err
+			}
+			p.DeviceMem.WriteFloat64(0, 1)
+			x = gpu.NewXCD(0, config.MI300A().XCD, nil)
+			ctx.ReleaseAtEnd(x)
+			x.L2().Access(0, true)
+			return "ok\n", nil
+		}})
+	if s, err := r.RunSuite(Options{Parallel: 1}); err != nil || !s.OK() {
+		t.Fatalf("suite: %v, %+v", err, s)
+	}
+	if !panics(func() { p.DeviceMem.ReadFloat64(0) }) {
+		t.Error("the run's platform memory is still readable after the run")
+	}
+	if x.L2().Stats().Misses != 1 {
+		t.Errorf("released L2 counters = %+v, want the run's one miss", x.L2().Stats())
+	}
+	if !panics(func() { x.L2().Access(0, false) }) {
+		t.Error("the run's bare XCD L2 still takes fills after the run")
+	}
+
+	var none *Ctx
+	plain, err := none.Platform(config.MI300A())
+	if err != nil {
+		t.Fatal(err)
+	}
+	none.ReleaseAtEnd(plain)
+	plain.DeviceMem.WriteFloat64(0, 1) // a nil Ctx never releases
+}
+
+// TestTimedOutRunKeepsItsStorage: a run that outlives its deadline keeps
+// its platform's memory while it still simulates, even as later runs
+// recycle pages. Releasing at the deadline instead would hand the slow
+// run's pages to the next run.
+func TestTimedOutRunKeepsItsStorage(t *testing.T) {
+	data := make([]byte, 3<<16+123)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	block := make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(block) })
+	defer unblock()
+	verdict := make(chan error, 1)
+	r := NewRegistry()
+	r.MustRegister(Experiment{ID: "slow", Desc: "writes, outlives its deadline, reads back",
+		Run: func(ctx *Ctx) (out string, err error) {
+			defer func() {
+				if p := recover(); p != nil {
+					err = fmt.Errorf("panic: %v", p)
+				}
+				verdict <- err
+			}()
+			p, err := ctx.Platform(config.MI300A())
+			if err != nil {
+				return "", err
+			}
+			p.DeviceMem.Write(4096, data)
+			<-block
+			got := make([]byte, len(data))
+			p.DeviceMem.Read(4096, got)
+			if !bytes.Equal(got, data) {
+				return "", errors.New("data changed while the run was blocked")
+			}
+			return "ok\n", nil
+		}})
+	r.MustRegister(Experiment{ID: "recycler", Desc: "writes pages over whatever the free list holds",
+		Run: func(ctx *Ctx) (string, error) {
+			p, err := ctx.Platform(config.MI300A())
+			if err != nil {
+				return "", err
+			}
+			p.DeviceMem.Write(0, bytes.Repeat([]byte{0xee}, 1<<20))
+			return "ok\n", nil
+		}})
+	s, err := r.RunSuite(Options{Parallel: 1, IDs: []string{"slow"}, Timeout: 20 * time.Millisecond})
+	if err != nil || s.Results[0].Status != StatusTimeout {
+		t.Fatalf("slow run: %v, %+v; want a timeout", err, s)
+	}
+	for i := 0; i < 2; i++ {
+		if s, err := r.RunSuite(Options{Parallel: 1, IDs: []string{"recycler"}}); err != nil || !s.OK() {
+			t.Fatalf("recycler run: %v, %+v", err, s)
+		}
+	}
+	unblock()
+	select {
+	case err := <-verdict:
+		if err != nil {
+			t.Errorf("timed-out run: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed-out run never finished")
+	}
+}
+
+// panics reports whether f panics.
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
 }

@@ -210,3 +210,33 @@ func TestSuiteGolden(t *testing.T) {
 			goldenParallel, suiteGoldenPath, firstDiff(got, string(want)))
 	}
 }
+
+// TestRecyclingRunsKeepOutputs runs four experiments that recycle cache
+// tags and memory pages (fig15's pages, policy's bare L2s, the platforms
+// of spandispatch and fig19) on four workers, twice, so concurrent runs
+// release and take storage from the shared free lists. Their outputs must
+// stay byte-identical to a sequential run. Run it under -race.
+func TestRecyclingRunsKeepOutputs(t *testing.T) {
+	reg := Experiments()
+	ids := []string{"fig15", "policy", "spandispatch", "fig19"}
+	render := func(parallel int) string {
+		s, err := reg.RunSuite(runner.Options{Parallel: parallel, IDs: ids})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range s.Failed() {
+			t.Fatalf("%s failed at parallel %d (%s): %v", r.ID, parallel, r.Status, r.Err)
+		}
+		var b bytes.Buffer
+		if err := s.WriteOutputs(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	want := render(1)
+	for pass := 1; pass <= 2; pass++ {
+		if got := render(4); got != want {
+			t.Fatalf("pass %d at -parallel 4 differs from -parallel 1 at %s", pass, firstDiff(got, want))
+		}
+	}
+}
