@@ -6,10 +6,10 @@
 #     so -race is load-bearing, not decoration; the cmd/repro and
 #     cmd/apusimd tests build and drive the real binaries);
 #   the engine bench gate against BENCH_engine.json;
-#   seven fuzz stages: the fault-plan parser, and the cache tag store,
+#   eight fuzz stages: the fault-plan parser, and the cache tag store,
 #     functional memory, workgroup placement, span attribution, the
-#     engine's event queue and the fabric's route search against their
-#     reference implementations.
+#     engine's event queue, the fabric's route search and the HBM
+#     interleave walk against their reference implementations.
 #
 # Every stage runs even when an earlier one fails; the script then exits
 # 1 and names the failed stages.
@@ -135,6 +135,13 @@ stage "event engine differential fuzz smoke" fuzz ./internal/sim/ FuzzEngineDiff
 # downed and derated links: every Route path and ErrPartitioned must match
 # after every link state change.
 stage "route search differential fuzz smoke" fuzz ./internal/fabric/ FuzzRouteDifferential 15s
+
+# 15 seconds of coverage-guided fuzzing of the HBM granule walk against the
+# reference timing model it replaced, on random geometries, NPS modes,
+# retired channels, ECC storms and accesses that straddle NUMA domain
+# boundaries or run past the top of the space: every returned time,
+# observer callback, channel counter and ChunksIssued must match.
+stage "HBM interleave differential fuzz smoke" fuzz ./internal/mem/ FuzzHBMDifferential 15s
 
 if [ ${#failed[@]} -gt 0 ]; then
     echo "ci.sh: ${#failed[@]} stage(s) failed:" >&2

@@ -257,12 +257,17 @@ func (c *SetAssoc) ReadRange(addr, n int64) (misses int) {
 		return misses
 	}
 	first := addr >> (c.lineShift & 63)
-	sets := int64(c.Sets)
-	for j := int64(0); j < min(lines, sets); j++ {
-		// Lines first+j, first+j+Sets, ... share a set and carry
-		// consecutive tags.
+	// Lines first+j, first+j+Sets, ... share a set and carry consecutive
+	// tags. With lines = laps·Sets + rem, the sets of the first rem lines
+	// get laps+1 of them and the others laps.
+	laps, rem := lines>>(c.setShift&63), lines&int64(c.Sets-1)
+	k := laps + 1
+	for j := int64(0); j < min(lines, int64(c.Sets)); j++ {
+		if j == rem {
+			k = laps
+		}
 		la := first + j
-		misses += c.readRun(int(la)&(c.Sets-1), la>>(c.setShift&63), (lines-j-1)/sets+1)
+		misses += c.readRun(int(la)&(c.Sets-1), la>>(c.setShift&63), k)
 	}
 	return misses
 }

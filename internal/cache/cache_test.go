@@ -360,6 +360,22 @@ func BenchmarkSetAssocAccess(b *testing.B) {
 
 var sinkResult Result
 
+// BenchmarkReadRangeTile reads the policy ablation's tiles through an
+// MI300A XCD L2: 1 MiB tiles of 8,192 lines, four in each set, each tile
+// read by four consecutive workgroups as block scheduling places them.
+// A tile's first read misses every line; the next three find its lines
+// at the front of their sets. One op is one tile read.
+func BenchmarkReadRangeTile(b *testing.B) {
+	c := NewSetAssoc("l2", benchSize, benchLine, benchWays)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkMisses = c.ReadRange(int64(i/4)<<20, 1<<20)
+	}
+}
+
+var sinkMisses int
+
 // drainRecycled empties the package free list, so a test that fills it
 // leaves the next test a fresh process's state.
 func drainRecycled() {

@@ -151,7 +151,7 @@ func TestAlignmentFailsForForeignDie(t *testing.T) {
 	rogue := &DieSpec{Name: "rogue", Kind: DieXCD, W: 11000, H: 8500,
 		SignalPads: padGrid(Point{1501, 1501}, 8, 5, 700)} // 1µm off
 	pads := rogue.PlacedPads(Point{d.xcdSlots[0].X, d.xcdSlots[0].Y}, Orientation{})
-	if len(pads.MissingFrom(d.PlacedSites(Orientation{}))) == 0 {
+	if len(d.missingSites(Orientation{}, pads)) == 0 {
 		t.Error("misaligned rogue die passed alignment")
 	}
 }

@@ -7,10 +7,7 @@
 // micrometer geometry, so alignment checks are equality, not epsilon.
 package chiplet
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Point is a position in micrometers.
 type Point struct {
@@ -121,22 +118,6 @@ func (s PointSet) Union(o PointSet) {
 // Len reports the set size.
 func (s PointSet) Len() int { return len(s) }
 
-// MissingFrom returns the points of s absent from super, sorted by X then
-// Y (empty slice when s ⊆ super).
-func (s PointSet) MissingFrom(super PointSet) []Point {
-	var missing []Point
-	for p := range s {
-		if !super.Has(p) {
-			missing = append(missing, p)
-		}
-	}
-	sort.Slice(missing, func(i, j int) bool {
-		a, b := missing[i], missing[j]
-		return a.X < b.X || a.X == b.X && a.Y < b.Y
-	})
-	return missing
-}
-
 // Lattice is a uniform grid of NX×NY points Pitch apart, starting at
 // Origin. It answers membership by arithmetic instead of storing points.
 type Lattice struct {
@@ -158,6 +139,14 @@ func (g Lattice) Has(p Point) bool {
 	dx, dy := p.X-g.Origin.X, p.Y-g.Origin.Y
 	return dx >= 0 && dy >= 0 && dx%g.Pitch == 0 && dy%g.Pitch == 0 &&
 		dx/g.Pitch < g.NX && dy/g.Pitch < g.NY
+}
+
+// centred reports whether the lattice's points sit symmetrically in a w×h
+// area on both axes: its first and last columns are as far from the
+// area's left and right edges, and its first and last rows from the
+// bottom and top.
+func (g Lattice) centred(w, h int) bool {
+	return 2*g.Origin.X+(g.NX-1)*g.Pitch == w && 2*g.Origin.Y+(g.NY-1)*g.Pitch == h
 }
 
 // Grid returns a uniform grid of points with the given pitch, centered in

@@ -185,16 +185,6 @@ func (d *IODDesign) PlacedChiplets(o Orientation, kind ComputeKind) []PlacedChip
 	return placed
 }
 
-// PlacedSites reports the signal TSV sites in placed-local coordinates for
-// an IOD instance.
-func (d *IODDesign) PlacedSites(o Orientation) PointSet {
-	out := make(PointSet, len(d.SignalTSVs))
-	for p := range d.SignalTSVs {
-		out.Add(o.Apply(p, d.W, d.H))
-	}
-	return out
-}
-
 // PGGrid reports the uniform power/ground TSV grid (design == placed
 // coordinates for any orientation iff the grid is invariant; see
 // CheckPGInvariance).
@@ -206,14 +196,32 @@ func (d *IODDesign) PGGrid() Lattice { return Grid(d.W, d.H, d.PGPitch) }
 // true when the grid is orientation-invariant). It returns the first
 // misalignment found.
 func (d *IODDesign) CheckAlignment(o Orientation, kind ComputeKind) error {
-	sites := d.PlacedSites(o)
 	for _, pc := range d.PlacedChiplets(o, kind) {
-		if missing := pc.Pads.MissingFrom(sites); len(missing) > 0 {
+		if missing := d.missingSites(o, pc.Pads); len(missing) > 0 {
 			return fmt.Errorf("chiplet: %s (%s) on %s IOD: %d pads missing TSV sites (first %v)",
 				pc.Die.Name, pc.Orient, o, len(missing), missing[0])
 		}
 	}
 	return nil
+}
+
+// missingSites returns the pads, in the placed coordinates of an IOD
+// instance with orientation o, that land on no signal TSV site, sorted by
+// X then Y. Every orientation is an involution, so a placed pad lies on a
+// placed site iff its image under o is a design site: the check needs no
+// placed copy of the site set.
+func (d *IODDesign) missingSites(o Orientation, pads PointSet) []Point {
+	var missing []Point
+	for p := range pads {
+		if !d.SignalTSVs.Has(o.Apply(p, d.W, d.H)) {
+			missing = append(missing, p)
+		}
+	}
+	sort.Slice(missing, func(i, j int) bool {
+		a, b := missing[i], missing[j]
+		return a.X < b.X || a.X == b.X && a.Y < b.Y
+	})
+	return missing
 }
 
 // RedundantSites reports the TSV sites that no normal-orientation instance
@@ -237,10 +245,17 @@ func (d *IODDesign) RedundantSites() PointSet {
 
 // CheckPGInvariance verifies the P/G grid maps onto itself under every
 // orientation — the §V.D property that one uniform grid serves every
-// permutation of mirrored/rotated IOD, CCD, and XCD. It walks the grid
-// row-major and reports the first point with an image off the grid.
+// permutation of mirrored/rotated IOD, CCD, and XCD. Mirroring reflects
+// x about the die's centre line and rotation reflects both axes, so a
+// non-empty grid is invariant iff it sits centred on both axes:
+// 2·Origin + (N−1)·Pitch equals the die's extent. That decides it in O(1);
+// only a grid that fails is walked, row-major, to name its first point
+// with an image off the grid.
 func (d *IODDesign) CheckPGInvariance() error {
 	g := d.PGGrid()
+	if g.Len() == 0 || g.centred(d.W, d.H) {
+		return nil
+	}
 	orients := AllOrientations()
 	for j := 0; j < g.NY; j++ {
 		for i := 0; i < g.NX; i++ {

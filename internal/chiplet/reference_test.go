@@ -1,6 +1,7 @@
 package chiplet
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -51,5 +52,59 @@ func TestGridMatchesReference(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			probe(Point{rng.Intn(3*w+3*pitch+1) - w - pitch, rng.Intn(3*h+3*pitch+1) - h - pitch})
 		}
+	}
+}
+
+// refCheckPGInvariance is the per-point P/G check CheckPGInvariance
+// replaced, kept verbatim as its executable spec: it probes every grid
+// point under every orientation, row-major.
+func refCheckPGInvariance(d *IODDesign) error {
+	g := d.PGGrid()
+	orients := AllOrientations()
+	for j := 0; j < g.NY; j++ {
+		for i := 0; i < g.NX; i++ {
+			p := g.At(i, j)
+			for _, o := range orients {
+				if !g.Has(o.Apply(p, d.W, d.H)) {
+					return fmt.Errorf("chiplet: P/G TSV %v not invariant under %s", p, o)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestPGInvarianceMatchesWalk compares CheckPGInvariance with the walk it
+// replaced, nil against error and error text, over random die sizes and
+// pitches: margins that are odd on either axis, both or neither, pitches
+// that divide the die or not, dies smaller than one pitch (an empty grid),
+// and the IOD's own 24×20 mm die at 100 µm.
+func TestPGInvarianceMatchesWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(w, h, pitch int) bool {
+		d := &IODDesign{W: w, H: h, PGPitch: pitch}
+		got, want := d.CheckPGInvariance(), refCheckPGInvariance(d)
+		if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+			t.Fatalf("W=%d H=%d pitch=%d: CheckPGInvariance = %v, walk %v", w, h, pitch, got, want)
+		}
+		return got == nil
+	}
+	check(24000, 20000, 100)
+	var invariant, broken int
+	for trial := 0; trial < 2000; trial++ {
+		pitch := 1 + rng.Intn(40)
+		w := rng.Intn(30*pitch) - pitch
+		h := rng.Intn(30*pitch) - pitch
+		if trial%3 == 0 { // a pitch that divides w and h exactly
+			w, h = w/pitch*pitch, h/pitch*pitch
+		}
+		if check(w, h, pitch) {
+			invariant++
+		} else {
+			broken++
+		}
+	}
+	if invariant < 100 || broken < 100 {
+		t.Fatalf("%d invariant and %d broken grids: too few of one kind to compare", invariant, broken)
 	}
 }

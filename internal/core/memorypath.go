@@ -78,7 +78,7 @@ func (p *Platform) memAccess(start sim.Time, src fabric.NodeID, addr, bytes int6
 			n = bytes - off
 		}
 		a := addr + off
-		stack := p.HBM.Map.Stack(a)
+		stack, ch := p.HBM.Map.Locate(a)
 		// Legacy multi-device parts (MI250X presents each GCD as its own
 		// accelerator) have per-device memory: traffic stays on the
 		// source GCD's local stacks rather than interleaving packagewide.
@@ -99,7 +99,6 @@ func (p *Platform) memAccess(start sim.Time, src fabric.NodeID, addr, bytes int6
 		// Memory-side cache stage.
 		hbmBytes := n
 		if p.InfCache != nil {
-			ch := p.HBM.Map.Channel(a)
 			res := p.InfCache.Access(done, ch, a, n, write)
 			if root.Valid() {
 				result := "miss"

@@ -16,7 +16,8 @@ func refEarliestCUSlot(x *XCD, occ int) (*CU, int) {
 	var best *CU
 	bestSlot := 0
 	var bestKey sim.Time
-	for _, c := range x.cus {
+	for i := range x.cus {
+		c := &x.cus[i]
 		if c.Disabled {
 			continue
 		}
@@ -85,7 +86,8 @@ func runPlacementDiff(t testing.TB, prog []byte) {
 			call(occ)
 			continue
 		case 4:
-			for _, c := range x.cus {
+			for i := range x.cus {
+				c := &x.cus[i]
 				for s := range c.slotFree {
 					c.slotFree[s] = draw()
 				}

@@ -85,7 +85,7 @@ type Stats struct {
 type XCD struct {
 	ID   int
 	Spec *config.XCDSpec
-	cus  []*CU
+	cus  []CU
 	l2   *cache.SetAssoc
 	// aceFree models the packet processors' availability.
 	aceFree []sim.Time
@@ -109,16 +109,17 @@ func NewXCD(id int, spec *config.XCDSpec, rng *sim.RNG) *XCD {
 		l2:      cache.NewSetAssoc(fmt.Sprintf("xcd%d.l2", id), spec.L2Bytes, config.CacheLineSize, 16),
 		aceFree: make([]sim.Time, spec.ACEs),
 		aluFree: make([]sim.Time, spec.PhysicalCUs),
+		cus:     make([]CU, spec.PhysicalCUs),
 	}
-	for i := 0; i < spec.PhysicalCUs; i++ {
-		x.cus = append(x.cus, &CU{Index: i})
+	for i := range x.cus {
+		x.cus[i].Index = i
 	}
 	toDisable := spec.PhysicalCUs - spec.EnabledCUs
 	if rng == nil {
 		rng = sim.NewRNG(uint64(id) + 1)
 	}
 	for toDisable > 0 {
-		c := x.cus[rng.Intn(len(x.cus))]
+		c := &x.cus[rng.Intn(len(x.cus))]
 		if !c.Disabled {
 			c.Disabled = true
 			toDisable--
@@ -130,8 +131,8 @@ func NewXCD(id int, spec *config.XCDSpec, rng *sim.RNG) *XCD {
 // EnabledCUs reports the number of usable CUs.
 func (x *XCD) EnabledCUs() int {
 	var n int
-	for _, c := range x.cus {
-		if !c.Disabled {
+	for i := range x.cus {
+		if !x.cus[i].Disabled {
 			n++
 		}
 	}
@@ -143,9 +144,9 @@ func (x *XCD) EnabledCUs() int {
 // harvesting determinism.
 func (x *XCD) DisabledCUs() []int {
 	var out []int
-	for _, c := range x.cus {
-		if c.Disabled {
-			out = append(out, c.Index)
+	for i := range x.cus {
+		if x.cus[i].Disabled {
+			out = append(out, x.cus[i].Index)
 		}
 	}
 	return out
@@ -169,7 +170,7 @@ func (x *XCD) DisableCU(i int) bool {
 func (x *XCD) DisableRandomCUs(n int, rng *sim.RNG) int {
 	disabled := 0
 	for disabled < n && x.EnabledCUs() > 0 {
-		c := x.cus[rng.Intn(len(x.cus))]
+		c := &x.cus[rng.Intn(len(x.cus))]
 		if !c.Disabled {
 			c.Disabled = true
 			disabled++
@@ -179,13 +180,14 @@ func (x *XCD) DisableRandomCUs(n int, rng *sim.RNG) int {
 }
 
 // CUs returns the CU list (including disabled ones).
-func (x *XCD) CUs() []*CU { return x.cus }
+func (x *XCD) CUs() []CU { return x.cus }
 
 // BusyCUs reports how many enabled CUs still have at least one workgroup
 // slot occupied at simulated time now (the telemetry busy-CU gauge).
 func (x *XCD) BusyCUs(now sim.Time) int {
 	var n int
-	for _, c := range x.cus {
+	for i := range x.cus {
+		c := &x.cus[i]
 		if c.Disabled {
 			continue
 		}
@@ -203,7 +205,8 @@ func (x *XCD) BusyCUs(now sim.Time) int {
 // simulated time now (the telemetry in-flight gauge).
 func (x *XCD) InFlightWorkgroups(now sim.Time) int {
 	var n int
-	for _, c := range x.cus {
+	for i := range x.cus {
+		c := &x.cus[i]
 		if c.Disabled {
 			continue
 		}
@@ -228,9 +231,9 @@ func (x *XCD) Stats() Stats { return x.stats }
 // ResetStats zeroes counters and CU availability.
 func (x *XCD) ResetStats() {
 	x.stats = Stats{}
-	for _, c := range x.cus {
-		c.slotFree = [maxOccupancy]sim.Time{}
-		c.wgDone = 0
+	for i := range x.cus {
+		x.cus[i].slotFree = [maxOccupancy]sim.Time{}
+		x.cus[i].wgDone = 0
 	}
 	for i := range x.aceFree {
 		x.aceFree[i] = 0
@@ -397,13 +400,13 @@ func (t *placeTree) best(x *XCD) (*CU, int) {
 	if t.slot[w] == deadLeaf {
 		return nil, 0
 	}
-	return x.cus[w], int(t.slot[w])
+	return &x.cus[w], int(t.slot[w])
 }
 
 // setLeaf sets CU i's key and slot, or marks its leaf dead when the CU
 // is disabled.
 func (t *placeTree) setLeaf(x *XCD, i int) {
-	c := x.cus[i]
+	c := &x.cus[i]
 	if c.Disabled {
 		t.slot[i] = deadLeaf
 		return

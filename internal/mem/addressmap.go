@@ -8,6 +8,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -67,41 +68,42 @@ func reduce(h uint64, n int) int {
 	return int(h % uint64(n))
 }
 
-// locate reports the HBM stack and the global channel index (stack *
+// Locate reports the HBM stack and the global channel index (stack *
 // Channels + local) of the granule holding addr. It hashes the granule
 // once: the stack comes from the hash's low bits and the channel within
 // the stack from its high bits, so the two selections stay decorrelated.
-func (m *AddressMap) locate(addr int64) (stack, channel int) {
-	h := hashGranule(uint64(addr) >> m.granuleShift)
+func (m *AddressMap) Locate(addr int64) (stack, channel int) {
+	first, stacks, _ := m.domain(addr)
+	return m.place(addr, first, stacks)
+}
+
+// domain reports the stacks of the NUMA domain holding addr, as its first
+// stack and their count, and the first address past the domain. NPS>1
+// statically partitions the address space into contiguous domains of
+// Capacity/NUMADomains bytes; addresses past the last whole domain belong
+// to the last one, which therefore never ends. Under NPS1 one domain
+// holds every address and every stack.
+func (m *AddressMap) domain(addr int64) (first, stacks int, end int64) {
 	if m.NUMADomains <= 1 {
-		stack = reduce(h, m.Stacks)
-	} else {
-		// NPS>1: the address space is statically partitioned into
-		// contiguous domains; the address's region selects the domain,
-		// the hash selects a stack within it.
-		perDomain := m.Stacks / m.NUMADomains
-		span := m.Capacity / int64(m.NUMADomains)
-		if span <= 0 {
-			span = 1
-		}
-		domain := int(addr / span)
-		if domain >= m.NUMADomains {
-			domain = m.NUMADomains - 1
-		}
-		stack = domain*perDomain + int(h%uint64(perDomain))
+		return 0, m.Stacks, math.MaxInt64
 	}
+	stacks = m.Stacks / m.NUMADomains
+	if stacks == 0 {
+		panic(fmt.Sprintf("mem: invariant violated: %d NUMA domains cannot share %d stacks", m.NUMADomains, m.Stacks))
+	}
+	span := max(m.Capacity/int64(m.NUMADomains), 1)
+	d := int(addr / span)
+	if d >= m.NUMADomains-1 {
+		return (m.NUMADomains - 1) * stacks, stacks, math.MaxInt64
+	}
+	return d * stacks, stacks, int64(d+1) * span
+}
+
+// place reports the stack and global channel of the granule holding addr,
+// whose NUMA domain has the given stacks: the hash selects one of them,
+// and a channel within it.
+func (m *AddressMap) place(addr int64, first, stacks int) (stack, channel int) {
+	h := hashGranule(uint64(addr) >> m.granuleShift)
+	stack = first + reduce(h, stacks)
 	return stack, stack*m.Channels + reduce(h>>32, m.Channels)
-}
-
-// Stack reports which HBM stack the address belongs to.
-func (m *AddressMap) Stack(addr int64) int {
-	stack, _ := m.locate(addr)
-	return stack
-}
-
-// Channel reports the global channel index (stack*Channels + local) for the
-// address.
-func (m *AddressMap) Channel(addr int64) int {
-	_, ch := m.locate(addr)
-	return ch
 }

@@ -270,10 +270,15 @@ func (h *HBM) AccessObserved(start sim.Time, addr, nbytes int64, write bool, obs
 	issue := start + h.Latency
 	end := start
 	// Walk the range granule by granule: each chunk ends at the next
-	// granule boundary or at the end of the range.
+	// granule boundary or at the end of the range. The NUMA domain is
+	// found once and looked up again only when the walk crosses its end.
+	first, stacks, domainEnd := m.domain(addr)
 	for pos := addr; nbytes > 0; {
 		chunk := min(nbytes, m.Granule-pos&(m.Granule-1))
-		_, ch := m.locate(pos)
+		if pos >= domainEnd {
+			first, stacks, domainEnd = m.domain(pos)
+		}
+		_, ch := m.place(pos, first, stacks)
 		served := h.liveChannel(ch)
 		c := h.channels[served]
 		h.chunks++

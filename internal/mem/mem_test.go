@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -11,14 +12,13 @@ import (
 func TestAddressMapDeterministicAndInRange(t *testing.T) {
 	m := NewAddressMap(4096, 8, 16)
 	for addr := int64(0); addr < 1<<22; addr += 4096 {
-		s1, s2 := m.Stack(addr), m.Stack(addr)
-		if s1 != s2 {
-			t.Fatal("Stack not deterministic")
+		s1, ch := m.Locate(addr)
+		if s2, ch2 := m.Locate(addr); s1 != s2 || ch != ch2 {
+			t.Fatal("Locate not deterministic")
 		}
 		if s1 < 0 || s1 >= 8 {
 			t.Fatalf("stack %d out of range", s1)
 		}
-		ch := m.Channel(addr)
 		if ch < 0 || ch >= 128 {
 			t.Fatalf("channel %d out of range", ch)
 		}
@@ -32,9 +32,9 @@ func TestAddressMapSameGranuleSameStack(t *testing.T) {
 	// §IV.D: every 4KB of sequential addresses maps to the same stack.
 	m := NewAddressMap(4096, 8, 16)
 	base := int64(12345) * 4096
-	want := m.Stack(base)
+	want, _ := m.Locate(base)
 	for off := int64(0); off < 4096; off += 64 {
-		if got := m.Stack(base + off); got != want {
+		if got, _ := m.Locate(base + off); got != want {
 			t.Fatalf("address %d within granule mapped to stack %d, want %d", base+off, got, want)
 		}
 	}
@@ -46,7 +46,8 @@ func TestAddressMapBalance(t *testing.T) {
 	counts := make([]int, 8)
 	const n = 64_000
 	for g := int64(0); g < n; g++ {
-		counts[m.Stack(g*4096)]++
+		s, _ := m.Locate(g * 4096)
+		counts[s]++
 	}
 	for s, c := range counts {
 		frac := float64(c) / n
@@ -67,14 +68,25 @@ func TestAddressMapNUMADomains(t *testing.T) {
 			break
 		}
 		domain := int(addr / span)
-		s := m.Stack(addr)
+		s, _ := m.Locate(addr)
 		if s/2 != domain {
 			t.Fatalf("addr %d: stack %d not in NUMA domain %d", addr, s, domain)
 		}
 	}
 	// Addresses at the very top clamp into the last domain.
-	if s := m.Stack(1<<30 - 1); s/2 != 3 {
-		t.Errorf("top address in domain %d, want 3", m.Stack(1<<30-1)/2)
+	if s, _ := m.Locate(1<<30 - 1); s/2 != 3 {
+		t.Errorf("top address in domain %d, want 3", s/2)
+	}
+}
+
+// A map set by hand to more NUMA domains than stacks has a domain with
+// no stack to interleave over; locating an address in it must panic, not
+// name a stack that does not exist.
+func TestAddressMapMoreDomainsThanStacksPanics(t *testing.T) {
+	m := NewAddressMap(4096, 2, 4)
+	m.NUMADomains, m.Capacity = 4, 1<<30
+	if !panics(func() { m.Locate(0) }) {
+		t.Fatal("4 NUMA domains over 2 stacks located an address")
 	}
 }
 
@@ -327,7 +339,7 @@ func TestChannelMonotonicProperty(t *testing.T) {
 func TestRetireChannelRedirects(t *testing.T) {
 	h := NewHBM("hbm", 1, 4, 4e12, 1<<30, 0)
 	// Find which channel addr 0 interleaves onto, then retire it.
-	victim := h.Map.Channel(0)
+	_, victim := h.Map.Locate(0)
 	if err := h.RetireChannel(victim); err != nil {
 		t.Fatal(err)
 	}
@@ -478,6 +490,29 @@ func BenchmarkHBMAccess(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Access(sim.Time(i), int64(i)*4096%(1<<30), 4096, i%2 == 0)
+	}
+}
+
+// BenchmarkHBMStream times the granule walk as the tenant isolation
+// experiment drives it: 1 MiB accesses streaming through a tenant's
+// quarter of the MI300X's 192 GiB over 8 stacks × 16 channels, at NPS1
+// and at NPS4, where the quarter is one NUMA domain. It reports the time
+// per 4 KiB granule.
+func BenchmarkHBMStream(b *testing.B) {
+	for _, nps := range []int{1, 4} {
+		b.Run(fmt.Sprintf("NPS%d", nps), func(b *testing.B) {
+			const capacity, chunk = 192 << 30, 1 << 20
+			h := NewHBM("hbm3", 8, 16, 5.3e12/8, capacity, 120*sim.Nanosecond)
+			if err := h.SetNUMADomains(nps); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Access(0, int64(i)*chunk%(capacity/4), chunk, i%2 == 0)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(h.ChunksIssued()), "ns/granule")
+		})
 	}
 }
 

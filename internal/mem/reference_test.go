@@ -645,24 +645,36 @@ type occupancy struct {
 // hbmScenario is one device configuration of the HBM differential test.
 type hbmScenario struct {
 	stacks, channels int
+	capacity         int64   // bytes; 0 means 4 GiB
 	nps              int     // NUMA domains
 	retire           []int   // channels mapped out, in order
 	eccRate          float64 // 0 disables the ECC storm
 }
 
-// checkHBMAgainstRef runs accesses against an HBM and a refHBM configured
-// as sc, and fails at the first difference in a returned time, an
-// observer callback, a channel's counters or horizon, or ChunksIssued.
-func checkHBMAgainstRef(t *testing.T, sc hbmScenario, seed int64, accesses int) {
+// hbmPair is an HBM and a refHBM configured alike, driven by the same
+// accesses.
+type hbmPair struct {
+	sc        hbmScenario
+	seed      int64
+	h         *HBM
+	ref       *refHBM
+	got, want []occupancy
+}
+
+// newHBMPair builds an HBM and a refHBM configured as sc, with ECC storms
+// drawn from seed.
+func newHBMPair(t testing.TB, sc hbmScenario, seed int64) *hbmPair {
 	t.Helper()
-	const capacity = 4 << 30
-	h := NewHBM("hbm", sc.stacks, sc.channels, 1e12, capacity, 100*sim.Nanosecond)
+	if sc.capacity == 0 {
+		sc.capacity = 4 << 30
+	}
+	h := NewHBM("hbm", sc.stacks, sc.channels, 1e12, sc.capacity, 100*sim.Nanosecond)
 	ref := newRefHBM(sc.stacks, sc.channels, 1e12, 100*sim.Nanosecond)
 	if sc.nps > 1 {
 		if err := h.SetNUMADomains(sc.nps); err != nil {
 			t.Fatal(err)
 		}
-		ref.Map.NUMADomains, ref.Map.Capacity = sc.nps, capacity
+		ref.Map.NUMADomains, ref.Map.Capacity = sc.nps, sc.capacity
 	}
 	for _, ch := range sc.retire {
 		if err := h.RetireChannel(ch); err != nil {
@@ -676,13 +688,62 @@ func checkHBMAgainstRef(t *testing.T, sc hbmScenario, seed int64, accesses int) 
 		}
 		ref.eccRate, ref.eccPenalty, ref.eccRNG = sc.eccRate, 400*sim.Nanosecond, sim.NewRNG(uint64(seed))
 	}
-	rng := rand.New(rand.NewSource(seed))
-	var got, want []occupancy
+	return &hbmPair{sc: sc, seed: seed, h: h, ref: ref}
+}
+
+// access runs one access at time at on both devices, observed or not,
+// and fails at the first difference in the returned time, an observer
+// callback, ChunksIssued, or a channel's counters or horizon.
+func (p *hbmPair) access(t testing.TB, at sim.Time, addr, n int64, write, observe bool) {
+	t.Helper()
 	record := func(log *[]occupancy) AccessObserver {
 		return func(hashed, served int, s, e sim.Time, retry bool) {
 			*log = append(*log, occupancy{hashed, served, s, e, retry})
 		}
 	}
+	p.got, p.want = p.got[:0], p.want[:0]
+	var obs, refObs AccessObserver
+	if observe {
+		obs, refObs = record(&p.got), record(&p.want)
+	}
+	end := p.h.AccessObserved(at, addr, n, write, obs)
+	refEnd := p.ref.AccessObserved(at, addr, n, write, refObs)
+	where := func() string { return fmt.Sprintf("%+v seed %d: access [%d, +%d) at %v", p.sc, p.seed, addr, n, at) }
+	if end != refEnd {
+		t.Fatalf("%s: AccessObserved = %v, reference %v", where(), end, refEnd)
+	}
+	got, want := p.got, p.want
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d observer callbacks, reference %d", where(), len(got), len(want))
+	}
+	if j := firstDiff(len(got), func(j int) bool { return got[j] != want[j] }); j >= 0 {
+		t.Fatalf("%s: callback %d = %+v, reference %+v", where(), j, got[j], want[j])
+	}
+	if p.h.ChunksIssued() != p.ref.chunks {
+		t.Fatalf("%s: ChunksIssued = %d, reference %d", where(), p.h.ChunksIssued(), p.ref.chunks)
+	}
+	for ch, c := range p.h.Channels() {
+		rc := p.ref.channels[ch]
+		r, w := c.Counts()
+		hits, misses := c.RowStats()
+		if c.BytesMoved() != rc.bytes || r != rc.reads || w != rc.writes ||
+			hits != rc.rowHits || misses != rc.rowMisses ||
+			c.BusyUntil() != rc.busyUntil || c.ECCEvents() != rc.eccEvents {
+			t.Fatalf("%s: channel %d diverges: bytes %d/%d reads %d/%d writes %d/%d row hits %d/%d misses %d/%d busy %v/%v ecc %d/%d",
+				where(), ch, c.BytesMoved(), rc.bytes, r, rc.reads, w, rc.writes,
+				hits, rc.rowHits, misses, rc.rowMisses, c.BusyUntil(), rc.busyUntil, c.ECCEvents(), rc.eccEvents)
+		}
+	}
+}
+
+// checkHBMAgainstRef runs random accesses against an HBM and a refHBM
+// configured as sc, failing at the first difference hbmPair.access finds,
+// and then compares their address maps on random addresses.
+func checkHBMAgainstRef(t *testing.T, sc hbmScenario, seed int64, accesses int) {
+	t.Helper()
+	p := newHBMPair(t, sc, seed)
+	capacity := p.sc.capacity
+	rng := rand.New(rand.NewSource(seed))
 	var at sim.Time
 	for i := 0; i < accesses; i++ {
 		// Lengths from 1 B to 4 MiB, log-uniform; addresses unaligned,
@@ -696,46 +757,16 @@ func checkHBMAgainstRef(t *testing.T, sc hbmScenario, seed int64, accesses int) 
 		}
 		write := rng.Intn(3) == 0
 		at += sim.Time(rng.Int63n(int64(2 * sim.Microsecond)))
-		got, want = got[:0], want[:0]
-		var obs, refObs AccessObserver
-		if rng.Intn(2) == 0 {
-			obs, refObs = record(&got), record(&want)
-		}
-		end := h.AccessObserved(at, addr, n, write, obs)
-		refEnd := ref.AccessObserved(at, addr, n, write, refObs)
-		where := fmt.Sprintf("%+v seed %d, access %d [%d, +%d)", sc, seed, i, addr, n)
-		if end != refEnd {
-			t.Fatalf("%s: AccessObserved = %v, reference %v", where, end, refEnd)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d observer callbacks, reference %d", where, len(got), len(want))
-		}
-		if j := firstDiff(len(got), func(j int) bool { return got[j] != want[j] }); j >= 0 {
-			t.Fatalf("%s: callback %d = %+v, reference %+v", where, j, got[j], want[j])
-		}
-		if h.ChunksIssued() != ref.chunks {
-			t.Fatalf("%s: ChunksIssued = %d, reference %d", where, h.ChunksIssued(), ref.chunks)
-		}
-		for ch, c := range h.Channels() {
-			rc := ref.channels[ch]
-			r, w := c.Counts()
-			hits, misses := c.RowStats()
-			if c.BytesMoved() != rc.bytes || r != rc.reads || w != rc.writes ||
-				hits != rc.rowHits || misses != rc.rowMisses ||
-				c.BusyUntil() != rc.busyUntil || c.ECCEvents() != rc.eccEvents {
-				t.Fatalf("%s: channel %d diverges: bytes %d/%d reads %d/%d writes %d/%d row hits %d/%d misses %d/%d busy %v/%v ecc %d/%d",
-					where, ch, c.BytesMoved(), rc.bytes, r, rc.reads, w, rc.writes,
-					hits, rc.rowHits, misses, rc.rowMisses, c.BusyUntil(), rc.busyUntil, c.ECCEvents(), rc.eccEvents)
-			}
-		}
+		p.access(t, at, addr, n, write, rng.Intn(2) == 0)
 	}
 	// The address map answers like the reference everywhere, negative
 	// addresses included.
 	for i := 0; i < 2000; i++ {
 		addr := rng.Int63() - rng.Int63()
-		if h.Map.Stack(addr) != ref.Map.Stack(addr) || h.Map.Channel(addr) != ref.Map.Channel(addr) {
+		stack, ch := p.h.Map.Locate(addr)
+		if stack != p.ref.Map.Stack(addr) || ch != p.ref.Map.Channel(addr) {
 			t.Fatalf("%+v: address %d maps to stack %d channel %d, reference stack %d channel %d", sc, addr,
-				h.Map.Stack(addr), h.Map.Channel(addr), ref.Map.Stack(addr), ref.Map.Channel(addr))
+				stack, ch, p.ref.Map.Stack(addr), p.ref.Map.Channel(addr))
 		}
 	}
 }
@@ -766,6 +797,115 @@ func TestHBMMatchesReference(t *testing.T) {
 			checkHBMAgainstRef(t, sc, seed, 150)
 		}
 	}
+}
+
+// TestHBMDomainBoundaries straddles every NUMA domain boundary of the
+// MI300 8×16 geometry at NPS2, NPS4 and NPS8, with and without an ECC
+// storm: a byte either side of each boundary, then more than a granule
+// either side, unaligned. The last accesses end at the top of the space
+// and run past it. Capacities that NPS divides leave no remainder; the
+// others put their top bytes past the last whole domain, where they
+// belong to the last one. 10,001 bytes makes domains smaller than a
+// granule, so one granule's chunks cross several domains, and one access
+// then covers the whole space.
+func TestHBMDomainBoundaries(t *testing.T) {
+	for _, capacity := range []int64{4 << 30, 4<<30 + 12345, 10001} {
+		for _, nps := range []int{2, 4, 8} {
+			for _, storm := range []float64{0, 0.3} {
+				p := newHBMPair(t, hbmScenario{stacks: 8, channels: 16, capacity: capacity, nps: nps, eccRate: storm}, 1)
+				span := capacity / int64(nps)
+				var at sim.Time
+				access := func(addr, n int64) {
+					addr = max(addr, 0)
+					at += 300 * sim.Nanosecond
+					p.access(t, at, addr, n, n%2 == 0, n%3 != 0)
+				}
+				for k := int64(1); k < int64(nps); k++ {
+					b := k * span
+					access(b-1, 2)
+					access(b-4096-7*k, 2*4096+13*k)
+				}
+				access(capacity-3*4096-5, 3*4096+5)
+				access(capacity-100, 5000)
+				if capacity < 1<<20 {
+					access(0, capacity+4096)
+				}
+			}
+		}
+	}
+}
+
+// hbmFuzzGeometries are the devices FuzzHBMDifferential decodes: the
+// MI300A and MI300X (8 stacks × 16 channels, 128 and 192 GiB), MI250X's
+// 8×8, the 5-stack part and a 12-channel DDR (whose counts take the
+// modulo path), and an 8×16 device of 10,001 bytes, whose NUMA domains
+// are smaller than a granule.
+var hbmFuzzGeometries = []hbmScenario{
+	{stacks: 8, channels: 16, capacity: 128 << 30},
+	{stacks: 8, channels: 16, capacity: 192 << 30},
+	{stacks: 8, channels: 8, capacity: 128 << 30},
+	{stacks: 5, channels: 8, capacity: 80 << 30},
+	{stacks: 1, channels: 12, capacity: 4<<30 + 12345},
+	{stacks: 8, channels: 16, capacity: 10001},
+}
+
+// runHBMDiff decodes a device and up to 64 accesses from prog and runs
+// them through an hbmPair. Three header bytes pick the geometry, the NPS
+// mode (a divisor of the stack count), and up to three retired channels,
+// an ECC rate and the ECC stream's seed. Each access is an op byte (bit
+// 0 writes, bit 1 observes; bits 2-3 place the address anywhere below the
+// capacity, just below a domain boundary, just below the top of the space
+// or past it), address bytes, and a log-uniform length of 1 B to 4 MiB.
+func runHBMDiff(t *testing.T, prog []byte) {
+	r := &progReader{b: prog}
+	sc := hbmFuzzGeometries[int(r.byte())%len(hbmFuzzGeometries)]
+	var divisors []int
+	for n := 1; n <= sc.stacks; n++ {
+		if sc.stacks%n == 0 {
+			divisors = append(divisors, n)
+		}
+	}
+	sc.nps = divisors[int(r.byte())%len(divisors)]
+	b := r.byte()
+	for i := 0; i < int(b&3); i++ {
+		sc.retire = append(sc.retire, int(r.uint(2))%(sc.stacks*sc.channels))
+	}
+	sc.eccRate = [...]float64{0, 0.01, 0.3, 1}[b>>2&3]
+	p := newHBMPair(t, sc, int64(b>>4))
+	span := max(sc.capacity/int64(sc.nps), 1)
+	var at sim.Time
+	for step := 0; step < 64 && len(r.b) > 0; step++ {
+		op := r.byte()
+		var addr int64
+		switch op >> 2 & 3 {
+		case 0:
+			addr = r.uint(5) % sc.capacity
+		case 1:
+			addr = (1+int64(r.byte())%int64(sc.nps))*span - r.uint(2)
+		case 2:
+			addr = sc.capacity - r.uint(3)
+		default:
+			addr = sc.capacity + r.uint(2)
+		}
+		n := int64(1) << (r.byte() % 23)
+		n += r.uint(3) % n
+		at += sim.Time(r.uint(2)) * sim.Nanosecond
+		p.access(t, at, max(addr, 0), n, op&1 != 0, op&2 != 0)
+	}
+}
+
+// TestHBMFuzzProgramsMatchReference runs random programs through runHBMDiff
+// in tier-1, beyond FuzzHBMDifferential's committed seeds.
+func TestHBMFuzzProgramsMatchReference(t *testing.T) {
+	for seed := int64(1); seed <= 60; seed++ {
+		prog := make([]byte, 3+40*8)
+		rand.New(rand.NewSource(seed)).Read(prog)
+		runHBMDiff(t, prog)
+	}
+}
+
+func FuzzHBMDifferential(f *testing.F) {
+	f.Fuzz(func(t *testing.T, prog []byte) { runHBMDiff(t, prog) })
 }
 
 func TestHBMNegativeAddressPanics(t *testing.T) {

@@ -160,41 +160,70 @@ func (s *Solver) Solve(powerW [][]float64) *Field {
 		}
 	}
 	// Gauss-Seidel: T = (spread*avg(neighbors) + ambient + rise*q) / (spread+1)
+	//
+	// Cells update in row-major order, each from its neighbours' latest
+	// values. Interior cells always have four neighbours and take them
+	// without the boundary tests, summed in relaxEdge's order (left,
+	// right, below, above), so the field is bit-identical to a sweep that
+	// tests every cell.
+	spread, ambient, rise, denom := s.Spread, s.AmbientC, s.RiseScale, s.Spread+1
 	for iter := 0; iter < s.MaxIters; iter++ {
 		var maxDelta float64
 		for j := 0; j < s.Ny; j++ {
-			for i := 0; i < s.Nx; i++ {
-				var nsum float64
-				var n float64
-				if i > 0 {
-					nsum += T[j][i-1]
-					n++
+			if j == 0 || j == s.Ny-1 || s.Nx < 3 {
+				for i := 0; i < s.Nx; i++ {
+					maxDelta = s.relaxEdge(T, powerW, i, j, maxDelta)
 				}
-				if i < s.Nx-1 {
-					nsum += T[j][i+1]
-					n++
-				}
-				if j > 0 {
-					nsum += T[j-1][i]
-					n++
-				}
-				if j < s.Ny-1 {
-					nsum += T[j+1][i]
-					n++
-				}
-				avg := nsum / n
-				newT := (s.Spread*avg + s.AmbientC + s.RiseScale*powerW[j][i]) / (s.Spread + 1)
-				if d := math.Abs(newT - T[j][i]); d > maxDelta {
+				continue
+			}
+			maxDelta = s.relaxEdge(T, powerW, 0, j, maxDelta)
+			below, row, above, q := T[j-1], T[j], T[j+1], powerW[j]
+			for i := 1; i < s.Nx-1; i++ {
+				nsum := row[i-1] + row[i+1] + below[i] + above[i]
+				newT := (spread*(nsum/4) + ambient + rise*q[i]) / denom
+				if d := math.Abs(newT - row[i]); d > maxDelta {
 					maxDelta = d
 				}
-				T[j][i] = newT
+				row[i] = newT
 			}
+			maxDelta = s.relaxEdge(T, powerW, s.Nx-1, j, maxDelta)
 		}
 		if maxDelta < s.Tolerance {
 			break
 		}
 	}
 	return &Field{Nx: s.Nx, Ny: s.Ny, T: T}
+}
+
+// relaxEdge relaxes cell (i, j) from the neighbours it has, which on the
+// grid's edge are fewer than four, and returns maxDelta raised to the
+// cell's change if that is larger.
+func (s *Solver) relaxEdge(T, powerW [][]float64, i, j int, maxDelta float64) float64 {
+	var nsum float64
+	var n float64
+	if i > 0 {
+		nsum += T[j][i-1]
+		n++
+	}
+	if i < s.Nx-1 {
+		nsum += T[j][i+1]
+		n++
+	}
+	if j > 0 {
+		nsum += T[j-1][i]
+		n++
+	}
+	if j < s.Ny-1 {
+		nsum += T[j+1][i]
+		n++
+	}
+	avg := nsum / n
+	newT := (s.Spread*avg + s.AmbientC + s.RiseScale*powerW[j][i]) / (s.Spread + 1)
+	if d := math.Abs(newT - T[j][i]); d > maxDelta {
+		maxDelta = d
+	}
+	T[j][i] = newT
+	return maxDelta
 }
 
 // PowerMap rasterizes per-component power onto the solver grid: each
