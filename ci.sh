@@ -7,9 +7,9 @@
 #     cmd/apusimd tests build and drive the real binaries);
 #   the engine bench gate against BENCH_engine.json;
 #   eight fuzz stages: the fault-plan parser, and the cache tag store,
-#     functional memory, workgroup placement, span attribution, the
-#     engine's event queue, the fabric's route search and the HBM
-#     interleave walk against their reference implementations.
+#     functional memory, workgroup placement, the span store and its
+#     attribution, the engine's event queue, the fabric's route search and
+#     the HBM interleave walk against their reference implementations.
 #
 # Every stage runs even when an earlier one fails; the script then exits
 # 1 and names the failed stages.
@@ -121,8 +121,10 @@ stage "functional memory differential fuzz smoke" fuzz ./internal/mem/ FuzzSpace
 # the scan it replaced: every placement's CU and slot must match.
 stage "workgroup placement differential fuzz smoke" fuzz ./internal/gpu/ FuzzPlacementDifferential 15s
 
-# 15 seconds of coverage-guided fuzzing of the span recorder's attribution
-# against the map-based builder it replaced: the reports must be equal.
+# 15 seconds of coverage-guided fuzzing of the span recorder (its record
+# store, attribute arena and attribution pass) against the chunked Span
+# store and map-based attribution it replaced: Spans, Attribution, the
+# Dump's JSON and the AddToTrace output must be equal.
 stage "span attribution differential fuzz smoke" fuzz ./internal/spans/ FuzzAttributionDifferential 15s
 
 # 15 seconds of coverage-guided fuzzing of sim.Engine against the

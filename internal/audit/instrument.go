@@ -55,9 +55,10 @@ func HBM(a *Auditor, h *mem.HBM, component string) {
 	}
 	a.Register(component, func(sim.Time) []Violation {
 		var vs []Violation
+		chs := h.Channels()
 		var ops uint64
-		for _, c := range h.Channels() {
-			r, w := c.Counts()
+		for i := range chs {
+			r, w := chs[i].Counts()
 			ops += r + w
 		}
 		if want, got := h.ChunksIssued()+h.ECCEvents(), ops; want != got {
@@ -67,7 +68,8 @@ func HBM(a *Auditor, h *mem.HBM, component string) {
 				Want:   float64(want), Got: float64(got),
 			})
 		}
-		for _, c := range h.Channels() {
+		for i := range chs {
+			c := &chs[i]
 			if !c.Retired() {
 				continue
 			}

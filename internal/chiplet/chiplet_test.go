@@ -1,6 +1,8 @@
 package chiplet
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -275,5 +277,57 @@ func TestGridMirrorInvarianceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSignalTSVsBuiltOnceAndShared builds designs from several goroutines
+// at once: each must get the one shared site set, equal to the union of
+// the placed pads of both compute kinds on both tapeouts, and pass every
+// alignment check. Run under -race, it checks the set is only read.
+func TestSignalTSVsBuiltOnceAndShared(t *testing.T) {
+	d := newIODDesign()
+	want := make(PointSet)
+	for _, mirrored := range []bool{false, true} {
+		for _, kind := range []ComputeKind{ComputeXCD, ComputeCCD} {
+			for _, pc := range d.PlacedChiplets(Orientation{Mirrored: mirrored}, kind) {
+				for p := range pc.Pads {
+					want.Add(Orientation{Mirrored: mirrored}.Apply(p, d.W, d.H))
+				}
+			}
+		}
+	}
+	designs := make([]*IODDesign, 8)
+	errs := make([]error, len(designs))
+	var wg sync.WaitGroup
+	for i := range designs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			designs[i] = NewIODDesign()
+			for _, o := range AllOrientations() {
+				for _, kind := range []ComputeKind{ComputeXCD, ComputeCCD} {
+					if err := designs[i].CheckAlignment(o, kind); err != nil && errs[i] == nil {
+						errs[i] = err
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, got := range designs {
+		if errs[i] != nil {
+			t.Errorf("design %d: %v", i, errs[i])
+		}
+		if got.SignalTSVs.Len() != want.Len() {
+			t.Fatalf("design %d has %d sites, want %d", i, got.SignalTSVs.Len(), want.Len())
+		}
+		for p := range want {
+			if !got.SignalTSVs.Has(p) {
+				t.Fatalf("design %d lacks site %v", i, p)
+			}
+		}
+		if reflect.ValueOf(got.SignalTSVs).Pointer() != reflect.ValueOf(designs[0].SignalTSVs).Pointer() {
+			t.Errorf("design %d built its own site set", i)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package chiplet
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Edge identifies a die edge in placed coordinates.
@@ -75,7 +76,8 @@ type IODDesign struct {
 	ccdDie   *DieSpec
 
 	// SignalTSVs is the full design-coordinate site set, including the
-	// redundant sites that only mirrored instances use.
+	// redundant sites that only mirrored instances use. Every design
+	// shares one set: it is read-only.
 	SignalTSVs PointSet
 	// PGPitch is the power/ground TSV grid pitch.
 	PGPitch int
@@ -95,11 +97,38 @@ var (
 	ccdOrientPattern = []Orientation{{Rot180: true}, {}, {Rot180: true}}
 )
 
-// NewIODDesign constructs the IOD design and computes the signal TSV site
-// set as the union of every pad footprint required by: both compute kinds
-// (the superset of interfaces), on both the normal and mirrored tapeouts
-// (the TSV replication of Fig. 9).
+// NewIODDesign constructs the IOD design with its signal TSV site set:
+// the union of every pad footprint required by both compute kinds (the
+// superset of interfaces), on both the normal and mirrored tapeouts (the
+// TSV replication of Fig. 9). The set depends on nothing a caller passes,
+// so it is built once per process and shared, read-only, by every design.
 func NewIODDesign() *IODDesign {
+	d := newIODDesign()
+	d.SignalTSVs = signalTSVs()
+	return d
+}
+
+// signalTSVs returns the shared signal TSV site set, building it from the
+// default design on first use.
+var signalTSVs = sync.OnceValue(func() PointSet {
+	d := newIODDesign()
+	sites := make(PointSet)
+	for _, mirrored := range []bool{false, true} {
+		for _, kind := range []ComputeKind{ComputeXCD, ComputeCCD} {
+			for _, pc := range d.PlacedChiplets(Orientation{Mirrored: mirrored}, kind) {
+				for p := range pc.Pads {
+					// Map placed coordinates back into the design
+					// database (mirroring is an involution).
+					sites.Add(Orientation{Mirrored: mirrored}.Apply(p, d.W, d.H))
+				}
+			}
+		}
+	}
+	return sites
+})
+
+// newIODDesign constructs the IOD design without its signal TSV sites.
+func newIODDesign() *IODDesign {
 	d := &IODDesign{
 		W: 24000, H: 20000,
 		xcdDie: XCDDie(), ccdDie: CCDDie(),
@@ -124,19 +153,6 @@ func NewIODDesign() *IODDesign {
 	for k := 0; k < 20; k++ {
 		d.usrSouth = append(d.usrSouth, USRLane{Pos: 2000 + k*1000, TX: k%2 == 0})
 	}
-
-	d.SignalTSVs = make(PointSet)
-	for _, mirrored := range []bool{false, true} {
-		for _, kind := range []ComputeKind{ComputeXCD, ComputeCCD} {
-			for _, pc := range d.PlacedChiplets(Orientation{Mirrored: mirrored}, kind) {
-				for p := range pc.Pads {
-					// Map placed coordinates back into the design
-					// database (mirroring is an involution).
-					d.SignalTSVs.Add(Orientation{Mirrored: mirrored}.Apply(p, d.W, d.H))
-				}
-			}
-		}
-	}
 	return d
 }
 
@@ -155,6 +171,16 @@ type PlacedChiplet struct {
 // pattern is fixed, and a 180°-rotated IOD carries its chiplets around
 // rigidly.
 func (d *IODDesign) PlacedChiplets(o Orientation, kind ComputeKind) []PlacedChiplet {
+	placed := d.placeChiplets(o, kind)
+	for i := range placed {
+		pc := &placed[i]
+		pc.Pads = pc.Die.PlacedPads(Point{pc.Rect.X, pc.Rect.Y}, pc.Orient)
+	}
+	return placed
+}
+
+// placeChiplets is PlacedChiplets without the pads.
+func (d *IODDesign) placeChiplets(o Orientation, kind ComputeKind) []PlacedChiplet {
 	slots, die, pattern := d.xcdSlots, d.xcdDie, xcdOrientPattern
 	if kind == ComputeCCD {
 		slots, die, pattern = d.ccdSlots, d.ccdDie, ccdOrientPattern
@@ -177,10 +203,6 @@ func (d *IODDesign) PlacedChiplets(o Orientation, kind ComputeKind) []PlacedChip
 			placed[i].Rect = rot.ApplyRect(placed[i].Rect, d.W, d.H)
 			placed[i].Orient = placed[i].Orient.Compose(rot)
 		}
-	}
-	for i := range placed {
-		pc := &placed[i]
-		pc.Pads = pc.Die.PlacedPads(Point{pc.Rect.X, pc.Rect.Y}, pc.Orient)
 	}
 	return placed
 }

@@ -201,7 +201,7 @@ func (p *Package) Floorplan() []Component {
 			Name: inst.Name, Kind: CompIOD,
 			Rect: Rect{X: inst.Offset.X, Y: inst.Offset.Y, W: d.W, H: d.H},
 		})
-		for j, pc := range d.PlacedChiplets(inst.Orient, inst.Compute) {
+		for j, pc := range d.placeChiplets(inst.Orient, inst.Compute) {
 			kind := CompXCD
 			if pc.Die.Kind == DieCCD {
 				kind = CompCCD

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/mem"
@@ -39,36 +37,14 @@ func (p *Platform) memAccess(start sim.Time, src fabric.NodeID, addr, bytes int6
 	}
 	// Span tracing: one root per transaction, one child per segment the
 	// bytes cross (each link hop, the cache slice, each HBM channel
-	// occupancy). Every callback below is nil unless this transaction was
+	// occupancy). The observers are nil unless this transaction was
 	// sampled, so an untraced run does no extra work beyond the checks.
 	var root spans.Ref
 	var hopObs fabric.HopObserver
 	var hbmObs mem.AccessObserver
-	if p.spans.Enabled() {
-		op := "mem.read"
-		if write {
-			op = "mem.write"
-		}
-		root = p.spans.Root(spans.KindMem, op, start)
-	}
-	if root.Valid() {
-		root.Annotate("src", p.Net.Node(src).Name)
-		root.Annotate("bytes", strconv.FormatInt(bytes, 10))
-		hopObs = func(l *fabric.Link, txStart, txEnd sim.Time) {
-			c := root.Child(spans.StageFabric, l.Name, txStart, txEnd)
-			if l.State() != fabric.LinkUp {
-				c.Annotate("link.state", l.State().String())
-			}
-		}
-		hbmObs = func(hashedCh, servedCh int, s, e sim.Time, retry bool) {
-			stage := spans.StageHBM
-			if retry {
-				stage = spans.StageHBMECC
-			}
-			c := root.Child(stage, p.hbmSpanNames[servedCh], s, e)
-			if servedCh != hashedCh {
-				c.Annotate("rerouted", "ch"+strconv.Itoa(hashedCh)+"->ch"+strconv.Itoa(servedCh))
-			}
+	if t := p.memSpans; t != nil {
+		if root = t.begin(src, bytes, write, start); root.Valid() {
+			hopObs, hbmObs = t.onHop, t.onHBM
 		}
 	}
 	end := start
@@ -101,15 +77,7 @@ func (p *Platform) memAccess(start sim.Time, src fabric.NodeID, addr, bytes int6
 		if p.InfCache != nil {
 			res := p.InfCache.Access(done, ch, a, n, write)
 			if root.Valid() {
-				result := "miss"
-				if res.Hit {
-					result = "hit"
-				}
-				c := root.Child(spans.StageCache, p.mallSpanNames[ch], done, res.Done,
-					spans.Attr{Key: "result", Val: result})
-				if wait := res.Begin - done; wait > 0 {
-					c.Annotate("queue_ns", formatNS(wait))
-				}
+				p.memSpans.cache(ch, done, res)
 			}
 			done = res.Done
 			hbmBytes = res.HBMBytes
@@ -126,23 +94,6 @@ func (p *Platform) memAccess(start sim.Time, src fabric.NodeID, addr, bytes int6
 	}
 	root.Finish(end)
 	return end
-}
-
-// formatNS renders t ≥ 0 in nanoseconds with three decimals from its
-// integer picoseconds, byte-identical to
-// strconv.FormatFloat(t.Nanoseconds(), 'f', 3, 64): below 2^43 ns the
-// float64 nearest t/1000 lies within half a unit of the third decimal of
-// the exact quotient, so both round to its digits. Larger (and negative)
-// times take the float path.
-func formatNS(t sim.Time) string {
-	if t < 0 || t >= 1<<43*sim.Nanosecond {
-		return strconv.FormatFloat(t.Nanoseconds(), 'f', 3, 64)
-	}
-	ps := int64(t % sim.Nanosecond)
-	var b [24]byte
-	out := strconv.AppendInt(b[:0], int64(t/sim.Nanosecond), 10)
-	out = append(out, '.', byte('0'+ps/100), byte('0'+ps/10%10), byte('0'+ps%10))
-	return string(out)
 }
 
 // gcdOf reverse-maps a fabric node to its XCD/GCD index.

@@ -12,7 +12,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -62,11 +61,8 @@ type Platform struct {
 	// dispatch hot paths (BuildOptions.Spans). Nil costs the hot paths
 	// one pointer check.
 	spans *spans.Recorder
-	// hbmSpanNames and mallSpanNames are the memory path's per-channel
-	// child-span names ("hbm.ch<N>", "mall<N>"), built once when spans
-	// are armed.
-	hbmSpanNames  []string
-	mallSpanNames []string
+	// memSpans records memAccess's span trees; nil when spans is.
+	memSpans *memSpans
 
 	// Fabric node handles.
 	iodNodes  []fabric.NodeID
@@ -118,10 +114,7 @@ func newPlatform(spec *config.PlatformSpec, sp *spans.Recorder) (*Platform, erro
 	p.buildFabric()
 	p.buildCompute()
 	if sp != nil {
-		for ch := range p.HBM.Channels() {
-			p.hbmSpanNames = append(p.hbmSpanNames, "hbm.ch"+strconv.Itoa(ch))
-			p.mallSpanNames = append(p.mallSpanNames, "mall"+strconv.Itoa(ch))
-		}
+		p.memSpans = bindMemSpans(p)
 	}
 
 	switch spec.Name {

@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/hsa"
 	"repro/internal/sim"
@@ -59,7 +60,52 @@ type Partition struct {
 	wgsAssigned  uint64
 	signalsArmed uint64
 	signalsDone  uint64
+
+	// traced holds the partition's span labels once a dispatch records.
+	traced *dispatchSpans
 }
+
+// dispatchSpans holds a partition's dispatch-span labels and keys,
+// registered on its first traced dispatch so that later ones record by
+// index and annotate with integers.
+type dispatchSpans struct {
+	decode, execute, sync []spans.Label // by member position
+	doorbell              spans.Label
+	kPartition, kPolicy   spans.Text
+	kWorkgroups, kLive    spans.Text
+	kQueue                spans.Text
+	partition, queue      spans.Text
+}
+
+// spanLabels returns the partition's dispatch-span labels, registering
+// them on the recorder first.
+func (p *Partition) spanLabels() *dispatchSpans {
+	if p.traced != nil {
+		return p.traced
+	}
+	rec := p.env.Spans
+	d := &dispatchSpans{
+		doorbell:    rec.Label(spans.StageEnqueue, "doorbell:"+p.queueName()),
+		kPartition:  rec.Text("partition"),
+		kPolicy:     rec.Text("policy"),
+		kWorkgroups: rec.Text("workgroups"),
+		kLive:       rec.Text("live_xcds"),
+		kQueue:      rec.Text("queue"),
+		partition:   rec.Text(p.Name),
+		queue:       rec.Text(p.queueName()),
+	}
+	for _, x := range p.xcds {
+		id := strconv.Itoa(x.ID)
+		d.decode = append(d.decode, rec.Label(spans.StageDecode, "xcd"+id+".decode"))
+		d.execute = append(d.execute, rec.Label(spans.StageExecute, "xcd"+id+".execute"))
+		d.sync = append(d.sync, rec.Label(spans.StageSync, "xcd"+id+".sync"))
+	}
+	p.traced = d
+	return d
+}
+
+// queueName names the queue Dispatch submits through.
+func (p *Partition) queueName() string { return p.Name + ".q" }
 
 // NewPartition groups xcds into one logical device.
 func NewPartition(name string, xcds []*XCD, env *ExecEnv, policy Policy) *Partition {
@@ -225,11 +271,13 @@ func (p *Partition) Process(now sim.Time, q *hsa.Queue) (sim.Time, error) {
 	if !root.Attached() && p.env.Spans.Enabled() {
 		root = p.env.Spans.Root(spans.KindDispatch, "dispatch:"+pkt.KernelName, now)
 	}
+	var d *dispatchSpans
 	if root.Valid() {
-		root.Annotate("partition", p.Name)
-		root.Annotate("policy", p.Policy.String())
-		root.Annotate("workgroups", fmt.Sprintf("%d", nWG))
-		root.Annotate("live_xcds", fmt.Sprintf("%d", len(live)))
+		d = p.spanLabels()
+		root.AnnotateText(d.kPartition, d.partition)
+		root.AnnotateText(d.kPolicy, p.env.Spans.Text(p.Policy.String()))
+		root.AnnotateInt(d.kWorkgroups, int64(nWG))
+		root.AnnotateInt(d.kLive, int64(len(live)))
 	}
 
 	// ① Every live XCD's ACE reads and decodes the AQL packet.
@@ -249,11 +297,10 @@ func (p *Partition) Process(now sim.Time, q *hsa.Queue) (sim.Time, error) {
 			x.stats.SyncMessages++
 		}
 		if root.Valid() {
-			root.Child(spans.StageDecode, fmt.Sprintf("xcd%d.decode", x.ID), now, decoded)
-			root.Child(spans.StageExecute, fmt.Sprintf("xcd%d.execute", x.ID), decoded, subsetDone,
-				spans.Attr{Key: "workgroups", Val: fmt.Sprintf("%d", len(assignment[i]))})
+			root.ChildLabeled(d.decode[i], now, decoded)
+			root.ChildLabeled(d.execute[i], decoded, subsetDone).AnnotateInt(d.kWorkgroups, int64(len(assignment[i])))
 			if i != nominated {
-				root.Child(spans.StageSync, fmt.Sprintf("xcd%d.sync", x.ID), subsetDone, arrive)
+				root.ChildLabeled(d.sync[i], subsetDone, arrive)
 			}
 		}
 		if arrive > kernelDone {
@@ -279,7 +326,7 @@ func (p *Partition) Dispatch(now sim.Time, k *KernelSpec, items, wgSize int, ker
 	if wgSize <= 0 {
 		wgSize = 256
 	}
-	q := hsa.NewQueue(p.Name+".q", 2)
+	q := hsa.NewQueue(p.queueName(), 2)
 	sig := hsa.NewSignal(k.Name+".done", 1)
 	// Open the dispatch root at enqueue time so the trace covers the full
 	// submission path; the doorbell ring marks the end of the enqueue stage.
@@ -288,10 +335,13 @@ func (p *Partition) Dispatch(now sim.Time, k *KernelSpec, items, wgSize int, ker
 		root = p.env.Spans.Root(spans.KindDispatch, "dispatch:"+k.Name, now)
 	}
 	if root.Valid() {
-		root.Annotate("queue", q.Name)
+		d := p.spanLabels()
+		root.AnnotateText(d.kQueue, d.queue)
 	}
 	q.Doorbell = func(uint64) {
-		root.Child(spans.StageEnqueue, "doorbell:"+q.Name, now, now)
+		if root.Valid() {
+			root.ChildLabeled(p.traced.doorbell, now, now)
+		}
 	}
 	err := q.Enqueue(hsa.Packet{
 		Type:         hsa.PacketKernelDispatch,

@@ -60,7 +60,9 @@ type Packet struct {
 	// Span carries the producer's tracing context across the queue: when
 	// the enqueuing side opened a dispatch root span, the packet processor
 	// records its decode/execute/sync stages under it instead of opening a
-	// second root. The zero value means "no context" and costs nothing.
+	// second root. It must come from the processing partition's own
+	// recorder, whose labels the stages record under. The zero value means
+	// "no context" and costs nothing.
 	Span spans.Ref
 }
 

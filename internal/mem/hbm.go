@@ -57,6 +57,11 @@ func (c *Channel) OpsAtRetire() uint64 { return c.opsAtRetire }
 // OccupyAt claims the channel for nbytes at addr, applying the row-buffer
 // model when addr >= 0.
 func (c *Channel) OccupyAt(start sim.Time, addr, nbytes int64, write bool) sim.Time {
+	return c.occupy(start, addr, nbytes, write, sim.FromSeconds(float64(nbytes)/c.BW))
+}
+
+// occupy is OccupyAt with the transfer's occupancy time given.
+func (c *Channel) occupy(start sim.Time, addr, nbytes int64, write bool, occupancy sim.Time) sim.Time {
 	var penalty sim.Time
 	if addr >= 0 {
 		if c.openRows == nil {
@@ -78,7 +83,7 @@ func (c *Channel) OccupyAt(start sim.Time, addr, nbytes int64, write bool) sim.T
 	if c.busyUntil > start {
 		start = c.busyUntil
 	}
-	end := start + sim.FromSeconds(float64(nbytes)/c.BW)
+	end := start + occupancy
 	c.busyUntil = end
 	c.bytes += uint64(nbytes)
 	if write {
@@ -110,8 +115,13 @@ type HBM struct {
 	Name     string
 	Map      *AddressMap
 	Latency  sim.Time // row access latency added to every request
-	channels []*Channel
+	channels []Channel
+	retired  int // channels mapped out
 	capacity int64
+	// granuleTime is a channel's occupancy for one full interleave
+	// granule, the size nearly every chunk moves:
+	// sim.FromSeconds(float64(Map.Granule)/BW) for the channels' shared BW.
+	granuleTime sim.Time
 
 	// ECC-storm model: each chunk independently hits a correctable error
 	// with probability eccRate and pays eccPenalty of retry latency.
@@ -137,10 +147,10 @@ func NewHBM(name string, stacks, channelsPerStack int, stackBW float64, capacity
 		capacity: capacity,
 	}
 	perChannel := stackBW / float64(channelsPerStack)
-	for i := 0; i < stacks*channelsPerStack; i++ {
-		m.channels = append(m.channels, &Channel{
-			Index: i, BW: perChannel, RowMissPenalty: 35 * sim.Nanosecond,
-		})
+	m.granuleTime = sim.FromSeconds(float64(m.Map.Granule) / perChannel)
+	m.channels = make([]Channel, stacks*channelsPerStack)
+	for i := range m.channels {
+		m.channels[i] = Channel{Index: i, BW: perChannel, RowMissPenalty: 35 * sim.Nanosecond}
 	}
 	return m
 }
@@ -148,23 +158,23 @@ func NewHBM(name string, stacks, channelsPerStack int, stackBW float64, capacity
 // Capacity reports the device capacity in bytes.
 func (h *HBM) Capacity() int64 { return h.capacity }
 
-// Channels returns the channel list.
-func (h *HBM) Channels() []*Channel { return h.channels }
+// Channels returns the channels, stored in one slice.
+func (h *HBM) Channels() []Channel { return h.channels }
 
 // Channel returns channel i.
 func (h *HBM) Channel(i int) *Channel {
 	if i < 0 || i >= len(h.channels) {
 		panic(fmt.Sprintf("mem: invariant violated: channel index %d outside [0, %d)", i, len(h.channels)))
 	}
-	return h.channels[i]
+	return &h.channels[i]
 }
 
 // PeakBW reports the aggregate peak bandwidth of the live (non-retired)
 // channels.
 func (h *HBM) PeakBW() float64 {
 	var bw float64
-	for _, c := range h.channels {
-		if !c.retired {
+	for i := range h.channels {
+		if c := &h.channels[i]; !c.retired {
 			bw += c.BW
 		}
 	}
@@ -179,28 +189,21 @@ func (h *HBM) RetireChannel(i int) error {
 	if i < 0 || i >= len(h.channels) {
 		return fmt.Errorf("mem: channel %d out of range (%d channels)", i, len(h.channels))
 	}
-	if h.channels[i].retired {
+	c := &h.channels[i]
+	if c.retired {
 		return nil
 	}
 	if h.LiveChannels() == 1 {
 		return fmt.Errorf("mem: refusing to retire last live channel %d", i)
 	}
-	c := h.channels[i]
 	c.retired = true
 	c.opsAtRetire = c.reads + c.writes
+	h.retired++
 	return nil
 }
 
 // RetiredChannels reports how many channels are mapped out.
-func (h *HBM) RetiredChannels() int {
-	n := 0
-	for _, c := range h.channels {
-		if c.retired {
-			n++
-		}
-	}
-	return n
-}
+func (h *HBM) RetiredChannels() int { return h.retired }
 
 // LiveChannels reports how many channels still serve traffic.
 func (h *HBM) LiveChannels() int { return len(h.channels) - h.RetiredChannels() }
@@ -208,7 +211,11 @@ func (h *HBM) LiveChannels() int { return len(h.channels) - h.RetiredChannels() 
 // liveChannel redirects a retired channel index to the next live channel,
 // scanning forward with wrap-around. The scan order is fixed, so the
 // redirection — like everything else in the model — is deterministic.
+// Until a channel is retired there is nothing to scan.
 func (h *HBM) liveChannel(ch int) int {
+	if h.retired == 0 {
+		return ch
+	}
 	for range h.channels {
 		if !h.channels[ch].retired {
 			return ch
@@ -234,8 +241,8 @@ func (h *HBM) SetECCStorm(rate float64, penalty sim.Time, seed uint64) error {
 // ECCEvents reports total correctable-error retries across all channels.
 func (h *HBM) ECCEvents() uint64 {
 	var n uint64
-	for _, c := range h.channels {
-		n += c.eccEvents
+	for i := range h.channels {
+		n += h.channels[i].eccEvents
 	}
 	return n
 }
@@ -280,9 +287,13 @@ func (h *HBM) AccessObserved(start sim.Time, addr, nbytes int64, write bool, obs
 		}
 		_, ch := m.place(pos, first, stacks)
 		served := h.liveChannel(ch)
-		c := h.channels[served]
+		c := &h.channels[served]
 		h.chunks++
-		done := c.OccupyAt(issue, pos, chunk, write)
+		occupancy := h.granuleTime
+		if chunk != m.Granule {
+			occupancy = sim.FromSeconds(float64(chunk) / c.BW)
+		}
+		done := c.occupy(issue, pos, chunk, write, occupancy)
 		if obs != nil {
 			obs(ch, served, issue, done, false)
 		}
@@ -292,7 +303,7 @@ func (h *HBM) AccessObserved(start sim.Time, addr, nbytes int64, write bool, obs
 			// again, consuming bandwidth as a real retry would.
 			c.eccEvents++
 			retryAt := done + h.eccPenalty
-			done = c.OccupyAt(retryAt, pos, chunk, write)
+			done = c.occupy(retryAt, pos, chunk, write, occupancy)
 			if obs != nil {
 				obs(ch, served, retryAt, done, true)
 			}
@@ -314,8 +325,8 @@ func (h *HBM) ChunksIssued() uint64 { return h.chunks }
 // BytesMoved reports total bytes served across all channels.
 func (h *HBM) BytesMoved() uint64 {
 	var b uint64
-	for _, c := range h.channels {
-		b += c.bytes
+	for i := range h.channels {
+		b += h.channels[i].bytes
 	}
 	return b
 }
@@ -336,9 +347,9 @@ func (h *HBM) StackBytesMoved(s int) uint64 {
 
 // RowStats reports the aggregate row-buffer hit/miss counters.
 func (h *HBM) RowStats() (hits, misses uint64) {
-	for _, c := range h.channels {
-		hits += c.rowHits
-		misses += c.rowMisses
+	for i := range h.channels {
+		hits += h.channels[i].rowHits
+		misses += h.channels[i].rowMisses
 	}
 	return hits, misses
 }
@@ -348,7 +359,8 @@ func (h *HBM) RowStats() (hits, misses uint64) {
 // reset, so measurements taken after a fault stay degraded; only the event
 // counters restart.
 func (h *HBM) ResetStats() {
-	for _, c := range h.channels {
+	for i := range h.channels {
+		c := &h.channels[i]
 		c.busyUntil = 0
 		c.bytes = 0
 		c.reads = 0
@@ -365,9 +377,9 @@ func (h *HBM) ResetStats() {
 // RowHitRate reports the aggregate row-buffer hit fraction.
 func (h *HBM) RowHitRate() float64 {
 	var hits, misses uint64
-	for _, c := range h.channels {
-		hits += c.rowHits
-		misses += c.rowMisses
+	for i := range h.channels {
+		hits += h.channels[i].rowHits
+		misses += h.channels[i].rowMisses
 	}
 	if hits+misses == 0 {
 		return 0

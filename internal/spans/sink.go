@@ -1,8 +1,9 @@
 package spans
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -62,19 +63,15 @@ func (r *Recorder) Dump() *Dump {
 		Truncated:    r.truncated,
 		Spans:        make([]SpanRecord, r.n),
 	}
-	// Each trace's hex ID is formatted once: a child copies its parent's
-	// (the record at the parent's index), and a root reuses the string of
-	// an earlier root on the same trace.
-	rootHex := make(map[TraceID]string)
-	for i := range d.Spans {
-		s := r.at(i)
+	for i, s := range r.Spans() {
+		// A child copies its parent's hex trace ID (the record at the
+		// parent's index); a root formats its own.
 		var trace string
 		if s.Parent != 0 {
 			trace = d.Spans[s.Parent-1].Trace
-		} else if trace = rootHex[s.Trace]; trace == "" {
+		} else {
 			trace = strconv.FormatUint(uint64(s.Trace), 16)
 			trace = strings.Repeat("0", 16-len(trace)) + trace
-			rootHex[s.Trace] = trace
 		}
 		d.Spans[i] = SpanRecord{
 			Trace: trace,
@@ -130,7 +127,6 @@ func (r *Recorder) AddToTrace(tr *trace.Trace, pid int) {
 		tr.NameThread(pid, tid, stage)
 		return tid
 	}
-	g := r.group()
 	attrsOf := func(s *Span) map[string]string {
 		if len(s.Attrs) == 0 {
 			return nil
@@ -141,9 +137,13 @@ func (r *Recorder) AddToTrace(tr *trace.Trace, pid int) {
 		}
 		return m
 	}
+	all := r.Spans()
+	g := r.group()
 	flow := int64(0)
-	for i, root := range g.roots {
+	var sorted []int32
+	for i, ri := range g.roots {
 		flow++
+		root := &all[ri]
 		tr.Span(root.Name, root.Kind, pid, 0, root.Start, root.End, attrsOf(root))
 		// Flow events must bind to an enclosing 'X' span on their track;
 		// zero-length intervals render as instants, so they carry no flow.
@@ -152,7 +152,8 @@ func (r *Recorder) AddToTrace(tr *trace.Trace, pid int) {
 			tr.Flow("s", root.Name, root.Kind, flow, pid, 0, root.Start)
 		}
 		kids := g.kidsOf(i)
-		for _, k := range kids {
+		for _, ki := range kids {
+			k := &all[ki]
 			tr.Span(k.Name, k.Stage, pid, tidOf(k.Stage), k.Start, k.End, attrsOf(k))
 		}
 		// Steps go out sorted by start so each flow's timestamps are
@@ -160,15 +161,11 @@ func (r *Recorder) AddToTrace(tr *trace.Trace, pid int) {
 		// clamped to the root start: a child may reach back before its root
 		// (fabric hops begin at injection), but a flow step earlier than the
 		// flow's own 's' event would fail validation.
-		sorted := append([]*Span(nil), kids...)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-		for _, k := range sorted {
-			if withFlow && k.End > k.Start && k.End > root.Start {
-				at := k.Start
-				if at < root.Start {
-					at = root.Start
-				}
-				tr.Flow("t", k.Name, k.Stage, flow, pid, tidOf(k.Stage), at)
+		sorted = append(sorted[:0], kids...)
+		slices.SortStableFunc(sorted, func(a, b int32) int { return cmp.Compare(all[a].Start, all[b].Start) })
+		for _, ki := range sorted {
+			if k := &all[ki]; withFlow && k.End > k.Start && k.End > root.Start {
+				tr.Flow("t", k.Name, k.Stage, flow, pid, tidOf(k.Stage), max(k.Start, root.Start))
 			}
 		}
 		if withFlow {

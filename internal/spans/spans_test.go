@@ -3,7 +3,9 @@ package spans
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -380,5 +382,76 @@ func TestTruncationKeepsOpenTreesComplete(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Error("identical truncated recorders dumped different bytes")
+	}
+}
+
+// TestFormatNSMatchesFormatFloat checks the integer picosecond renderer
+// against the float formatting it replaced: the named cases, both sides
+// of the 2^43 ns cut to the float path, and random times below it.
+func TestFormatNSMatchesFormatFloat(t *testing.T) {
+	const cut = 1 << 43 * sim.Nanosecond
+	times := []sim.Time{0, 1, 999, 1000, 1234567, 1 << 53, cut - 1, cut, cut + 1, 1<<63 - 1}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		times = append(times, sim.Time(rng.Int63n(int64(cut))), cut-1-sim.Time(rng.Intn(1e6)))
+	}
+	for _, ps := range times {
+		if got, want := formatNS(ps), strconv.FormatFloat(ps.Nanoseconds(), 'f', 3, 64); got != want {
+			t.Fatalf("formatNS(%d ps) = %q, want %q", int64(ps), got, want)
+		}
+	}
+}
+
+// TestAttributionTotalsSumInRootOrder pins the order float totals are
+// summed in. One root's end-to-end time dwarfs three others' 6 ps, each
+// of which rounds up by a unit in the last place when added to the large
+// total alone, but which round to two units when added together first.
+// The report sums in root order, as the reference does.
+func TestAttributionTotalsSumInRootOrder(t *testing.T) {
+	r := NewRecorder(1, 1)
+	durations := []sim.Time{34935 << 40, 6, 6, 6}
+	var want float64
+	for i, d := range durations {
+		start := sim.Time(i) * sim.Microsecond
+		r.Root(KindMem, "m", start).Finish(start + d)
+		want += d.Nanoseconds()
+	}
+	att := r.Attribution()
+	if !reflect.DeepEqual(att, refBuildAttribution(r.Spans())) {
+		t.Fatalf("attribution %+v differs from the reference", att)
+	}
+	if k := att.Kinds[0]; k.TotalNS != want || k.Stages[0].TotalNS != want {
+		t.Errorf("end-to-end total %v ns and untracked total %v ns, want %v summed in root order",
+			k.TotalNS, k.Stages[0].TotalNS, want)
+	}
+}
+
+// TestQuantilesMatchSortedRanks checks the selections against the
+// nearest-rank samples of a full sort, over sizes either side of the
+// cutoff where selection gives way to sorting, with values drawn from
+// ranges narrow enough to repeat and wide enough not to, shuffled,
+// ascending and descending.
+func TestQuantilesMatchSortedRanks(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 2, 16, 17, 18, 100, 1000, 4096} {
+		for _, span := range []int64{1, 3, 1 << 40} {
+			sorted := make([]sim.Time, n)
+			for i := range sorted {
+				sorted[i] = sim.Time(rng.Int63n(span))
+			}
+			slices.Sort(sorted)
+			rank := func(q float64) float64 { return sorted[min(int(q*float64(n)), n-1)].Nanoseconds() }
+			shuffled := slices.Clone(sorted)
+			rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			descending := slices.Clone(sorted)
+			slices.Reverse(descending)
+			for _, s := range [][]sim.Time{shuffled, slices.Clone(sorted), descending} {
+				p50, p95, p99 := quantiles(s)
+				if p50 != rank(0.50) || p95 != rank(0.95) || p99 != rank(0.99) {
+					t.Fatalf("n %d, values below %d: quantiles %v %v %v, sorted ranks %v %v %v",
+						n, span, p50, p95, p99, rank(0.50), rank(0.95), rank(0.99))
+				}
+			}
+		}
 	}
 }
