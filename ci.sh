@@ -123,8 +123,8 @@ stage "workgroup placement differential fuzz smoke" fuzz ./internal/gpu/ FuzzPla
 
 # 15 seconds of coverage-guided fuzzing of the span recorder (its record
 # store, attribute arena and attribution pass) against the chunked Span
-# store and map-based attribution it replaced: Spans, Attribution, the
-# Dump's JSON and the AddToTrace output must be equal.
+# store and map-based attribution it replaced: Spans, Attribution and the
+# Dump's JSON must be equal.
 stage "span attribution differential fuzz smoke" fuzz ./internal/spans/ FuzzAttributionDifferential 15s
 
 # 15 seconds of coverage-guided fuzzing of sim.Engine against the

@@ -140,7 +140,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "directory for the durable result store and job journal (empty = memory-only)")
 	requireDurability := flag.Bool("require-durability", false, "refuse submissions with 503 while storage durability is degraded, instead of accepting them as non-durable")
 	durabilityProbe := flag.Duration("durability-probe", 2*time.Second, "cadence of the degraded-mode disk probe that re-arms durability")
-	journalSegBytes := flag.Int64("journal-segment-bytes", 0, "journal segment rotation threshold in bytes (0 = 1 MiB default)")
 	chaosSeed := flag.Uint64("chaos-seed", 0, "TESTING: PRNG seed for deterministic disk-fault injection")
 	chaosWriteErr := flag.Float64("chaos-write-err-rate", 0, "TESTING: per-write probability of an injected I/O failure")
 	chaosSyncErr := flag.Float64("chaos-sync-err-rate", 0, "TESTING: per-fsync probability of an injected failure")
@@ -175,7 +174,6 @@ func main() {
 			SyncErrRate:      *chaosSyncErr,
 			OpErrRate:        *chaosOpErr,
 			ENOSPCAfterBytes: *chaosENOSPC,
-			TornWrites:       true,
 		})
 		fsys = ffs
 		fmt.Fprintf(os.Stderr,
@@ -190,18 +188,17 @@ func main() {
 	}
 
 	srv, err := service.New(service.Config{
-		Registry:            apusim.Experiments(),
-		FaultPlanRun:        apusim.ExperimentFaultPlan,
-		Workers:             *workers,
-		QueueDepth:          *queueDepth,
-		CacheBytes:          *cacheBytes,
-		JobTimeout:          *jobTimeout,
-		DataDir:             *dataDir,
-		FS:                  fsys,
-		RequireDurability:   *requireDurability,
-		DurabilityProbe:     *durabilityProbe,
-		JournalSegmentBytes: *journalSegBytes,
-		Logger:              logger,
+		Registry:          apusim.Experiments(),
+		FaultPlanRun:      apusim.ExperimentFaultPlan,
+		Workers:           *workers,
+		QueueDepth:        *queueDepth,
+		CacheBytes:        *cacheBytes,
+		JobTimeout:        *jobTimeout,
+		DataDir:           *dataDir,
+		FS:                fsys,
+		RequireDurability: *requireDurability,
+		DurabilityProbe:   *durabilityProbe,
+		Logger:            logger,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "apusimd: %v\n", err)

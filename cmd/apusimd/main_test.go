@@ -122,15 +122,17 @@ func (d *daemon) drain(t *testing.T) {
 }
 
 // TestRemovedBackoffFlagExits2 pins the flags of deleted mechanisms as
-// gone: job retries run at once (no backoff), and admission has no
-// per-tenant cap and no p95 queue-wait shedder. The flag parser must
-// refuse each of them.
+// gone: job retries run at once (no backoff), admission has no
+// per-tenant cap and no p95 queue-wait shedder, and the journal's
+// segment size is not tunable (compaction, its one use, is gone). The
+// flag parser must refuse each of them.
 func TestRemovedBackoffFlagExits2(t *testing.T) {
 	bin := buildDaemon(t)
 	for _, args := range [][]string{
 		{"-retry-backoff", "1s"},
 		{"-tenant-max", "1"},
 		{"-max-queue-wait", "1s"},
+		{"-journal-segment-bytes", "1"},
 	} {
 		t.Run(args[0][1:], func(t *testing.T) {
 			// A daemon that accepted the flag would serve until killed.

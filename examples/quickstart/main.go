@@ -14,8 +14,8 @@ import (
 func main() {
 	// 1. Assemble the APU: 6 XCDs + 3 CCDs on 4 IODs, 128 GB HBM3 behind
 	// a 256 MB Infinity Cache, all coherent in one package. Then attach a
-	// telemetry recorder: every component registers its probes on it, it
-	// profiles the engine the sampler runs on, and it samples every 10 µs.
+	// telemetry recorder: every component registers its probes on it, and
+	// it profiles the engine the sampler runs on.
 	apu, err := apusim.NewMI300A()
 	if err != nil {
 		log.Fatal(err)
@@ -24,7 +24,6 @@ func main() {
 	rec := apusim.NewRecorder()
 	apu.Instrument(rec)
 	rec.ObserveEngine(eng)
-	rec.SetCadence(10 * apusim.Microsecond)
 	fmt.Printf("platform: %s — %d CUs, %d cores, %.1f TB/s HBM, %d MB Infinity Cache\n",
 		apu.Spec.Name, apu.Spec.TotalCUs(), apu.Spec.TotalCores(),
 		apu.Spec.PeakMemoryBW()/1e12, apu.Spec.InfinityCacheBytes()>>20)
@@ -93,12 +92,11 @@ func main() {
 	fmt.Printf("  HBM bytes moved: %d MB; fabric energy: %.1f µJ\n",
 		apu.HBM.BytesMoved()>>20, apu.Net.TotalEnergyPJ()/1e6)
 
-	// 7. Sampled telemetry: arm a sampler over the kernel's span and drain
-	// the engine — every registered probe (fabric, HBM, cache, XCDs,
-	// power/thermal) gets one value per tick. The same recorder can feed
-	// a JSON series dump (Dump) or counter tracks in a Chrome trace
-	// (WriteTrace).
-	ticks := apusim.NewSampler(eng, rec, 0).Arm(done)
+	// 7. Sampled telemetry: arm a sampler over the kernel's span, one tick
+	// every 10 µs, and drain the engine — every registered probe (fabric,
+	// HBM, cache, XCDs, power/thermal) gets one value per tick. The same
+	// recorder feeds a JSON series dump (Dump).
+	ticks := apusim.NewSampler(eng, rec, 10*apusim.Microsecond).Arm(done)
 	eng.RunAll()
 	fmt.Printf("telemetry: %d probes x %d ticks (schema %s)\n",
 		rec.Probes(), ticks, apusim.TelemetrySchema)

@@ -11,7 +11,7 @@ import (
 
 func mustPlatform(t testing.TB, spec *config.PlatformSpec) *Platform {
 	t.Helper()
-	p, err := NewPlatform(spec)
+	p, err := NewPlatform(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestNewPlatformAllSpecs(t *testing.T) {
 	for _, spec := range []*config.PlatformSpec{
 		config.MI300A(), config.MI300X(), config.MI250X(), config.EHPv4(), config.BaselineGPU(),
 	} {
-		p, err := NewPlatform(spec)
+		p, err := NewPlatform(spec, nil)
 		if err != nil {
 			t.Errorf("%s: %v", spec.Name, err)
 			continue

@@ -21,7 +21,7 @@ func tracedMemAccesses(p *Platform, n int) {
 // formatting or closures, so 1,024 traced 64 KiB transactions average
 // under 0.05 allocations each — the store's chunk growth.
 func TestTracedMemAccessAllocs(t *testing.T) {
-	p, err := NewPlatformWith(config.MI300A(), BuildOptions{Spans: spans.NewRecorder(1, 1)})
+	p, err := NewPlatform(config.MI300A(), spans.NewRecorder(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func BenchmarkMemAccess(b *testing.B) {
 		{"traced", func() *spans.Recorder { return spans.NewRecorder(1, 1) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			p, err := NewPlatformWith(config.MI300A(), BuildOptions{Spans: c.rec()})
+			p, err := NewPlatform(config.MI300A(), c.rec())
 			if err != nil {
 				b.Fatal(err)
 			}

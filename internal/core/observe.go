@@ -2,24 +2,8 @@ package core
 
 import (
 	"repro/internal/audit"
-	"repro/internal/config"
-	"repro/internal/spans"
 	"repro/internal/telemetry"
 )
-
-// BuildOptions configures platform assembly: what must be threaded in
-// while the platform is built rather than attached afterwards. The apusim
-// facade's WithSpans option and runner.Ctx.Platform reduce to it.
-type BuildOptions struct {
-	// Spans, when non-nil, records causal span trees for memory
-	// transactions and AQL dispatches.
-	Spans *spans.Recorder
-}
-
-// NewPlatformWith assembles a platform with explicit build options.
-func NewPlatformWith(spec *config.PlatformSpec, opts BuildOptions) (*Platform, error) {
-	return newPlatform(spec, opts.Spans)
-}
 
 // Instrument registers the full platform probe set on rec, in a fixed
 // order (fabric links, HBM, host DDR, Infinity Cache, XCDs, power/

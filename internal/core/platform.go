@@ -58,8 +58,7 @@ type Platform struct {
 	// gov tracks the live governor state for telemetry; built lazily.
 	gov *Governor
 	// spans, when non-nil, records causal span trees on the memory and
-	// dispatch hot paths (BuildOptions.Spans). Nil costs the hot paths
-	// one pointer check.
+	// dispatch hot paths. Nil costs the hot paths one pointer check.
 	spans *spans.Recorder
 	// memSpans records memAccess's span trees; nil when spans is.
 	memSpans *memSpans
@@ -81,16 +80,11 @@ const hbmLatency = 120 * sim.Nanosecond
 // of a spec harvests the same CUs.
 const harvestSeed = 0xC0FFEE
 
-// NewPlatform assembles a platform from its spec with default build
-// options (see NewPlatformWith in observe.go for the configurable form).
-func NewPlatform(spec *config.PlatformSpec) (*Platform, error) {
-	return newPlatform(spec, nil)
-}
-
-// newPlatform assembles a platform. sp must be threaded in here (not set
-// after construction) because buildCompute copies it into the GPU
-// ExecEnv.
-func newPlatform(spec *config.PlatformSpec, sp *spans.Recorder) (*Platform, error) {
+// NewPlatform assembles a platform from its spec. sp, when non-nil,
+// records causal span trees for memory transactions and AQL dispatches;
+// it is threaded in here, not attached afterwards, because buildCompute
+// copies it into the GPU ExecEnv.
+func NewPlatform(spec *config.PlatformSpec, sp *spans.Recorder) (*Platform, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -306,7 +300,7 @@ func (p *Platform) buildCompute() {
 }
 
 // SpanRecorder reports the platform's span recorder (nil when the
-// platform was built without BuildOptions.Spans).
+// platform was built without one).
 func (p *Platform) SpanRecorder() *spans.Recorder { return p.spans }
 
 // XCDNode reports XCD i's fabric node.

@@ -33,10 +33,6 @@ type FaultConfig struct {
 	// limit. The write that crosses the limit is torn: the prefix that
 	// "fit" lands on disk before the error, like a real full disk.
 	ENOSPCAfterBytes int64
-	// TornWrites makes injected write failures leave a prefix of the
-	// data on disk instead of failing cleanly, modeling a crash or media
-	// error mid-write.
-	TornWrites bool
 }
 
 // FaultStats counts the faults a FaultFS has injected.
@@ -92,8 +88,8 @@ func (f *FaultFS) Arm(cfg FaultConfig) {
 	f.healed = false
 }
 
-// FailNextWrites forces the next n Write calls to fail (torn when the
-// plan says TornWrites), independent of the configured rates.
+// FailNextWrites forces the next n Write calls to fail, torn like every
+// injected write failure, independent of the configured rates.
 func (f *FaultFS) FailNextWrites(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -137,8 +133,9 @@ func (f *FaultFS) chance(rate float64) bool {
 }
 
 // writeFault decides the fate of an n-byte write. It returns the number
-// of prefix bytes that should still land on disk (torn write) and the
-// error to inject, or (n, nil) for a clean write.
+// of prefix bytes that should still land on disk and the error to
+// inject, or (n, nil) for a clean write. An injected failure is torn:
+// half the data lands, modeling a crash or media error mid-write.
 func (f *FaultFS) writeFault(n int) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -148,10 +145,7 @@ func (f *FaultFS) writeFault(n int) (int, error) {
 	if f.failWrites > 0 {
 		f.failWrites--
 		f.stats.WritesFailed++
-		if f.cfg.TornWrites {
-			return n / 2, fmt.Errorf("faultfs: forced write failure: %w", ErrInjected)
-		}
-		return 0, fmt.Errorf("faultfs: forced write failure: %w", ErrInjected)
+		return n / 2, fmt.Errorf("faultfs: forced write failure: %w", ErrInjected)
 	}
 	if lim := f.cfg.ENOSPCAfterBytes; lim > 0 && f.bytes+int64(n) > lim {
 		fit := lim - f.bytes
@@ -164,10 +158,7 @@ func (f *FaultFS) writeFault(n int) (int, error) {
 	}
 	if f.chance(f.cfg.WriteErrRate) {
 		f.stats.WritesFailed++
-		if f.cfg.TornWrites {
-			return n / 2, fmt.Errorf("faultfs: injected write error: %w", ErrInjected)
-		}
-		return 0, fmt.Errorf("faultfs: injected write error: %w", ErrInjected)
+		return n / 2, fmt.Errorf("faultfs: injected write error: %w", ErrInjected)
 	}
 	f.bytes += int64(n)
 	return n, nil

@@ -118,8 +118,8 @@ func TestFaultFSForcedFailuresAndHeal(t *testing.T) {
 	}
 
 	fsys.FailNextWrites(1)
-	if n, err := f.Write([]byte("abcd")); !errors.Is(err, ErrInjected) || n != 0 {
-		t.Fatalf("forced write: n=%d err=%v, want 0 bytes + ErrInjected", n, err)
+	if n, err := f.Write([]byte("abcd")); !errors.Is(err, ErrInjected) || n != 2 {
+		t.Fatalf("forced write: n=%d err=%v, want a torn 2 bytes + ErrInjected", n, err)
 	}
 	if _, err := f.Write([]byte("ok")); err != nil {
 		t.Fatalf("write after countdown drained: %v", err)
@@ -144,7 +144,7 @@ func TestFaultFSForcedFailuresAndHeal(t *testing.T) {
 
 func TestFaultFSTornWriteLeavesPrefix(t *testing.T) {
 	dir := t.TempDir()
-	fsys := NewFaultFS(OS(), FaultConfig{TornWrites: true})
+	fsys := NewFaultFS(OS(), FaultConfig{})
 	path := filepath.Join(dir, "torn")
 	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {

@@ -613,6 +613,15 @@ func (j *Journal) Checkpoint(live []Record) error {
 	return nil
 }
 
+// NextSegment reports the index the journal's next segment or checkpoint
+// takes. Indexes only grow while the directory lives: a reopened journal
+// resumes past the highest segment on disk.
+func (j *Journal) NextSegment() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.nextIndex
+}
+
 // JournalStats is a snapshot of the journal's write counters.
 type JournalStats struct {
 	// Appends is the number of records appended; Syncs is the number of

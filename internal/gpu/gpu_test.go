@@ -2,6 +2,8 @@ package gpu
 
 import (
 	"errors"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -40,17 +42,82 @@ func TestYieldHarvesting(t *testing.T) {
 	}
 }
 
+// refAssign is the list-building assignment the ranges replaced, kept as
+// the reference: the flat workgroup IDs [0,n) each member die runs, by
+// position, grown one ID at a time; offline dies get none.
+func refAssign(p *Partition, n int, live []int) [][]int {
+	out := make([][]int, len(p.xcds))
+	switch p.Policy {
+	case PolicyBlock:
+		per := (n + len(live) - 1) / len(live)
+		for li, i := range live {
+			lo := li * per
+			hi := lo + per
+			if hi > n {
+				hi = n
+			}
+			for wg := lo; wg < hi; wg++ {
+				out[i] = append(out[i], wg)
+			}
+		}
+	default: // PolicyRoundRobin
+		for wg := 0; wg < n; wg++ {
+			i := live[wg%len(live)]
+			out[i] = append(out[i], wg)
+		}
+	}
+	return out
+}
+
+// assignLists expands assign's ranges into refAssign's form.
+func assignLists(p *Partition, n int) [][]int {
+	live := p.liveXCDs()
+	out := make([][]int, len(p.xcds))
+	for li, i := range live {
+		r := p.assign(n, li, len(live))
+		for j, wg := 0, r.first; j < r.count; j, wg = j+1, wg+r.stride {
+			out[i] = append(out[i], wg)
+		}
+	}
+	return out
+}
+
+// TestAssignMatchesReference compares the ranges with the reference
+// lists on random workgroup counts over random sets of live dies, under
+// both policies.
+func TestAssignMatchesReference(t *testing.T) {
+	xs := testXCDs(6)
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 2000; iter++ {
+		p := NewPartition("p", xs, nil, Policy(iter%2))
+		for i := range xs {
+			p.offline[i] = rng.Intn(3) == 0
+		}
+		p.offline[rng.Intn(len(xs))] = false
+		n := rng.Intn(40)
+		if iter%10 == 0 {
+			n = rng.Intn(5000)
+		}
+		got, want := assignLists(p, n), refAssign(p, n, p.liveXCDs())
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("%s, n=%d, offline %v: XCD %d runs %v, reference %v", p.Policy, n, p.offline, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestPartitionAssignRoundRobinVsBlock(t *testing.T) {
 	xs := testXCDs(4)
 	env := &ExecEnv{}
 	rr := NewPartition("rr", xs, env, PolicyRoundRobin)
 	blk := NewPartition("blk", xs, env, PolicyBlock)
 
-	a := rr.assign(10, rr.liveXCDs())
+	a := assignLists(rr, 10)
 	if len(a[0]) != 3 || a[0][1] != 4 {
 		t.Errorf("round-robin assignment wrong: %v", a)
 	}
-	b := blk.assign(10, blk.liveXCDs())
+	b := assignLists(blk, 10)
 	if len(b[0]) != 3 || b[0][2] != 2 {
 		t.Errorf("block assignment wrong: %v", b)
 	}
@@ -83,7 +150,7 @@ func TestAssignCoverageProperty(t *testing.T) {
 		p := NewPartition("p", xs, nil, pol)
 		nWG := int(n)%2000 + 1
 		seen := make(map[int]bool)
-		for _, wgs := range p.assign(nWG, p.liveXCDs()) {
+		for _, wgs := range assignLists(p, nWG) {
 			for _, wg := range wgs {
 				if wg < 0 || wg >= nWG || seen[wg] {
 					return false

@@ -183,35 +183,26 @@ func (p *Partition) SignalLedger() (armed, done uint64) {
 	return p.signalsArmed, p.signalsDone
 }
 
-// assign splits flat workgroup IDs [0,n) among the XCDs by policy. Every
-// ACE computes this same assignment independently — it "knows how many
-// XCDs are in the partition, so it knows that its XCD is only responsible
-// for executing a subset of the kernel's total workgroups" (§VI.A).
-// assign divides work among the live dies only — when an XCD is lost at
-// runtime, the identical per-ACE computation lands the dead die's share on
-// the survivors.
-func (p *Partition) assign(n int, live []int) [][]int {
-	out := make([][]int, len(p.xcds))
-	switch p.Policy {
-	case PolicyBlock:
-		per := (n + len(live) - 1) / len(live)
-		for li, i := range live {
-			lo := li * per
-			hi := lo + per
-			if hi > n {
-				hi = n
-			}
-			for wg := lo; wg < hi; wg++ {
-				out[i] = append(out[i], wg)
-			}
-		}
-	default: // PolicyRoundRobin
-		for wg := 0; wg < n; wg++ {
-			i := live[wg%len(live)]
-			out[i] = append(out[i], wg)
-		}
+// wgRange is the workgroups one XCD runs: count flat IDs from first,
+// stride apart, in ascending order.
+type wgRange struct{ first, stride, count int }
+
+// assign returns the share of flat workgroup IDs [0,n) that the li-th of
+// nLive live dies runs, by policy. Every ACE computes this same
+// assignment independently — it "knows how many XCDs are in the
+// partition, so it knows that its XCD is only responsible for executing
+// a subset of the kernel's total workgroups" (§VI.A). assign divides work
+// among the live dies only — when an XCD is lost at runtime, the
+// identical per-ACE computation lands the dead die's share on the
+// survivors.
+func (p *Partition) assign(n, li, nLive int) wgRange {
+	if p.Policy == PolicyBlock {
+		per := (n + nLive - 1) / nLive
+		first := li * per
+		return wgRange{first: first, stride: 1, count: max(0, min(per, n-first))}
 	}
-	return out
+	// PolicyRoundRobin: die li runs li, li+nLive, li+2·nLive, …
+	return wgRange{first: li, stride: nLive, count: (n - li + nLive - 1) / nLive}
 }
 
 // Process consumes the packet at the head of q, runs it across the
@@ -258,11 +249,7 @@ func (p *Partition) Process(now sim.Time, q *hsa.Queue) (sim.Time, error) {
 	}
 	nWG := pkt.Workgroups()
 	wgSize := pkt.Workgroup.Count()
-	assignment := p.assign(nWG, live)
 	p.wgsEnqueued += uint64(nWG)
-	for _, wgs := range assignment {
-		p.wgsAssigned += uint64(len(wgs))
-	}
 
 	// Span tracing: reuse the producer's root when the packet carries one
 	// (its sampling decision is already made); otherwise offer a fresh
@@ -285,10 +272,12 @@ func (p *Partition) Process(now sim.Time, q *hsa.Queue) (sim.Time, error) {
 	// ③④ Completion synchronization to the nominated XCD (first live die).
 	nominated := live[0]
 	var kernelDone sim.Time
-	for _, i := range live {
+	for li, i := range live {
 		x := p.xcds[i]
+		wgs := p.assign(nWG, li, len(live))
+		p.wgsAssigned += uint64(wgs.count)
 		decoded := x.decode(now)
-		subsetDone := x.executeWorkgroups(p.env, decoded, k, assignment[i], wgSize, pkt.KernargAddr)
+		subsetDone := x.executeWorkgroups(p.env, decoded, k, wgs, wgSize, pkt.KernargAddr)
 		// Each XCD signals "my waves completed, writes visible" to the
 		// nominated XCD over the high-priority channel.
 		arrive := subsetDone
@@ -298,7 +287,7 @@ func (p *Partition) Process(now sim.Time, q *hsa.Queue) (sim.Time, error) {
 		}
 		if root.Valid() {
 			root.ChildLabeled(d.decode[i], now, decoded)
-			root.ChildLabeled(d.execute[i], decoded, subsetDone).AnnotateInt(d.kWorkgroups, int64(len(assignment[i])))
+			root.ChildLabeled(d.execute[i], decoded, subsetDone).AnnotateInt(d.kWorkgroups, int64(wgs.count))
 			if i != nominated {
 				root.ChildLabeled(d.sync[i], subsetDone, arrive)
 			}

@@ -263,12 +263,13 @@ func (x *XCD) decode(now sim.Time) sim.Time {
 	return done
 }
 
-// executeWorkgroups runs the given flat workgroup IDs on this XCD starting
-// at start, and returns when the last one retires. Workgroups are placed
-// greedily on the earliest-free enabled CU; each runs functionally (if the
-// kernel has a body) and occupies its CU for max(compute, memory) time.
-func (x *XCD) executeWorkgroups(env *ExecEnv, start sim.Time, k *KernelSpec, wgIDs []int, wgSize int, kernarg int64) sim.Time {
-	if len(wgIDs) == 0 {
+// executeWorkgroups runs the workgroups of wgs, in ascending order, on
+// this XCD starting at start, and returns when the last one retires.
+// Workgroups are placed greedily on the earliest-free enabled CU; each
+// runs functionally (if the kernel has a body) and occupies its CU for
+// max(compute, memory) time.
+func (x *XCD) executeWorkgroups(env *ExecEnv, start sim.Time, k *KernelSpec, wgs wgRange, wgSize int, kernarg int64) sim.Time {
+	if wgs.count == 0 {
 		return start
 	}
 	// Occupancy is per kernel, and CUs are disabled or reset only between
@@ -276,7 +277,7 @@ func (x *XCD) executeWorkgroups(env *ExecEnv, start sim.Time, k *KernelSpec, wgI
 	// by refreshing the placed CU's leaf after each workgroup.
 	x.place.rebuild(x, Occupancy(x.Spec, wgSize, k.LDSBytesPerGroup))
 	end := start
-	for _, wg := range wgIDs {
+	for j, wg := 0, wgs.first; j < wgs.count; j, wg = j+1, wg+wgs.stride {
 		cu, slot := x.place.best(x)
 		if cu == nil {
 			panic(fmt.Sprintf("gpu: invariant violated: dispatch reached xcd%d with no enabled CUs (offline XCDs must be filtered by the partition)", x.ID))

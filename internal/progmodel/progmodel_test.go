@@ -11,7 +11,7 @@ const testN = 1 << 16
 
 func newPlatform(t testing.TB, spec *config.PlatformSpec) *core.Platform {
 	t.Helper()
-	p, err := core.NewPlatform(spec)
+	p, err := core.NewPlatform(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

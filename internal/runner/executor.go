@@ -317,11 +317,7 @@ func runAttempt(e Experiment, opts Options, deadline time.Time) Result {
 		// The watchdog converts silent hangs into a typed abort. The
 		// telemetry profile Ctx.Telemetry may arm later is the engine's
 		// per-class counters (EnableProfiling), which run beside it.
-		wcfg := sim.WatchdogConfig{}
-		if opts.Watchdog != nil {
-			wcfg = *opts.Watchdog
-		}
-		sim.NewWatchdog(wcfg).Install(ctx.eng)
+		sim.NewWatchdog().Install(ctx.eng)
 		// A completion sentinel stays queued unless the run finishes
 		// cleanly, so EventsPending > 0 flags an abnormal end.
 		sentinel := ctx.eng.Schedule(sim.Forever, ctx.clsSentinel, func(sim.Time) {})

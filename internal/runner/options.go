@@ -66,11 +66,6 @@ type Options struct {
 	// Strict makes any audit violation fail the run as StatusViolated
 	// instead of recording it and continuing degraded.
 	Strict bool
-	// Watchdog overrides the engine watchdog's bounds; nil uses the
-	// defaults. The watchdog is always installed — it converts silent
-	// hangs (livelock, runaway queue growth, handler stalls) into typed
-	// StatusViolated results instead of burning the full Timeout.
-	Watchdog *sim.WatchdogConfig
 }
 
 // DefaultParallel returns the default worker-pool width: one worker per

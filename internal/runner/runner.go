@@ -83,7 +83,7 @@ func (c *Ctx) Platform(spec *config.PlatformSpec) (*core.Platform, error) {
 	if c != nil {
 		sp = c.spanRec
 	}
-	p, err := core.NewPlatformWith(spec, core.BuildOptions{Spans: sp})
+	p, err := core.NewPlatform(spec, sp)
 	if err != nil {
 		return nil, err
 	}

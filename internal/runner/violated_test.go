@@ -12,8 +12,9 @@ import (
 )
 
 // livelockOnFirstAttempt returns an experiment whose first attempt
-// livelocks (tripping the watchdog) and whose later attempts complete,
-// recording each attempt's engine so tests can assert isolation.
+// livelocks (tripping the watchdog at its default event budget) and whose
+// later attempts complete, recording each attempt's engine so tests can
+// assert isolation.
 func livelockOnFirstAttempt(id string, engines *[]*sim.Engine) Experiment {
 	var mu sync.Mutex
 	attempts := 0
@@ -27,9 +28,10 @@ func livelockOnFirstAttempt(id string, engines *[]*sim.Engine) Experiment {
 			mu.Unlock()
 			eng := ctx.Engine()
 			if n == 1 {
+				cls := eng.Class("spin")
 				var spin func(sim.Time)
-				spin = func(now sim.Time) { eng.Schedule(now, eng.Class("spin"), spin) }
-				eng.Schedule(10, eng.Class("spin"), spin)
+				spin = func(now sim.Time) { eng.Schedule(now, cls, spin) }
+				eng.Schedule(10, cls, spin)
 			} else {
 				eng.Schedule(10, eng.Class("tick"), func(sim.Time) {})
 			}
@@ -44,7 +46,7 @@ func TestWatchdogTripBecomesStatusViolated(t *testing.T) {
 	var engines []*sim.Engine
 	reg.MustRegister(livelockOnFirstAttempt("wd", &engines))
 
-	s, err := reg.RunSuite(Options{Parallel: 1, Watchdog: &sim.WatchdogConfig{EventBudget: 100}})
+	s, err := reg.RunSuite(Options{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +74,7 @@ func TestRetriesRescueViolatedRunOnFreshEngine(t *testing.T) {
 	var engines []*sim.Engine
 	reg.MustRegister(livelockOnFirstAttempt("wd", &engines))
 
-	s, err := reg.RunSuite(Options{
-		Parallel: 1, Retries: 1,
-		Watchdog: &sim.WatchdogConfig{EventBudget: 100},
-	})
+	s, err := reg.RunSuite(Options{Parallel: 1, Retries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 
 func mi300a(t *testing.T) *core.Platform {
 	t.Helper()
-	p, err := core.NewPlatform(config.MI300A())
+	p, err := core.NewPlatform(config.MI300A(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

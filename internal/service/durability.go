@@ -95,8 +95,7 @@ func (s *Server) openDurable() ([]*Job, error) {
 	s.cache.AttachStore(store)
 	s.cache.SetStoreErrorHook(func(err error) { s.tripDurability("store write", err) })
 
-	journal, recs, stats, err := durable.OpenJournalDir(s.fs, s.cfg.DataDir,
-		durable.JournalOptions{SegmentBytes: s.cfg.JournalSegmentBytes})
+	journal, recs, stats, err := durable.OpenJournalDir(s.fs, s.cfg.DataDir, durable.JournalOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("service: opening job journal: %w", err)
 	}
@@ -106,6 +105,10 @@ func (s *Server) openDurable() ([]*Job, error) {
 			"missing_segments", stats.MissingSegments, "unreadable_segments", stats.Unreadable)
 	}
 	s.journal = journal
+	// The boot generation is the index the boot checkpoint's segment
+	// takes. Segment indexes only grow while the data dir lives, so no two
+	// boots share one; a server without a data dir keeps 0.
+	s.boot = journal.NextSegment()
 	requeue := s.rebuildJobs(durable.BuildRecovery(recs))
 
 	// Checkpoint the journal down to the still-live jobs, so the previous
@@ -294,13 +297,15 @@ func (s *Server) rebuildJobs(recovered []durable.JobRecovery) []*Job {
 // would have). A job whose start or done record is being journaled ahead
 // of its state counts as running or terminal, so the checkpoint cannot
 // drop that record. Jobs that were already terminal at this boot are
-// dropped — their records live one restart, then retire. s.mu must be
-// held.
+// dropped — their records live one restart, then retire — and so are
+// cache hits, which admission never journals: a hit's job record lives
+// as long as its process, and its result lives in the store. s.mu must
+// be held.
 func (s *Server) checkpointRecords() []durable.Record {
 	var recs []durable.Record
 	for _, id := range s.order {
 		job := s.jobs[id]
-		if job.bootTerminal {
+		if job.bootTerminal || job.cacheHit {
 			continue
 		}
 		st := job.Status()

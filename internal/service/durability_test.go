@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -106,10 +109,109 @@ func TestRecoveryRequeuesJobsQueuedAtCrash(t *testing.T) {
 	if got := promValue(t, string(text), `apusimd_recovered_jobs_total{outcome="requeued"}`); got != 3 {
 		t.Errorf("requeued recoveries = %g, want 3", got)
 	}
-	// New admissions must not collide with replayed job IDs.
+	// New admissions must not collide with replayed job IDs: the
+	// sequence resumes past them, and the journal above fills segment 1,
+	// so this boot's generation is 2.
 	_, st := d.submit(t, `{"experiment": "exp-3"}`)
-	if st.ID != "j-000004" {
-		t.Errorf("post-recovery admission got ID %s, want j-000004", st.ID)
+	if st.ID != "j-2-000004" {
+		t.Errorf("post-recovery admission got ID %s, want j-2-000004", st.ID)
+	}
+}
+
+// copyDir copies the regular files under src into dst, keeping the
+// layout: the data dir as a crash at this moment would leave it.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatalf("copying %s: %v", src, err)
+	}
+}
+
+// TestRestartNeverReissuesACacheHitsID pins job IDs as unique across
+// boots of a data dir. A cache hit takes an ID but is never journaled,
+// so after a crash the next boot's sequence resumes past the journaled
+// jobs only; the boot generation in the ID keeps a fresh job from taking
+// the hit's ID, so a client holding it gets a 404, not another job.
+func TestRestartNeverReissuesACacheHitsID(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{"experiment": "exp-0"}`
+	a := newTestDaemon(t, Config{Workers: 1, DataDir: dir})
+	_, first := a.submit(t, spec)
+	a.await(t, first.ID)
+	code, hit := a.submit(t, spec)
+	if code != http.StatusOK || !hit.CacheHit {
+		t.Fatalf("resubmit: code %d cacheHit %v, want a 200 cache hit", code, hit.CacheHit)
+	}
+	crashed := t.TempDir()
+	copyDir(t, dir, crashed)
+
+	b := newTestDaemon(t, Config{Workers: 1, DataDir: crashed})
+	_, fresh := b.submit(t, `{"experiment": "exp-gated"}`)
+	if fresh.ID == hit.ID || fresh.ID == first.ID {
+		t.Fatalf("restarted daemon reissued ID %s (cache hit %s, recovered job %s)", fresh.ID, hit.ID, first.ID)
+	}
+	if code, body := b.get(t, "/v1/jobs/"+hit.ID); code != http.StatusNotFound {
+		t.Errorf("GET the hit's ID %s after the crash: %d %s, want 404", hit.ID, code, body)
+	}
+	if st := b.await(t, first.ID); st.State != JobOK || !st.Recovered {
+		t.Errorf("recovered job %s: %+v, want ok and recovered under its own ID", first.ID, st)
+	}
+}
+
+// TestDrainCheckpointSkipsCacheHits pins that checkpoints journal what
+// admission journals: a drain after N cache hits leaves no record of
+// them, while the job that ran keeps its submit and done records.
+func TestDrainCheckpointSkipsCacheHits(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{"experiment": "exp-0"}`
+	d := newTestDaemon(t, Config{Workers: 1, DataDir: dir})
+	_, ran := d.submit(t, spec)
+	d.await(t, ran.ID)
+	hits := make(map[string]bool)
+	for i := 0; i < 5; i++ {
+		code, st := d.submit(t, spec)
+		if code != http.StatusOK || !st.CacheHit {
+			t.Fatalf("resubmit %d: code %d cacheHit %v, want a 200 cache hit", i, code, st.CacheHit)
+		}
+		hits[st.ID] = true
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := d.srv.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	recs, _, _, err := durable.ReplayDir(nil, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make(map[durable.Op]bool)
+	for _, rec := range recs {
+		if hits[rec.Job] {
+			t.Errorf("checkpoint holds a %s record for cache hit %s", rec.Op, rec.Job)
+		}
+		if rec.Job == ran.ID {
+			ops[rec.Op] = true
+		}
+	}
+	if !ops[durable.OpSubmit] || !ops[durable.OpDone] {
+		t.Errorf("checkpoint records for the job that ran: %v, want submit and done", ops)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -324,15 +326,43 @@ func TestTimedOutJobsReportOneError(t *testing.T) {
 }
 
 // TestDrainCompactsJournal pins the graceful-shutdown compaction: a
-// daemon that rotated through many segments while running leaves exactly
-// one compact checkpoint segment behind, and a restart replays the same
-// terminal jobs from it.
+// daemon whose data dir holds many journal segments retires them at
+// boot, and its drain replaces the boot segment with one fresh compact
+// checkpoint from which a restart replays the same terminal jobs. A
+// drain that only closed the journal would leave every record in the
+// boot segment, so the test checks that segment is gone.
 func TestDrainCompactsJournal(t *testing.T) {
 	dir := t.TempDir()
-	d := newTestDaemon(t, Config{
-		Workers: 1, DataDir: dir,
-		JournalSegmentBytes: 1, // rotate on every append
-	})
+	// A previous process's journal, one segment per record.
+	j, _, _, err := durable.OpenJournalDir(nil, dir, durable.JournalOptions{SegmentBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := `{"experiment": "exp-3"}`
+	for _, rec := range []durable.Record{
+		submitRec("j-000001", 1, DefaultTenant, old, specKey(t, old)),
+		{Op: durable.OpStart, Job: "j-000001"},
+		{Op: durable.OpDone, Job: "j-000001", State: string(JobOK), Attempts: 1},
+	} {
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, stats, _, err := durable.ReplayDir(nil, dir); err != nil || stats.Segments != 3 {
+		t.Fatalf("precondition: %d segments (err %v), want 3", stats.Segments, err)
+	}
+	d := newTestDaemon(t, Config{Workers: 1, DataDir: dir})
+	if _, stats, _, err := durable.ReplayDir(nil, dir); err != nil || stats.Segments != 1 {
+		t.Fatalf("boot left %d segments (err %v), want the boot checkpoint alone", stats.Segments, err)
+	}
+	bootSeg := filepath.Join(dir, fmt.Sprintf("journal.%06d", d.srv.journal.NextSegment()-1))
+	if _, err := os.Stat(bootSeg); err != nil {
+		t.Fatalf("boot checkpoint segment: %v", err)
+	}
+	bootCheckpoints := d.srv.journal.Stats().Checkpoints
 	ids := make([]string, 0, 3)
 	for i := 0; i < 3; i++ {
 		_, st := d.submit(t, fmt.Sprintf(`{"experiment": "exp-%d"}`, i))
@@ -345,6 +375,13 @@ func TestDrainCompactsJournal(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 
+	if got := d.srv.journal.Stats().Checkpoints; got != bootCheckpoints+1 {
+		t.Errorf("drain took %d checkpoints, want 1", got-bootCheckpoints)
+	}
+	if _, err := os.Stat(bootSeg); !os.IsNotExist(err) {
+		t.Errorf("boot segment %s survived the drain (stat err %v); want it retired by the drain checkpoint",
+			filepath.Base(bootSeg), err)
+	}
 	recs, stats, _, err := durable.ReplayDir(nil, dir)
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +414,6 @@ func TestDiskFaultStormGracefulNoAckedLoss(t *testing.T) {
 		WriteErrRate: 0.08,
 		SyncErrRate:  0.08,
 		OpErrRate:    0.04,
-		TornWrites:   true,
 	})
 	a := newTestDaemon(t, Config{
 		Workers: 2, QueueDepth: 64, DataDir: dir, FS: ffs,

@@ -64,9 +64,6 @@ type flightRecorder struct {
 }
 
 func newFlightRecorder(size int) *flightRecorder {
-	if size <= 0 {
-		size = 256
-	}
 	return &flightRecorder{slots: make([]atomic.Pointer[FlightEvent], size)}
 }
 

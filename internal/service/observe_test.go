@@ -162,7 +162,7 @@ func TestStageTimingsStamped(t *testing.T) {
 }
 
 func TestDebugEndpointLiveIntrospection(t *testing.T) {
-	d := newTestDaemon(t, Config{Workers: 2, FlightEvents: 64})
+	d := newTestDaemon(t, Config{Workers: 2})
 	_, st := d.submit(t, `{"experiment": "exp-gated"}`)
 
 	var snap DebugSnapshot
@@ -241,7 +241,7 @@ func TestDebugEndpointLiveIntrospection(t *testing.T) {
 }
 
 func TestWatchHeartbeats(t *testing.T) {
-	d := newTestDaemon(t, Config{Workers: 2, WatchHeartbeat: 15 * time.Millisecond})
+	d := newTestDaemon(t, Config{Workers: 2, watchHeartbeat: 15 * time.Millisecond})
 	_, st := d.submit(t, `{"experiment": "exp-gated"}`)
 
 	resp, err := d.http.Client().Get(d.http.URL + "/v1/jobs/" + st.ID + "?watch=1")

@@ -59,20 +59,19 @@ type Config struct {
 	// its data dir and, on success, re-arms durability with a journal
 	// checkpoint; <= 0 selects 2s.
 	DurabilityProbe time.Duration
-	// JournalSegmentBytes is the journal's segment rotation threshold;
-	// <= 0 selects the durable package default (1 MiB).
-	JournalSegmentBytes int64
 	// Logger receives the daemon's structured log records (job lifecycle,
 	// admission control, recovery, drain). Nil discards them.
 	Logger *slog.Logger
-	// WatchHeartbeat is the cadence of keep-alive records on ?watch=1
-	// streams between state transitions; <= 0 selects 15s.
-	WatchHeartbeat time.Duration
-	// FlightEvents sizes the flight recorder's ring of recent lifecycle
-	// events (served by GET /v1/debug, dumped on SIGQUIT); <= 0 selects
-	// 256.
-	FlightEvents int
+
+	// watchHeartbeat is the cadence of keep-alive records on ?watch=1
+	// streams between state transitions; 0 selects 15s. Only tests
+	// shorten it.
+	watchHeartbeat time.Duration
 }
+
+// flightEvents sizes the flight recorder's ring of recent lifecycle
+// events (served by GET /v1/debug, dumped on SIGQUIT).
+const flightEvents = 256
 
 // DefaultTenant is the tenant jobs without an X-Tenant header bill to.
 const DefaultTenant = "default"
@@ -135,6 +134,7 @@ type Server struct {
 	jobs      map[string]*Job
 	order     []string
 	seq       int
+	boot      int               // boot generation, carried by job IDs (see openDurable)
 	leaders   map[string]*Job   // content key → in-flight cacheable run
 	followers map[string][]*Job // content key → jobs coalesced onto it
 	running   int
@@ -170,8 +170,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.JobTimeout <= 0 {
 		cfg.JobTimeout = 2 * time.Minute
 	}
-	if cfg.WatchHeartbeat <= 0 {
-		cfg.WatchHeartbeat = 15 * time.Second
+	if cfg.watchHeartbeat <= 0 {
+		cfg.watchHeartbeat = 15 * time.Second
 	}
 	if cfg.DurabilityProbe <= 0 {
 		cfg.DurabilityProbe = 2 * time.Second
@@ -189,7 +189,7 @@ func New(cfg Config) (*Server, error) {
 		leaders:      make(map[string]*Job),
 		followers:    make(map[string][]*Job),
 		log:          cfg.Logger,
-		flight:       newFlightRecorder(cfg.FlightEvents),
+		flight:       newFlightRecorder(flightEvents),
 		workerStates: make([]atomic.Pointer[workerState], cfg.Workers),
 		tenantSheds:  make(map[string]*telemetry.Var),
 		fs:           cfg.FS,
@@ -981,10 +981,13 @@ func (s *Server) retryAfterLocked() int {
 	return retry
 }
 
-// newJobLocked allocates and registers a job; s.mu must be held.
+// newJobLocked allocates and registers a job; s.mu must be held. The
+// sequence resumes past every journaled job at boot, but a cache hit is
+// never journaled, so the ID also carries the boot generation: no boot
+// of a data dir reissues an ID an earlier boot handed out.
 func (s *Server) newJobLocked(tenant string, spec *Spec, key string) *Job {
 	s.seq++
-	id := fmt.Sprintf("j-%06d", s.seq)
+	id := jobID(s.boot, s.seq)
 	job := newJob(id, tenant, spec, key)
 	job.traceID = traceIDFor(id, key)
 	job.seq = s.seq
@@ -992,6 +995,19 @@ func (s *Server) newJobLocked(tenant string, spec *Spec, key string) *Job {
 	s.order = append(s.order, id)
 	s.jobsTotal.Add(1)
 	return job
+}
+
+// jobID renders j-<boot>-<seq>, the sequence zero-padded to six digits.
+func jobID(boot, seq int) string {
+	var buf [48]byte
+	b := append(buf[:0], "j-"...)
+	b = strconv.AppendInt(b, int64(boot), 10)
+	b = append(b, '-')
+	for p := 100000; p > 1 && seq < p; p /= 10 {
+		b = append(b, '0')
+	}
+	b = strconv.AppendInt(b, int64(seq), 10)
+	return string(b)
 }
 
 // jobByID looks a job up.
@@ -1054,7 +1070,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	// watcher behind a buffering proxy can tell a long-running job from a
 	// dead connection. The record shape is a subset of JobStatus plus a
 	// "heartbeat" marker: old clients decode it as a harmless status echo.
-	hb := time.NewTicker(s.cfg.WatchHeartbeat)
+	hb := time.NewTicker(s.cfg.watchHeartbeat)
 	defer hb.Stop()
 	type heartbeat struct {
 		Heartbeat bool      `json:"heartbeat"`

@@ -11,7 +11,7 @@ import (
 
 func router(t testing.TB, spec *config.PlatformSpec) *Router {
 	t.Helper()
-	p, err := core.NewPlatform(spec)
+	p, err := core.NewPlatform(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

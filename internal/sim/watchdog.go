@@ -37,60 +37,38 @@ func (t *WatchdogTrip) Error() string {
 // Unwrap lets errors.Is(err, ErrWatchdog) match a trip.
 func (t *WatchdogTrip) Unwrap() error { return ErrWatchdog }
 
-// WatchdogConfig bounds the three hang pathologies a discrete-event
-// simulation can fall into. Zero fields take the defaults below.
-type WatchdogConfig struct {
-	// EventBudget is the maximum number of consecutive events allowed to
-	// fire without simulated time advancing (a livelock: components
-	// rescheduling each other at the same instant forever).
-	EventBudget uint64
-	// QueueFactor trips when the pending-event queue grows past
-	// QueueFactor × the baseline high-water mark captured at install time
-	// (runaway event fan-out). The baseline is floored at QueueFloor so
-	// small queues get absolute headroom, not a multiple of almost nothing.
-	QueueFactor int
-	// QueueFloor is the minimum baseline for the queue-growth bound.
-	QueueFloor int
-	// MaxHandlerWall trips when a single handler spends longer than this
-	// in wall-clock time. It catches handlers that eventually return after
-	// pathological compute; a handler that never returns is beyond any
-	// in-process check and remains the runner timeout's job.
-	MaxHandlerWall time.Duration
-}
-
-// Watchdog defaults: generous enough that no legitimate experiment in the
+// Watchdog bounds: generous enough that no legitimate experiment in the
 // repository comes near them, tight enough to convert a silent hang into
 // a typed error in seconds rather than the full run timeout.
 const (
-	DefaultEventBudget    = 2_000_000
-	DefaultQueueFactor    = 64
-	DefaultQueueFloor     = 1 << 16
-	DefaultMaxHandlerWall = 30 * time.Second
+	defaultEventBudget    = 2_000_000
+	defaultQueueFactor    = 64
+	defaultQueueFloor     = 1 << 16
+	defaultMaxHandlerWall = 30 * time.Second
 )
-
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.EventBudget == 0 {
-		c.EventBudget = DefaultEventBudget
-	}
-	if c.QueueFactor <= 0 {
-		c.QueueFactor = DefaultQueueFactor
-	}
-	if c.QueueFloor <= 0 {
-		c.QueueFloor = DefaultQueueFloor
-	}
-	if c.MaxHandlerWall <= 0 {
-		c.MaxHandlerWall = DefaultMaxHandlerWall
-	}
-	return c
-}
 
 // Watchdog detects livelock (event storms with no simulated-time
 // progress), runaway queue growth, and single-handler wall-clock stalls.
 // Install arms it on an engine, whose dispatch loop then calls it after
 // every fired event; a telemetry engine profile is the engine's per-class
-// counters (EnableProfiling), which run beside it.
+// counters (EnableProfiling), which run beside it. NewWatchdog sets its
+// bounds from the constants above; only this package's tests lower them.
 type Watchdog struct {
-	cfg      WatchdogConfig
+	// eventBudget is the maximum number of consecutive events allowed to
+	// fire without simulated time advancing (a livelock: components
+	// rescheduling each other at the same instant forever).
+	eventBudget uint64
+	// queueFactor trips when the pending-event queue grows past
+	// queueFactor × the baseline high-water mark captured at install time
+	// (runaway event fan-out). The baseline is floored at queueFloor so
+	// small queues get absolute headroom, not a multiple of almost nothing.
+	queueFactor, queueFloor int
+	// maxHandlerWall trips when a single handler spends longer than this
+	// in wall-clock time. It catches handlers that eventually return after
+	// pathological compute; a handler that never returns is beyond any
+	// in-process check and remains the runner timeout's job.
+	maxHandlerWall time.Duration
+
 	eng      *Engine
 	queueMax int
 	lastAt   Time
@@ -98,22 +76,27 @@ type Watchdog struct {
 	events   uint64
 }
 
-// NewWatchdog returns a watchdog with cfg's zero fields defaulted.
-func NewWatchdog(cfg WatchdogConfig) *Watchdog {
-	return &Watchdog{cfg: cfg.withDefaults()}
+// NewWatchdog returns a watchdog with the default bounds.
+func NewWatchdog() *Watchdog {
+	return &Watchdog{
+		eventBudget:    defaultEventBudget,
+		queueFactor:    defaultQueueFactor,
+		queueFloor:     defaultQueueFloor,
+		maxHandlerWall: defaultMaxHandlerWall,
+	}
 }
 
 // Install arms the watchdog on eng. The queue-growth baseline is the
-// engine's high-water mark at install time (floored at QueueFloor), so a
+// engine's high-water mark at install time (floored at queueFloor), so a
 // platform's construction-time queue depth does not count against the
 // budget.
 func (w *Watchdog) Install(eng *Engine) {
 	w.eng = eng
 	base := eng.QueueHighWater()
-	if base < w.cfg.QueueFloor {
-		base = w.cfg.QueueFloor
+	if base < w.queueFloor {
+		base = w.queueFloor
 	}
-	w.queueMax = w.cfg.QueueFactor * base
+	w.queueMax = w.queueFactor * base
 	w.lastAt = eng.Now()
 	eng.watchdog = w
 }
@@ -129,19 +112,19 @@ func (w *Watchdog) eventDone(class Class, at Time, wall time.Duration) {
 		w.sameAt = 0
 	} else {
 		w.sameAt++
-		if w.sameAt >= w.cfg.EventBudget {
+		if w.sameAt >= w.eventBudget {
 			w.trip("livelock", class, at, fmt.Sprintf(
 				"%d events fired with simulated time stuck at %v (budget %d)",
-				w.sameAt, at, w.cfg.EventBudget))
+				w.sameAt, at, w.eventBudget))
 		}
 	}
 	if p := w.eng.Pending(); p > w.queueMax {
 		w.trip("queue-growth", class, at, fmt.Sprintf(
-			"%d events pending, bound %d (%d× baseline)", p, w.queueMax, w.cfg.QueueFactor))
+			"%d events pending, bound %d (%d× baseline)", p, w.queueMax, w.queueFactor))
 	}
-	if wall > w.cfg.MaxHandlerWall {
+	if wall > w.maxHandlerWall {
 		w.trip("handler-stall", class, at, fmt.Sprintf(
-			"handler ran %v wall-clock, bound %v", wall, w.cfg.MaxHandlerWall))
+			"handler ran %v wall-clock, bound %v", wall, w.maxHandlerWall))
 	}
 }
 

@@ -26,7 +26,9 @@ func catchTrip(t *testing.T, fn func()) (trip *WatchdogTrip) {
 
 func TestWatchdogLivelockTrips(t *testing.T) {
 	eng := NewEngine()
-	NewWatchdog(WatchdogConfig{EventBudget: 100}).Install(eng)
+	w := NewWatchdog()
+	w.eventBudget = 100
+	w.Install(eng)
 
 	// A handler that reschedules itself at the same instant forever: the
 	// classic livelock. Sim time never advances, so RunAll would spin
@@ -54,7 +56,9 @@ func TestWatchdogLivelockTrips(t *testing.T) {
 
 func TestWatchdogQueueGrowthTrips(t *testing.T) {
 	eng := NewEngine()
-	NewWatchdog(WatchdogConfig{QueueFactor: 2, QueueFloor: 8}).Install(eng)
+	w := NewWatchdog()
+	w.queueFactor, w.queueFloor = 2, 8
+	w.Install(eng)
 
 	// Each event schedules two successors at a later time: exponential
 	// fan-out. The queue must blow past 2×8 = 16 pending well before the
@@ -80,7 +84,9 @@ func TestWatchdogQueueGrowthTrips(t *testing.T) {
 
 func TestWatchdogHandlerStallTrips(t *testing.T) {
 	eng := NewEngine()
-	NewWatchdog(WatchdogConfig{MaxHandlerWall: time.Microsecond}).Install(eng)
+	w := NewWatchdog()
+	w.maxHandlerWall = time.Microsecond
+	w.Install(eng)
 
 	eng.Schedule(5, eng.Class("stall"), func(Time) {
 		// Burn more than a microsecond of wall clock inside one handler.
@@ -103,7 +109,9 @@ func TestWatchdogHandlerStallTrips(t *testing.T) {
 
 func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	eng := NewEngine()
-	NewWatchdog(WatchdogConfig{EventBudget: 1000, QueueFactor: 2, QueueFloor: 64}).Install(eng)
+	w := NewWatchdog()
+	w.eventBudget, w.queueFactor, w.queueFloor = 1000, 2, 64
+	w.Install(eng)
 
 	// A well-behaved chain: every event advances simulated time and the
 	// queue stays shallow.

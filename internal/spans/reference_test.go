@@ -12,14 +12,13 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // This file keeps the span store the record arena replaced, as the test
 // reference: a chunked store of 104-byte Spans holding their strings and
 // attribute slices, the counting-pass grouping over []*Span, aggregation
-// through string-keyed maps and metrics.Distribution, and the Dump and
-// AddToTrace renderers over it. It shares only the wire types with the
+// through string-keyed maps and metrics.Distribution, and the Dump
+// renderer over it. It shares only the wire types with the
 // production recorder, so a bug in the recorder's grouping, attribution,
 // quantiles or rendering shows as a difference.
 
@@ -377,59 +376,6 @@ func (r *refRecorder) Dump() *Dump {
 	return d
 }
 
-func (r *refRecorder) AddToTrace(tr *trace.Trace, pid int) {
-	tr.NameProcess(pid, "spans")
-	tr.NameThread(pid, 0, "roots")
-	stageTID := make(map[string]int)
-	tidOf := func(stage string) int {
-		if tid, ok := stageTID[stage]; ok {
-			return tid
-		}
-		tid := 1 + len(stageTID)
-		stageTID[stage] = tid
-		tr.NameThread(pid, tid, stage)
-		return tid
-	}
-	g := r.group()
-	attrsOf := func(s *Span) map[string]string {
-		if len(s.Attrs) == 0 {
-			return nil
-		}
-		m := make(map[string]string, len(s.Attrs))
-		for _, a := range s.Attrs {
-			m[a.Key] = a.Val
-		}
-		return m
-	}
-	flow := int64(0)
-	for i, root := range g.roots {
-		flow++
-		tr.Span(root.Name, root.Kind, pid, 0, root.Start, root.End, attrsOf(root))
-		withFlow := root.End > root.Start
-		if withFlow {
-			tr.Flow("s", root.Name, root.Kind, flow, pid, 0, root.Start)
-		}
-		kids := g.kidsOf(i)
-		for _, k := range kids {
-			tr.Span(k.Name, k.Stage, pid, tidOf(k.Stage), k.Start, k.End, attrsOf(k))
-		}
-		sorted := append([]*Span(nil), kids...)
-		sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-		for _, k := range sorted {
-			if withFlow && k.End > k.Start && k.End > root.Start {
-				at := k.Start
-				if at < root.Start {
-					at = root.Start
-				}
-				tr.Flow("t", k.Name, k.Stage, flow, pid, tidOf(k.Stage), at)
-			}
-		}
-		if withFlow {
-			tr.Flow("f", root.Name, root.Kind, flow, pid, 0, root.End)
-		}
-	}
-}
-
 // refBuildAttribution is the reference report over spans: children
 // grouped in a map of one slice per trace, then the reference
 // aggregation.
@@ -461,8 +407,8 @@ type diffRef struct {
 // (crossing chunk edges), reversed and gapped intervals, finishes, string,
 // integer and picosecond attributes (the reference gets the strings the
 // recorder must render), events, and a span limit that truncates the
-// store. It then checks that Spans, Attribution, the Dump's JSON and the
-// AddToTrace output are equal.
+// store. It then checks that Spans, Attribution and the Dump's JSON are
+// equal.
 func runRecorderDiff(t testing.TB, prog []byte) {
 	seed := uint64(len(prog))
 	rate := 1.0
@@ -601,19 +547,6 @@ func runRecorderDiff(t testing.TB, prog []byte) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%d spans: dump JSON differs from the reference:\n%s\n%s", r.Len(), got, want)
-	}
-	var gotTrace, wantTrace bytes.Buffer
-	trGot, trWant := trace.New(), trace.New()
-	r.AddToTrace(trGot, 3)
-	ref.AddToTrace(trWant, 3)
-	if err := trGot.WriteJSON(&gotTrace); err != nil {
-		t.Fatal(err)
-	}
-	if err := trWant.WriteJSON(&wantTrace); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotTrace.Bytes(), wantTrace.Bytes()) {
-		t.Fatalf("%d spans: AddToTrace output differs from the reference", r.Len())
 	}
 }
 

@@ -1,13 +1,9 @@
 package spans
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
-
-	"repro/internal/trace"
 )
 
 // DumpSchema identifies the spans-dump JSON layout; bump on incompatible
@@ -102,74 +98,4 @@ func (d *Dump) String() string {
 // Recorder.String share.
 func summary(spans, sampled int, seen uint64, rate float64) string {
 	return fmt.Sprintf("%d spans across %d sampled roots (of %d seen) @ rate %g", spans, sampled, seen, rate)
-}
-
-// AddToTrace renders the recorded span trees onto tr as Chrome-trace
-// events on process pid: root spans on thread 0, each segment stage on
-// its own thread track, and one flow ('s'/'t'/'f') per root binding the
-// root's start through every child to its completion — so Perfetto draws
-// the causal arrows across tracks. Flow IDs are the root's 1-based
-// record index, deterministic for a fixed seed.
-func (r *Recorder) AddToTrace(tr *trace.Trace, pid int) {
-	if r == nil {
-		return
-	}
-	tr.NameProcess(pid, "spans")
-	tr.NameThread(pid, 0, "roots")
-	// Stable stage → thread mapping in order of first appearance.
-	stageTID := make(map[string]int)
-	tidOf := func(stage string) int {
-		if tid, ok := stageTID[stage]; ok {
-			return tid
-		}
-		tid := 1 + len(stageTID)
-		stageTID[stage] = tid
-		tr.NameThread(pid, tid, stage)
-		return tid
-	}
-	attrsOf := func(s *Span) map[string]string {
-		if len(s.Attrs) == 0 {
-			return nil
-		}
-		m := make(map[string]string, len(s.Attrs))
-		for _, a := range s.Attrs {
-			m[a.Key] = a.Val
-		}
-		return m
-	}
-	all := r.Spans()
-	g := r.group()
-	flow := int64(0)
-	var sorted []int32
-	for i, ri := range g.roots {
-		flow++
-		root := &all[ri]
-		tr.Span(root.Name, root.Kind, pid, 0, root.Start, root.End, attrsOf(root))
-		// Flow events must bind to an enclosing 'X' span on their track;
-		// zero-length intervals render as instants, so they carry no flow.
-		withFlow := root.End > root.Start
-		if withFlow {
-			tr.Flow("s", root.Name, root.Kind, flow, pid, 0, root.Start)
-		}
-		kids := g.kidsOf(i)
-		for _, ki := range kids {
-			k := &all[ki]
-			tr.Span(k.Name, k.Stage, pid, tidOf(k.Stage), k.Start, k.End, attrsOf(k))
-		}
-		// Steps go out sorted by start so each flow's timestamps are
-		// monotonic in record order (chunks interleave across channels), and
-		// clamped to the root start: a child may reach back before its root
-		// (fabric hops begin at injection), but a flow step earlier than the
-		// flow's own 's' event would fail validation.
-		sorted = append(sorted[:0], kids...)
-		slices.SortStableFunc(sorted, func(a, b int32) int { return cmp.Compare(all[a].Start, all[b].Start) })
-		for _, ki := range sorted {
-			if k := &all[ki]; withFlow && k.End > k.Start && k.End > root.Start {
-				tr.Flow("t", k.Name, k.Stage, flow, pid, tidOf(k.Stage), max(k.Start, root.Start))
-			}
-		}
-		if withFlow {
-			tr.Flow("f", root.Name, root.Kind, flow, pid, 0, root.End)
-		}
-	}
 }

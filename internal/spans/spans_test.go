@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func TestNilRecorderAndZeroRefAreInert(t *testing.T) {
@@ -202,28 +201,6 @@ func TestDumpDeterministic(t *testing.T) {
 	}
 	if d.Attribution == nil {
 		t.Error("dump with spans carries no attribution")
-	}
-}
-
-func TestAddToTraceValidates(t *testing.T) {
-	r := NewRecorder(7, 1)
-	buildTestTrees(r)
-	// Zero-length roots render as instants and must not emit flows.
-	z := r.Root(KindDispatch, "empty", 5000)
-	z.Finish(5000)
-	tr := trace.New()
-	r.AddToTrace(tr, 3)
-	if err := tr.Validate(); err != nil {
-		t.Fatalf("span trace invalid: %v", err)
-	}
-	if tr.Len() == 0 {
-		t.Fatal("AddToTrace recorded nothing")
-	}
-	var nilRec *Recorder
-	tr2 := trace.New()
-	nilRec.AddToTrace(tr2, 0)
-	if tr2.Len() != 0 {
-		t.Error("nil recorder added trace events")
 	}
 }
 

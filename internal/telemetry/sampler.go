@@ -23,17 +23,13 @@ type Sampler struct {
 	every sim.Time
 }
 
-// NewSampler builds a sampler. every <= 0 selects the recorder's
-// configured cadence, or DefaultCadence if none; the chosen cadence is
-// recorded on the recorder so the dump can report it.
+// NewSampler builds a sampler. every <= 0 selects DefaultCadence; the
+// chosen cadence is recorded on the recorder so the dump can report it.
 func NewSampler(eng *sim.Engine, rec *Recorder, every sim.Time) *Sampler {
-	if every <= 0 {
-		every = rec.Cadence()
-	}
 	if every <= 0 {
 		every = DefaultCadence
 	}
-	rec.SetCadence(every)
+	rec.cadence = every
 	return &Sampler{eng: eng, rec: rec, every: every}
 }
 

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"fmt"
-
-	"repro/internal/trace"
-)
+import "fmt"
 
 // DumpSchema identifies the series-dump JSON layout; bump on incompatible
 // changes.
@@ -58,17 +54,6 @@ func (r *Recorder) Dump() *Dump {
 		d.Engine = ed
 	}
 	return d
-}
-
-// AddCounters appends every sampled series to tr as Chrome-trace counter
-// ('C') events on process pid — one counter track per probe, one event per
-// sample — so sampled timelines render beneath span tracks in Perfetto.
-func (r *Recorder) AddCounters(tr *trace.Trace, pid int) {
-	for _, p := range r.probes {
-		for i, v := range p.values {
-			tr.Counter(p.name, pid, r.times[i], map[string]float64{"value": v})
-		}
-	}
 }
 
 // ProbeSummary is one probe's compact statistics.

@@ -3,9 +3,10 @@
 // the run's sim.Engine snapshots every probe at a fixed simulated-time
 // cadence into columnar series, and engine profiling counters (events
 // fired per handler class, queue-depth high-water mark, wall-ns per
-// handler) land in the same store. The sampled store fans out to three
-// sinks: Chrome-trace counter events (AddCounters), a JSON series dump
-// (Dump), and a compact per-run summary for the run manifest (Summary).
+// handler) land in the same store. The sampled store fans out to a JSON
+// series dump (Dump), a compact per-run summary for the run manifest
+// (Summary), and the Prometheus exposition of final values
+// (WritePromRuns).
 //
 // Determinism is the design constraint that shapes everything here.
 // Samples are taken at absolute simulated-time grid points (multiples of
@@ -64,7 +65,7 @@ type Recorder struct {
 	probes  []*probe
 	byName  map[string]int
 	times   []sim.Time
-	cadence sim.Time
+	cadence sim.Time // the last NewSampler's, reported by the dump
 	profile *EngineProfile
 	eng     *sim.Engine
 }
@@ -187,18 +188,6 @@ func (r *Recorder) AllSeries() []Series {
 	}
 	return out
 }
-
-// SetCadence records the sampling cadence the run intends to use; 0 keeps
-// the existing value. Samplers built with NewSampler(eng, rec, 0) adopt
-// it, and the dump reports it as sample_ns.
-func (r *Recorder) SetCadence(every sim.Time) {
-	if every > 0 {
-		r.cadence = every
-	}
-}
-
-// Cadence reports the recorded sampling cadence (0 if never set).
-func (r *Recorder) Cadence() sim.Time { return r.cadence }
 
 // ObserveEngine enables the engine's per-class aggregate profiling for
 // this recorder, so per-class fired counts, handler wall time, and the

@@ -188,7 +188,7 @@ func TestSummaryStats(t *testing.T) {
 // and review the diff — a change here is a schema change.
 func TestDumpGolden(t *testing.T) {
 	rec := NewRecorder()
-	rec.SetCadence(50 * sim.Microsecond)
+	NewSampler(sim.NewEngine(), rec, 50*sim.Microsecond) // the dump reports its cadence
 	var moved float64
 	rec.Gauge("hbm.live_channels", func(sim.Time) float64 { return 128 })
 	rec.Rate("hbm.bw", func() float64 { return moved })

@@ -1,10 +1,8 @@
 // Package trace exports simulated timelines in the Chrome trace-event
 // format (the JSON consumed by chrome://tracing and Perfetto), so program
-// step timelines, kernel dispatches, collective schedules, and sampled
-// telemetry series from the simulator can be inspected visually. The
-// emitted event phases are: complete spans ('X'), zero-duration instants
-// ('i'), counter samples ('C'), and flow events ('s'/'t'/'f') that draw
-// causal arrows between spans across tracks.
+// step timelines and kernel dispatches from the simulator can be
+// inspected visually. The emitted event phases are complete spans ('X')
+// and zero-duration instants ('i').
 package trace
 
 import (
@@ -16,8 +14,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Event is one trace event: a complete span ('X'), an instant ('i'), or a
-// counter sample ('C').
+// Event is one trace event: a complete span ('X') or an instant ('i').
 type Event struct {
 	Name     string `json:"name"`
 	Category string `json:"cat,omitempty"`
@@ -29,14 +26,8 @@ type Event struct {
 	TID   int     `json:"tid"`
 	// Scope is the instant-event scope ("t" = thread), set only on 'i'.
 	Scope string `json:"s,omitempty"`
-	// ID groups flow events ('s'/'t'/'f') into one flow; set only on them.
-	ID int64 `json:"id,omitempty"`
-	// BP is the flow binding point ("e" = bind to the enclosing slice),
-	// set only on flow events.
-	BP string `json:"bp,omitempty"`
-	// Args carries string annotations on spans/instants and numeric
-	// series values on counters.
-	Args map[string]any `json:"args,omitempty"`
+	// Args carries the event's string annotations.
+	Args map[string]string `json:"args,omitempty"`
 }
 
 // Trace accumulates events and track names.
@@ -67,22 +58,16 @@ func (t *Trace) NameThread(pid, tid int, name string) {
 // swapped. A zero-length interval (start == end) is recorded as an
 // instant ('i') event rather than a 0 µs span: viewers drop zero-duration
 // complete events entirely, and a vanished marker is worse than a tick.
+// The event keeps args itself, so the caller must not change it later.
 func (t *Trace) Span(name, category string, pid, tid int, start, end sim.Time, args map[string]string) {
 	if end < start {
 		start, end = end, start
-	}
-	var a map[string]any
-	if len(args) > 0 {
-		a = make(map[string]any, len(args))
-		for k, v := range args {
-			a[k] = v
-		}
 	}
 	if start == end {
 		t.events = append(t.events, Event{
 			Name: name, Category: category, Phase: "i", Scope: "t",
 			TsUS: start.Microseconds(),
-			PID:  pid, TID: tid, Args: a,
+			PID:  pid, TID: tid, Args: args,
 		})
 		return
 	}
@@ -90,34 +75,7 @@ func (t *Trace) Span(name, category string, pid, tid int, start, end sim.Time, a
 		Name: name, Category: category, Phase: "X",
 		TsUS:  start.Microseconds(),
 		DurUS: (end - start).Microseconds(),
-		PID:   pid, TID: tid, Args: a,
-	})
-}
-
-// Flow records one flow event: phase "s" (start), "t" (step), or "f"
-// (finish). All events with the same id form one flow, drawn by viewers
-// as arrows between the 'X' spans the events bind to — each flow event
-// must lie inside a complete span on its (pid, tid) track, which
-// Validate enforces along with per-flow timestamp monotonicity.
-func (t *Trace) Flow(phase, name, category string, id int64, pid, tid int, at sim.Time) {
-	t.events = append(t.events, Event{
-		Name: name, Category: category, Phase: phase, ID: id, BP: "e",
-		TsUS: at.Microseconds(), PID: pid, TID: tid,
-	})
-}
-
-// Counter records one counter ('C') sample: values maps series names on
-// the counter track name to their values at time at. Counter tracks
-// render as filled area charts in the viewer.
-func (t *Trace) Counter(name string, pid int, at sim.Time, values map[string]float64) {
-	a := make(map[string]any, len(values))
-	for k, v := range values {
-		a[k] = v
-	}
-	t.events = append(t.events, Event{
-		Name: name, Phase: "C",
-		TsUS: at.Microseconds(),
-		PID:  pid, Args: a,
+		PID:   pid, TID: tid, Args: args,
 	})
 }
 
@@ -178,16 +136,8 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 }
 
 // Validate checks structural invariants: spans have non-negative
-// durations, instants have none, counter events carry a non-empty series
-// name plus at least one named numeric value, and flow events
-// ('s'/'t'/'f') bind to a complete span on their track and keep
-// per-flow timestamps monotonic (start first, finish last).
+// durations and instants have none.
 func (t *Trace) Validate() error {
-	type flowState struct {
-		lastTS   float64
-		finished bool
-	}
-	var flows map[int64]*flowState
 	for i, e := range t.events {
 		switch e.Phase {
 		case "X":
@@ -198,73 +148,9 @@ func (t *Trace) Validate() error {
 			if e.DurUS != 0 {
 				return fmt.Errorf("trace: instant event %d (%s) has duration %g", i, e.Name, e.DurUS)
 			}
-		case "C":
-			if e.Name == "" {
-				return fmt.Errorf("trace: counter event %d has an empty series name", i)
-			}
-			if len(e.Args) == 0 {
-				return fmt.Errorf("trace: counter event %d (%s) has no values", i, e.Name)
-			}
-			for k, v := range e.Args {
-				if k == "" {
-					return fmt.Errorf("trace: counter event %d (%s) has an empty value key", i, e.Name)
-				}
-				if _, ok := v.(float64); !ok {
-					return fmt.Errorf("trace: counter event %d (%s) value %q is not numeric", i, e.Name, k)
-				}
-			}
-		case "s", "t", "f":
-			if e.DurUS != 0 {
-				return fmt.Errorf("trace: flow event %d (%s) has duration %g", i, e.Name, e.DurUS)
-			}
-			if !t.boundByEnclosingSpan(e) {
-				return fmt.Errorf("trace: flow event %d (%s, flow %d) has no enclosing span on pid %d tid %d at %g us",
-					i, e.Name, e.ID, e.PID, e.TID, e.TsUS)
-			}
-			if flows == nil {
-				flows = make(map[int64]*flowState)
-			}
-			fs := flows[e.ID]
-			switch {
-			case e.Phase == "s":
-				if fs != nil {
-					return fmt.Errorf("trace: flow %d has a second start at event %d (%s)", e.ID, i, e.Name)
-				}
-				flows[e.ID] = &flowState{lastTS: e.TsUS}
-				continue
-			case fs == nil:
-				return fmt.Errorf("trace: flow %d %s at event %d (%s) before its start", e.ID, e.Phase, i, e.Name)
-			case fs.finished:
-				return fmt.Errorf("trace: flow %d continues at event %d (%s) after its finish", e.ID, i, e.Name)
-			case e.TsUS < fs.lastTS:
-				return fmt.Errorf("trace: flow %d is non-monotonic at event %d (%s): %g us after %g us",
-					e.ID, i, e.Name, e.TsUS, fs.lastTS)
-			}
-			fs.lastTS = e.TsUS
-			if e.Phase == "f" {
-				fs.finished = true
-			}
 		default:
 			return fmt.Errorf("trace: event %d (%s) has phase %q", i, e.Name, e.Phase)
 		}
 	}
 	return nil
-}
-
-// boundByEnclosingSpan reports whether some complete ('X') span on the
-// flow event's (pid, tid) track covers its timestamp — the binding a
-// "bp": "e" flow event needs for a viewer to anchor the arrow. The
-// comparison carries 0.1 ps of slack: span ends are start+duration in
-// floating-point microseconds, which can round a hair away from a flow
-// timestamp computed directly, while any real gap is at least one whole
-// picosecond (the simulated-time grid).
-func (t *Trace) boundByEnclosingSpan(f Event) bool {
-	const slackUS = 1e-7
-	for _, e := range t.events {
-		if e.Phase == "X" && e.PID == f.PID && e.TID == f.TID &&
-			e.TsUS-slackUS <= f.TsUS && f.TsUS <= e.TsUS+e.DurUS+slackUS {
-			return true
-		}
-	}
-	return false
 }

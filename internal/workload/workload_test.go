@@ -9,7 +9,7 @@ import (
 
 func plat(t testing.TB, spec *config.PlatformSpec) *core.Platform {
 	t.Helper()
-	p, err := core.NewPlatform(spec)
+	p, err := core.NewPlatform(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

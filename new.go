@@ -4,7 +4,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ras"
 	"repro/internal/sim"
-	"repro/internal/spans"
 	"repro/internal/telemetry"
 )
 
@@ -21,9 +20,6 @@ type (
 	FaultPlan = ras.Plan
 	// FaultInjector arms a FaultPlan against a platform's components.
 	FaultInjector = ras.Injector
-	// SpanRecorder records causal span trees on the memory and dispatch
-	// hot paths, with deterministic head-sampling.
-	SpanRecorder = spans.Recorder
 )
 
 // TelemetrySchema identifies the telemetry series-dump JSON layout.
@@ -40,8 +36,8 @@ func NewEngine() *Engine { return sim.NewEngine() }
 func NewRecorder() *Recorder { return telemetry.NewRecorder() }
 
 // NewSampler prepares a sampler that snapshots rec's probes on eng every
-// `every` of simulated time (0 selects the recorder's cadence, then
-// telemetry's default). Call Arm(until) to schedule the ticks.
+// `every` of simulated time (0 selects telemetry's default). Call
+// Arm(until) to schedule the ticks.
 func NewSampler(eng *Engine, rec *Recorder, every Time) *Sampler {
 	return telemetry.NewSampler(eng, rec, every)
 }
@@ -52,7 +48,7 @@ func ParseFaultPlan(data []byte) (*FaultPlan, error) { return ras.ParsePlan(data
 // New assembles a platform from a product spec: NewMI300A and friends
 // are one-line wrappers over it.
 func New(spec *PlatformSpec) (*Platform, error) {
-	return core.NewPlatformWith(spec, core.BuildOptions{})
+	return core.NewPlatform(spec, nil)
 }
 
 // ArmFaultPlan arms plan against p's fabric, HBM, XCDs, and GPU partition

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/runner"
 	"repro/internal/spans"
 )
@@ -199,35 +198,6 @@ func TestManifestEmbedsSpanAttribution(t *testing.T) {
 					t.Errorf("kind %s stage shares sum to %g, want 1 within 1%%", k.Kind, share)
 				}
 			}
-		}
-	}
-}
-
-// TestWriteTraceComposesSpans checks the unified trace writer renders a
-// span recorder's trees with flow arrows alongside other tracks, and that
-// the result passes trace validation.
-func TestWriteTraceComposesSpans(t *testing.T) {
-	rec := spans.NewRecorder(11, 1)
-	p, err := core.NewPlatformWith(SpecMI300A(), core.BuildOptions{Spans: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := &KernelSpec{Name: "trace_probe", Class: Vector, Dtype: FP32, FlopsPerItem: 64}
-	if _, err := p.GPU.Dispatch(0, k, 6*256, 256, 0); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	res, err := WriteTrace(&buf, TraceSpec{Dispatch: true, Spans: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Events == 0 {
-		t.Fatal("trace rendered no events")
-	}
-	out := buf.String()
-	for _, want := range []string{`"ph":"s"`, `"ph":"f"`, `"bp":"e"`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing flow marker %s", want)
 		}
 	}
 }

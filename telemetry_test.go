@@ -157,41 +157,6 @@ func TestRASECCSeriesShowDecay(t *testing.T) {
 	}
 }
 
-// TestWriteTraceMixesSpansAndCounters checks the unified trace writer
-// emits both complete ('X') span events and counter ('C') events when a
-// sampled recorder is composed with a dispatch timeline.
-func TestWriteTraceMixesSpansAndCounters(t *testing.T) {
-	p, err := NewMI300A()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine()
-	rec := NewRecorder()
-	p.Instrument(rec)
-	rec.ObserveEngine(eng)
-	rec.SetCadence(50 * Microsecond)
-	if n := NewSampler(eng, rec, 0).Arm(200 * Microsecond); n == 0 {
-		t.Fatal("sampler armed no ticks")
-	}
-	eng.RunAll()
-
-	var buf bytes.Buffer
-	res, err := WriteTrace(&buf, TraceSpec{Dispatch: true, Telemetry: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Fig13 == nil || res.Events == 0 {
-		t.Fatalf("trace result incomplete: %+v", res)
-	}
-	out := buf.String()
-	if !strings.Contains(out, `"ph":"X"`) {
-		t.Error("trace has no complete ('X') events")
-	}
-	if !strings.Contains(out, `"ph":"C"`) {
-		t.Error("trace has no counter ('C') events")
-	}
-}
-
 // TestManifestEmbedsTelemetrySummary checks the run manifest carries a
 // telemetry block for instrumented runs, omits it for the rest, and keeps
 // the v1 schema either way.

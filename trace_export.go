@@ -7,9 +7,9 @@ import (
 	"repro/internal/trace"
 )
 
-// TraceSpec selects what a WriteTrace call renders. Any combination may
+// TraceSpec selects what a WriteTrace call renders. Either or both may
 // be enabled; process IDs are assigned left to right (Fig. 14 programs
-// first, then the dispatch, then telemetry counters).
+// first, then the dispatch).
 type TraceSpec struct {
 	// Fig14N, when positive, runs the Fig. 14 program trio at that problem
 	// size and includes one process track of step spans per program.
@@ -17,19 +17,6 @@ type TraceSpec struct {
 	// Dispatch includes the Fig. 13 cooperative multi-XCD dispatch: one
 	// busy span per XCD.
 	Dispatch bool
-	// Telemetry, when non-nil, appends every sampled series as Chrome
-	// counter ('C') events, one counter track per probe.
-	Telemetry *Recorder
-	// TelemetryPID pins the counter events' process ID; 0 assigns the
-	// next free PID after the span tracks.
-	TelemetryPID int
-	// Spans, when non-nil, appends the recorder's causal span trees as one
-	// process of per-stage thread tracks, with flow arrows ('s'/'t'/'f')
-	// binding each root to its segments.
-	Spans *SpanRecorder
-	// SpansPID pins the span tracks' process ID; 0 assigns the next free
-	// PID after the telemetry track.
-	SpansPID int
 }
 
 // TraceResult reports what WriteTrace rendered.
@@ -37,16 +24,15 @@ type TraceResult struct {
 	// Fig14 and Fig13 are set when the corresponding spec field was on.
 	Fig14 *Fig14Result
 	Fig13 *Fig13Result
-	// Events is the total trace event count (spans, instants, counters).
+	// Events is the total trace event count (spans and instants).
 	Events int
 }
 
 // WriteTrace renders the selected timelines as one Chrome trace (load
 // into chrome://tracing or Perfetto). It is the single exit point for
-// trace export; telemetry counter tracks and span dumps compose with
-// either program timeline.
+// trace export.
 func WriteTrace(w io.Writer, spec TraceSpec) (*TraceResult, error) {
-	if spec.Fig14N <= 0 && !spec.Dispatch && spec.Telemetry == nil && spec.Spans == nil {
+	if spec.Fig14N <= 0 && !spec.Dispatch {
 		return nil, fmt.Errorf("apusim: empty TraceSpec — nothing to trace")
 	}
 	tr := trace.New()
@@ -66,25 +52,6 @@ func WriteTrace(w io.Writer, spec TraceSpec) (*TraceResult, error) {
 			return nil, err
 		}
 		res.Fig13 = r
-		pid++
-	}
-	if spec.Telemetry != nil {
-		tpid := spec.TelemetryPID
-		if tpid == 0 {
-			tpid = pid
-		}
-		tr.NameProcess(tpid, "telemetry")
-		spec.Telemetry.AddCounters(tr, tpid)
-		if tpid >= pid {
-			pid = tpid + 1
-		}
-	}
-	if spec.Spans != nil {
-		spid := spec.SpansPID
-		if spid == 0 {
-			spid = pid
-		}
-		spec.Spans.AddToTrace(tr, spid)
 	}
 	if err := tr.Validate(); err != nil {
 		return nil, err
