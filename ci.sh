@@ -6,8 +6,9 @@
 #     so -race is load-bearing, not decoration; the cmd/repro and
 #     cmd/apusimd tests build and drive the real binaries);
 #   the engine bench gate against BENCH_engine.json;
-#   eight fuzz stages: the fault-plan parser, and the cache tag store,
-#     functional memory, workgroup placement, the span store and its
+#   eleven fuzz stages: the fault-plan and job-spec parsers, the journal's
+#     single-stream and segmented-directory replay, and the cache tag
+#     store, functional memory, workgroup placement, the span store and its
 #     attribution, the engine's event queue, the fabric's route search and
 #     the HBM interleave walk against their reference implementations.
 #
@@ -107,6 +108,19 @@ stage "engine bench gate" bench_gate
 # 30 seconds of coverage-guided fuzzing over the RAS fault-plan parser:
 # it must never panic, and accepted plans must round-trip.
 stage "fault-plan fuzz smoke" fuzz ./internal/ras/ FuzzParsePlan 30s
+
+# 15 seconds of coverage-guided fuzzing over the apusimd job-spec parser:
+# it must never panic, and an accepted spec's canonical form must re-parse
+# to the same canonical bytes and content address.
+stage "job-spec fuzz smoke" fuzz ./internal/service/ FuzzParseSpec 15s
+
+# 15 seconds each of coverage-guided fuzzing over the journal replay, one
+# stream and a damaged segment directory: it must never panic, must be
+# deterministic, and recovery must never admit a job twice. The corpus
+# seeds hold records with the trace and coalesced fields journals once
+# stored.
+stage "journal replay fuzz smoke" fuzz ./internal/durable/ FuzzJournalReplay 15s
+stage "journal directory replay fuzz smoke" fuzz ./internal/durable/ FuzzJournalDirReplay 15s
 
 # 15 seconds of coverage-guided fuzzing of SetAssoc against the reference
 # tag store it replaced: every return value and the Stats must match.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/metrics"
+	"repro/internal/partition"
 	"repro/internal/power"
 	"repro/internal/runner"
 	"repro/internal/sim"
@@ -350,14 +351,14 @@ func ExperimentFig17() (*metrics.Table, error) {
 	t := metrics.NewTable("Fig. 17: partitioning modes",
 		"Platform", "Mode", "Partitions", "CUs/part", "NPS", "Mem/domain", "BW/part")
 	for _, spec := range []*PlatformSpec{SpecMI300A(), SpecMI300X()} {
-		for _, mode := range partitionModes(spec) {
-			for _, nps := range partitionNPS(spec) {
-				cfg, err := ConfigurePartitions(spec, mode, nps)
+		for _, mode := range partition.ModesFor(spec) {
+			for _, nps := range partition.NPSModesFor(spec) {
+				cfg, err := partition.Configure(spec, mode.Name, nps)
 				if err != nil {
 					return nil, err
 				}
 				t.AddRow(spec.Name, cfg.Mode.Name, fmt.Sprint(cfg.Mode.Partitions),
-					fmt.Sprint(cfg.CUsPerPartition()), fmt.Sprintf("NPS%d", nps),
+					fmt.Sprint(cfg.CUsPerPartition()), nps.String(),
 					metrics.FormatBytes(uint64(cfg.MemoryPerDomain)),
 					metrics.FormatRate(cfg.BWPerPartition()))
 			}
@@ -622,20 +623,6 @@ func MeasuredBandwidths(ctx *runner.Ctx) (*metrics.Table, error) {
 	return t, nil
 }
 
-func partitionModes(spec *PlatformSpec) []string {
-	if spec.CCDs > 0 {
-		return []string{"SPX", "TPX"}
-	}
-	return []string{"SPX", "DPX", "QPX", "CPX"}
-}
-
-func partitionNPS(spec *PlatformSpec) []int {
-	if spec.CCDs > 0 {
-		return []int{1}
-	}
-	return []int{1, 4}
-}
-
 // registerCoreExperiments registers this file's experiments — the
 // paper's numbered tables and figures — in evaluation order.
 func registerCoreExperiments(r *runner.Registry) {
@@ -644,13 +631,7 @@ func registerCoreExperiments(r *runner.Registry) {
 			return ExperimentTable1().String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "fig7", Desc: "IOD interface bandwidths",
-		Run: func(ctx *runner.Ctx) (string, error) {
-			_, t, err := ExperimentFig7(ctx)
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(ctx *runner.Ctx) (string, error) { return tableOutput(ExperimentFig7(ctx)) }})
 	r.MustRegister(runner.Experiment{ID: "fig12a", Desc: "Power distribution per workload scenario",
 		Run: func(*runner.Ctx) (string, error) {
 			_, t := ExperimentFig12a()
@@ -681,13 +662,7 @@ func registerCoreExperiments(r *runner.Registry) {
 				res.PacketsDecoded, res.PerXCD, res.SyncMessages, res.Completion), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "fig14", Desc: "CPU-only vs discrete vs APU programs",
-		Run: func(ctx *runner.Ctx) (string, error) {
-			_, t, err := ExperimentFig14(ctx, 1<<22)
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(ctx *runner.Ctx) (string, error) { return tableOutput(ExperimentFig14(ctx, 1<<22)) }})
 	r.MustRegister(runner.Experiment{ID: "fig15", Desc: "Fine-grained GPU/CPU overlap",
 		Run: func(ctx *runner.Ctx) (string, error) {
 			res, err := ExperimentFig15(ctx, 1<<20, 64)
@@ -706,13 +681,7 @@ func registerCoreExperiments(r *runner.Registry) {
 			return t.String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "fig18", Desc: "Node topologies",
-		Run: func(ctx *runner.Ctx) (string, error) {
-			_, t, err := ExperimentFig18(ctx)
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(ctx *runner.Ctx) (string, error) { return tableOutput(ExperimentFig18(ctx)) }})
 	r.MustRegister(runner.Experiment{ID: "fig19", Desc: "Generational uplift",
 		Run: func(ctx *runner.Ctx) (string, error) {
 			_, t := ExperimentFig19()
@@ -732,21 +701,9 @@ func registerCoreExperiments(r *runner.Registry) {
 			return s.BarChart(40), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "fig21", Desc: "Llama-2 70B inference latency",
-		Run: func(*runner.Ctx) (string, error) {
-			_, t, err := ExperimentFig21()
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(*runner.Ctx) (string, error) { return tableOutput(ExperimentFig21()) }})
 	r.MustRegister(runner.Experiment{ID: "ehpv4", Desc: "§III EHPv4 shortcoming ablation",
-		Run: func(ctx *runner.Ctx) (string, error) {
-			_, t, err := ExperimentEHPv4(ctx)
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(ctx *runner.Ctx) (string, error) { return tableOutput(ExperimentEHPv4(ctx)) }})
 	r.MustRegister(runner.Experiment{ID: "tsv", Desc: "Figs. 8-10 TSV/mirroring validation",
 		Run: func(*runner.Ctx) (string, error) {
 			res, err := ExperimentTSVAlignment()

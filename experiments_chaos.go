@@ -86,15 +86,8 @@ func ExperimentChaosStorm(ctx *runner.Ctx, seed uint64) (string, error) {
 	// Memory probe: stream through whatever channels survive (the
 	// injector never retires the last one).
 	memAt := probeAt + 10*sim.Millisecond
-	var end sim.Time
-	const memTotal = 16 << 20
-	for off := int64(0); off < memTotal; off += 1 << 20 {
-		if done := p.HBM.Access(memAt, off, 1<<20, false); done > end {
-			end = done
-		}
-	}
 	t.AddRow("hbm stream", fmt.Sprintf("%s (%d/%d channels live, %d ECC events)",
-		metrics.FormatRate(float64(memTotal)/(end-memAt).Seconds()),
+		metrics.FormatRate(streamBW(p.HBM, memAt, 16<<20)),
 		p.HBM.LiveChannels(), len(p.HBM.Channels()), p.HBM.ECCEvents()))
 
 	// Compute probe: a partition whose every XCD went offline refuses

@@ -287,50 +287,20 @@ func ExperimentCoherenceScopes() (*CoherenceScopes, *metrics.Table, error) {
 // experiments.
 func registerExtraExperiments(r *runner.Registry) {
 	r.MustRegister(runner.Experiment{ID: "fig11", Desc: "Hybrid bond interface: V-Cache vs MI300 RDL landing",
-		Run: func(*runner.Ctx) (string, error) {
-			_, t, err := ExperimentBondInterface()
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(*runner.Ctx) (string, error) { return tableOutput(ExperimentBondInterface()) }})
 	r.MustRegister(runner.Experiment{ID: "shim", Desc: "§VI.B shim library CPU/GPU dispatch crossover",
-		Run: func(ctx *runner.Ctx) (string, error) {
-			_, t, err := ExperimentShim(ctx)
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(ctx *runner.Ctx) (string, error) { return tableOutput(ExperimentShim(ctx)) }})
 	r.MustRegister(runner.Experiment{ID: "managed", Desc: "Page-migration pseudo-unified memory vs APU",
-		Run: func(ctx *runner.Ctx) (string, error) {
-			_, t, err := ExperimentManagedMemory(ctx, 1<<22)
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(ctx *runner.Ctx) (string, error) { return tableOutput(ExperimentManagedMemory(ctx, 1<<22)) }})
 	r.MustRegister(runner.Experiment{ID: "policy", Desc: "§VI.A workgroup scheduling policy ablation",
-		Run: func(ctx *runner.Ctx) (string, error) {
-			_, t, err := ExperimentPolicyAblation(ctx)
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(ctx *runner.Ctx) (string, error) { return tableOutput(ExperimentPolicyAblation(ctx)) }})
 	r.MustRegister(runner.Experiment{ID: "powershift", Desc: "§V.E dynamic vs static power budget ablation",
 		Run: func(*runner.Ctx) (string, error) {
 			_, t := ExperimentPowerShiftAblation()
 			return t.String(), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "scopes", Desc: "§IV.D cross-socket GPU coherence scopes",
-		Run: func(*runner.Ctx) (string, error) {
-			_, t, err := ExperimentCoherenceScopes()
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(*runner.Ctx) (string, error) { return tableOutput(ExperimentCoherenceScopes()) }})
 	r.MustRegister(runner.Experiment{ID: "prefetch", Desc: "Infinity Cache stream prefetcher ablation",
 		Run: func(ctx *runner.Ctx) (string, error) {
 			res, err := ExperimentPrefetchAblation(ctx)

@@ -3,9 +3,7 @@ package apusim
 import (
 	"fmt"
 
-	"repro/internal/audit"
 	"repro/internal/config"
-	"repro/internal/mem"
 	"repro/internal/metrics"
 	"repro/internal/power"
 	"repro/internal/runner"
@@ -37,9 +35,7 @@ func ExperimentTenantIsolation(ctx *runner.Ctx) ([2]TenantIsolation, *metrics.Ta
 	capacity := spec.HBM.TotalCapacity()
 
 	run := func(nps int, withNeighbor bool) (float64, error) {
-		h := mem.NewHBM(spec.HBM.Generation, spec.HBM.Stacks, spec.HBM.ChannelsStack,
-			spec.HBM.StackBW, capacity, 120*sim.Nanosecond)
-		audit.HBM(ctx.Auditor(), h, "hbm")
+		h := bareHBM(ctx, spec)
 		if err := h.SetNUMADomains(nps); err != nil {
 			return 0, err
 		}
@@ -192,21 +188,9 @@ func ExperimentStrongScale(ctx *runner.Ctx) ([]ScalePoint, *metrics.Table, error
 // experiments: scaling, isolation, and energy efficiency.
 func registerQoSExperiments(r *runner.Registry) {
 	r.MustRegister(runner.Experiment{ID: "scale", Desc: "Strong scaling across the Fig. 18a node",
-		Run: func(ctx *runner.Ctx) (string, error) {
-			_, t, err := ExperimentStrongScale(ctx)
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(ctx *runner.Ctx) (string, error) { return tableOutput(ExperimentStrongScale(ctx)) }})
 	r.MustRegister(runner.Experiment{ID: "isolation", Desc: "NPS1 vs NPS4 tenant isolation",
-		Run: func(ctx *runner.Ctx) (string, error) {
-			_, t, err := ExperimentTenantIsolation(ctx)
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(ctx *runner.Ctx) (string, error) { return tableOutput(ExperimentTenantIsolation(ctx)) }})
 	r.MustRegister(runner.Experiment{ID: "efficiency", Desc: "Perf/W: MI300A vs MI250X on the Fig. 20 suite",
 		Run: func(ctx *runner.Ctx) (string, error) {
 			_, t, err := ExperimentEfficiency(ctx)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/mem"
 	"repro/internal/metrics"
@@ -37,6 +38,26 @@ func armPlan(ctx *runner.Ctx, plan *ras.Plan, t ras.Targets) (*ras.Injector, err
 		return nil, err
 	}
 	return inj, nil
+}
+
+// bareHBM builds spec's HBM on its own, outside any platform, with the
+// run's auditor attached.
+func bareHBM(ctx *runner.Ctx, spec *PlatformSpec) *mem.HBM {
+	h := core.NewHBM(spec)
+	audit.HBM(ctx.Auditor(), h, "hbm")
+	return h
+}
+
+// streamBW reads total bytes from address 0 through h in 1-MiB chunks,
+// all issued at start, and returns the bandwidth to the last completion.
+func streamBW(h *mem.HBM, start sim.Time, total int64) float64 {
+	var end sim.Time
+	for off := int64(0); off < total; off += 1 << 20 {
+		if done := h.Access(start, off, 1<<20, false); done > end {
+			end = done
+		}
+	}
+	return float64(total) / (end - start).Seconds()
 }
 
 // recordFaults copies the injector's fired-fault log into the run context
@@ -164,9 +185,7 @@ const gemmAI = 256.0
 // the ridge into bandwidth-bound territory.
 func ExperimentChannelRetireGEMM(ctx *runner.Ctx) ([]RetireStage, *metrics.Table, error) {
 	spec := config.MI300A()
-	h := mem.NewHBM(spec.HBM.Generation, spec.HBM.Stacks, spec.HBM.ChannelsStack,
-		spec.HBM.StackBW, spec.HBM.TotalCapacity(), 120*sim.Nanosecond)
-	audit.HBM(ctx.Auditor(), h, "hbm")
+	h := bareHBM(ctx, spec)
 	peakFlops := spec.PeakFlops(config.Matrix, config.FP16)
 
 	plan := &ras.Plan{Seed: rasSeed, Faults: []ras.Fault{
@@ -192,15 +211,7 @@ func ExperimentChannelRetireGEMM(ctx *runner.Ctx) ([]RetireStage, *metrics.Table
 	eng := ctx.Engine()
 
 	measure := func(start sim.Time) RetireStage {
-		const chunk = 1 << 20
-		const total = 64 << 20
-		var end sim.Time
-		for off := int64(0); off < total; off += chunk {
-			if done := h.Access(start, off, chunk, false); done > end {
-				end = done
-			}
-		}
-		bw := float64(total) / (end - start).Seconds()
+		bw := streamBW(h, start, 64<<20)
 		measuredBW = bw
 		s := RetireStage{Retired: h.RetiredChannels(), Live: h.LiveChannels(), BW: bw}
 		s.AttainTF = peakFlops
@@ -380,9 +391,7 @@ type ECCStage struct {
 // per-channel ECC counters account for every event.
 func ExperimentECCStorm(ctx *runner.Ctx) ([]ECCStage, *metrics.Table, error) {
 	spec := config.MI300A()
-	h := mem.NewHBM(spec.HBM.Generation, spec.HBM.Stacks, spec.HBM.ChannelsStack,
-		spec.HBM.StackBW, spec.HBM.TotalCapacity(), 120*sim.Nanosecond)
-	audit.HBM(ctx.Auditor(), h, "hbm")
+	h := bareHBM(ctx, spec)
 
 	plan := &ras.Plan{Seed: rasSeed, Faults: []ras.Fault{
 		{Kind: ras.FaultECCStorm, AtNS: 1e6, Rate: 0.01, PenaltyNS: 400},
@@ -405,16 +414,8 @@ func ExperimentECCStorm(ctx *runner.Ctx) ([]ECCStage, *metrics.Table, error) {
 
 	rates := []float64{0, 0.01, 0.10, 0.50}
 	measure := func(start sim.Time, rate float64) ECCStage {
-		const chunk = 1 << 20
-		const total = 64 << 20
 		before := h.ECCEvents()
-		var end sim.Time
-		for off := int64(0); off < total; off += chunk {
-			if done := h.Access(start, off, chunk, false); done > end {
-				end = done
-			}
-		}
-		measuredBW = float64(total) / (end - start).Seconds()
+		measuredBW = streamBW(h, start, 64<<20)
 		return ECCStage{Rate: rate, BW: measuredBW,
 			Events: h.ECCEvents() - before}
 	}
@@ -495,15 +496,8 @@ func ExperimentFaultPlan(ctx *runner.Ctx, plan *ras.Plan) (string, error) {
 
 	// Memory probe: stream through whatever channels survive.
 	memAt := probeAt + 10*sim.Millisecond
-	var end sim.Time
-	const memTotal = 64 << 20
-	for off := int64(0); off < memTotal; off += 1 << 20 {
-		if done := p.HBM.Access(memAt, off, 1<<20, false); done > end {
-			end = done
-		}
-	}
 	t.AddRow("hbm stream", fmt.Sprintf("%s (%d/%d channels live, %d ECC events)",
-		metrics.FormatRate(float64(memTotal)/(end-memAt).Seconds()),
+		metrics.FormatRate(streamBW(p.HBM, memAt, 64<<20)),
 		p.HBM.LiveChannels(), len(p.HBM.Channels()), p.HBM.ECCEvents()))
 
 	// Compute probe: a dispatch must land on the surviving CUs.
@@ -532,13 +526,7 @@ func telemetryFooter(ctx *runner.Ctx) string {
 // registerRASExperiments registers the fault-injection experiments.
 func registerRASExperiments(r *runner.Registry) {
 	r.MustRegister(runner.Experiment{ID: "raslink", Desc: "RAS: USR link loss — reroute and derate bandwidth",
-		Run: func(ctx *runner.Ctx) (string, error) {
-			_, t, err := ExperimentLinkDownSTREAM(ctx)
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(ctx *runner.Ctx) (string, error) { return tableOutput(ExperimentLinkDownSTREAM(ctx)) }})
 	r.MustRegister(runner.Experiment{ID: "raschan", Desc: "RAS: HBM channel retirement — GEMM bandwidth cliff",
 		Run: func(ctx *runner.Ctx) (string, error) {
 			_, t, err := ExperimentChannelRetireGEMM(ctx)
@@ -548,13 +536,7 @@ func registerRASExperiments(r *runner.Registry) {
 			return t.String() + telemetryFooter(ctx), nil
 		}})
 	r.MustRegister(runner.Experiment{ID: "rasxcd", Desc: "RAS: runtime XCD loss — dispatch redistribution, LLM throughput",
-		Run: func(ctx *runner.Ctx) (string, error) {
-			_, t, err := ExperimentXCDLossInference(ctx)
-			if err != nil {
-				return "", err
-			}
-			return t.String(), nil
-		}})
+		Run: func(ctx *runner.Ctx) (string, error) { return tableOutput(ExperimentXCDLossInference(ctx)) }})
 	r.MustRegister(runner.Experiment{ID: "rasecc", Desc: "RAS: ECC storm — correctable-error latency tax",
 		Run: func(ctx *runner.Ctx) (string, error) {
 			_, t, err := ExperimentECCStorm(ctx)

@@ -73,9 +73,6 @@ type Platform struct {
 	streamPos int64
 }
 
-// hbmLatency is the HBM array access latency.
-const hbmLatency = 120 * sim.Nanosecond
-
 // harvestSeed seeds the deterministic CU-harvesting RNG, so every build
 // of a spec harvests the same CUs.
 const harvestSeed = 0xC0FFEE
@@ -91,8 +88,7 @@ func NewPlatform(spec *config.PlatformSpec, sp *spans.Recorder) (*Platform, erro
 	p := &Platform{Spec: spec, Net: fabric.New(), spans: sp}
 
 	// Memory system.
-	p.HBM = mem.NewHBM(spec.HBM.Generation, spec.HBM.Stacks, spec.HBM.ChannelsStack,
-		spec.HBM.StackBW, spec.HBM.TotalCapacity(), hbmLatency)
+	p.HBM = NewHBM(spec)
 	if ic := spec.InfinityCache; ic != nil {
 		p.InfCache = cache.NewInfinityCache(spec.HBM.TotalChannels(), ic.SliceBytes,
 			ic.TotalBW, 25*sim.Nanosecond, ic.Prefetch)
@@ -118,6 +114,13 @@ func NewPlatform(spec *config.PlatformSpec, sp *spans.Recorder) (*Platform, erro
 		p.Power = power.MI300XModel()
 	}
 	return p, nil
+}
+
+// NewHBM builds the channel timing model of spec's HBM, with a 120 ns
+// array access latency.
+func NewHBM(spec *config.PlatformSpec) *mem.HBM {
+	return mem.NewHBM(spec.HBM.Generation, spec.HBM.Stacks, spec.HBM.ChannelsStack,
+		spec.HBM.StackBW, spec.HBM.TotalCapacity(), 120*sim.Nanosecond)
 }
 
 func maxInt(a, b int) int {
@@ -174,11 +177,7 @@ func (p *Platform) buildMI300Fabric() {
 
 	// HBM stacks: two per IOD, served through the IOD's fabric at the
 	// stack's bandwidth.
-	for i := 0; i < spec.HBM.Stacks; i++ {
-		n := p.Net.AddNode(fmt.Sprintf("HBM%d", i), fabric.KindHBM)
-		p.hbmNodes = append(p.hbmNodes, n.ID)
-		p.Net.Connect(p.iodNodes[i/2], n.ID, config.LinkOnDie, spec.HBM.StackBW, 15*sim.Nanosecond)
-	}
+	p.addHBMStacks(func(i int) fabric.NodeID { return p.iodNodes[i/2] })
 
 	// Compute chiplets hybrid-bonded on top: XCD pairs fill IODs from A,
 	// CCD trio takes the last XCD-free IOD (MI300A: 3×XCD-IODs + 1
@@ -203,6 +202,16 @@ func (p *Platform) buildMI300Fabric() {
 	}
 }
 
+// addHBMStacks adds a fabric node per HBM stack, linking stack i to
+// attach(i) at the stack's bandwidth.
+func (p *Platform) addHBMStacks(attach func(i int) fabric.NodeID) {
+	for i := 0; i < p.Spec.HBM.Stacks; i++ {
+		n := p.Net.AddNode(fmt.Sprintf("HBM%d", i), fabric.KindHBM)
+		p.hbmNodes = append(p.hbmNodes, n.ID)
+		p.Net.Connect(attach(i), n.ID, config.LinkOnDie, p.Spec.HBM.StackBW, 15*sim.Nanosecond)
+	}
+}
+
 func (p *Platform) buildEHPv4Fabric() {
 	spec := p.Spec
 	iod := p.Net.AddNode("serverIOD", fabric.KindIOD)
@@ -223,12 +232,7 @@ func (p *Platform) buildEHPv4Fabric() {
 		p.Net.Connect(iod.ID, n.ID, config.LinkSerDes, serdesBW, serdesLat)
 	}
 	// HBM stacks distribute across the GPU dies.
-	for i := 0; i < spec.HBM.Stacks; i++ {
-		n := p.Net.AddNode(fmt.Sprintf("HBM%d", i), fabric.KindHBM)
-		p.hbmNodes = append(p.hbmNodes, n.ID)
-		gcd := p.xcdNodes[i%len(p.xcdNodes)]
-		p.Net.Connect(gcd, n.ID, config.LinkOnDie, spec.HBM.StackBW, 15*sim.Nanosecond)
-	}
+	p.addHBMStacks(func(i int) fabric.NodeID { return p.xcdNodes[i%len(p.xcdNodes)] })
 	// The long cross-package GCD-GCD path (Fig. 4 ①): a direct but slow
 	// substrate link between the two GPU halves.
 	half := len(p.xcdNodes) / 2
@@ -245,12 +249,7 @@ func (p *Platform) buildGCDFabric() {
 		p.xcdNodes = append(p.xcdNodes, n.ID)
 	}
 	// Each GCD owns its share of HBM stacks directly.
-	for i := 0; i < spec.HBM.Stacks; i++ {
-		n := p.Net.AddNode(fmt.Sprintf("HBM%d", i), fabric.KindHBM)
-		p.hbmNodes = append(p.hbmNodes, n.ID)
-		gcd := p.xcdNodes[i*len(p.xcdNodes)/spec.HBM.Stacks]
-		p.Net.Connect(gcd, n.ID, config.LinkOnDie, spec.HBM.StackBW, 15*sim.Nanosecond)
-	}
+	p.addHBMStacks(func(i int) fabric.NodeID { return p.xcdNodes[i*len(p.xcdNodes)/spec.HBM.Stacks] })
 	if len(p.xcdNodes) == 2 && spec.CrossDieBWPerDir > 0 {
 		p.Net.Connect(p.xcdNodes[0], p.xcdNodes[1], config.LinkSerDes,
 			spec.CrossDieBWPerDir, 30*sim.Nanosecond)

@@ -3,7 +3,6 @@ package durable
 import (
 	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"sync"
 	"syscall"
@@ -260,7 +259,5 @@ func (f *FaultFS) Remove(path string) error {
 	}
 	return f.inner.Remove(path)
 }
-
-func (f *FaultFS) Stat(path string) (fs.FileInfo, error) { return f.inner.Stat(path) }
 
 func (f *FaultFS) SyncDir(path string) error { return f.inner.SyncDir(path) }

@@ -2,7 +2,6 @@ package durable
 
 import (
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,8 +43,6 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	// Remove deletes a file.
 	Remove(path string) error
-	// Stat describes a file.
-	Stat(path string) (fs.FileInfo, error)
 	// SyncDir fsyncs a directory so a preceding rename or create in it
 	// survives a crash. Best-effort on filesystems without dir sync.
 	SyncDir(path string) error
@@ -85,8 +82,6 @@ func (osFS) ReadDir(path string) ([]string, error) {
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 
 func (osFS) Remove(path string) error { return os.Remove(path) }
-
-func (osFS) Stat(path string) (fs.FileInfo, error) { return os.Stat(path) }
 
 func (osFS) SyncDir(path string) error {
 	d, err := os.Open(filepath.Clean(path))

@@ -43,18 +43,11 @@ type Record struct {
 	// Seq is the job's sequence number (submit only), so ID allocation
 	// resumes past every journaled job after a crash.
 	Seq int `json:"seq,omitempty"`
-	// Tenant, Key, Coalesced, and Spec describe a submission: the billing
-	// tenant, the spec's content address, whether the job coalesced onto
-	// an in-flight duplicate, and the canonical spec JSON.
-	Tenant    string          `json:"tenant,omitempty"`
-	Key       string          `json:"key,omitempty"`
-	Coalesced bool            `json:"coalesced,omitempty"`
-	Spec      json.RawMessage `json:"spec,omitempty"`
-	// Trace is the job's trace correlation key (submit only), so a
-	// recovered job keeps the trace ID its structured logs and span dumps
-	// were written under. Older journals without it re-derive the ID
-	// deterministically from the job and key.
-	Trace string `json:"trace,omitempty"`
+	// Tenant, Key, and Spec describe a submission: the billing tenant, the
+	// spec's content address, and the spec JSON.
+	Tenant string          `json:"tenant,omitempty"`
+	Key    string          `json:"key,omitempty"`
+	Spec   json.RawMessage `json:"spec,omitempty"`
 	// State and Attempts describe a terminal outcome (done only).
 	State    string `json:"state,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`

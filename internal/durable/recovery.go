@@ -1,28 +1,18 @@
 package durable
 
-import "encoding/json"
-
 // JobRecovery is one job's reconstructed lifecycle after a journal
-// replay: identity, what was known about it when the process died, and
-// whether it had already finished.
+// replay: what was known about it when the process died, and whether it
+// had already finished.
 type JobRecovery struct {
-	Seq       int
-	Job       string
-	Tenant    string
-	Key       string
-	Coalesced bool
-	Spec      json.RawMessage
-	// Trace is the journaled trace correlation key, "" in older journals.
-	Trace string
+	// Record is the job's submit record. Its State and Attempts come from
+	// the job's done record: State is "" for a job that was still pending
+	// at the crash.
+	Record
 	// Started reports that a worker had picked the job up (a start
 	// record exists). A job that died started is treated more carefully
 	// than one that died queued — it may be the spec that killed the
 	// process.
 	Started bool
-	// Terminal is the recorded terminal state, or "" for a job that was
-	// still pending at the crash.
-	Terminal string
-	Attempts int
 }
 
 // BuildRecovery folds replayed records into per-job recovery entries, in
@@ -40,24 +30,17 @@ func BuildRecovery(recs []Record) []JobRecovery {
 			if _, dup := byJob[rec.Job]; dup {
 				continue
 			}
-			jr := &JobRecovery{
-				Seq:       rec.Seq,
-				Job:       rec.Job,
-				Tenant:    rec.Tenant,
-				Key:       rec.Key,
-				Coalesced: rec.Coalesced,
-				Spec:      rec.Spec,
-				Trace:     rec.Trace,
-			}
+			rec.State, rec.Attempts = "", 0 // only a done record sets them
+			jr := &JobRecovery{Record: rec}
 			byJob[rec.Job] = jr
 			order = append(order, jr)
 		case OpStart:
-			if jr := byJob[rec.Job]; jr != nil && jr.Terminal == "" {
+			if jr := byJob[rec.Job]; jr != nil && jr.State == "" {
 				jr.Started = true
 			}
 		case OpDone:
-			if jr := byJob[rec.Job]; jr != nil && jr.Terminal == "" {
-				jr.Terminal = rec.State
+			if jr := byJob[rec.Job]; jr != nil && jr.State == "" {
+				jr.State = rec.State
 				jr.Attempts = rec.Attempts
 			}
 		}

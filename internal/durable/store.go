@@ -292,9 +292,8 @@ func (s *Store) quarantineFile(name string) {
 }
 
 // pruneQuarantine bounds the quarantine dir to the newest QuarantineKeep
-// files. Age comes from the nanotime embedded in the quarantine name
-// (mtime for pre-suffix legacy names), so pruning is stable even on
-// filesystems with coarse timestamps.
+// files. Age comes from the nanotime embedded in the quarantine name, so
+// pruning is stable even on filesystems with coarse timestamps.
 func (s *Store) pruneQuarantine() {
 	names, err := s.fs.ReadDir(s.quarantine)
 	if err != nil || len(names) <= QuarantineKeep {
@@ -306,7 +305,7 @@ func (s *Store) pruneQuarantine() {
 	}
 	files := make([]qfile, 0, len(names))
 	for _, name := range names {
-		files = append(files, qfile{name: name, age: quarantineAge(s.fs, s.quarantine, name)})
+		files = append(files, qfile{name: name, age: quarantineAge(name)})
 	}
 	sort.Slice(files, func(i, k int) bool {
 		if files[i].age != files[k].age {
@@ -328,17 +327,13 @@ func (s *Store) pruneQuarantine() {
 }
 
 // quarantineAge extracts the quarantine timestamp from a file name
-// (<entry>.<unixnano>.<seq>), falling back to mtime for names minted
-// before the suffix scheme existed.
-func quarantineAge(fsys FS, dir, name string) int64 {
+// (<entry>.<unixnano>.<seq>); a name without one counts as oldest.
+func quarantineAge(name string) int64 {
 	parts := strings.Split(name, ".")
 	if len(parts) >= 3 {
 		if ns, err := strconv.ParseInt(parts[len(parts)-2], 10, 64); err == nil {
 			return ns
 		}
-	}
-	if fi, err := fsys.Stat(filepath.Join(dir, name)); err == nil {
-		return fi.ModTime().UnixNano()
 	}
 	return 0
 }

@@ -182,41 +182,27 @@ func (x *XCD) DisableRandomCUs(n int, rng *sim.RNG) int {
 // CUs returns the CU list (including disabled ones).
 func (x *XCD) CUs() []CU { return x.cus }
 
-// BusyCUs reports how many enabled CUs still have at least one workgroup
-// slot occupied at simulated time now (the telemetry busy-CU gauge).
-func (x *XCD) BusyCUs(now sim.Time) int {
-	var n int
+// Occupancy reports, at simulated time now, how many enabled CUs have at
+// least one workgroup slot occupied and how many slots are occupied in
+// all (the telemetry busy-CU and in-flight gauges).
+func (x *XCD) Occupancy(now sim.Time) (busyCUs, inFlight int) {
 	for i := range x.cus {
 		c := &x.cus[i]
 		if c.Disabled {
 			continue
 		}
+		busy := 0
 		for _, free := range c.slotFree {
 			if free > now {
-				n++
-				break
+				busy++
 			}
 		}
-	}
-	return n
-}
-
-// InFlightWorkgroups counts workgroup slots occupied across enabled CUs at
-// simulated time now (the telemetry in-flight gauge).
-func (x *XCD) InFlightWorkgroups(now sim.Time) int {
-	var n int
-	for i := range x.cus {
-		c := &x.cus[i]
-		if c.Disabled {
-			continue
-		}
-		for _, free := range c.slotFree {
-			if free > now {
-				n++
-			}
+		inFlight += busy
+		if busy > 0 {
+			busyCUs++
 		}
 	}
-	return n
+	return busyCUs, inFlight
 }
 
 // L2 exposes the shared L2 model.

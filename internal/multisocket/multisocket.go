@@ -12,6 +12,8 @@
 package multisocket
 
 import (
+	"sort"
+
 	"repro/internal/config"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -112,26 +114,13 @@ func (s *System) CoherenceBandwidthTax(bytes int64) float64 {
 	return float64(probe) / float64(bytes+probe)
 }
 
-// Crossover reports the handoff size above which software coherence wins.
-// Below it, the flush latency dominates and hardware coherence's lazy
-// pulls would be cheaper; GPU kernel outputs are far above it.
+// Crossover reports the smallest handoff size in [lo, hi] at which
+// software coherence wins, or hi+1 if it never does. Below it, the flush
+// latency dominates and hardware coherence's lazy pulls would be cheaper;
+// GPU kernel outputs are far above it.
 func (s *System) Crossover(lo, hi int64) int64 {
-	swWins := func(n int64) bool {
+	return lo + int64(sort.Search(int(hi-lo+1), func(i int) bool {
+		n := lo + int64(i)
 		return s.SoftwareCoherentHandoff(n).Total < s.HardwareCoherentHandoff(n).Total
-	}
-	if swWins(lo) {
-		return lo
-	}
-	if !swWins(hi) {
-		return hi + 1
-	}
-	for lo+1 < hi {
-		mid := lo + (hi-lo)/2
-		if swWins(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
+	}))
 }

@@ -138,18 +138,13 @@ type telemetryRun struct {
 // simulated-time data, so the output is byte-identical across runs and
 // parallelism degrees for a fixed seed and fault plan.
 func (s *SuiteResult) WriteTelemetryRuns(w io.Writer) error {
-	out := struct {
-		Schema string         `json:"schema"`
-		Runs   []telemetryRun `json:"runs"`
-	}{Schema: TelemetryRunsSchema, Runs: []telemetryRun{}}
+	runs := []telemetryRun{}
 	for _, r := range s.Results {
 		if r.TelemetryDump != nil {
-			out.Runs = append(out.Runs, telemetryRun{ID: r.ID, Series: r.TelemetryDump})
+			runs = append(runs, telemetryRun{ID: r.ID, Series: r.TelemetryDump})
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return writeRuns(w, TelemetryRunsSchema, runs)
 }
 
 // SpanRunsSchema identifies the span trace file (-spans) layout: one full
@@ -167,18 +162,13 @@ type spanRun struct {
 // simulated-time data, so the output is byte-identical across repeated
 // runs and parallelism degrees for a fixed seed and fault plan.
 func (s *SuiteResult) WriteSpanRuns(w io.Writer) error {
-	out := struct {
-		Schema string    `json:"schema"`
-		Runs   []spanRun `json:"runs"`
-	}{Schema: SpanRunsSchema, Runs: []spanRun{}}
+	runs := []spanRun{}
 	for _, r := range s.Results {
 		if r.Spans != nil {
-			out.Runs = append(out.Runs, spanRun{ID: r.ID, Spans: r.Spans.Dump()})
+			runs = append(runs, spanRun{ID: r.ID, Spans: r.Spans.Dump()})
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return writeRuns(w, SpanRunsSchema, runs)
 }
 
 // AuditRunsSchema identifies the audit report file (-audit-out) layout:
@@ -196,18 +186,24 @@ type auditRun struct {
 // output is byte-identical across repeated runs and parallelism degrees
 // for a fixed seed and fault plan.
 func (s *SuiteResult) WriteAuditRuns(w io.Writer) error {
-	out := struct {
-		Schema string     `json:"schema"`
-		Runs   []auditRun `json:"runs"`
-	}{Schema: AuditRunsSchema, Runs: []auditRun{}}
+	runs := []auditRun{}
 	for _, r := range s.Results {
 		if r.Audit != nil {
-			out.Runs = append(out.Runs, auditRun{ID: r.ID, Audit: r.Audit})
+			runs = append(runs, auditRun{ID: r.ID, Audit: r.Audit})
 		}
 	}
+	return writeRuns(w, AuditRunsSchema, runs)
+}
+
+// writeRuns writes one per-run file (-telemetry, -spans, -audit-out): its
+// schema and its runs, as indented JSON.
+func writeRuns[R any](w io.Writer, schema string, runs []R) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return enc.Encode(struct {
+		Schema string `json:"schema"`
+		Runs   []R    `json:"runs"`
+	}{schema, runs})
 }
 
 // SummaryTable renders the per-experiment summary as a metrics table,

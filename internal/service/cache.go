@@ -118,8 +118,7 @@ func (c *Cache) Get(key string) (Entry, bool) {
 	if store != nil {
 		// Disk I/O and its verification happen outside c.mu so a slow read
 		// never stalls concurrent memory hits.
-		if de, ok := store.Get(key); ok {
-			e := Entry{State: JobState(de.State), Manifest: de.Manifest, Attempts: de.Attempts}
+		if e, ok := storeGet(store, key); ok {
 			c.mu.Lock()
 			c.hits++
 			c.diskHits++
@@ -149,11 +148,20 @@ func (c *Cache) Peek(key string) (Entry, bool) {
 	store := c.store
 	c.mu.Unlock()
 	if store != nil {
-		if de, ok := store.Get(key); ok {
-			return Entry{State: JobState(de.State), Manifest: de.Manifest, Attempts: de.Attempts}, true
-		}
+		return storeGet(store, key)
 	}
 	return Entry{}, false
+}
+
+// storeGet reads key's entry from the durable store. Only cacheable
+// results are ever stored, so an entry in any other state is damaged: it
+// is never served, and the job simulates afresh.
+func storeGet(store *durable.Store, key string) (Entry, bool) {
+	de, ok := store.Get(key)
+	if !ok || !cacheable(JobState(de.State)) {
+		return Entry{}, false
+	}
+	return Entry{State: JobState(de.State), Manifest: de.Manifest, Attempts: de.Attempts}, true
 }
 
 // Put stores an entry under key, evicting least-recently-used entries

@@ -20,7 +20,7 @@ import (
 //
 //   - done record present      → recreate the job terminal; its manifest
 //     (if the state is cacheable) is served from the store by content
-//     address.
+//     address. A done record whose state is not terminal → failed.
 //   - spec unparseable or needs a capability this server lacks → failed.
 //   - result already in the store → finish from cache ("from_cache").
 //   - any job in the key group had started → the whole group parks as
@@ -216,7 +216,7 @@ func (s *Server) rebuildJobs(recovered []durable.JobRecovery) []*Job {
 	// simulation, and every job waiting on it parks as interrupted.
 	startedKeys := make(map[string]bool)
 	for _, jr := range recovered {
-		if jr.Terminal == "" && jr.Started {
+		if jr.State == "" && jr.Started {
 			startedKeys[jr.Key] = true
 		}
 	}
@@ -230,21 +230,19 @@ func (s *Server) rebuildJobs(recovered []durable.JobRecovery) []*Job {
 		job := newJob(jr.Job, jr.Tenant, spec, jr.Key)
 		job.seq = jr.Seq
 		job.recovered = true
-		// The journaled trace ID keeps the job correlated with log lines
-		// written before the crash; older journals without one re-derive
-		// the identical ID (the derivation is deterministic).
-		job.traceID = jr.Trace
-		if job.traceID == "" {
-			job.traceID = traceIDFor(jr.Job, jr.Key)
-		}
 		s.jobs[jr.Job] = job
 		s.order = append(s.order, jr.Job)
 		s.jobsTotal.Add(1)
 
-		switch {
-		case jr.Terminal != "":
+		switch state := JobState(jr.State); {
+		case state != "" && !state.Terminal():
 			job.bootTerminal = true
-			job.finish(JobState(jr.Terminal), nil, "", jr.Attempts)
+			job.finish(JobFailed, nil, fmt.Sprintf("recovered done record holds non-terminal state %q", state), 0)
+			s.noteRecovered(job, "failed")
+
+		case state != "":
+			job.bootTerminal = true
+			job.finish(state, nil, "", jr.Attempts)
 			s.noteRecovered(job, "completed")
 
 		case perr != nil:
@@ -334,14 +332,12 @@ func (s *Server) submitRecord(job *Job) durable.Record {
 		specJSON = nil
 	}
 	return durable.Record{
-		Op:        durable.OpSubmit,
-		Job:       job.id,
-		Seq:       job.seq,
-		Tenant:    job.tenant,
-		Key:       job.key,
-		Coalesced: job.coalesced,
-		Spec:      specJSON,
-		Trace:     job.traceID,
+		Op:     durable.OpSubmit,
+		Job:    job.id,
+		Seq:    job.seq,
+		Tenant: job.tenant,
+		Key:    job.key,
+		Spec:   specJSON,
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io/fs"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -540,5 +541,156 @@ func TestSubmitStormUnderConcurrentDrain(t *testing.T) {
 		if !st.State.Terminal() {
 			t.Errorf("accepted job %s stuck in %s after drain: %s", id, st.State, body)
 		}
+	}
+}
+
+// TestStoredEntryInUncachedStateIsNeverServed plants a checksum-valid
+// store entry whose state is one the service never caches. Served, it
+// would finish the job in a state without a completion counter; instead
+// every submission of its spec simulates afresh.
+func TestStoredEntryInUncachedStateIsNeverServed(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{"experiment": "exp-fail"}`
+	if err := os.MkdirAll(filepath.Join(dir, "cache"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entry := durable.EncodeEntry(durable.Entry{State: string(JobQueued), Attempts: 1, Manifest: []byte(`{}`)})
+	name := strings.TrimPrefix(specKey(t, spec), "sha256:") + ".entry"
+	if err := os.WriteFile(filepath.Join(dir, "cache", name), entry, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d := newTestDaemon(t, Config{Workers: 1, DataDir: dir})
+	for i := 1; i <= 2; i++ {
+		code, st := d.submit(t, spec)
+		if code != http.StatusAccepted || st.CacheHit {
+			t.Fatalf("submission %d: code %d cache hit %v, want a fresh 202", i, code, st.CacheHit)
+		}
+		if fin := d.await(t, st.ID); fin.State != JobFailed || fin.Attempts == 0 {
+			t.Fatalf("submission %d finished %+v, want a run that failed", i, fin)
+		}
+	}
+	if st := d.srv.CacheStats(); st.Hits != 0 || st.Misses != 2 {
+		t.Errorf("cache stats %+v, want 0 hits and 2 misses", st)
+	}
+}
+
+// TestRecoveredDoneRecordInNonTerminalStateFails replays a done record
+// whose state is not terminal. The job must not stay in that state for
+// good: it recovers failed, naming the state, as a job whose spec no
+// longer parses does.
+func TestRecoveredDoneRecordInNonTerminalStateFails(t *testing.T) {
+	dir := t.TempDir()
+	spec := `{"experiment": "exp-4"}`
+	writeJournal(t, dir,
+		submitRec("j-000001", 1, "default", spec, specKey(t, spec)),
+		durable.Record{Op: durable.OpDone, Job: "j-000001", State: string(JobQueued), Attempts: 1},
+	)
+
+	d := newTestDaemon(t, Config{Workers: 1, DataDir: dir})
+	_, body := d.get(t, "/v1/jobs/j-000001")
+	var st JobStatus
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("decoding status %q: %v", body, err)
+	}
+	if st.State != JobFailed || !st.Recovered || !strings.Contains(st.Error, `"queued"`) {
+		t.Fatalf("recovered job %+v, want failed and recovered, with an error naming \"queued\"", st)
+	}
+	_, text := d.get(t, "/v1/metrics")
+	if got := promValue(t, string(text), `apusimd_recovered_jobs_total{outcome="failed"}`); got != 1 {
+		t.Errorf("failed recoveries = %g, want 1", got)
+	}
+}
+
+// TestJournalWithTraceFieldsRecoversTheSame boots on a crash copy of a
+// data dir whose submit records still carry "trace" and "coalesced"
+// (testdata/datadir-trace-field): one job done, a started job with a
+// follower, and a queued job with a follower. Recovery derives every
+// trace ID instead of reading it, so the job IDs, trace IDs and recovery
+// outcomes below, which are what that data dir recovered to when the
+// journal stored both fields, must hold in the job JSON, the log lines
+// and /trace. The boot checkpoint rewrites the live jobs without either
+// field.
+func TestJournalWithTraceFieldsRecoversTheSame(t *testing.T) {
+	dir := t.TempDir()
+	copyDir(t, "testdata/datadir-trace-field", dir)
+	var logs syncBuffer
+	d := newTestDaemon(t, Config{Workers: 1, DataDir: dir, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+
+	want := []struct{ id, trace, outcome string }{
+		{"j-1-000001", "cef24c1a48050ddc", "completed"},
+		{"j-1-000002", "a46b40a7c0996bc9", "interrupted"},
+		{"j-1-000003", "dee08b9a6f611802", "interrupted"},
+		{"j-1-000004", "c83fc6ab31f14171", "requeued"},
+		{"j-1-000005", "dad9cbb0584dbfaa", "requeued"},
+	}
+	traces := make(map[string]string)
+	for _, w := range want {
+		traces[w.id] = w.trace
+	}
+
+	// The boot checkpoint is the data dir's only segment now, and every
+	// record written since boot is one of its own.
+	segs, err := filepath.Glob(filepath.Join(dir, "journal.*"))
+	if err != nil || len(segs) != 1 || filepath.Base(segs[0]) != "journal.000002" {
+		t.Fatalf("segments after boot %v (%v), want the boot checkpoint journal.000002 alone", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(seg, []byte(`"op":"submit"`)); n != 4 {
+		t.Errorf("boot checkpoint holds %d submit records, want 4 (jobs 2-5)", n)
+	}
+	if bytes.Contains(seg, []byte(`"trace"`)) || bytes.Contains(seg, []byte(`"coalesced"`)) {
+		t.Errorf("boot checkpoint stores trace or coalesced:\n%s", seg)
+	}
+
+	for _, id := range []string{"j-1-000004", "j-1-000005"} {
+		if fin := d.await(t, id); fin.State != JobOK || fin.Coalesced != (id == "j-1-000005") {
+			t.Errorf("requeued job %s finished %+v, want ok (the second coalesced)", id, fin)
+		}
+	}
+	for _, w := range want {
+		_, body := d.get(t, "/v1/jobs/"+w.id)
+		var st JobStatus
+		if err := json.Unmarshal(body, &st); err != nil || st.TraceID != w.trace || !st.Recovered {
+			t.Errorf("job %s: %s (%v), want recovered with trace_id %s", w.id, body, err, w.trace)
+		}
+		_, body = d.get(t, "/v1/jobs/"+w.id+"/trace")
+		var tv traceView
+		if err := json.Unmarshal(body, &tv); err != nil || tv.Job != w.id || tv.TraceID != w.trace {
+			t.Errorf("trace of %s: %s (%v), want trace_id %s", w.id, body, err, w.trace)
+		}
+	}
+	_, st := d.submit(t, `{"experiment": "exp-5"}`)
+	if st.ID != "j-2-000006" {
+		t.Errorf("first admission after boot got ID %s, want j-2-000006", st.ID)
+	}
+
+	var recovered []string
+	for _, line := range strings.Split(strings.TrimSpace(logs.String()), "\n") {
+		var rec struct {
+			Msg     string `json:"msg"`
+			Job     string `json:"job_id"`
+			Trace   string `json:"trace_id"`
+			Outcome string `json:"outcome"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if want, ok := traces[rec.Job]; ok && rec.Trace != want {
+			t.Errorf("log line %q carries trace_id %s, want %s", line, rec.Trace, want)
+		}
+		if rec.Msg == "job recovered" {
+			recovered = append(recovered, rec.Job+" "+rec.Trace+" "+rec.Outcome)
+		}
+	}
+	var wantRecovered []string
+	for _, w := range want {
+		wantRecovered = append(wantRecovered, w.id+" "+w.trace+" "+w.outcome)
+	}
+	if strings.Join(recovered, "\n") != strings.Join(wantRecovered, "\n") {
+		t.Errorf("recovery log:\n%s\nwant:\n%s", strings.Join(recovered, "\n"), strings.Join(wantRecovered, "\n"))
 	}
 }

@@ -115,9 +115,10 @@ type Job struct {
 	tenant string
 	spec   *Spec
 	key    string
-	// traceID is the job's trace correlation key, immutable after
-	// admission (or recovery). It threads through structured logs, the
-	// journal, the flight recorder, and GET /v1/jobs/{id}/trace.
+	// traceID is the job's trace correlation key, derived from its ID and
+	// key, so a recovered job keeps the ID it had before the crash. It
+	// threads through structured logs, the flight recorder, and
+	// GET /v1/jobs/{id}/trace.
 	traceID   string
 	seq       int  // admission order, stable across journal replay
 	recovered bool // rebuilt from the journal after a restart
@@ -148,7 +149,7 @@ type Job struct {
 
 // newJob constructs a job in the queued state.
 func newJob(id, tenant string, spec *Spec, key string) *Job {
-	j := &Job{id: id, tenant: tenant, spec: spec, key: key}
+	j := &Job{id: id, tenant: tenant, spec: spec, key: key, traceID: traceIDFor(id, key)}
 	j.state = JobQueued
 	j.transitions = []Transition{{State: JobQueued, At: time.Now().UTC()}}
 	return j

@@ -28,9 +28,8 @@ import (
 
 // traceIDFor derives a job's trace correlation key: 16 hex digits of
 // FNV-64a over the job ID and its spec's content address. The derivation
-// is deterministic so a journal replay without a recorded trace field
-// (an older journal) rebuilds the exact ID the job logged under before
-// the crash.
+// is deterministic, so a journal replay rebuilds the exact ID the job
+// logged under before the crash without the journal storing it.
 func traceIDFor(jobID, key string) string {
 	h := fnv.New64a()
 	h.Write([]byte(jobID))

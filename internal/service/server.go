@@ -989,7 +989,6 @@ func (s *Server) newJobLocked(tenant string, spec *Spec, key string) *Job {
 	s.seq++
 	id := jobID(s.boot, s.seq)
 	job := newJob(id, tenant, spec, key)
-	job.traceID = traceIDFor(id, key)
 	job.seq = s.seq
 	s.jobs[id] = job
 	s.order = append(s.order, id)

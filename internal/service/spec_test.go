@@ -173,3 +173,43 @@ func TestEffectivePlanFoldsSeedAndSorts(t *testing.T) {
 		t.Errorf("EffectivePlan faults not sorted by AtNS: %v, %v", p.Faults[0].Kind, p.Faults[1].Kind)
 	}
 }
+
+// FuzzParseSpec feeds arbitrary bodies to the submission parser. No body
+// may make it panic, and an accepted spec's canonical form must re-parse
+// to a spec with the same canonical bytes and so the same content
+// address: admission, the journal and the store all key on it.
+func FuzzParseSpec(f *testing.F) {
+	for _, src := range []string{
+		goldenSpecJSON,
+		`{"experiment": "baseline", "telemetry": true, "sample_ns": 250, "retries": 2}`,
+		`{"fault_plan": {"seed": 3, "faults": [{"kind": "link-down", "at_ns": 10, "a": "xcd0", "b": "xcd1"}, {"kind": "ecc-storm", "at_ns": 5, "rate": 0.5, "penalty_ns": 10}]}}`,
+		`{"seed": 2, "fault_plan": {"seed": 1, "faults": [{"kind": "xcd-loss", "at_ns": 100, "xcd": 1}]}}`,
+		`{"fault_plan": {"seed": 1, "faults": [{"kind": "cu-loss", "at_ns": 10, "count": 4, "xcd": 0}]}}`,
+		`{"experiment": "baseline", "no_cache": true, "span_sample": 0.5}`,
+		`{"experiment": "baseline", "spans": true, "span_sample": 1}`,
+		`{"experiment": "x", "timeout_ms": 20, "audit": true, "strict": true}`,
+		`{"platform": "mi400x", "fault_plan": {"seed": 1, "faults": [{"kind": "xcd-loss", "at_ns": 0, "xcd": 0}]}}`,
+		`{"experiment": "x"} {"experiment": "y"}`,
+		`{"experiment": "x", "retries": 99}`,
+		`{}`,
+	} {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, err := ParseSpec(body)
+		if err != nil {
+			return
+		}
+		canon := s.Canonical()
+		again, err := ParseSpec(canon)
+		if err != nil {
+			t.Fatalf("canonical form %s does not re-parse: %v", canon, err)
+		}
+		if twice := again.Canonical(); string(twice) != string(canon) {
+			t.Fatalf("canonicalizing is not idempotent:\n%s\n%s", canon, twice)
+		}
+		if again.Hash() != s.Hash() {
+			t.Fatalf("round trip changed the hash of %s", body)
+		}
+	})
+}

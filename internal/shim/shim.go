@@ -10,6 +10,7 @@ package shim
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -162,23 +163,8 @@ func (r *Router) Stats() (calls, gpuWins uint64) { return r.calls, r.gpuWins }
 // size for the calls above: bigger problems amortize the launch cost).
 // It returns hi+1 if the GPU never wins.
 func (r *Router) Crossover(gen func(n int) Call, lo, hi int) int {
-	routesGPU := func(n int) bool {
-		t, _, _ := r.Route(gen(n))
+	return lo + sort.Search(hi-lo+1, func(i int) bool {
+		t, _, _ := r.Route(gen(lo + i))
 		return t == TargetGPU
-	}
-	if routesGPU(lo) {
-		return lo
-	}
-	if !routesGPU(hi) {
-		return hi + 1
-	}
-	for lo+1 < hi {
-		mid := lo + (hi-lo)/2
-		if routesGPU(mid) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi
+	})
 }

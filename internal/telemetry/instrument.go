@@ -83,7 +83,13 @@ func InstrumentXCDs(rec *Recorder, xcds []*gpu.XCD) {
 	for _, x := range xcds {
 		x := x
 		name := fmt.Sprintf("xcd%d", x.ID)
-		rec.Gauge(name+".busy_cus", func(now sim.Time) float64 { return float64(x.BusyCUs(now)) })
-		rec.Gauge(name+".inflight_wgs", func(now sim.Time) float64 { return float64(x.InFlightWorkgroups(now)) })
+		rec.Gauge(name+".busy_cus", func(now sim.Time) float64 {
+			busy, _ := x.Occupancy(now)
+			return float64(busy)
+		})
+		rec.Gauge(name+".inflight_wgs", func(now sim.Time) float64 {
+			_, inFlight := x.Occupancy(now)
+			return float64(inFlight)
+		})
 	}
 }

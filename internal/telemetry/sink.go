@@ -43,13 +43,10 @@ func (r *Recorder) Dump() *Dump {
 	for i, t := range r.times {
 		d.TimesNS[i] = t.Nanoseconds()
 	}
-	if r.profile != nil {
-		ed := &EngineDump{}
-		for _, c := range r.profile.Classes() {
-			ed.Classes = append(ed.Classes, ClassCount{Class: c.Class, Fired: c.Fired})
-		}
-		if r.eng != nil {
-			ed.QueueHighWater = r.eng.QueueHighWater()
+	if r.eng != nil {
+		ed := &EngineDump{QueueHighWater: r.eng.QueueHighWater()}
+		for _, c := range r.eng.ProfileSnapshot() {
+			ed.Classes = append(ed.Classes, ClassCount{Class: c.Name, Fired: c.Fired})
 		}
 		d.Engine = ed
 	}
@@ -64,6 +61,18 @@ type ProbeSummary struct {
 	Max  float64 `json:"max"`
 	Mean float64 `json:"mean"`
 	Last float64 `json:"last"`
+}
+
+// ClassStats accumulates execution counters for one engine handler class.
+type ClassStats struct {
+	Class string `json:"class"`
+	// Fired counts events executed under this class — deterministic for a
+	// given seed and fault plan.
+	Fired uint64 `json:"fired"`
+	// WallNS is the cumulative wall-clock handler cost. It is inherently
+	// nondeterministic and therefore appears only in Summary, never in
+	// the byte-stable Dump.
+	WallNS int64 `json:"wall_ns"`
 }
 
 // EngineSummary is the engine profile including wall-clock handler cost.
@@ -110,10 +119,10 @@ func (r *Recorder) Summary() *Summary {
 		}
 		s.Probes = append(s.Probes, ps)
 	}
-	if r.profile != nil {
-		es := &EngineSummary{Classes: r.profile.Classes()}
-		if r.eng != nil {
-			es.QueueHighWater = r.eng.QueueHighWater()
+	if r.eng != nil {
+		es := &EngineSummary{QueueHighWater: r.eng.QueueHighWater()}
+		for _, c := range r.eng.ProfileSnapshot() {
+			es.Classes = append(es.Classes, ClassStats{Class: c.Name, Fired: c.Fired, WallNS: c.WallNS})
 		}
 		s.Engine = es
 	}

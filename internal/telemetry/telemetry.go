@@ -66,8 +66,8 @@ type Recorder struct {
 	byName  map[string]int
 	times   []sim.Time
 	cadence sim.Time // the last NewSampler's, reported by the dump
-	profile *EngineProfile
-	eng     *sim.Engine
+	// eng is the engine ObserveEngine profiles; nil before it is called.
+	eng *sim.Engine
 }
 
 // NewRecorder returns an empty recorder.
@@ -114,8 +114,28 @@ func (r *Recorder) Gauge(name string, fn func(now sim.Time) float64) {
 // sample is (counter delta since the previous sample) / (interval
 // seconds). The first sample establishes the baseline and reads 0.
 func (r *Recorder) Rate(name string, cumulative func() float64) {
+	r.MustRegister(name, KindRate, perSecond(cumulative))
+}
+
+// Utilization registers an occupancy probe derived from a cumulative
+// counter and a capacity: (counter delta / interval) / capacity, clamped
+// to [0, 1] — the duty cycle of a link or channel over the interval.
+func (r *Recorder) Utilization(name string, capacity float64, cumulative func() float64) {
+	rate := perSecond(cumulative)
+	r.MustRegister(name, KindOccupancy, func(now, dt sim.Time) float64 {
+		v := rate(now, dt)
+		if capacity <= 0 {
+			return 0
+		}
+		return clamp01(v / capacity)
+	})
+}
+
+// perSecond is the probe behind Rate: the growth of cumulative per
+// second since the previous sample, 0 on the first.
+func perSecond(cumulative func() float64) ProbeFunc {
 	prev := math.NaN()
-	r.MustRegister(name, KindRate, func(_, dt sim.Time) float64 {
+	return func(_, dt sim.Time) float64 {
 		cur := cumulative()
 		if math.IsNaN(prev) || dt <= 0 {
 			prev = cur
@@ -124,24 +144,7 @@ func (r *Recorder) Rate(name string, cumulative func() float64) {
 		v := (cur - prev) / dt.Seconds()
 		prev = cur
 		return v
-	})
-}
-
-// Utilization registers an occupancy probe derived from a cumulative
-// counter and a capacity: (counter delta / interval) / capacity, clamped
-// to [0, 1] — the duty cycle of a link or channel over the interval.
-func (r *Recorder) Utilization(name string, capacity float64, cumulative func() float64) {
-	prev := math.NaN()
-	r.MustRegister(name, KindOccupancy, func(_, dt sim.Time) float64 {
-		cur := cumulative()
-		if math.IsNaN(prev) || dt <= 0 || capacity <= 0 {
-			prev = cur
-			return 0
-		}
-		v := (cur - prev) / dt.Seconds() / capacity
-		prev = cur
-		return clamp01(v)
-	})
+	}
 }
 
 // Sample snapshots every probe at simulated time now, appending one row to
@@ -195,14 +198,9 @@ func (r *Recorder) AllSeries() []Series {
 // series. Profiling is counter-based, so it runs beside the runtime
 // watchdog without touching it.
 func (r *Recorder) ObserveEngine(eng *sim.Engine) {
-	if r.profile == nil {
-		r.profile = NewEngineProfile(eng)
-	}
+	eng.EnableProfiling()
 	r.eng = eng
 }
-
-// Profile returns the engine profile (nil before ObserveEngine).
-func (r *Recorder) Profile() *EngineProfile { return r.profile }
 
 func clamp01(x float64) float64 {
 	if x < 0 {

@@ -141,7 +141,7 @@ func TestEngineProfileCountsClasses(t *testing.T) {
 	NewSampler(eng, rec, 50*sim.Microsecond).Arm(100 * sim.Microsecond)
 	eng.RunAll()
 
-	classes := rec.Profile().Classes()
+	classes := rec.Summary().Engine.Classes
 	got := map[string]uint64{}
 	for _, c := range classes {
 		got[c.Class] = c.Fired

@@ -142,39 +142,37 @@ func (n *Node) ConnectHostWith(s *Socket, use LinkUse, bwPerDir float64) error {
 // QuadAPUNode builds the Fig. 18(a) node: four MI300A APUs in a
 // fully-connected coherent IF topology with two x16 links between every
 // pair (6 of 8 links per socket), leaving the rest for NICs/storage.
-func QuadAPUNode() (*Node, error) {
-	n := &Node{Name: "4xMI300A"}
-	for i := 0; i < 4; i++ {
-		n.Sockets = append(n.Sockets, NewSocket(fmt.Sprintf("APU%d", i), config.MI300A()))
-	}
-	for i := 0; i < 4; i++ {
-		for j := i + 1; j < 4; j++ {
-			if err := n.Connect(n.Sockets[i], n.Sockets[j], 2); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return n, nil
-}
+func QuadAPUNode() (*Node, error) { return fullMesh("4xMI300A", "APU", config.MI300A, 4, 2) }
 
 // OctoAcceleratorNode builds the Fig. 18(b) node: eight MI300X modules
 // fully connected with one IF x16 link per pair (7 links), the eighth
 // link providing PCIe connectivity to EPYC hosts.
 func OctoAcceleratorNode() (*Node, error) {
-	n := &Node{Name: "8xMI300X", Host: config.MI300X().Host}
-	for i := 0; i < 8; i++ {
-		n.Sockets = append(n.Sockets, NewSocket(fmt.Sprintf("GPU%d", i), config.MI300X()))
+	n, err := fullMesh("8xMI300X", "GPU", config.MI300X, 8, 1)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < 8; i++ {
-		for j := i + 1; j < 8; j++ {
-			if err := n.Connect(n.Sockets[i], n.Sockets[j], 1); err != nil {
-				return nil, err
-			}
-		}
-	}
+	n.Host = config.MI300X().Host
 	for _, s := range n.Sockets {
 		if err := n.ConnectHost(s); err != nil {
 			return nil, err
+		}
+	}
+	return n, nil
+}
+
+// fullMesh builds a node of count sockets of spec, named prefix0,
+// prefix1, ..., with links IF links between every pair.
+func fullMesh(name, prefix string, spec func() *config.PlatformSpec, count, links int) (*Node, error) {
+	n := &Node{Name: name}
+	for i := 0; i < count; i++ {
+		n.Sockets = append(n.Sockets, NewSocket(fmt.Sprintf("%s%d", prefix, i), spec()))
+	}
+	for i := 0; i < count; i++ {
+		for j := i + 1; j < count; j++ {
+			if err := n.Connect(n.Sockets[i], n.Sockets[j], links); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return n, nil

@@ -3,6 +3,7 @@ package apusim
 import (
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/runner"
 )
 
@@ -29,4 +30,13 @@ func Experiments() *runner.Registry {
 		registerSpanExperiments(registry)  // experiments_spans.go: causal span tracing
 	})
 	return registry
+}
+
+// tableOutput is the output of an experiment that returns its result and
+// its table: the table's text, or the experiment's error.
+func tableOutput[R any](_ R, t *metrics.Table, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return t.String(), nil
 }
