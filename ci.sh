@@ -6,11 +6,12 @@
 #     so -race is load-bearing, not decoration; the cmd/repro and
 #     cmd/apusimd tests build and drive the real binaries);
 #   the engine bench gate against BENCH_engine.json;
-#   eleven fuzz stages: the fault-plan and job-spec parsers, the journal's
+#   twelve fuzz stages: the fault-plan and job-spec parsers, the journal's
 #     single-stream and segmented-directory replay, and the cache tag
 #     store, functional memory, workgroup placement, the span store and its
-#     attribution, the engine's event queue, the fabric's route search and
-#     the HBM interleave walk against their reference implementations.
+#     attribution, the engine's event queue, the fabric's route search, the
+#     HBM interleave walk and the metric label renderer against their
+#     reference implementations.
 #
 # Every stage runs even when an earlier one fails; the script then exits
 # 1 and names the failed stages.
@@ -158,6 +159,13 @@ stage "route search differential fuzz smoke" fuzz ./internal/fabric/ FuzzRouteDi
 # boundaries or run past the top of the space: every returned time,
 # observer callback, channel counter and ChunksIssued must match.
 stage "HBM interleave differential fuzz smoke" fuzz ./internal/mem/ FuzzHBMDifferential 15s
+
+# 15 seconds of coverage-guided fuzzing of the metric label renderer
+# against the one it replaced, on label sets with empty, duplicate and
+# digit-led keys and values holding quotes, backslashes, newlines and
+# non-ASCII bytes: every rendered key must match byte for byte, and
+# Set.Histogram must return one series per distinct key in any label order.
+stage "metric label differential fuzz smoke" fuzz ./internal/telemetry/ FuzzLabelKeyDifferential 15s
 
 if [ ${#failed[@]} -gt 0 ]; then
     echo "ci.sh: ${#failed[@]} stage(s) failed:" >&2

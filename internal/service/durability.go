@@ -399,7 +399,7 @@ func (s *Server) maybeRequeueInterrupted(job *Job) {
 		s.journalAppendSync(*rec)
 		s.completed[stored.State].Add(1)
 		job.finish(stored.State, stored.Manifest, "", stored.Attempts)
-		s.observeJobLatency(job)
+		s.observeJobLatency(job, job.Status())
 		s.event(job, "requeue_interrupted", "from_cache", "interrupted job finished from cache",
 			"state", string(stored.State))
 		return

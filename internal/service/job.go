@@ -151,7 +151,10 @@ type Job struct {
 func newJob(id, tenant string, spec *Spec, key string) *Job {
 	j := &Job{id: id, tenant: tenant, spec: spec, key: key, traceID: traceIDFor(id, key)}
 	j.state = JobQueued
-	j.transitions = []Transition{{State: JobQueued, At: time.Now().UTC()}}
+	// Room for the terminal transition too: a cache hit's record then
+	// never grows.
+	j.transitions = make([]Transition, 1, 2)
+	j.transitions[0] = Transition{State: JobQueued, At: time.Now().UTC()}
 	return j
 }
 
@@ -301,8 +304,11 @@ func (j *Job) finish(state JobState, manifest []byte, errMsg string, attempts in
 
 // notifyLocked pushes the current status to every subscriber. Channels
 // are buffered deep enough for the whole lifecycle, so sends never block
-// with j.mu held.
+// with j.mu held. With no subscriber, no status is built.
 func (j *Job) notifyLocked() {
+	if len(j.subs) == 0 {
+		return
+	}
 	st := j.statusLocked()
 	for _, ch := range j.subs {
 		select {

@@ -345,6 +345,10 @@ type latencyFamily struct {
 // families, so an idle server's /v1/metrics exposition is byte-stable.
 var latencyStages = []string{"queue_wait", "run", "e2e"}
 
+// latencyBuckets is the bucket layout of every latency histogram, computed
+// once so that observing a latency builds no bounds slice.
+var latencyBuckets = telemetry.LatencyBuckets()
+
 var latencyFamilies = map[string]latencyFamily{
 	"queue_wait": {
 		job:        "apusimd_job_queue_wait_seconds",
@@ -380,10 +384,10 @@ func (s *Server) initLatencyHistograms() {
 	for _, stage := range latencyStages {
 		f := latencyFamilies[stage]
 		for _, id := range exps {
-			s.metrics.Histogram(f.job, f.jobHelp, telemetry.LatencyBuckets(),
+			s.metrics.Histogram(f.job, f.jobHelp, latencyBuckets,
 				telemetry.Label{Key: "experiment", Value: id})
 		}
-		s.metrics.Histogram(f.tenant, f.tenantHelp, telemetry.LatencyBuckets(),
+		s.metrics.Histogram(f.tenant, f.tenantHelp, latencyBuckets,
 			telemetry.Label{Key: "tenant", Value: DefaultTenant})
 	}
 }
@@ -408,18 +412,17 @@ func (s *Server) observeStage(stage, experiment, tenant string, ns int64) {
 	}
 	sec := float64(ns) / 1e9
 	f := latencyFamilies[stage]
-	s.metrics.Histogram(f.job, f.jobHelp, telemetry.LatencyBuckets(),
+	s.metrics.Histogram(f.job, f.jobHelp, latencyBuckets,
 		telemetry.Label{Key: "experiment", Value: experiment}).Observe(sec)
-	s.metrics.Histogram(f.tenant, f.tenantHelp, telemetry.LatencyBuckets(),
+	s.metrics.Histogram(f.tenant, f.tenantHelp, latencyBuckets,
 		telemetry.Label{Key: "tenant", Value: tenant}).Observe(sec)
 }
 
-// observeJobLatency records a terminal job's stage durations: queue-wait
-// and run time only for jobs that actually ran (cache hits and coalesced
-// jobs reuse a result without consuming a worker), end-to-end for every
-// completion.
-func (s *Server) observeJobLatency(job *Job) {
-	st := job.Status()
+// observeJobLatency records a terminal job's stage durations from st, a
+// status snapshot of job: queue-wait and run time only for jobs that
+// actually ran (cache hits and coalesced jobs reuse a result without
+// consuming a worker), end-to-end for every completion.
+func (s *Server) observeJobLatency(job *Job, st JobStatus) {
 	if !st.State.Terminal() {
 		return
 	}

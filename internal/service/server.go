@@ -589,8 +589,8 @@ func (s *Server) finishJob(job *Job, state JobState, manifest []byte, errMsg str
 		// finish also sees it in the completion counters.
 		s.completed[state].Add(1)
 		j.finish(state, manifest, errMsg, attempts)
-		s.observeJobLatency(j)
 		st := j.Status()
+		s.observeJobLatency(j, st)
 		s.event(j, "finish", string(state), "job finished",
 			"state", string(state), "attempts", attempts, "error", errMsg, "coalesced", j != job,
 			"queued_ns", st.QueuedNS, "run_ns", st.RunNS, "e2e_ns", st.E2ENS)
@@ -662,12 +662,37 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// jsonWriter is a response buffer with an indenting encoder bound to it,
+// pooled so a response costs neither an encoder nor its indent buffer.
+type jsonWriter struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonWriters = sync.Pool{New: func() any {
+	jw := new(jsonWriter)
+	jw.enc = json.NewEncoder(&jw.buf)
+	jw.enc.SetIndent("", "  ")
+	return jw
+}}
+
+// maxPooledJSON is the largest buffer writeJSON returns to the pool, so
+// one large /v1/jobs listing is not retained.
+const maxPooledJSON = 64 << 10
+
+// writeJSON writes v as an indented JSON response. The body goes out in
+// one Write, as an encoder writing to w directly would send it; a value
+// that fails to encode sends an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	jw := jsonWriters.Get().(*jsonWriter)
+	jw.buf.Reset()
+	_ = jw.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(jw.buf.Bytes()) // a failed write means the client has gone
+	if jw.buf.Cap() <= maxPooledJSON {
+		jsonWriters.Put(jw)
+	}
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
@@ -735,10 +760,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.submitted.Inc()
 		job.finish(stored.State, stored.Manifest, "", stored.Attempts)
 		s.completed[stored.State].Add(1)
-		s.observeJobLatency(job)
+		st := job.Status()
+		s.observeJobLatency(job, st)
 		s.event(job, "cache_hit", experimentLabel(spec), "job served from cache",
 			"experiment", experimentLabel(spec), "state", string(stored.State))
-		writeJSON(w, http.StatusOK, job.Status())
+		writeJSON(w, http.StatusOK, st)
 		return
 	}
 	if ref := s.admissionRefusalLocked(place); ref.code != 0 {

@@ -228,6 +228,63 @@ func TestCacheHitReturnsIdenticalManifest(t *testing.T) {
 	}
 }
 
+// TestCacheHitAllocationBudget bounds the heap cost of the path result
+// caching exists for: one POST /v1/jobs answered 200 from the stored
+// result, served in-process through Handler. The count includes building
+// the request and the recorder, about a dozen allocations.
+func TestCacheHitAllocationBudget(t *testing.T) {
+	const budget = 70
+	d := newTestDaemon(t, Config{Workers: 1})
+	const spec = `{"experiment": "exp-1"}`
+	_, first := d.submit(t, spec)
+	d.await(t, first.ID)
+	h := d.srv.Handler()
+	hit := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(spec))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("resubmit: status %d, want 200 (served from cache): %s", rec.Code, rec.Body)
+		}
+	}
+	n := testing.AllocsPerRun(200, hit)
+	t.Logf("a cache hit made %.0f allocations, budget %d", n, budget)
+	if n > budget {
+		t.Errorf("a cache hit made %.0f allocations, over the budget of %d", n, budget)
+	}
+}
+
+// TestWriteJSONMatchesDirectEncoder pins writeJSON's pooled buffers to the
+// bytes an indenting encoder writing to the response directly sends, for
+// a body too large to go back to the pool and for small ones around it.
+func TestWriteJSONMatchesDirectEncoder(t *testing.T) {
+	big := make([]string, 4000)
+	for i := range big {
+		big[i] = fmt.Sprintf("job-%06d", i)
+	}
+	for _, v := range []any{
+		JobStatus{ID: "j-1-000001", State: JobOK, Transitions: []Transition{{State: JobQueued}}},
+		map[string][]string{"jobs": big},
+		apiError{Error: `unknown job "<x>"`},
+		JobStatus{ID: "j-1-000002", State: JobQueued},
+	} {
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusTeapot, v)
+		if rec.Code != http.StatusTeapot || rec.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("writeJSON sent status %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			t.Errorf("writeJSON body differs from the direct encoder's:\ngot  %.200q\nwant %.200q", rec.Body.Bytes(), want.Bytes())
+		}
+	}
+}
+
 func TestNoCacheBypassesBothDirections(t *testing.T) {
 	d := newTestDaemon(t, Config{Workers: 2})
 	_, warm := d.submit(t, `{"experiment": "exp-2"}`)

@@ -84,9 +84,6 @@ type Router struct {
 	LaunchOverhead sim.Time
 	// cpuEff / gpuEff derate theoretical peaks.
 	cpuEff, gpuEff float64
-
-	calls   uint64
-	gpuWins uint64
 }
 
 // NewRouter builds a router for the platform.
@@ -147,16 +144,11 @@ func (r *Router) EstimateGPU(c Call) sim.Time {
 func (r *Router) Route(c Call) (Target, Estimate, Estimate) {
 	cpu := Estimate{Target: TargetCPU, Time: r.EstimateCPU(c)}
 	gpu := Estimate{Target: TargetGPU, Time: r.EstimateGPU(c)}
-	r.calls++
 	if gpu.Time < cpu.Time {
-		r.gpuWins++
 		return TargetGPU, cpu, gpu
 	}
 	return TargetCPU, cpu, gpu
 }
-
-// Stats reports (calls routed, GPU wins).
-func (r *Router) Stats() (calls, gpuWins uint64) { return r.calls, r.gpuWins }
 
 // Crossover finds the smallest size in [lo, hi] where the generator's
 // call routes to the GPU, by binary search (the routing is monotonic in

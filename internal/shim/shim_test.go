@@ -90,16 +90,6 @@ func TestUnsupportedDtypeNeverRoutesGPU(t *testing.T) {
 	}
 }
 
-func TestStatsCount(t *testing.T) {
-	r := router(t, config.MI300A())
-	r.Route(DGEMM(16))
-	r.Route(DGEMM(8192))
-	calls, gpuWins := r.Stats()
-	if calls != 2 || gpuWins != 1 {
-		t.Errorf("stats = %d/%d, want 2/1", calls, gpuWins)
-	}
-}
-
 // Property: the router always picks the target with the smaller estimate.
 func TestRoutePicksMinimumProperty(t *testing.T) {
 	r := router(t, config.MI300A())

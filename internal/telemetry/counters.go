@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -137,7 +138,7 @@ func (s *Set) register(name, help, typ string, fn func() float64, labels []Label
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.familyLocked(name, help, typ)
-	v := &Var{counter: typ == "counter", labels: renderLabels(labels), fn: fn}
+	v := &Var{counter: typ == "counter", labels: string(appendLabels(nil, labels)), fn: fn}
 	f.vars = append(f.vars, v)
 	return v
 }
@@ -148,25 +149,25 @@ func (s *Set) register(name, help, typ string, fn func() float64, labels []Label
 // the existing variable, so dynamically discovered label values (tenants,
 // experiments) can register on first observation. Every variable in a
 // family must share its bucket layout — mismatched bounds panic.
+//
+// Finding an existing variable allocates nothing: the label suffix is
+// rendered into a stack buffer and the bounds are compared in place.
 func (s *Set) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
+	var buf [128]byte
+	key := appendLabels(buf[:0], labels)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	f := s.familyLocked(name, help, "histogram")
-	if f.byHist == nil {
-		f.byHist = make(map[string]*Histogram)
-	}
-	h := newHistogram(bounds, labels)
-	if old := f.byHist[h.key]; old != nil {
-		if len(old.bounds) != len(h.bounds) {
-			panic(fmt.Sprintf("telemetry: histogram %s%s re-registered with different buckets", f.name, h.key))
-		}
-		for i := range old.bounds {
-			if old.bounds[i] != h.bounds[i] {
-				panic(fmt.Sprintf("telemetry: histogram %s%s re-registered with different buckets", f.name, h.key))
-			}
+	if old := f.byHist[string(key)]; old != nil {
+		if !slices.Equal(old.bounds, bounds) {
+			panic(fmt.Sprintf("telemetry: histogram %s%s re-registered with different buckets", f.name, string(key)))
 		}
 		return old
 	}
+	if f.byHist == nil {
+		f.byHist = make(map[string]*Histogram)
+	}
+	h := newHistogram(bounds, string(key))
 	f.byHist[h.key] = h
 	f.hists = append(f.hists, h)
 	// Keep exposition order deterministic regardless of which label value
@@ -175,33 +176,49 @@ func (s *Set) Histogram(name, help string, bounds []float64, labels ...Label) *H
 	return h
 }
 
-// familyLocked finds or creates the named family; s.mu must be held.
+// familyLocked finds or creates the named family; s.mu must be held. A
+// name that is already legal finds its family without being sanitized.
 func (s *Set) familyLocked(name, help, typ string) *family {
-	clean := promSanitize(name)
-	f := s.byName[clean]
+	f := s.byName[name]
 	if f == nil {
-		f = &family{name: clean, help: help, typ: typ}
-		s.byName[clean] = f
-		s.families = append(s.families, f)
-	} else if f.typ != typ {
-		panic(fmt.Sprintf("telemetry: metric %s registered as both %s and %s", clean, f.typ, typ))
+		clean := promSanitize(name)
+		if f = s.byName[clean]; f == nil {
+			f = &family{name: clean, help: help, typ: typ}
+			s.byName[clean] = f
+			s.families = append(s.families, f)
+		}
+	}
+	if f.typ != typ {
+		panic(fmt.Sprintf("telemetry: metric %s registered as both %s and %s", f.name, f.typ, typ))
 	}
 	return f
 }
 
-// renderLabels formats constant labels as an exposition-format suffix,
-// sorted by key so equivalent label sets render identically.
-func renderLabels(labels []Label) string {
+// appendLabels appends constant labels to dst as an exposition-format
+// suffix, {k="v",...}, with keys sanitized and values escaped; no labels
+// append nothing. The pairs are sorted by key so equivalent label sets
+// render identically, and the sort is stable, so duplicate keys render in
+// call order. It is the one label renderer: Var suffixes and histogram
+// lookup keys both come from it.
+func appendLabels(dst []byte, labels []Label) []byte {
 	if len(labels) == 0 {
-		return ""
+		return dst
 	}
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	parts := make([]string, len(sorted))
+	// Sort a stack copy: the caller's slice keeps its order.
+	var stack [4]Label
+	sorted := append(stack[:0], labels...)
+	slices.SortStableFunc(sorted, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	dst = append(dst, '{')
 	for i, l := range sorted {
-		parts[i] = fmt.Sprintf("%s=\"%s\"", promSanitize(l.Key), promEscape(l.Value))
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendSanitized(dst, l.Key)
+		dst = append(dst, '=', '"')
+		dst = append(dst, promEscape(l.Value)...)
+		dst = append(dst, '"')
 	}
-	return "{" + strings.Join(parts, ",") + "}"
+	return append(dst, '}')
 }
 
 // Values returns a snapshot of every registered variable, keyed by its
@@ -262,7 +279,7 @@ func (h *Histogram) writeProm(b *strings.Builder, name string) {
 	snap := h.Snapshot()
 	withLE := func(le string) string {
 		inner := fmt.Sprintf("le=%q", le)
-		if len(h.labels) == 0 {
+		if h.key == "" {
 			return "{" + inner + "}"
 		}
 		return strings.TrimSuffix(h.key, "}") + "," + inner + "}"

@@ -49,7 +49,6 @@ func LatencyBuckets() []float64 { return ExpBuckets(0.001, 2, 18) }
 // methods are safe for concurrent use.
 type Histogram struct {
 	bounds []float64 // ascending upper bounds; +Inf implicit
-	labels []Label   // constant labels, sorted by key
 	key    string    // rendered label suffix, the family's dedup key
 
 	mu     sync.Mutex
@@ -58,8 +57,9 @@ type Histogram struct {
 	count  uint64
 }
 
-// newHistogram validates the bucket layout and builds the variable.
-func newHistogram(bounds []float64, labels []Label) *Histogram {
+// newHistogram validates the bucket layout and builds the variable; key
+// is its rendered label suffix (appendLabels).
+func newHistogram(bounds []float64, key string) *Histogram {
 	if len(bounds) == 0 {
 		panic("telemetry: histogram with no buckets")
 	}
@@ -72,12 +72,9 @@ func newHistogram(bounds []float64, labels []Label) *Histogram {
 			panic(fmt.Sprintf("telemetry: histogram bounds not ascending at %g", v))
 		}
 	}
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
 	return &Histogram{
 		bounds: b,
-		labels: sorted,
-		key:    renderLabels(sorted),
+		key:    key,
 		counts: make([]uint64, len(b)+1),
 	}
 }

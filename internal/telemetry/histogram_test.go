@@ -45,7 +45,7 @@ func TestExpBucketsRejectsNonsense(t *testing.T) {
 // Prometheus), values beyond the last bound land in the overflow bucket,
 // and NaN observations are dropped.
 func TestHistogramBucketing(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4}, nil)
+	h := newHistogram([]float64{1, 2, 4}, "")
 	for _, v := range []float64{0.5, 1, 1.5, 2, 4, 5, math.NaN()} {
 		h.Observe(v)
 	}
@@ -76,14 +76,19 @@ func TestSetHistogramGetOrCreate(t *testing.T) {
 		t.Fatal("different labels returned the same histogram")
 	}
 
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("re-registering with different buckets should panic")
-			}
+	for name, bounds := range map[string][]float64{
+		"more buckets":                    {1, 2, 3},
+		"same count, different upper end": {1, 3},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("re-registering with different buckets (%s) should panic", name)
+				}
+			}()
+			s.Histogram("lat_seconds", "help", bounds, l)
 		}()
-		s.Histogram("lat_seconds", "help", []float64{1, 2, 3}, l)
-	}()
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -92,6 +97,50 @@ func TestSetHistogramGetOrCreate(t *testing.T) {
 		}()
 		s.Counter("lat_seconds", "help")
 	}()
+
+	a, b := Label{Key: "experiment", Value: "fig14"}, Label{Key: "tenant", Value: "t1"}
+	if s.Histogram("two_seconds", "help", []float64{1}, a, b) != s.Histogram("two_seconds", "help", []float64{1}, b, a) {
+		t.Error("the same two labels in either order returned distinct histograms")
+	}
+
+	odd := Label{Key: "path", Value: "a\"b\\c\nd"}
+	he := s.Histogram("esc_seconds", "help", []float64{1}, odd)
+	if s.Histogram("esc_seconds", "help", []float64{1}, odd) != he {
+		t.Fatal("a value holding a quote, a backslash and a newline found a new series")
+	}
+	he.Observe(0.5)
+	var sb strings.Builder
+	if err := s.WritePromText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := `esc_seconds_count{path="a\"b\\c\nd"} 1` + "\n"; !strings.Contains(sb.String(), want) {
+		t.Errorf("exposition lacks the escaped series %q:\n%s", want, sb.String())
+	}
+}
+
+// TestSetHistogramLookupAllocatesNothing pins the hit path apusimd takes
+// on every completed job: finding an existing series, with one label or
+// two, builds nothing.
+func TestSetHistogramLookupAllocatesNothing(t *testing.T) {
+	s := NewSet()
+	bounds := LatencyBuckets()
+	one := func() *Histogram {
+		return s.Histogram("job_seconds", "help", bounds, Label{Key: "experiment", Value: "fig14"})
+	}
+	two := func() *Histogram {
+		return s.Histogram("tenant_seconds", "help", bounds,
+			Label{Key: "tenant", Value: "default"}, Label{Key: "experiment", Value: "fig14"})
+	}
+	for name, lookup := range map[string]func() *Histogram{"one label": one, "two labels": two} {
+		h := lookup()
+		if n := testing.AllocsPerRun(100, func() {
+			if lookup() != h {
+				t.Fatal("lookup found a different series")
+			}
+		}); n != 0 {
+			t.Errorf("%s: Set.Histogram on an existing series allocated %.0f times, want 0", name, n)
+		}
+	}
 }
 
 // TestHistogramPromExposition pins the exact exposition text: cumulative

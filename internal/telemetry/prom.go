@@ -21,33 +21,38 @@ const promNamePrefix = "apusim_"
 // under the apusim_ namespace.
 func promName(name string) string { return promNamePrefix + promSanitize(name) }
 
-// promSanitize makes a string a legal Prometheus metric name: every
-// character outside [a-zA-Z0-9_:] becomes '_', and a leading digit gets a
+// promSanitize makes a string a legal Prometheus metric name (see
+// appendSanitized).
+func promSanitize(name string) string { return string(appendSanitized(nil, name)) }
+
+// appendSanitized appends name to dst as a legal Prometheus metric name:
+// every byte outside [a-zA-Z0-9_:] becomes '_', and a leading digit gets a
 // '_' prefix.
-func promSanitize(name string) string {
-	var b strings.Builder
+func appendSanitized(dst []byte, name string) []byte {
 	for i := 0; i < len(name); i++ {
 		c := name[i]
 		switch {
 		case c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_' || c == ':':
-			b.WriteByte(c)
+			dst = append(dst, c)
 		case c >= '0' && c <= '9':
 			if i == 0 {
-				b.WriteByte('_')
+				dst = append(dst, '_')
 			}
-			b.WriteByte(c)
+			dst = append(dst, c)
 		default:
-			b.WriteByte('_')
+			dst = append(dst, '_')
 		}
 	}
-	return b.String()
+	return dst
 }
 
-// promEscape escapes a label value per the exposition format.
-func promEscape(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// promEscaper escapes label values. Built once: a Replacer's lookup table
+// is several KiB, too much to rebuild for every label rendered.
+var promEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// promEscape escapes a label value per the exposition format. A value
+// with nothing to escape is returned as is, without allocating.
+func promEscape(v string) string { return promEscaper.Replace(v) }
 
 // promFloat renders a sample value.
 func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
