@@ -1,6 +1,6 @@
 // Package cache implements the cache hierarchy models: a generic
-// set-associative cache with LRU replacement used for the CU L1D, the
-// shared instruction caches, the XCD L2, and the CCD L2/L3; and the
+// set-associative cache with LRU replacement used for the shared
+// instruction caches and the XCD L2; and the
 // memory-side Infinity Cache (§IV.D) — 2 MB per memory channel, with a
 // stream prefetcher — whose job in MI300 is bandwidth amplification for
 // the HBM rather than coherence participation.
@@ -88,25 +88,40 @@ type SetAssoc struct {
 // NewSetAssoc builds a cache of the given total size. Size must be a
 // multiple of lineSize×ways and the set count must be a power of two.
 func NewSetAssoc(name string, size, lineSize int64, ways int) *SetAssoc {
-	if size <= 0 || lineSize <= 0 || ways <= 0 {
-		panic(fmt.Sprintf("cache: invariant violated: geometry must be positive (size=%d line=%d ways=%d)", size, lineSize, ways))
-	}
-	lines := size / lineSize
-	sets := int(lines) / ways
-	if sets == 0 || int64(sets*ways)*lineSize != size {
-		panic(fmt.Sprintf("cache: invariant violated: %s size %d must divide evenly into %d-way sets of %d-byte lines", name, size, ways, lineSize))
-	}
-	if sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("cache: invariant violated: %s set count %d must be a power of two for index masking", name, sets))
-	}
-	c := &SetAssoc{Name: name, LineSize: lineSize, Ways: ways, Sets: sets,
+	c := new(SetAssoc)
+	c.init(name, size, lineSize, ways)
+	return c
+}
+
+// init makes c an empty cache of the given geometry, as NewSetAssoc
+// builds it, for caches that live inside another struct.
+func (c *SetAssoc) init(name string, size, lineSize int64, ways int) {
+	sets := checkGeometry(name, size, lineSize, ways)
+	*c = SetAssoc{Name: name, LineSize: lineSize, Ways: ways, Sets: sets,
 		lineShift: -1, setShift: uint(bits.TrailingZeros(uint(sets)))}
 	if lineSize&(lineSize-1) == 0 {
 		c.lineShift = bits.TrailingZeros64(uint64(lineSize))
 	}
 	c.pageShift = uint(max(0, int(c.setShift)-5))
 	c.pageMask = 1<<c.pageShift - 1
-	return c
+}
+
+// checkGeometry returns the set count of a cache of the given geometry,
+// and panics if the size does not divide evenly into ways-way sets of
+// lineSize-byte lines or the set count is not a power of two.
+func checkGeometry(name string, size, lineSize int64, ways int) (sets int) {
+	if size <= 0 || lineSize <= 0 || ways <= 0 {
+		panic(fmt.Sprintf("cache: invariant violated: geometry must be positive (size=%d line=%d ways=%d)", size, lineSize, ways))
+	}
+	lines := size / lineSize
+	sets = int(lines) / ways
+	if sets == 0 || int64(sets*ways)*lineSize != size {
+		panic(fmt.Sprintf("cache: invariant violated: %s size %d must divide evenly into %d-way sets of %d-byte lines", name, size, ways, lineSize))
+	}
+	if sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("cache: invariant violated: %s set count %d must be a power of two for index masking", name, sets))
+	}
+	return sets
 }
 
 // Size reports total capacity in bytes.

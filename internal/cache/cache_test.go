@@ -244,13 +244,65 @@ func bytesPerRun(runs int, f func()) uint64 {
 var sinkCache *SetAssoc
 
 // TestNewSetAssocCostIndependentOfSets pins lazy construction: a 32 MiB
-// CCD L3 with 32,768 sets costs what a 2 MiB Infinity Cache slice with
+// cache with 32,768 sets costs what a 2 MiB Infinity Cache slice with
 // 1,024 sets does, a few hundred bytes.
 func TestNewSetAssocCostIndependentOfSets(t *testing.T) {
 	l3 := bytesPerRun(100, func() { sinkCache = NewSetAssoc("l3", 32<<20, 64, 16) })
 	slice := bytesPerRun(100, func() { sinkCache = NewSetAssoc("mall", 2<<20, 128, 16) })
 	if l3 != slice || l3 > 512 {
 		t.Errorf("NewSetAssoc allocates %d B for 32,768 sets and %d B for 1,024 sets, want the same few hundred bytes", l3, slice)
+	}
+}
+
+var sinkInfinityCache *InfinityCache
+
+// TestNewInfinityCacheAllocBudget pins what MI300A's idle Infinity Cache
+// costs: the list of its 128 slices, none of them built.
+func TestNewInfinityCacheAllocBudget(t *testing.T) {
+	const maxBytes, maxAllocs = 1420, 3
+	build := func() { sinkInfinityCache = NewInfinityCache(128, 2<<20, 17e12, 25*sim.Nanosecond, true) }
+	bytes := bytesPerRun(100, build)
+	allocs := testing.AllocsPerRun(100, build)
+	if bytes > maxBytes || allocs > maxAllocs {
+		t.Errorf("NewInfinityCache(128 slices) allocates %d B in %.0f allocations, want at most %d B in %d", bytes, allocs, maxBytes, maxAllocs)
+	}
+}
+
+// TestInfinityCacheBuildsOnlyTouchedSlices checks that an access builds
+// its own slice and no other, that the counters of untouched slices read
+// as zero, and that a slice first touched after Release panics as a
+// released slice does.
+func TestInfinityCacheBuildsOnlyTouchedSlices(t *testing.T) {
+	ic := NewInfinityCache(128, 2<<20, 17e12, 25*sim.Nanosecond, true)
+	built := func() (chs []int) {
+		for ch, sl := range ic.slices {
+			if sl != nil {
+				chs = append(chs, ch)
+			}
+		}
+		return chs
+	}
+	if chs := built(); chs != nil {
+		t.Fatalf("a new cache built slices %v", chs)
+	}
+	ic.Access(0, 5, 4096, 128, true)
+	ic.Access(0, 5, 4096, 128, false)
+	if chs := built(); len(chs) != 1 || chs[0] != 5 {
+		t.Errorf("two accesses on channel 5 built slices %v, want [5]", chs)
+	}
+	if st := ic.Stats(); st.Hits != 1 || st.Misses != 1 || ic.Accesses() != 2 {
+		t.Errorf("Stats %+v after %d accesses, want 1 hit and 1 miss of 2", st, ic.Accesses())
+	}
+	ic.ResetStats()
+	if chs := built(); len(chs) != 1 {
+		t.Errorf("ResetStats built slices: %v", chs)
+	}
+	ic.Release()
+	if !panics(func() { ic.Access(0, 6, 0, 128, false) }) {
+		t.Error("touching a new slice after Release did not panic")
+	}
+	if !panics(func() { ic.Access(0, 5, 8192, 128, false) }) {
+		t.Error("filling a released slice did not panic")
 	}
 }
 

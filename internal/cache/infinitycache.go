@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -13,7 +14,10 @@ import (
 // served at the cache's (higher) bandwidth instead of the channel's HBM
 // bandwidth — plus a hardware stream prefetcher to cut latency.
 type InfinityCache struct {
-	slices []*SetAssoc
+	// slices[ch] is the slice paired with channel ch, built on its first
+	// access: a cache no run touches holds only this list.
+	slices     []*icSlice
+	sliceBytes int64
 	// sliceBW is per-slice bandwidth in bytes/sec (aggregate/slices).
 	sliceBW float64
 	// hitLatency is the slice access latency; missLatency is added HBM
@@ -21,39 +25,59 @@ type InfinityCache struct {
 	hitLatency sim.Time
 	// prefetch enables the per-slice stream prefetcher.
 	prefetch bool
-	// streams tracks the last line address per slice for stream detection.
-	streams []int64
-	// busyUntil per slice models slice port occupancy.
-	busyUntil []sim.Time
-	lineSize  int64
 	// accesses counts Access calls. Slice accounting demands that every
 	// access registered exactly one hit or miss across the slices —
 	// accesses == Σ (hits + misses) — which the audit layer checks.
 	accesses uint64
+	// released is set by Release; a slice first touched after it panics.
+	released bool
 }
 
+// icSlice is one channel's slice of the Infinity Cache.
+type icSlice struct {
+	tags SetAssoc
+	// stream is the last line address the slice served, for stream
+	// detection; -1 before the first.
+	stream int64
+	// busyUntil models the slice's port occupancy.
+	busyUntil sim.Time
+}
+
+// Infinity Cache slice geometry: 128-byte lines, 16 ways.
+const (
+	icLineSize = 128
+	icWays     = 16
+)
+
 // NewInfinityCache builds slices caches of sliceBytes each, sharing
-// totalBW evenly.
+// totalBW evenly. It checks the slice geometry now; each slice's state is
+// built on the slice's first access.
 func NewInfinityCache(slices int, sliceBytes int64, totalBW float64, hitLatency sim.Time, prefetch bool) *InfinityCache {
 	if slices <= 0 {
 		panic(fmt.Sprintf("cache: invariant violated: an Infinity Cache needs at least one slice (got %d)", slices))
 	}
-	const lineSize = 128
-	ic := &InfinityCache{
+	checkGeometry(sliceName(0), sliceBytes, icLineSize, icWays)
+	return &InfinityCache{
+		slices:     make([]*icSlice, slices),
+		sliceBytes: sliceBytes,
 		sliceBW:    totalBW / float64(slices),
 		hitLatency: hitLatency,
 		prefetch:   prefetch,
-		streams:    make([]int64, slices),
-		busyUntil:  make([]sim.Time, slices),
-		lineSize:   lineSize,
 	}
-	for i := 0; i < slices; i++ {
-		ic.slices = append(ic.slices, NewSetAssoc(fmt.Sprintf("mall%d", i), sliceBytes, lineSize, 16))
+}
+
+// sliceName names slice ch's tag store.
+func sliceName(ch int) string { return "mall" + strconv.Itoa(ch) }
+
+// build builds channel ch's slice on its first access.
+func (ic *InfinityCache) build(ch int) *icSlice {
+	if ic.released {
+		panic(fmt.Sprintf("cache: invariant violated: %s was filled after Release handed its storage back", sliceName(ch)))
 	}
-	for i := range ic.streams {
-		ic.streams[i] = -1
-	}
-	return ic
+	sl := &icSlice{stream: -1}
+	sl.tags.init(sliceName(ch), ic.sliceBytes, icLineSize, icWays)
+	ic.slices[ch] = sl
+	return sl
 }
 
 // Slices reports the slice count.
@@ -61,14 +85,17 @@ func (ic *InfinityCache) Slices() int { return len(ic.slices) }
 
 // TotalBytes reports aggregate capacity.
 func (ic *InfinityCache) TotalBytes() int64 {
-	return int64(len(ic.slices)) * ic.slices[0].Size()
+	return int64(len(ic.slices)) * ic.sliceBytes
 }
 
-// Stats sums slice counters.
+// Stats sums slice counters; an untouched slice has none.
 func (ic *InfinityCache) Stats() Stats {
 	var s Stats
 	for _, sl := range ic.slices {
-		st := sl.Stats()
+		if sl == nil {
+			continue
+		}
+		st := sl.tags.Stats()
 		s.Hits += st.Hits
 		s.Misses += st.Misses
 		s.Evictions += st.Evictions
@@ -104,37 +131,40 @@ func (ic *InfinityCache) Access(start sim.Time, ch int, addr, nbytes int64, writ
 	}
 	ic.accesses++
 	sl := ic.slices[ch]
-	res := sl.Access(addr, write)
+	if sl == nil {
+		sl = ic.build(ch)
+	}
+	res := sl.tags.Access(addr, write)
 
 	// Slice port occupancy at slice bandwidth.
 	begin := start + ic.hitLatency
-	if ic.busyUntil[ch] > begin {
-		begin = ic.busyUntil[ch]
+	if sl.busyUntil > begin {
+		begin = sl.busyUntil
 	}
 	done := begin + sim.FromSeconds(float64(nbytes)/ic.sliceBW)
-	ic.busyUntil[ch] = done
+	sl.busyUntil = done
 
 	out := AccessResult{Hit: res.Hit, Done: done, Begin: begin}
 	if !res.Hit {
-		out.HBMBytes = ic.lineSize
+		out.HBMBytes = icLineSize
 		if res.Writeback {
-			out.HBMBytes += ic.lineSize
+			out.HBMBytes += icLineSize
 		}
 	}
 	// Stream prefetch: a detected sequential run (on hits or misses)
 	// keeps pulling the next line, so a steady stream converges to hits.
 	// A prefetch fill that evicts a dirty line writes it back too.
 	if ic.prefetch {
-		lineAddr := addr / ic.lineSize
-		if ic.streams[ch] == lineAddr-1 || ic.streams[ch] == lineAddr {
-			if pr := sl.Prefetch((lineAddr + 1) * ic.lineSize); !pr.Hit {
-				out.HBMBytes += ic.lineSize
+		lineAddr := addr / icLineSize
+		if sl.stream == lineAddr-1 || sl.stream == lineAddr {
+			if pr := sl.tags.Prefetch((lineAddr + 1) * icLineSize); !pr.Hit {
+				out.HBMBytes += icLineSize
 				if pr.Writeback {
-					out.HBMBytes += ic.lineSize
+					out.HBMBytes += icLineSize
 				}
 			}
 		}
-		ic.streams[ch] = lineAddr
+		sl.stream = lineAddr
 	}
 	return out
 }
@@ -151,9 +181,11 @@ func (ic *InfinityCache) HitRate() float64 {
 
 // ResetStats zeroes counters and occupancy (contents retained).
 func (ic *InfinityCache) ResetStats() {
-	for i, sl := range ic.slices {
-		sl.ResetStats()
-		ic.busyUntil[i] = 0
+	for _, sl := range ic.slices {
+		if sl != nil {
+			sl.tags.ResetStats()
+			sl.busyUntil = 0
+		}
 	}
 	ic.accesses = 0
 }

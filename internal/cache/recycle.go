@@ -74,9 +74,13 @@ func (c *SetAssoc) Release() {
 	c.released = true
 }
 
-// Release releases every slice (see SetAssoc.Release).
+// Release releases every slice built so far (see SetAssoc.Release); a
+// slice first touched afterwards panics as a released one would.
 func (ic *InfinityCache) Release() {
 	for _, sl := range ic.slices {
-		sl.Release()
+		if sl != nil {
+			sl.tags.Release()
+		}
 	}
+	ic.released = true
 }

@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 type refLine struct {
@@ -439,4 +441,166 @@ func FuzzSetAssocDifferential(f *testing.F) {
 		}
 		runDiff(t, geometryOf(prog[0]), prog[1:])
 	})
+}
+
+// eagerInfinityCache is the Infinity Cache that built every slice in its
+// constructor, with each slice's stream detector and port horizon in
+// per-cache slices, kept (its comments trimmed) as the spec the lazily
+// built one is checked against.
+type eagerInfinityCache struct {
+	slices     []*SetAssoc
+	sliceBW    float64
+	hitLatency sim.Time
+	prefetch   bool
+	streams    []int64
+	busyUntil  []sim.Time
+	lineSize   int64
+	accesses   uint64
+}
+
+func newEagerInfinityCache(slices int, sliceBytes int64, totalBW float64, hitLatency sim.Time, prefetch bool) *eagerInfinityCache {
+	if slices <= 0 {
+		panic(fmt.Sprintf("cache: invariant violated: an Infinity Cache needs at least one slice (got %d)", slices))
+	}
+	const lineSize = 128
+	ic := &eagerInfinityCache{
+		sliceBW:    totalBW / float64(slices),
+		hitLatency: hitLatency,
+		prefetch:   prefetch,
+		streams:    make([]int64, slices),
+		busyUntil:  make([]sim.Time, slices),
+		lineSize:   lineSize,
+	}
+	for i := 0; i < slices; i++ {
+		ic.slices = append(ic.slices, NewSetAssoc(fmt.Sprintf("mall%d", i), sliceBytes, lineSize, 16))
+	}
+	for i := range ic.streams {
+		ic.streams[i] = -1
+	}
+	return ic
+}
+
+func (ic *eagerInfinityCache) Slices() int { return len(ic.slices) }
+
+func (ic *eagerInfinityCache) TotalBytes() int64 {
+	return int64(len(ic.slices)) * ic.slices[0].Size()
+}
+
+func (ic *eagerInfinityCache) Stats() Stats {
+	var s Stats
+	for _, sl := range ic.slices {
+		st := sl.Stats()
+		s.Hits += st.Hits
+		s.Misses += st.Misses
+		s.Evictions += st.Evictions
+		s.Writebacks += st.Writebacks
+		s.Prefetches += st.Prefetches
+		s.PrefHits += st.PrefHits
+	}
+	return s
+}
+
+func (ic *eagerInfinityCache) Access(start sim.Time, ch int, addr, nbytes int64, write bool) AccessResult {
+	if ch < 0 || ch >= len(ic.slices) {
+		panic(fmt.Sprintf("cache: invariant violated: slice index %d outside [0, %d) — the interleave hash must stay in range", ch, len(ic.slices)))
+	}
+	ic.accesses++
+	sl := ic.slices[ch]
+	res := sl.Access(addr, write)
+
+	begin := start + ic.hitLatency
+	if ic.busyUntil[ch] > begin {
+		begin = ic.busyUntil[ch]
+	}
+	done := begin + sim.FromSeconds(float64(nbytes)/ic.sliceBW)
+	ic.busyUntil[ch] = done
+
+	out := AccessResult{Hit: res.Hit, Done: done, Begin: begin}
+	if !res.Hit {
+		out.HBMBytes = ic.lineSize
+		if res.Writeback {
+			out.HBMBytes += ic.lineSize
+		}
+	}
+	if ic.prefetch {
+		lineAddr := addr / ic.lineSize
+		if ic.streams[ch] == lineAddr-1 || ic.streams[ch] == lineAddr {
+			if pr := sl.Prefetch((lineAddr + 1) * ic.lineSize); !pr.Hit {
+				out.HBMBytes += ic.lineSize
+				if pr.Writeback {
+					out.HBMBytes += ic.lineSize
+				}
+			}
+		}
+		ic.streams[ch] = lineAddr
+	}
+	return out
+}
+
+func (ic *eagerInfinityCache) Accesses() uint64 { return ic.accesses }
+
+func (ic *eagerInfinityCache) ResetStats() {
+	for i, sl := range ic.slices {
+		sl.ResetStats()
+		ic.busyUntil[i] = 0
+	}
+	ic.accesses = 0
+}
+
+// TestInfinityCacheMatchesEager drives the lazily built Infinity Cache and
+// the eager one through the same random histories, with the prefetcher on
+// and off: accesses on random channels, at addresses that mostly stream
+// line by line and sometimes jump, reads and writes, and an occasional
+// ResetStats. Every AccessResult, and the Stats and Accesses after every
+// step, must match; so must the geometry the two report.
+func TestInfinityCacheMatchesEager(t *testing.T) {
+	for _, slices := range []int{1, 4, 128} {
+		for _, sliceBytes := range []int64{16 << 10, 2 << 20} {
+			for _, prefetch := range []bool{false, true} {
+				for seed := int64(0); seed < 4; seed++ {
+					name := fmt.Sprintf("slices=%d bytes=%d prefetch=%v seed=%d", slices, sliceBytes, prefetch, seed)
+					lazy := NewInfinityCache(slices, sliceBytes, 17e12, 25*sim.Nanosecond, prefetch)
+					eager := newEagerInfinityCache(slices, sliceBytes, 17e12, 25*sim.Nanosecond, prefetch)
+					if lazy.Slices() != eager.Slices() || lazy.TotalBytes() != eager.TotalBytes() {
+						t.Fatalf("%s: geometry %d slices, %d B; eager %d, %d", name,
+							lazy.Slices(), lazy.TotalBytes(), eager.Slices(), eager.TotalBytes())
+					}
+					rng := rand.New(rand.NewSource(seed))
+					// Jumps land anywhere in 64 slices' worth of bytes,
+					// so the 16 KiB slices evict and write back.
+					span := 64 * sliceBytes
+					addr := int64(0)
+					var now sim.Time
+					for step := 0; step < 3000; step++ {
+						switch r := rng.Intn(100); {
+						case r == 0:
+							lazy.ResetStats()
+							eager.ResetStats()
+						case r < 10:
+							addr = rng.Int63n(span)
+						default:
+							addr += 128
+						}
+						ch := rng.Intn(slices)
+						if rng.Intn(4) == 0 {
+							ch = int(addr/128) % slices
+						}
+						nbytes := int64(64 << rng.Intn(3))
+						write := rng.Intn(3) == 0
+						got := lazy.Access(now, ch, addr, nbytes, write)
+						want := eager.Access(now, ch, addr, nbytes, write)
+						if got != want {
+							t.Fatalf("%s, step %d: Access(ch %d, addr %d, %d B, write %v) = %+v, eager %+v",
+								name, step, ch, addr, nbytes, write, got, want)
+						}
+						if lazy.Stats() != eager.Stats() || lazy.Accesses() != eager.Accesses() {
+							t.Fatalf("%s, step %d: Stats %+v and %d accesses, eager %+v and %d",
+								name, step, lazy.Stats(), lazy.Accesses(), eager.Stats(), eager.Accesses())
+						}
+						now += sim.Time(rng.Intn(4000))
+					}
+				}
+			}
+		}
+	}
 }

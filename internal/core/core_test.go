@@ -18,20 +18,47 @@ func mustPlatform(t testing.TB, spec *config.PlatformSpec) *Platform {
 	return p
 }
 
-// TestNewPlatformAllocBudget pins the cost of building an MI300A before
-// it simulates anything. Its caches (128 Infinity Cache slices, three
-// 32 MiB CCD L3s, six XCD L2s) allocate their tag stores on first use, so
-// a build allocates well under 1 MiB.
+// TestNewPlatformAllocBudget pins the cost of building each platform
+// before it simulates anything: each budget is about 15% over what a
+// build takes. Caches allocate their tag stores on first fill, Infinity
+// Cache slices and XCD slot state are built on first use, and fabric
+// links and nodes come from chunked slabs; the HBM channels are the one
+// per-unit state built eagerly.
 func TestNewPlatformAllocBudget(t *testing.T) {
-	spec := config.MI300A()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	p := mustPlatform(t, spec)
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(p)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Errorf("NewPlatform(MI300A) allocated %d KiB, want under 1024 KiB", got>>10)
+	for _, c := range []struct {
+		spec                *config.PlatformSpec
+		maxBytes, maxAllocs uint64
+	}{
+		{config.MI300A(), 39700, 205},
+		{config.MI300X(), 45000, 217},
+		{config.MI250X(), 24100, 101},
+		{config.EHPv4(), 21200, 129},
+		{config.BaselineGPU(), 16900, 75},
+	} {
+		bytes, allocs := bytesAndAllocs(50, func() { sinkPlatform = mustPlatform(t, c.spec) })
+		if bytes > c.maxBytes || allocs > c.maxAllocs {
+			t.Errorf("NewPlatform(%s) allocates %d B in %d allocations, want at most %d B in %d",
+				c.spec.Name, bytes, allocs, c.maxBytes, c.maxAllocs)
+		}
 	}
+}
+
+// bytesAndAllocs reports the heap bytes and allocations one call of f
+// makes: each the least per-call average over five windows of runs calls,
+// since anything else that allocates inside a window only adds to it.
+func bytesAndAllocs(runs int, f func()) (bytes uint64, allocs uint64) {
+	bytes, allocs = ^uint64(0), ^uint64(0)
+	for w := 0; w < 5; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
+		allocs = min(allocs, (after.Mallocs-before.Mallocs)/uint64(runs))
+	}
+	return bytes, allocs
 }
 
 func TestNewPlatformAllSpecs(t *testing.T) {

@@ -11,7 +11,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -185,18 +185,18 @@ func (p *Platform) buildMI300Fabric() {
 	bondBW := 2.2e12 // per-chiplet 3D interface, comfortably above 2 HBM stacks
 	bondLat := 3 * sim.Nanosecond
 	for i := 0; i < spec.XCDs; i++ {
-		n := p.Net.AddNode(fmt.Sprintf("XCD%d", i), fabric.KindXCD)
+		n := p.Net.AddNode("XCD"+strconv.Itoa(i), fabric.KindXCD)
 		p.xcdNodes = append(p.xcdNodes, n.ID)
 		p.Net.Connect(p.iodNodes[i/2], n.ID, config.LinkOnDie, bondBW, bondLat)
 	}
 	ccdIOD := spec.XCDs / 2 // first IOD without XCDs
 	for i := 0; i < spec.CCDs; i++ {
-		n := p.Net.AddNode(fmt.Sprintf("CCD%d", i), fabric.KindCCD)
+		n := p.Net.AddNode("CCD"+strconv.Itoa(i), fabric.KindCCD)
 		p.ccdNodes = append(p.ccdNodes, n.ID)
 		p.Net.Connect(p.iodNodes[ccdIOD], n.ID, config.LinkOnDie, 0.4e12, bondLat)
 	}
 	for i := 0; i < spec.IODs*spec.IOD.X16Links; i++ {
-		n := p.Net.AddNode(fmt.Sprintf("x16-%d", i), fabric.KindIOPort)
+		n := p.Net.AddNode("x16-"+strconv.Itoa(i), fabric.KindIOPort)
 		p.ioNodes = append(p.ioNodes, n.ID)
 		p.Net.Connect(p.iodNodes[i/spec.IOD.X16Links], n.ID, config.LinkIFOP, spec.IOD.X16BWPerDir, 30*sim.Nanosecond)
 	}
@@ -206,7 +206,7 @@ func (p *Platform) buildMI300Fabric() {
 // attach(i) at the stack's bandwidth.
 func (p *Platform) addHBMStacks(attach func(i int) fabric.NodeID) {
 	for i := 0; i < p.Spec.HBM.Stacks; i++ {
-		n := p.Net.AddNode(fmt.Sprintf("HBM%d", i), fabric.KindHBM)
+		n := p.Net.AddNode("HBM"+strconv.Itoa(i), fabric.KindHBM)
 		p.hbmNodes = append(p.hbmNodes, n.ID)
 		p.Net.Connect(attach(i), n.ID, config.LinkOnDie, p.Spec.HBM.StackBW, 15*sim.Nanosecond)
 	}
@@ -221,13 +221,13 @@ func (p *Platform) buildEHPv4Fabric() {
 	serdesBW := 64e9 // DDR-class IF link (Fig. 4 ②)
 	serdesLat := 25 * sim.Nanosecond
 	for i := 0; i < spec.XCDs; i++ {
-		n := p.Net.AddNode(fmt.Sprintf("GCD%d", i), fabric.KindXCD)
+		n := p.Net.AddNode("GCD"+strconv.Itoa(i), fabric.KindXCD)
 		p.xcdNodes = append(p.xcdNodes, n.ID)
 		// Two IF links per GPU die to the server IOD.
 		p.Net.Connect(iod.ID, n.ID, config.LinkSerDes, 2*serdesBW, serdesLat)
 	}
 	for i := 0; i < spec.CCDs; i++ {
-		n := p.Net.AddNode(fmt.Sprintf("CCD%d", i), fabric.KindCCD)
+		n := p.Net.AddNode("CCD"+strconv.Itoa(i), fabric.KindCCD)
 		p.ccdNodes = append(p.ccdNodes, n.ID)
 		p.Net.Connect(iod.ID, n.ID, config.LinkSerDes, serdesBW, serdesLat)
 	}
@@ -245,7 +245,7 @@ func (p *Platform) buildEHPv4Fabric() {
 func (p *Platform) buildGCDFabric() {
 	spec := p.Spec
 	for i := 0; i < spec.XCDs; i++ {
-		n := p.Net.AddNode(fmt.Sprintf("GCD%d", i), fabric.KindXCD)
+		n := p.Net.AddNode("GCD"+strconv.Itoa(i), fabric.KindXCD)
 		p.xcdNodes = append(p.xcdNodes, n.ID)
 	}
 	// Each GCD owns its share of HBM stacks directly.
@@ -327,8 +327,8 @@ func (p *Platform) IODNode(i int) fabric.NodeID {
 }
 
 // Release hands the storage of the platform's caches (the Infinity
-// Cache slices, the XCD L2s and the CCD L3s) and of its address spaces
-// back to their packages' free lists, for later platforms to reuse.
+// Cache slices and the XCD L2s) and of its address spaces back to their
+// packages' free lists, for later platforms to reuse.
 // Counters stay readable; any later cache fill or memory access panics.
 // The runner releases every platform a run built once the run has ended.
 func (p *Platform) Release() {
@@ -337,12 +337,6 @@ func (p *Platform) Release() {
 	}
 	for _, x := range p.XCDs {
 		x.Release()
-	}
-	if p.CPU != nil {
-		p.CPU.Release()
-	}
-	if p.HostCPU != nil {
-		p.HostCPU.Release()
 	}
 	// On an APU HostMem is DeviceMem, whose second Release does nothing.
 	p.DeviceMem.Release()

@@ -10,7 +10,6 @@ package cpu
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -49,7 +48,6 @@ type Core struct {
 	CCD      int
 	Index    int
 	nextFree sim.Time
-	tasks    uint64
 }
 
 // Stats accumulates complex-wide execution counters.
@@ -61,12 +59,12 @@ type Stats struct {
 	BusyTime     sim.Time
 }
 
-// Complex is the full CPU complex: CCDs × cores sharing per-CCD L3s.
+// Complex is the full CPU complex: CCDs × cores. The CCDs' caches are not
+// modelled: CPU memory time is charged on the platform memory path.
 type Complex struct {
 	Spec  *config.CCDSpec
 	CCDs  int
-	cores []*Core
-	l3s   []*cache.SetAssoc
+	cores []Core
 	env   *Env
 	stats Stats
 }
@@ -79,12 +77,9 @@ func NewComplex(spec *config.CCDSpec, ccds int, env *Env) *Complex {
 	if env == nil {
 		env = &Env{}
 	}
-	c := &Complex{Spec: spec, CCDs: ccds, env: env}
-	for d := 0; d < ccds; d++ {
-		for i := 0; i < spec.Cores; i++ {
-			c.cores = append(c.cores, &Core{CCD: d, Index: i})
-		}
-		c.l3s = append(c.l3s, cache.NewSetAssoc(fmt.Sprintf("ccd%d.l3", d), spec.L3Bytes, 64, 16))
+	c := &Complex{Spec: spec, CCDs: ccds, env: env, cores: make([]Core, ccds*spec.Cores)}
+	for i := range c.cores {
+		c.cores[i] = Core{CCD: i / spec.Cores, Index: i % spec.Cores}
 	}
 	return c
 }
@@ -92,25 +87,14 @@ func NewComplex(spec *config.CCDSpec, ccds int, env *Env) *Complex {
 // Cores reports the total core count.
 func (c *Complex) Cores() int { return len(c.cores) }
 
-// L3 returns CCD d's L3 model.
-func (c *Complex) L3(d int) *cache.SetAssoc { return c.l3s[d] }
-
-// Release hands the L3s' tag storage back (see cache.SetAssoc.Release).
-func (c *Complex) Release() {
-	for _, l3 := range c.l3s {
-		l3.Release()
-	}
-}
-
 // Stats returns a copy of the counters.
 func (c *Complex) Stats() Stats { return c.stats }
 
 // ResetStats zeroes counters and core availability.
 func (c *Complex) ResetStats() {
 	c.stats = Stats{}
-	for _, core := range c.cores {
-		core.nextFree = 0
-		core.tasks = 0
+	for i := range c.cores {
+		c.cores[i].nextFree = 0
 	}
 }
 
@@ -118,10 +102,10 @@ func (c *Complex) ResetStats() {
 func (c *Complex) coreFlops() float64 { return c.Spec.ClockHz * c.Spec.FlopsCore }
 
 func (c *Complex) earliestCore() *Core {
-	best := c.cores[0]
-	for _, core := range c.cores[1:] {
-		if core.nextFree < best.nextFree {
-			best = core
+	best := &c.cores[0]
+	for i := range c.cores {
+		if c.cores[i].nextFree < best.nextFree {
+			best = &c.cores[i]
 		}
 	}
 	return best
@@ -149,7 +133,6 @@ func (c *Complex) run(start sim.Time, t Task, chunk int) sim.Time {
 		done = wrDone
 	}
 	core.nextFree = done
-	core.tasks++
 	c.stats.Tasks++
 	c.stats.Flops += t.Flops
 	c.stats.BytesRead += uint64(t.BytesRead)

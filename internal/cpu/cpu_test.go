@@ -18,7 +18,7 @@ func TestComplexGeometry(t *testing.T) {
 	if c.Cores() != 24 {
 		t.Errorf("cores = %d, want 24 (§IV.C)", c.Cores())
 	}
-	if got := c.L3(0).Size(); got != 32<<20 {
+	if got := c.Spec.L3Bytes; got != 32<<20 {
 		t.Errorf("L3 = %d, want 32 MiB", got)
 	}
 }

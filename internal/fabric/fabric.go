@@ -161,9 +161,14 @@ func (l *Link) EnergyPJ() float64 {
 type Network struct {
 	nodes []*Node
 	links []*Link
-	// adj[u] is node u's outgoing links, in link ID order: addLink
-	// appends them as it numbers them.
-	adj [][]*Link
+	// nodeSlab and linkSlab hold the nodes and links themselves.
+	nodeSlab slab[Node]
+	linkSlab slab[Link]
+	// out[adjStart[u]:adjStart[u+1]] is node u's outgoing links, in link
+	// ID order. bfs builds the index on its first search after the
+	// topology changed; adding a node or a link drops it.
+	adjStart []int32
+	out      []*Link
 	// routes caches hop-minimal paths keyed by src<<32|dst.
 	routes map[int64][]*Link
 	// best, frontier and next are bfs's scratch state, reused by every
@@ -180,6 +185,25 @@ type Network struct {
 	injected uint64
 }
 
+// slab hands out pointers to zeroed Ts a chunk at a time, so a network's
+// nodes and links cost a few allocations rather than one each. Each chunk
+// holds as many Ts as the slab has handed out so far, from 8 to 64. A
+// chunk is never reallocated, so the pointers stay valid.
+type slab[T any] struct {
+	free   []T
+	handed int
+}
+
+func (s *slab[T]) next() *T {
+	if len(s.free) == 0 {
+		s.free = make([]T, min(max(s.handed, 8), 64))
+	}
+	p := &s.free[0]
+	s.free = s.free[1:]
+	s.handed++
+	return p
+}
+
 // New returns an empty network.
 func New() *Network {
 	return &Network{
@@ -190,9 +214,10 @@ func New() *Network {
 
 // AddNode creates a node and returns it.
 func (n *Network) AddNode(name string, kind NodeKind) *Node {
-	node := &Node{ID: NodeID(len(n.nodes)), Name: name, Kind: kind}
+	node := n.nodeSlab.next()
+	*node = Node{ID: NodeID(len(n.nodes)), Name: name, Kind: kind}
 	n.nodes = append(n.nodes, node)
-	n.adj = append(n.adj, nil)
+	n.adjStart = nil
 	return node
 }
 
@@ -277,14 +302,40 @@ func (n *Network) addLink(src, dst NodeID, kind config.LinkKind, bw float64, lat
 	if n.Node(src) == nil || n.Node(dst) == nil {
 		panic(fmt.Sprintf("fabric: invariant violated: links must join registered nodes (got %d-%d)", src, dst))
 	}
-	l := &Link{
+	l := n.linkSlab.next()
+	*l = Link{
 		ID:   len(n.links),
-		Name: fmt.Sprintf("%s->%s", n.nodes[src].Name, n.nodes[dst].Name),
+		Name: n.nodes[src].Name + "->" + n.nodes[dst].Name,
 		Kind: kind, Src: src, Dst: dst, BW: bw, Latency: lat,
 	}
 	n.links = append(n.links, l)
-	n.adj[src] = append(n.adj[src], l)
+	n.adjStart = nil
 	return l
+}
+
+// index builds the adjacency index from the link list: a counting sort on
+// each link's source, filled from the back so each node's links keep
+// their ID order.
+func (n *Network) index() {
+	start := make([]int32, len(n.nodes)+1)
+	for _, l := range n.links {
+		start[l.Src]++
+	}
+	// Each node's count becomes the end of its range...
+	var end int32
+	for u := range n.nodes {
+		end += start[u]
+		start[u] = end
+	}
+	start[len(n.nodes)] = end
+	// ...and placing its links from the back moves it to the start.
+	out := make([]*Link, len(n.links))
+	for i := len(n.links) - 1; i >= 0; i-- {
+		l := n.links[i]
+		start[l.Src]--
+		out[start[l.Src]] = l
+	}
+	n.adjStart, n.out = start, out
 }
 
 func routeKey(src, dst NodeID) int64 { return int64(src)<<32 | int64(uint32(dst)) }
@@ -322,6 +373,9 @@ type searchState struct {
 // order and keeping, for every node, the path with the fewest hops and,
 // among those, the lowest latency that reached it first.
 func (n *Network) bfs(src, dst NodeID) ([]*Link, error) {
+	if n.adjStart == nil {
+		n.index()
+	}
 	if cap(n.best) < len(n.nodes) {
 		n.best = make([]searchState, len(n.nodes))
 	}
@@ -333,7 +387,7 @@ func (n *Network) bfs(src, dst NodeID) ([]*Link, error) {
 		next = next[:0]
 		for _, u := range frontier {
 			su := best[u]
-			for _, l := range n.adj[u] {
+			for _, l := range n.out[n.adjStart[u]:n.adjStart[u+1]] {
 				if l.state == LinkDown {
 					continue
 				}

@@ -366,9 +366,9 @@ func BenchmarkTransfer(b *testing.B) {
 }
 
 // refBFS is the route search before it kept its state in a slice indexed
-// by NodeID, kept verbatim as the executable spec Route is checked
-// against: a map per search, and a sorted copy of each visited node's
-// links.
+// by NodeID, kept as the executable spec Route is checked against: a map
+// per search, and each visited node's links gathered from the link list
+// and sorted by ID, without the network's adjacency index.
 func refBFS(n *Network, src, dst NodeID) ([]*Link, error) {
 	type state struct {
 		hops int
@@ -382,7 +382,12 @@ func refBFS(n *Network, src, dst NodeID) ([]*Link, error) {
 		var next []NodeID
 		for _, u := range frontier {
 			su := best[u]
-			links := append([]*Link(nil), n.adj[u]...)
+			var links []*Link
+			for _, l := range n.links {
+				if l.Src == u {
+					links = append(links, l)
+				}
+			}
 			sort.Slice(links, func(i, j int) bool { return links[i].ID < links[j].ID })
 			for _, l := range links {
 				if l.state == LinkDown {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -576,5 +577,73 @@ func TestXCDLossRedistributesDispatch(t *testing.T) {
 	}
 	if err := p.SetXCDOnline(9, false); err == nil {
 		t.Error("SetXCDOnline out of range should error")
+	}
+}
+
+// bytesAndAllocs reports the heap bytes and allocations one call of f
+// makes: each the least per-call average over five windows of runs calls,
+// since anything else that allocates inside a window only adds to it.
+func bytesAndAllocs(runs int, f func()) (bytes uint64, allocs uint64) {
+	bytes, allocs = ^uint64(0), ^uint64(0)
+	for w := 0; w < 5; w++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/uint64(runs))
+		allocs = min(allocs, (after.Mallocs-before.Mallocs)/uint64(runs))
+	}
+	return bytes, allocs
+}
+
+var sinkXCD *XCD
+
+// TestNewXCDAllocBudget pins what an idle MI300A XCD costs: its CU list,
+// its ACE horizons and an L2 with no tag storage yet. The CUs' slot and
+// ALU horizons (5,440 B for 40 CUs) wait for the first dispatch.
+func TestNewXCDAllocBudget(t *testing.T) {
+	const maxBytes, maxAllocs = 1280, 5
+	spec := config.MI300A().XCD
+	bytes, allocs := bytesAndAllocs(100, func() { sinkXCD = NewXCD(0, spec, sim.NewRNG(1)) })
+	if bytes > maxBytes || allocs > maxAllocs {
+		t.Errorf("NewXCD(MI300A) allocates %d B in %d allocations, want at most %d B in %d", bytes, allocs, maxBytes, maxAllocs)
+	}
+}
+
+// TestDispatchBuildsOnlyTheXCDsItRuns checks that slot state is built per
+// XCD on its first dispatch: a one-workgroup kernel on a six-XCD
+// partition builds one XCD's horizons, and a kernel spread over all six
+// builds the rest.
+func TestDispatchBuildsOnlyTheXCDsItRuns(t *testing.T) {
+	xs := testXCDs(6)
+	p := NewPartition("spx", xs, nil, PolicyRoundRobin)
+	built := func() (n int) {
+		for _, x := range xs {
+			if x.times != nil {
+				if len(x.times) != len(x.cus) {
+					t.Fatalf("xcd%d holds horizons for %d of its %d CUs", x.ID, len(x.times), len(x.cus))
+				}
+				n++
+			}
+		}
+		return n
+	}
+	if n := built(); n != 0 {
+		t.Fatalf("%d idle XCDs hold slot state, want 0", n)
+	}
+	k := &KernelSpec{Name: "k", FlopsPerItem: 10, Class: config.Vector, Dtype: config.FP32}
+	if _, err := p.Dispatch(0, k, 256, 256, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := built(); n != 1 {
+		t.Errorf("one workgroup built slot state on %d XCDs, want 1", n)
+	}
+	if _, err := p.Dispatch(0, k, 6*256, 256, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := built(); n != 6 {
+		t.Errorf("six workgroups built slot state on %d XCDs, want 6", n)
 	}
 }

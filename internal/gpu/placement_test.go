@@ -21,9 +21,10 @@ func refEarliestCUSlot(x *XCD, occ int) (*CU, int) {
 		if c.Disabled {
 			continue
 		}
-		s := c.earliestSlot(occ)
-		key := c.slotFree[s]
-		if alu := x.aluFree[c.Index]; alu > key {
+		ct := &x.times[c.Index]
+		s := ct.earliestSlot(occ)
+		key := ct.slotFree[s]
+		if alu := ct.aluFree; alu > key {
 			key = alu
 		}
 		if best == nil || key < bestKey {
@@ -65,7 +66,7 @@ func runPlacementDiff(t testing.TB, prog []byte) {
 	occ := 1
 	call := func(o int) {
 		occ = o
-		x.place.rebuild(x, occ)
+		x.arm(occ)
 	}
 	call(1 + int(prog[2]>>4))
 	for step, b := range prog[3:] {
@@ -86,12 +87,12 @@ func runPlacementDiff(t testing.TB, prog []byte) {
 			call(occ)
 			continue
 		case 4:
-			for i := range x.cus {
-				c := &x.cus[i]
-				for s := range c.slotFree {
-					c.slotFree[s] = draw()
+			for i := range x.times {
+				ct := &x.times[i]
+				for s := range ct.slotFree {
+					ct.slotFree[s] = draw()
 				}
-				x.aluFree[c.Index] = draw()
+				ct.aluFree = draw()
 			}
 			call(occ)
 			continue
@@ -105,9 +106,9 @@ func runPlacementDiff(t testing.TB, prog []byte) {
 		if cu == nil {
 			continue
 		}
-		cu.slotFree[slot] = draw()
+		x.times[cu.Index].slotFree[slot] = draw()
 		if rng.Intn(2) == 0 {
-			x.aluFree[cu.Index] = draw()
+			x.times[cu.Index].aluFree = draw()
 		}
 		x.place.update(x, cu.Index)
 	}

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -19,18 +20,25 @@ const maxOccupancy = 16
 
 // CU is one compute unit: a highly-threaded processor with its own L1D.
 // A CU hosts several workgroups concurrently (bounded by wavefront
-// contexts and LDS capacity); the model tracks the availability horizon
-// of each workgroup slot.
+// contexts and LDS capacity); its XCD tracks when each workgroup slot
+// frees up (see cuTimes).
 type CU struct {
 	Index    int
 	Disabled bool // harvested for yield (§IV.B)
+}
+
+// cuTimes is one CU's timing state: the availability horizon of each
+// workgroup slot, and of its arithmetic pipelines. Concurrent workgroup
+// slots hide launch overhead and memory latency, but they time-share the
+// ALUs.
+type cuTimes struct {
 	slotFree [maxOccupancy]sim.Time
-	wgDone   uint64
+	aluFree  sim.Time
 }
 
 // earliestSlot returns the index of the soonest-free slot among the first
 // occ slots.
-func (c *CU) earliestSlot(occ int) int {
+func (c *cuTimes) earliestSlot(occ int) int {
 	best := 0
 	for i := 1; i < occ && i < maxOccupancy; i++ {
 		if c.slotFree[i] < c.slotFree[best] {
@@ -89,13 +97,11 @@ type XCD struct {
 	l2   *cache.SetAssoc
 	// aceFree models the packet processors' availability.
 	aceFree []sim.Time
-	// aluFree serializes the arithmetic pipelines per CU: concurrent
-	// workgroup slots hide launch overhead and memory latency, but they
-	// time-share the ALUs.
-	aluFree []sim.Time
 	stats   Stats
-	// place finds each workgroup's CU; its storage is allocated on the
-	// first dispatch and reused by every later one.
+	// times[i] is CU i's slot and ALU horizons, and place finds each
+	// workgroup's CU. Both are allocated by the first dispatch and reused
+	// by every later one, so an XCD that never runs a kernel holds neither.
+	times []cuTimes
 	place placeTree
 }
 
@@ -106,9 +112,8 @@ func NewXCD(id int, spec *config.XCDSpec, rng *sim.RNG) *XCD {
 	x := &XCD{
 		ID:      id,
 		Spec:    spec,
-		l2:      cache.NewSetAssoc(fmt.Sprintf("xcd%d.l2", id), spec.L2Bytes, config.CacheLineSize, 16),
+		l2:      cache.NewSetAssoc("xcd"+strconv.Itoa(id)+".l2", spec.L2Bytes, config.CacheLineSize, 16),
 		aceFree: make([]sim.Time, spec.ACEs),
-		aluFree: make([]sim.Time, spec.PhysicalCUs),
 		cus:     make([]CU, spec.PhysicalCUs),
 	}
 	for i := range x.cus {
@@ -186,13 +191,12 @@ func (x *XCD) CUs() []CU { return x.cus }
 // least one workgroup slot occupied and how many slots are occupied in
 // all (the telemetry busy-CU and in-flight gauges).
 func (x *XCD) Occupancy(now sim.Time) (busyCUs, inFlight int) {
-	for i := range x.cus {
-		c := &x.cus[i]
-		if c.Disabled {
+	for i := range x.times {
+		if x.cus[i].Disabled {
 			continue
 		}
 		busy := 0
-		for _, free := range c.slotFree {
+		for _, free := range x.times[i].slotFree {
 			if free > now {
 				busy++
 			}
@@ -217,16 +221,8 @@ func (x *XCD) Stats() Stats { return x.stats }
 // ResetStats zeroes counters and CU availability.
 func (x *XCD) ResetStats() {
 	x.stats = Stats{}
-	for i := range x.cus {
-		x.cus[i].slotFree = [maxOccupancy]sim.Time{}
-		x.cus[i].wgDone = 0
-	}
-	for i := range x.aceFree {
-		x.aceFree[i] = 0
-	}
-	for i := range x.aluFree {
-		x.aluFree[i] = 0
-	}
+	clear(x.times)
+	clear(x.aceFree)
 }
 
 // decode models an ACE reading and decoding an AQL packet (Fig. 13 steps
@@ -261,16 +257,17 @@ func (x *XCD) executeWorkgroups(env *ExecEnv, start sim.Time, k *KernelSpec, wgs
 	// Occupancy is per kernel, and CUs are disabled or reset only between
 	// calls, so the placement tree is rebuilt here and then kept current
 	// by refreshing the placed CU's leaf after each workgroup.
-	x.place.rebuild(x, Occupancy(x.Spec, wgSize, k.LDSBytesPerGroup))
+	x.arm(Occupancy(x.Spec, wgSize, k.LDSBytesPerGroup))
 	end := start
 	for j, wg := 0, wgs.first; j < wgs.count; j, wg = j+1, wg+wgs.stride {
 		cu, slot := x.place.best(x)
 		if cu == nil {
 			panic(fmt.Sprintf("gpu: invariant violated: dispatch reached xcd%d with no enabled CUs (offline XCDs must be filtered by the partition)", x.ID))
 		}
+		ct := &x.times[cu.Index]
 		t := start
-		if cu.slotFree[slot] > t {
-			t = cu.slotFree[slot]
+		if ct.slotFree[slot] > t {
+			t = ct.slotFree[slot]
 		}
 		t += launchOverhead
 
@@ -278,7 +275,7 @@ func (x *XCD) executeWorkgroups(env *ExecEnv, start sim.Time, k *KernelSpec, wgs
 			k.Body(env, x.ID, wg, wgSize, kernarg)
 		}
 
-		ct := k.computeTime(x.Spec, wgSize)
+		compute := k.computeTime(x.Spec, wgSize)
 		rd, wr := k.trafficBytes(wgSize)
 		if k.TileBytes > 0 && k.TileOf != nil {
 			// Tile reads filter through this XCD's L2: hits stay on
@@ -287,12 +284,9 @@ func (x *XCD) executeWorkgroups(env *ExecEnv, start sim.Time, k *KernelSpec, wgs
 		}
 		// Concurrent workgroup slots hide launch overhead and memory
 		// time, but arithmetic serializes on the CU's pipelines.
-		aluStart := t
-		if x.aluFree[cu.Index] > aluStart {
-			aluStart = x.aluFree[cu.Index]
-		}
-		aluEnd := aluStart + ct
-		x.aluFree[cu.Index] = aluEnd
+		aluStart := max(t, ct.aluFree)
+		aluEnd := aluStart + compute
+		ct.aluFree = aluEnd
 
 		// Loads and stores pipeline: both streams issue from t and the
 		// workgroup retires when the slower one drains.
@@ -306,9 +300,8 @@ func (x *XCD) executeWorkgroups(env *ExecEnv, start sim.Time, k *KernelSpec, wgs
 			done = wrDone
 		}
 
-		cu.slotFree[slot] = done
+		ct.slotFree[slot] = done
 		x.place.update(x, cu.Index)
-		cu.wgDone++
 		x.stats.Workgroups++
 		x.stats.Flops += k.FlopsPerItem * float64(wgSize)
 		x.stats.BytesRead += uint64(rd)
@@ -319,6 +312,16 @@ func (x *XCD) executeWorkgroups(env *ExecEnv, start sim.Time, k *KernelSpec, wgs
 		}
 	}
 	return end
+}
+
+// arm readies the XCD for a kernel of occupancy occ: the first dispatch
+// allocates the CUs' horizons, and every dispatch rebuilds the placement
+// tree from them.
+func (x *XCD) arm(occ int) {
+	if x.times == nil {
+		x.times = make([]cuTimes, len(x.cus))
+	}
+	x.place.rebuild(x, occ)
 }
 
 // placeTree is a tournament tree over an XCD's CUs that finds, in
@@ -393,17 +396,13 @@ func (t *placeTree) best(x *XCD) (*CU, int) {
 // setLeaf sets CU i's key and slot, or marks its leaf dead when the CU
 // is disabled.
 func (t *placeTree) setLeaf(x *XCD, i int) {
-	c := &x.cus[i]
-	if c.Disabled {
+	if x.cus[i].Disabled {
 		t.slot[i] = deadLeaf
 		return
 	}
+	c := &x.times[i]
 	s := c.earliestSlot(t.occ)
-	key := c.slotFree[s]
-	if alu := x.aluFree[i]; alu > key {
-		key = alu
-	}
-	t.key[i], t.slot[i] = key, uint8(s)
+	t.key[i], t.slot[i] = max(c.slotFree[s], c.aluFree), uint8(s)
 }
 
 // winner returns whichever of leaves a < b wins the match.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
+	"runtime/metrics"
 	"runtime/pprof"
 	"strings"
 	"sync"
@@ -59,6 +60,14 @@ type Result struct {
 	// Wall is the final attempt's wall-clock duration (the whole
 	// deadline, on timeout).
 	Wall time.Duration
+	// HeapBytes is what the final attempt allocated on the heap, as the
+	// delta of the runtime's /gc/heap/allocs:bytes counter (see
+	// heapCounter for its grain). The counter is process-wide, so the
+	// runner records it only when the suite runs one experiment at a
+	// time; it stays zero when runs overlap, and on timeout or
+	// cancellation. Like Wall it varies run to run, so the manifest
+	// leaves it out.
+	HeapBytes uint64
 	// EventsFired and EventsPending are the run engine's counters at the
 	// end of the run. A clean run drains its queue (EventsPending == 0);
 	// a failed run leaves its completion sentinel queued. Both are zero
@@ -209,6 +218,9 @@ func (r *Registry) RunSuite(opts Options) (*SuiteResult, error) {
 		workers = 1
 	}
 
+	// Only runs that never overlap can be told apart in the process-wide
+	// heap counter.
+	measureHeap := workers == 1
 	start := time.Now()
 	results := make([]Result, len(exps))
 	ready := make([]chan struct{}, len(exps))
@@ -225,7 +237,7 @@ func (r *Registry) RunSuite(opts Options) (*SuiteResult, error) {
 				if err := opts.ctx().Err(); err != nil {
 					results[i] = cancelledResult(exps[i], err)
 				} else {
-					results[i] = runOne(exps[i], opts)
+					results[i] = runOne(exps[i], opts, measureHeap)
 				}
 				close(ready[i])
 			}
@@ -272,14 +284,15 @@ func cancelledResult(e Experiment, cause error) Result {
 // predecessor fails: a run is a pure function of its experiment, so there
 // is nothing to wait out. The deadline covers all attempts; a timed-out or
 // cancelled attempt is never retried. The final attempt's result is
-// returned with Attempts counting how many ran.
-func runOne(e Experiment, opts Options) Result {
+// returned with Attempts counting how many ran. measureHeap records each
+// attempt's heap bytes.
+func runOne(e Experiment, opts Options, measureHeap bool) Result {
 	var deadline time.Time
 	if opts.Timeout > 0 {
 		deadline = time.Now().Add(opts.Timeout)
 	}
 	for attempt := 1; ; attempt++ {
-		res := runAttempt(e, opts, deadline)
+		res := runAttempt(e, opts, deadline, measureHeap)
 		res.Attempts = attempt
 		if !res.Failed() || res.Status == StatusCancelled || res.Status == StatusTimeout || attempt > opts.Retries {
 			return res
@@ -298,7 +311,7 @@ func runOne(e Experiment, opts Options) Result {
 // on a fresh goroutine so the deadline — or a cancelled Options.Context —
 // can abandon it; an abandoned run keeps its private engine and context,
 // so there is no shared state to race on.
-func runAttempt(e Experiment, opts Options, deadline time.Time) Result {
+func runAttempt(e Experiment, opts Options, deadline time.Time, measureHeap bool) Result {
 	// A nil channel never fires: no deadline.
 	var expired <-chan time.Time
 	if !deadline.IsZero() {
@@ -311,6 +324,12 @@ func runAttempt(e Experiment, opts Options, deadline time.Time) Result {
 	// suite attribute each sample to the experiment that took it.
 	labels := pprof.Labels("experiment", e.ID)
 	go pprof.Do(opts.ctx(), labels, func(context.Context) {
+		var heap *heapCounter
+		var heap0 uint64
+		if measureHeap {
+			heap = newHeapCounter()
+			heap0 = heap.read()
+		}
 		ctx := newCtx(e.ID, opts)
 		res := Result{ID: e.ID, Desc: e.Desc, Status: StatusOK}
 		start := time.Now()
@@ -356,6 +375,9 @@ func runAttempt(e Experiment, opts Options, deadline time.Time) Result {
 			// the next run. A deadline or cancellation that abandoned
 			// this attempt does not get here until the body returns.
 			ctx.release()
+			if heap != nil {
+				res.HeapBytes = heap.read() - heap0
+			}
 			done <- res
 		}()
 		ctx.Milestone("start")
@@ -402,6 +424,21 @@ func runAttempt(e Experiment, opts Options, deadline time.Time) Result {
 	case <-ctx.Done():
 		return cancelledResult(e, ctx.Err())
 	}
+}
+
+// heapCounter reads the process's cumulative heap allocation in bytes,
+// the runtime's /gc/heap/allocs:bytes. Reading allocates nothing once the
+// counter is built, so a delta between two reads does not count the
+// reads. The runtime counts a small object when the span holding it
+// leaves its allocation cache, so the counter lags by what partly used
+// spans hold: a run that allocates a few KiB can read as 0.
+type heapCounter [1]metrics.Sample
+
+func newHeapCounter() *heapCounter { return &heapCounter{{Name: "/gc/heap/allocs:bytes"}} }
+
+func (h *heapCounter) read() uint64 {
+	metrics.Read(h[:])
+	return h[0].Value.Uint64()
 }
 
 // timedOut synthesizes the typed result for an experiment that exceeded

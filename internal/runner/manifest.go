@@ -38,8 +38,9 @@ type SuiteSummary struct {
 	Parallel  int     `json:"parallel"`
 	TimeoutMS float64 `json:"timeout_ms,omitempty"`
 	WallMS    float64 `json:"wall_ms"`
-	// Table is the suite summary rendered as a text table (the same
-	// table -summary prints), embedded so a manifest is self-describing.
+	// Table is the suite summary rendered as a text table (the table
+	// -summary prints, less its heap column), embedded so a manifest is
+	// self-describing.
 	Table string `json:"table"`
 }
 
@@ -83,7 +84,7 @@ func BuildManifest(s *SuiteResult) *Manifest {
 			Failed:   len(s.Failed()),
 			Parallel: s.Parallel,
 			WallMS:   s.Wall.Seconds() * 1e3,
-			Table:    s.SummaryTable().String(),
+			Table:    s.summaryTable(false).String(),
 		},
 	}
 	m.Suite.OK = m.Suite.Total - m.Suite.Failed - m.Suite.Degraded
@@ -207,23 +208,51 @@ func writeRuns[R any](w io.Writer, schema string, runs []R) error {
 }
 
 // SummaryTable renders the per-experiment summary as a metrics table,
-// with a wall-time distribution footer row.
-func (s *SuiteResult) SummaryTable() *metrics.Table {
+// with a wall-time distribution footer row. Its "heap KiB" column is each
+// run's HeapBytes, or "-" where none was recorded: runs overlapped, or
+// the run timed out or was cancelled.
+func (s *SuiteResult) SummaryTable() *metrics.Table { return s.summaryTable(true) }
+
+// summaryTable renders the summary table, with the heap column or (for
+// the manifest, whose table leaves out what varies beyond wall time)
+// without it.
+func (s *SuiteResult) summaryTable(heap bool) *metrics.Table {
+	headers := []string{"id", "status", "attempts", "wall ms", "fired", "pending", "bytes"}
+	if heap {
+		headers = append(headers, "heap KiB")
+	}
 	t := metrics.NewTable(
 		fmt.Sprintf("suite summary: %d experiments, %d failed, %d degraded, parallel %d, wall %.0f ms",
 			len(s.Results), len(s.Failed()), len(s.Degraded()), s.Parallel, s.Wall.Seconds()*1e3),
-		"id", "status", "attempts", "wall ms", "fired", "pending", "bytes")
+		headers...)
 	wall := new(metrics.Distribution)
 	for _, r := range s.Results {
-		t.AddRowf(r.ID, string(r.Status), r.Attempts, r.Wall.Seconds()*1e3,
-			int(r.EventsFired), r.EventsPending, len(r.Output))
+		row := []any{r.ID, string(r.Status), r.Attempts, r.Wall.Seconds() * 1e3,
+			int(r.EventsFired), r.EventsPending, len(r.Output)}
+		if heap {
+			row = append(row, s.heapKiB(r))
+		}
+		t.AddRowf(row...)
 		wall.Observe(r.Wall.Seconds() * 1e3)
 	}
-	t.AddRowf("(wall)", "-", "-",
+	footer := []any{"(wall)", "-", "-",
 		fmt.Sprintf("min %s / mean %s / max %s",
 			metrics.FormatFloat(wall.Min()),
 			metrics.FormatFloat(wall.Mean()),
 			metrics.FormatFloat(wall.Max())),
-		"-", "-", "-")
+		"-", "-", "-"}
+	if heap {
+		footer = append(footer, "-")
+	}
+	t.AddRowf(footer...)
 	return t
+}
+
+// heapKiB renders r's heap bytes for the summary table: "-" when none
+// was recorded.
+func (s *SuiteResult) heapKiB(r Result) any {
+	if s.Parallel != 1 || r.Status == StatusTimeout || r.Status == StatusCancelled {
+		return "-"
+	}
+	return float64(r.HeapBytes) / 1024
 }

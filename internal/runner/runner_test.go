@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -371,6 +372,59 @@ func TestSummaryTableShape(t *testing.T) {
 	for _, id := range r.IDs() {
 		if !strings.Contains(out, id) {
 			t.Errorf("summary missing %s", id)
+		}
+	}
+}
+
+// TestHeapBytesOnlyWhenRunsDoNotOverlap checks the per-run heap figure:
+// run one at a time, an experiment that allocates 4 MiB reports at least
+// that, and the summary table shows it in its heap column, which the
+// manifest's table leaves out; run two at a time, no run reports heap
+// bytes and the column shows "-".
+func TestHeapBytesOnlyWhenRunsDoNotOverlap(t *testing.T) {
+	const size = 4 << 20
+	r := NewRegistry()
+	var sink [2][]byte
+	for i := range sink {
+		i := i
+		r.MustRegister(Experiment{ID: fmt.Sprintf("alloc%d", i), Desc: "allocates 4 MiB", Run: func(*Ctx) (string, error) {
+			sink[i] = make([]byte, size)
+			return "", nil
+		}})
+	}
+	s, err := r.RunSuite(Options{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range s.Results {
+		if res.HeapBytes < size {
+			t.Errorf("%s: HeapBytes %d at -parallel 1, want at least %d", res.ID, res.HeapBytes, size)
+		}
+	}
+	if tbl := s.SummaryTable().String(); !strings.Contains(tbl, "heap KiB") {
+		t.Errorf("summary table lacks the heap column:\n%s", tbl)
+	}
+	for _, row := range s.SummaryTable().Rows()[:len(s.Results)] {
+		if kib, err := strconv.ParseFloat(row[len(row)-1], 64); err != nil || kib < size/1024 {
+			t.Errorf("row %s shows heap %q KiB at -parallel 1, want at least %d", row[0], row[len(row)-1], size/1024)
+		}
+	}
+	if m := BuildManifest(s).Suite.Table; strings.Contains(m, "heap") {
+		t.Errorf("manifest table carries a heap column:\n%s", m)
+	}
+
+	s, err = r.RunSuite(Options{Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range s.Results {
+		if res.HeapBytes != 0 {
+			t.Errorf("%s: HeapBytes %d at -parallel 2, want 0: runs overlap", res.ID, res.HeapBytes)
+		}
+	}
+	for _, row := range s.SummaryTable().Rows() {
+		if heap := row[len(row)-1]; heap != "-" {
+			t.Errorf("row %s shows heap %q at -parallel 2, want -", row[0], heap)
 		}
 	}
 }

@@ -254,6 +254,30 @@ func TestCacheHitAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestMetricsScrapeAllocationBudget bounds the heap cost of one
+// GET /v1/metrics on an idle daemon, served in-process through Handler:
+// the exposition is rendered with strconv appends into one buffer and
+// written once. The count includes building the request and the
+// recorder.
+func TestMetricsScrapeAllocationBudget(t *testing.T) {
+	const budget = 40
+	d := newTestDaemon(t, Config{Workers: 1})
+	h := d.srv.Handler()
+	scrape := func() {
+		req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("scrape: status %d", rec.Code)
+		}
+	}
+	n := testing.AllocsPerRun(50, scrape)
+	t.Logf("a scrape made %.0f allocations, budget %d", n, budget)
+	if n > budget {
+		t.Errorf("a scrape made %.0f allocations, over the budget of %d", n, budget)
+	}
+}
+
 // TestWriteJSONMatchesDirectEncoder pins writeJSON's pooled buffers to the
 // bytes an indenting encoder writing to the response directly sends, for
 // a body too large to go back to the pool and for small ones around it.

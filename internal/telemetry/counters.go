@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -101,6 +102,9 @@ type Set struct {
 	mu       sync.Mutex
 	families []*family
 	byName   map[string]*family
+	// textBytes is the length of the last exposition WritePromText
+	// rendered, the capacity it gives the next one's buffer.
+	textBytes atomic.Int64
 }
 
 // NewSet returns an empty metric set.
@@ -248,7 +252,8 @@ func (s *Set) Values() map[string]float64 {
 
 // WritePromText renders every registered family in Prometheus text
 // exposition format (version 0.0.4): HELP and TYPE once per family, then
-// one sample line per variable, all in registration order.
+// one sample line per variable, all in registration order. The text is
+// built in one buffer, sized from the previous scrape, and written once.
 func (s *Set) WritePromText(w io.Writer) error {
 	s.mu.Lock()
 	// Snapshot the structure so value reads (which may call user fns)
@@ -257,39 +262,79 @@ func (s *Set) WritePromText(w io.Writer) error {
 	copy(fams, s.families)
 	s.mu.Unlock()
 
-	var b strings.Builder
+	b := make([]byte, 0, s.textBytes.Load())
 	for _, f := range fams {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		b = append(b, "# HELP "...)
+		b = append(b, f.name...)
+		b = append(b, ' ')
+		b = append(b, f.help...)
+		b = append(b, "\n# TYPE "...)
+		b = append(b, f.name...)
+		b = append(b, ' ')
+		b = append(b, f.typ...)
+		b = append(b, '\n')
 		for _, v := range f.vars {
-			fmt.Fprintf(&b, "%s%s %s\n", f.name, v.labels, promFloat(v.Value()))
+			b = append(b, f.name...)
+			b = append(b, v.labels...)
+			b = append(b, ' ')
+			b = appendPromFloat(b, v.Value())
+			b = append(b, '\n')
 		}
 		for _, h := range f.hists {
-			h.writeProm(&b, f.name)
+			b = h.appendProm(b, f.name)
 		}
 	}
-	_, err := io.WriteString(w, b.String())
+	s.textBytes.Store(int64(len(b)))
+	_, err := w.Write(b)
 	return err
 }
 
-// writeProm renders one histogram variable in the Prometheus histogram
+// appendProm appends one histogram variable in the Prometheus histogram
 // exposition shape: cumulative _bucket samples with le labels (including
 // the mandatory +Inf bucket), then _sum and _count. All samples derive
-// from one consistent snapshot.
-func (h *Histogram) writeProm(b *strings.Builder, name string) {
-	snap := h.Snapshot()
-	withLE := func(le string) string {
-		inner := fmt.Sprintf("le=%q", le)
-		if h.key == "" {
-			return "{" + inner + "}"
-		}
-		return strings.TrimSuffix(h.key, "}") + "," + inner + "}"
+// from one consistent state, read under the histogram's lock.
+func (h *Histogram) appendProm(b []byte, name string) []byte {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	// The first bucket line renders the prefix up to the le value,
+	// name_bucket{labels,le=", and every later one copies it.
+	start := len(b)
+	b = append(b, name...)
+	b = append(b, "_bucket"...)
+	if h.key == "" {
+		b = append(b, '{')
+	} else {
+		b = append(b, h.key[:len(h.key)-1]...)
+		b = append(b, ',')
 	}
+	b = append(b, `le="`...)
+	end := len(b)
 	var cum uint64
-	for i, bound := range snap.Bounds {
-		cum += snap.Counts[i]
-		fmt.Fprintf(b, "%s_bucket%s %d\n", name, withLE(promFloat(bound)), cum)
+	for i := 0; i <= len(h.bounds); i++ {
+		if i > 0 {
+			b = append(b, b[start:end]...)
+		}
+		if i < len(h.bounds) {
+			cum += h.counts[i]
+			b = appendPromFloat(b, h.bounds[i])
+		} else {
+			cum = h.count
+			b = append(b, "+Inf"...)
+		}
+		b = append(b, `"} `...)
+		b = strconv.AppendUint(b, cum, 10)
+		b = append(b, '\n')
 	}
-	fmt.Fprintf(b, "%s_bucket%s %d\n", name, withLE("+Inf"), snap.Count)
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, h.key, promFloat(snap.Sum))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, h.key, snap.Count)
+	b = append(b, name...)
+	b = append(b, "_sum"...)
+	b = append(b, h.key...)
+	b = append(b, ' ')
+	b = appendPromFloat(b, h.sum)
+	b = append(b, '\n')
+	b = append(b, name...)
+	b = append(b, "_count"...)
+	b = append(b, h.key...)
+	b = append(b, ' ')
+	b = strconv.AppendUint(b, h.count, 10)
+	return append(b, '\n')
 }

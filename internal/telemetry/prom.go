@@ -54,8 +54,8 @@ var promEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 // with nothing to escape is returned as is, without allocating.
 func promEscape(v string) string { return promEscaper.Replace(v) }
 
-// promFloat renders a sample value.
-func promFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+// appendPromFloat appends a sample value.
+func appendPromFloat(dst []byte, v float64) []byte { return strconv.AppendFloat(dst, v, 'g', -1, 64) }
 
 // PromRun pairs a dump with the run label its samples carry; an empty ID
 // emits unlabeled samples (single-run exports).
