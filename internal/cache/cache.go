@@ -25,6 +25,16 @@ type Stats struct {
 // Accesses reports hits+misses.
 func (s *Stats) Accesses() uint64 { return s.Hits + s.Misses }
 
+// scaleSince multiplies what each counter gained since before by n.
+func (s *Stats) scaleSince(before Stats, n uint64) {
+	s.Hits = before.Hits + (s.Hits-before.Hits)*n
+	s.Misses = before.Misses + (s.Misses-before.Misses)*n
+	s.Evictions = before.Evictions + (s.Evictions-before.Evictions)*n
+	s.Writebacks = before.Writebacks + (s.Writebacks-before.Writebacks)*n
+	s.Prefetches = before.Prefetches + (s.Prefetches-before.Prefetches)*n
+	s.PrefHits = before.PrefHits + (s.PrefHits-before.PrefHits)*n
+}
+
 // HitRate reports the hit fraction (0 when untouched).
 func (s *Stats) HitRate() float64 {
 	a := s.Accesses()
@@ -51,13 +61,19 @@ const (
 // tracks presence and dirtiness for timing and traffic accounting.
 //
 // Storage is lazy and pointer-free, so an untouched cache costs only this
-// struct. The directory is allocated on the first fill, and each set
-// takes a block of Ways contiguous keys from the arena on its own first
-// fill: the valid ones first and most-recent-first. A key is the line's
-// tag within its set shifted left two bits over the line's state. A set
-// keeps its block for the cache's lifetime, through Invalidate and Flush,
-// until Release hands the directory and pages to the package free list
-// that later caches take theirs from.
+// struct. A set's lines are Ways keys, the valid ones first and
+// most-recent-first; a key is the line's tag within its set shifted left
+// two bits over the line's state. While every set holds the same keys,
+// one shared row of Ways keys stands for them all: a ReadRange of whole
+// laps from a set-0 line makes it on an empty cache and keeps it (see
+// readRow), and Contains, Occupancy and Flush work on it directly. Every
+// other operation that can change a set splits the row first, giving
+// every set its own copy. From then on, or from the first fill if no row
+// came before it, the directory is allocated and each set takes a block
+// of Ways contiguous keys from the arena on its own first fill. A set keeps its block for
+// the cache's lifetime, through Invalidate and Flush, until Release hands
+// the directory and pages to the package free list that later caches
+// take theirs from.
 type SetAssoc struct {
 	Name     string
 	LineSize int64
@@ -70,12 +86,13 @@ type SetAssoc struct {
 	setShift  uint
 	// dir[s] is 1 + the index of set s's block, or 0 before its first
 	// fill. A uint32 suffices: 2^32 blocks would be an arena of at least
-	// 32 GiB.
+	// 32 GiB. It is nil until the first fill or split.
 	dir []uint32
 	// The arena: page p holds blocks p<<pageShift up to (p+1)<<pageShift.
 	// A page is 1/32 of the cache (or one block), so growing the arena
 	// never copies a key and never holds more than a page of blocks no
-	// set has claimed.
+	// set has claimed. While dir is nil, pages is nil or holds one page
+	// whose block 0 is the shared row and whose other keys are zero.
 	pages     [][]int64
 	pageShift uint
 	pageMask  int
@@ -202,16 +219,44 @@ type Result struct {
 	WritebackAddr int64
 }
 
+// row returns the shared row, or nil when the cache has none.
+func (c *SetAssoc) row() []int64 {
+	if c.dir != nil || c.pages == nil {
+		return nil
+	}
+	return c.pages[0][:c.Ways]
+}
+
+// unshare splits the shared row, if the cache has one, before an
+// operation that can change one set alone.
+func (c *SetAssoc) unshare() {
+	if c.dir == nil && c.pages != nil {
+		c.split()
+	}
+}
+
+// split gives every set a block holding the shared row's keys. The row is
+// block 0, so it stays as set 0's, and the other sets claim blocks in
+// order, as the fills of the reads that made the row would have.
+func (c *SetAssoc) split() {
+	row := c.row()
+	c.dir = recycled.dirs.take(c.Sets)
+	c.dir[0] = 1
+	for s := 1; s < c.Sets; s++ {
+		copy(c.allocate(s), row)
+	}
+}
+
 // Access looks up the line containing addr, filling on miss, and returns
 // what happened. write marks the line dirty.
 func (c *SetAssoc) Access(addr int64, write bool) Result {
 	set, tag := c.locate(addr)
-	return c.access(set, tag, write)
+	c.unshare()
+	return c.access(set, c.keys(set), tag, write)
 }
 
-// access is Access on a located line.
-func (c *SetAssoc) access(set int, tag int64, write bool) Result {
-	keys := c.keys(set)
+// access is Access on a located line whose set holds keys.
+func (c *SetAssoc) access(set int, keys []int64, tag int64, write bool) Result {
 	way, valid := find(keys, tag)
 	if way >= 0 {
 		// Hit: move to front (MRU).
@@ -248,8 +293,11 @@ func (c *SetAssoc) access(set int, tag int64, write bool) Result {
 //
 // Consecutive lines fall in consecutive sets and sets are independent,
 // so ReadRange visits each set once with the run of consecutive tags the
-// range puts there; see readRun. Negative addresses and line sizes that
-// are not a power of two take the per-line loop.
+// range puts there; see readRun. A range of whole laps (a multiple of
+// Sets lines) from a set-0 line puts the same run in every set, so while
+// no set has storage of its own it reads the shared row once; see
+// readRow. Any other range splits the row first. Negative addresses and
+// line sizes that are not a power of two take the per-line loop.
 func (c *SetAssoc) ReadRange(addr, n int64) (misses int) {
 	if n <= 0 {
 		return 0
@@ -276,20 +324,46 @@ func (c *SetAssoc) ReadRange(addr, n int64) (misses int) {
 	// tags. With lines = laps·Sets + rem, the sets of the first rem lines
 	// get laps+1 of them and the others laps.
 	laps, rem := lines>>(c.setShift&63), lines&int64(c.Sets-1)
+	if c.dir == nil && rem == 0 && first&int64(c.Sets-1) == 0 {
+		return c.readRow(first>>(c.setShift&63), laps)
+	}
+	c.unshare()
 	k := laps + 1
 	for j := int64(0); j < min(lines, int64(c.Sets)); j++ {
 		if j == rem {
 			k = laps
 		}
 		la := first + j
-		misses += c.readRun(int(la)&(c.Sets-1), la>>(c.setShift&63), k)
+		set := int(la) & (c.Sets - 1)
+		misses += c.readRun(set, c.keys(set), la>>(c.setShift&63), k)
 	}
 	return misses
 }
 
+// readRow reads laps whole laps from a set-0 line of tag t0 on a cache
+// with no per-set storage, and returns how many lines missed. Every set
+// sees the same run of tags, t0 to t0+laps-1, so sets that all hold the
+// same keys still do afterwards, and each counter grows by Sets times
+// one set's change: one readRun on the shared row stands for all of
+// them. An empty cache makes its row first.
+func (c *SetAssoc) readRow(t0, laps int64) int {
+	row := c.row()
+	if row == nil {
+		c.live()
+		c.pages = append(c.pages, recycled.keys.take(c.Ways<<c.pageShift))
+		c.blocks = 1
+		row = c.row()
+	}
+	before := c.stats
+	misses := c.readRun(0, row, t0, laps)
+	c.stats.scaleSince(before, uint64(c.Sets))
+	return misses * c.Sets
+}
+
 // readRun reads the k lines with consecutive tags t0, t0+1, ... in set,
-// in that order, as ReadRange does, and returns how many missed. Two
-// common runs take a shortcut:
+// whose keys are keys (nil before its first fill), in that order, as
+// ReadRange does, and returns how many missed. Two common runs take a
+// shortcut:
 //   - the k lines already sit at the front in reverse order and none is
 //     prefetched: every read hits the line at way k-1 and moves it to
 //     the front, which puts the set back as it was, so only the hits
@@ -299,8 +373,7 @@ func (c *SetAssoc) ReadRange(addr, n int64) (misses int) {
 //     newest first, and the valid+k-Ways least recent lines are evicted.
 //
 // Any other run goes line by line.
-func (c *SetAssoc) readRun(set int, t0, k int64) (misses int) {
-	keys := c.keys(set)
+func (c *SetAssoc) readRun(set int, keys []int64, t0, k int64) (misses int) {
 	if frontRun(keys, t0, k) {
 		c.stats.Hits += uint64(k)
 		return 0
@@ -318,7 +391,7 @@ func (c *SetAssoc) readRun(set int, t0, k int64) (misses int) {
 	}
 	if present {
 		for i := int64(0); i < k; i++ {
-			if !c.access(set, t0+i, false).Hit {
+			if !c.access(set, keys, t0+i, false).Hit {
 				misses++
 			}
 		}
@@ -388,9 +461,7 @@ func (c *SetAssoc) fill(set int, keys []int64, valid int, key int64) Result {
 // keys.
 func (c *SetAssoc) allocate(set int) []int64 {
 	if c.dir == nil {
-		if c.released {
-			panic(fmt.Sprintf("cache: invariant violated: %s was filled after Release handed its storage back", c.Name))
-		}
+		c.live()
 		c.dir = recycled.dirs.take(c.Sets)
 	}
 	if int(c.blocks)&c.pageMask == 0 {
@@ -401,10 +472,21 @@ func (c *SetAssoc) allocate(set int) []int64 {
 	return c.keys(set)
 }
 
+// live panics if Release has ended the cache's life.
+func (c *SetAssoc) live() {
+	if c.released {
+		panic(fmt.Sprintf("cache: invariant violated: %s was filled after Release handed its storage back", c.Name))
+	}
+}
+
 // Contains reports whether addr's line is present (no LRU update).
 func (c *SetAssoc) Contains(addr int64) bool {
 	set, tag := c.locate(addr)
-	way, _ := find(c.keys(set), tag)
+	keys := c.row()
+	if keys == nil {
+		keys = c.keys(set)
+	}
+	way, _ := find(keys, tag)
 	return way >= 0
 }
 
@@ -414,6 +496,7 @@ func (c *SetAssoc) Contains(addr int64) bool {
 // for a missing Access.
 func (c *SetAssoc) Prefetch(addr int64) Result {
 	set, tag := c.locate(addr)
+	c.unshare()
 	keys := c.keys(set)
 	way, valid := find(keys, tag)
 	if way >= 0 {
@@ -426,6 +509,7 @@ func (c *SetAssoc) Prefetch(addr int64) Result {
 // Invalidate drops addr's line, reporting whether it was present and dirty.
 func (c *SetAssoc) Invalidate(addr int64) (present, dirty bool) {
 	set, tag := c.locate(addr)
+	c.unshare()
 	keys := c.keys(set)
 	way, _ := find(keys, tag)
 	if way < 0 {
@@ -438,7 +522,7 @@ func (c *SetAssoc) Invalidate(addr int64) (present, dirty bool) {
 }
 
 // Flush invalidates everything, returning the number of dirty lines that
-// would be written back.
+// would be written back. A shared row stays shared, and empty.
 func (c *SetAssoc) Flush() (writebacks int) {
 	for _, pg := range c.pages {
 		for _, k := range pg {
@@ -448,7 +532,7 @@ func (c *SetAssoc) Flush() (writebacks int) {
 		}
 		clear(pg)
 	}
-	return writebacks
+	return writebacks * c.copies()
 }
 
 // Occupancy reports the number of valid lines.
@@ -461,5 +545,15 @@ func (c *SetAssoc) Occupancy() int {
 			}
 		}
 	}
-	return n
+	return n * c.copies()
+}
+
+// copies reports how many sets each stored key stands for: every set
+// while the cache has no directory, so that its pages hold at most the
+// shared row, and one otherwise.
+func (c *SetAssoc) copies() int {
+	if c.dir == nil {
+		return c.Sets
+	}
+	return 1
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -416,13 +417,78 @@ var sinkResult Result
 // MI300A XCD L2: 1 MiB tiles of 8,192 lines, four in each set, each tile
 // read by four consecutive workgroups as block scheduling places them.
 // A tile's first read misses every line; the next three find its lines
-// at the front of their sets. One op is one tile read.
+// at the front of their sets. Every tile is four whole laps from a set-0
+// line, so each read updates the shared row once. One op is one tile
+// read.
 func BenchmarkReadRangeTile(b *testing.B) {
 	c := NewSetAssoc("l2", benchSize, benchLine, benchWays)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkMisses = c.ReadRange(int64(i/4)<<20, 1<<20)
+	}
+}
+
+// BenchmarkReadRangeTileUnaligned reads the tiles of BenchmarkReadRangeTile
+// shifted up one line. No tile starts on a set-0 line, so every read
+// takes the per-set path and visits all 2,048 sets.
+func BenchmarkReadRangeTileUnaligned(b *testing.B) {
+	c := NewSetAssoc("l2", benchSize, benchLine, benchWays)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkMisses = c.ReadRange(int64(i/4)<<20+benchLine, 1<<20)
+	}
+}
+
+// TestPolicyTilesKeepSharedRow reads, on a fresh XCD L2 each, the tiles
+// the policy ablation sends to each of its six XCDs, under block and
+// round-robin placement: 96 workgroups, four to a 1 MiB tile. Every tile
+// is four whole laps from a set-0 line, so the cache keeps its shared
+// row. It claims no per-set storage, later tile reads allocate nothing,
+// and the hit rates are the ablation's: 0.75 under block placement,
+// where each tile is read four times in a row, and 0 under round-robin.
+func TestPolicyTilesKeepSharedRow(t *testing.T) {
+	const xcds, wgs, tile = 6, 96, 1 << 20
+	for _, block := range []bool{true, false} {
+		for li := 0; li < xcds; li++ {
+			c := NewSetAssoc("l2", benchSize, benchLine, benchWays)
+			read := func(wg int) { c.ReadRange(int64(wg/4)*tile, tile) }
+			if block {
+				for wg := li * wgs / xcds; wg < (li+1)*wgs/xcds; wg++ {
+					read(wg)
+				}
+			} else {
+				for wg := li; wg < wgs; wg += xcds {
+					read(wg)
+				}
+			}
+			want := 0.0
+			if block {
+				want = 0.75
+			}
+			if st := c.Stats(); c.dir != nil || st.HitRate() != want {
+				t.Fatalf("block=%v, xcd %d: per-set storage %v, hit rate %.4f; want none and %.2f",
+					block, li, c.dir != nil, st.HitRate(), want)
+			}
+			wg := 0
+			if allocs := testing.AllocsPerRun(100, func() { read(wg); wg++ }); allocs != 0 || c.dir != nil {
+				t.Errorf("block=%v, xcd %d: further tile reads allocate %.2f/op (per-set storage %v), want 0 and none",
+					block, li, allocs, c.dir != nil)
+			}
+		}
+	}
+}
+
+// TestTagStoreSizes pins the size of the tag store and of the Infinity
+// Cache slice that embeds it, which must stay in the 192-B size class:
+// the shared row lives in the arena's first page, not in a field.
+func TestTagStoreSizes(t *testing.T) {
+	if got := unsafe.Sizeof(SetAssoc{}); got > 176 {
+		t.Errorf("SetAssoc is %d B, want at most 176", got)
+	}
+	if got := unsafe.Sizeof(icSlice{}); got > 192 {
+		t.Errorf("icSlice is %d B, want at most 192", got)
 	}
 }
 
@@ -454,13 +520,24 @@ func TestSetAssocReleasedPanicsOnFill(t *testing.T) {
 		t.Error("a released cache still holds lines")
 	}
 	for name, fill := range map[string]func(){
-		"Access":    func() { c.Access(0, false) },
-		"Prefetch":  func() { c.Prefetch(0) },
-		"ReadRange": func() { c.ReadRange(0, 4096) },
+		"Access":            func() { c.Access(0, false) },
+		"Prefetch":          func() { c.Prefetch(0) },
+		"ReadRange":         func() { c.ReadRange(0, 4096) },
+		"ReadRange(2 laps)": func() { c.ReadRange(0, 16<<10) },
 	} {
 		if !panics(fill) {
 			t.Errorf("%s on a released cache did not panic", name)
 		}
+	}
+	// A cache whose lines are all in the shared row drops the row too.
+	row := NewSetAssoc("l2", 64<<10, 128, 8)
+	row.ReadRange(0, 16<<10)
+	if row.row() == nil || row.Occupancy() != 2*64 {
+		t.Fatalf("two lap-aligned laps left %d lines, shared row %v; want 128 in the row", row.Occupancy(), row.row() != nil)
+	}
+	row.Release()
+	if row.Occupancy() != 0 || row.Contains(0) || !panics(func() { row.ReadRange(0, 16<<10) }) {
+		t.Error("a released cache kept its shared row or took a lap-aligned read")
 	}
 	ic := NewInfinityCache(2, 16<<10, 1e12, 0, true)
 	ic.Access(0, 0, 0, 128, true)

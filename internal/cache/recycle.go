@@ -3,11 +3,12 @@ package cache
 import "sync"
 
 // recycleCap bounds the tag storage the free list keeps, in bytes. The
-// largest set of caches one run of the suite hands back at once is
-// policy's twelve bare XCD L2s, which hold 3.1 MiB; 8 MiB keeps them
-// and a platform's claimed Infinity Cache storage beside them, and
-// bounds what an idle process holds. Storage released beyond it is left
-// to the GC.
+// most one run of the suite hands back is fig14's 2.9 MiB of claimed
+// Infinity Cache slices; policy's twelve XCD L2s keep one shared row each
+// and hand back 96 KiB. Run one at a time, the whole suite leaves at most
+// 3.0 MiB on the list; at -parallel 2 or 4, where overlapping runs each
+// take fresh storage, 4.9 MiB. 8 MiB keeps all of it and bounds what an
+// idle process holds. Storage released beyond it is left to the GC.
 const recycleCap = 8 << 20
 
 // recycled is the package free list of tag storage, shared by every

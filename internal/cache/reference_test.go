@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -317,100 +318,204 @@ func untaggableLine(g geometry, addr, n int64) (int64, bool) {
 // fresh reference.
 const releaseOp = 0xdf
 
-// runDiff runs prog, three bytes per step, against a fresh SetAssoc and
-// refSetAssoc of geometry g, and fails at the first divergence. A step on
-// an address SetAssoc cannot tag must panic and is skipped on both, as
-// must a ReadRange that holds such an address or wraps past the largest
-// address. An op byte of 0xe0 or more is a ReadRange: bit 4 repeats the
-// previous range, and the low four bits pick the length. releaseOp
-// recycles the cache.
-func runDiff(t *testing.T, g geometry, prog []byte) {
+// lapOp is the op byte that reads a lap-aligned range; see lapRange.
+const lapOp = 0xde
+
+// lapRange decodes the range of a lapOp step from its two other bytes. A
+// lap is one line per set. The range covers 1 to 2×Ways whole laps from
+// the set-0 line that starts lap b2&7, at one of four byte offsets inside
+// that line. Bit 3 of b2 trims the tail to the last line's first byte,
+// which reads the same lines. Bit 4 shifts the range one line up and bit
+// 5 makes it one line short: either takes it off the shared row's path.
+func lapRange(g geometry, b1, b2 byte) (addr, n int64) {
+	lap := int64(g.sets) * g.lineSize
+	laps := 1 + int64(b1)%int64(2*g.ways)
+	addr = int64(b2&7)*lap + int64(b2>>6)*g.lineSize/4
+	n = laps * lap
+	if b2&8 != 0 {
+		n -= g.lineSize - 1
+	}
+	if b2&16 != 0 {
+		addr += g.lineSize
+	}
+	if b2&32 != 0 {
+		n -= g.lineSize
+	}
+	return addr, n
+}
+
+// differ runs a program against a SetAssoc and a refSetAssoc of one
+// geometry, three bytes per step, and fails the test at the first
+// divergence.
+type differ struct {
+	t                 *testing.T
+	g                 geometry
+	c                 *SetAssoc
+	ref               *refSetAssoc
+	step              int
+	lastAddr, lastLen int64
+}
+
+func newDiffer(t *testing.T, g geometry) *differ {
+	d := &differ{t: t, g: g}
+	d.reset()
+	return d
+}
+
+// reset goes on with a fresh cache and reference.
+func (d *differ) reset() {
+	size := int64(d.g.sets*d.g.ways) * d.g.lineSize
+	d.c = NewSetAssoc("diff", size, d.g.lineSize, d.g.ways)
+	d.ref = newRefSetAssoc("diff", size, d.g.lineSize, d.g.ways)
+}
+
+// run runs prog, step by step.
+func (d *differ) run(prog []byte) {
+	d.t.Helper()
+	for i := 0; i+3 <= len(prog); i += 3 {
+		d.do(prog[i], prog[i+1], prog[i+2])
+	}
+}
+
+// do runs one step. A step on an address SetAssoc cannot tag must panic
+// and is skipped on both, as must a ReadRange that holds such an address
+// or wraps past the largest address. An op byte of 0xe0 or more is a
+// ReadRange: bit 4 repeats the previous range, and the low four bits pick
+// the length. lapOp reads a lap-aligned range, and releaseOp recycles the
+// cache.
+func (d *differ) do(opByte, b1, b2 byte) {
+	t, g, c, ref := d.t, d.g, d.c, d.ref
 	t.Helper()
-	size := int64(g.sets*g.ways) * g.lineSize
-	c := NewSetAssoc("diff", size, g.lineSize, g.ways)
-	ref := newRefSetAssoc("diff", size, g.lineSize, g.ways)
-	var lastAddr, lastLen int64
-	for step := 0; step+3 <= len(prog); step += 3 {
-		op, addr := prog[step]%64, opAddr(g, prog[step+1], prog[step+2])
-		if prog[step] == releaseOp {
-			c.Release()
-			if taggable(g, addr) && !panics(func() { c.Access(addr, false) }) {
-				t.Fatalf("%v, step %d: a released cache took a fill", g, step/3)
-			}
-			c = NewSetAssoc("diff", size, g.lineSize, g.ways)
-			ref = newRefSetAssoc("diff", size, g.lineSize, g.ways)
-			continue
+	step := d.step
+	d.step++
+	op, addr := opByte%64, opAddr(g, b1, b2)
+	if opByte == releaseOp {
+		c.Release()
+		if taggable(g, addr) && !panics(func() { c.Access(addr, false) }) {
+			t.Fatalf("%v, step %d: a released cache took a fill", g, step)
 		}
-		if prog[step] >= 0xe0 {
-			n := rangeLen(g, prog[step])
-			if prog[step]&0x10 != 0 {
-				addr, n = lastAddr, lastLen
-			}
-			lastAddr, lastLen = addr, n
-			before := c.Stats()
-			bad, untaggable := untaggableLine(g, addr, n)
-			if untaggable || (n > 0 && addr > math.MaxInt64-n) {
-				if !panics(func() { c.ReadRange(addr, n) }) {
-					t.Fatalf("%v, step %d: ReadRange(%#x, %d) over an untaggable or wrapping range did not panic", g, step/3, addr, n)
-				}
-				if untaggable && !panics(func() { c.Access(bad, false) }) {
-					t.Fatalf("%v, step %d: Access(%#x) of an untaggable line did not panic", g, step/3, bad)
-				}
-				if c.Stats() != before {
-					t.Fatalf("%v, step %d: a refused ReadRange(%#x, %d) changed Stats", g, step/3, addr, n)
-				}
-				continue
-			}
-			if got, want := c.ReadRange(addr, n), refReadRange(ref, addr, n); got != want {
-				t.Fatalf("%v, step %d: ReadRange(%#x, %d) = %d misses, reference %d", g, step/3, addr, n, got, want)
-			}
-			if gs, ws := c.Stats(), ref.Stats(); gs != ws {
-				t.Fatalf("%v, step %d: after ReadRange(%#x, %d) Stats = %+v, reference %+v", g, step/3, addr, n, gs, ws)
-			}
-			continue
+		if !panics(func() { c.ReadRange(0, int64(g.sets)*g.lineSize) }) || c.Occupancy() != 0 {
+			t.Fatalf("%v, step %d: a released cache took a lap read or still holds lines", g, step)
 		}
-		if op < 60 && !taggable(g, addr) {
-			if g.lineSize*int64(g.sets) >= 4 {
-				t.Fatalf("%v: address %#x untaggable in a cache with at least four bytes of line across its sets", g, addr)
-			}
-			if !panics(func() { c.Access(addr, false) }) || !panics(func() { c.Prefetch(addr) }) ||
-				!panics(func() { c.Contains(addr) }) || !panics(func() { c.Invalidate(addr) }) {
-				t.Fatalf("%v, step %d: address %#x cannot be tagged but did not panic", g, step/3, addr)
-			}
-			continue
-		}
-		var name string
-		var got, want any
+		d.reset()
+		return
+	}
+	if opByte >= 0xe0 || opByte == lapOp {
+		var n int64
 		switch {
-		case op < 30:
-			name, got, want = "Access(read)", c.Access(addr, false), ref.Access(addr, false)
-		case op < 42:
-			name, got, want = "Access(write)", c.Access(addr, true), ref.Access(addr, true)
-		case op < 50:
-			name, got, want = "Prefetch", c.Prefetch(addr), refPrefetch(ref, addr)
-		case op < 56:
-			name, got, want = "Contains", c.Contains(addr), ref.Contains(addr)
-		case op < 60:
-			name = "Invalidate"
-			gp, gd := c.Invalidate(addr)
-			wp, wd := ref.Invalidate(addr)
-			got, want = [2]bool{gp, gd}, [2]bool{wp, wd}
-		case op < 62:
-			name, got, want = "Occupancy", c.Occupancy(), ref.Occupancy()
-		case op < 63:
-			name, got, want = "Flush", c.Flush(), ref.Flush()
+		case opByte == lapOp:
+			addr, n = lapRange(g, b1, b2)
+		case opByte&0x10 != 0:
+			addr, n = d.lastAddr, d.lastLen
 		default:
-			name = "ResetStats"
-			c.ResetStats()
-			ref.ResetStats()
+			n = rangeLen(g, opByte)
 		}
-		if got != want {
-			t.Fatalf("%v, step %d: %s(%#x) = %+v, reference %+v", g, step/3, name, addr, got, want)
+		d.lastAddr, d.lastLen = addr, n
+		before := c.Stats()
+		bad, untaggable := untaggableLine(g, addr, n)
+		if untaggable || (n > 0 && addr > math.MaxInt64-n) {
+			if !panics(func() { c.ReadRange(addr, n) }) {
+				t.Fatalf("%v, step %d: ReadRange(%#x, %d) over an untaggable or wrapping range did not panic", g, step, addr, n)
+			}
+			if untaggable && !panics(func() { c.Access(bad, false) }) {
+				t.Fatalf("%v, step %d: Access(%#x) of an untaggable line did not panic", g, step, bad)
+			}
+			if c.Stats() != before {
+				t.Fatalf("%v, step %d: a refused ReadRange(%#x, %d) changed Stats", g, step, addr, n)
+			}
+			return
+		}
+		if got, want := c.ReadRange(addr, n), refReadRange(ref, addr, n); got != want {
+			t.Fatalf("%v, step %d: ReadRange(%#x, %d) = %d misses, reference %d", g, step, addr, n, got, want)
 		}
 		if gs, ws := c.Stats(), ref.Stats(); gs != ws {
-			t.Fatalf("%v, step %d: after %s(%#x) Stats = %+v, reference %+v", g, step/3, name, addr, gs, ws)
+			t.Fatalf("%v, step %d: after ReadRange(%#x, %d) Stats = %+v, reference %+v", g, step, addr, n, gs, ws)
+		}
+		return
+	}
+	if op < 60 && !taggable(g, addr) {
+		if g.lineSize*int64(g.sets) >= 4 {
+			t.Fatalf("%v: address %#x untaggable in a cache with at least four bytes of line across its sets", g, addr)
+		}
+		if !panics(func() { c.Access(addr, false) }) || !panics(func() { c.Prefetch(addr) }) ||
+			!panics(func() { c.Contains(addr) }) || !panics(func() { c.Invalidate(addr) }) {
+			t.Fatalf("%v, step %d: address %#x cannot be tagged but did not panic", g, step, addr)
+		}
+		return
+	}
+	var name string
+	var got, want any
+	switch {
+	case op < 30:
+		name, got, want = "Access(read)", c.Access(addr, false), ref.Access(addr, false)
+	case op < 42:
+		name, got, want = "Access(write)", c.Access(addr, true), ref.Access(addr, true)
+	case op < 50:
+		name, got, want = "Prefetch", c.Prefetch(addr), refPrefetch(ref, addr)
+	case op < 56:
+		name, got, want = "Contains", c.Contains(addr), ref.Contains(addr)
+	case op < 60:
+		name = "Invalidate"
+		gp, gd := c.Invalidate(addr)
+		wp, wd := ref.Invalidate(addr)
+		got, want = [2]bool{gp, gd}, [2]bool{wp, wd}
+	case op < 62:
+		name, got, want = "Occupancy", c.Occupancy(), ref.Occupancy()
+	case op < 63:
+		name, got, want = "Flush", c.Flush(), ref.Flush()
+	default:
+		name = "ResetStats"
+		c.ResetStats()
+		ref.ResetStats()
+	}
+	if got != want {
+		t.Fatalf("%v, step %d: %s(%#x) = %+v, reference %+v", g, step, name, addr, got, want)
+	}
+	if gs, ws := c.Stats(), ref.Stats(); gs != ws {
+		t.Fatalf("%v, step %d: after %s(%#x) Stats = %+v, reference %+v", g, step, name, addr, gs, ws)
+	}
+}
+
+// sameLines fails the test unless every set of the cache holds the lines
+// the reference's does, in the same order and the same states.
+func (d *differ) sameLines() {
+	t, g, c := d.t, d.g, d.c
+	t.Helper()
+	shift := bits.TrailingZeros(uint(g.sets))
+	for s, want := range d.ref.sets {
+		keys := c.row()
+		if keys == nil {
+			keys = c.keys(s)
+		}
+		valid := 0
+		for valid < len(keys) && keys[valid]&stateMask != invalid {
+			valid++
+		}
+		if valid != len(want) {
+			t.Fatalf("%v, after step %d: set %d holds %d lines, reference %d", g, d.step, s, valid, len(want))
+		}
+		for i, ln := range want {
+			state := cleanLine
+			if ln.prefetched {
+				state = prefetchedLine
+			} else if ln.dirty {
+				state = dirtyLine
+			}
+			if key := keys[i]; key>>2 != ln.tag>>shift || key&stateMask != state {
+				t.Fatalf("%v, after step %d: set %d way %d holds tag %d state %d, reference tag %d state %d",
+					g, d.step, s, i, key>>2, key&stateMask, ln.tag>>shift, state)
+			}
 		}
 	}
+}
+
+// runDiff runs prog against a fresh SetAssoc and refSetAssoc of geometry
+// g (see differ.do), then compares their lines.
+func runDiff(t *testing.T, g geometry, prog []byte) {
+	t.Helper()
+	d := newDiffer(t, g)
+	d.run(prog)
+	d.sameLines()
 }
 
 func TestSetAssocMatchesReference(t *testing.T) {
@@ -430,6 +535,97 @@ func TestSetAssocMatchesReference(t *testing.T) {
 			prog := make([]byte, 3*4000)
 			rand.New(rand.NewSource(seed)).Read(prog)
 			runDiff(t, g, prog)
+		}
+	}
+}
+
+// lapStep is the program step that reads laps whole laps from the set-0
+// line of lap start (below 8), with lapRange's variant bits.
+func lapStep(start, laps, variant byte) []byte {
+	return []byte{lapOp, laps - 1, start | variant}
+}
+
+// rowOpening is the start of every shared-row program: lap-aligned reads
+// on a fresh cache of ways ways, each of which keeps the row. The first
+// makes it, and its repeat finds its lines at the front; the reads that
+// overlap what the row holds go line by line; a read of twice the
+// cache, first over held lines and then after a Flush over none, evicts;
+// and the trimmed tile reads the same lines as the untrimmed one.
+func rowOpening(ways int) []byte {
+	w := byte(ways)
+	return slices.Concat(
+		lapStep(0, 1, 0),
+		[]byte{0xf0, 0, 0}, // repeat the previous range
+		lapStep(0, w, 0),
+		[]byte{0xf0, 0, 0},
+		lapStep(4, 2, 0),
+		lapStep(2, 2*w, 0),
+		[]byte{0x32, 0xff, 8 + 2}, // Contains of lap 2's line in the last set
+		[]byte{0x3c, 0, 0},        // Occupancy
+		[]byte{0x3e, 0, 0},        // Flush
+		[]byte{0x3c, 0, 0},
+		lapStep(1, 2*w, 0),
+		lapStep(5, w/2+1, 0),
+		lapStep(5, w/2+1, 8),
+		[]byte{0x3f, 0, 0}, // ResetStats
+		[]byte{0x32, 3, 8 + 5},
+		[]byte{0x32, 3, 8 + 4},
+		[]byte{0x3c, 0, 0},
+	)
+}
+
+// rowProbes are the steps that meet the shared row after rowOpening: each
+// fills, splits or releases the row, or reads or flushes it in place.
+var rowProbes = []struct {
+	name string
+	step []byte
+}{
+	{"Access(read)", []byte{0x00, 3, 8 + 5}},
+	{"Access(write)", []byte{0x1e, 3, 8 + 5}},
+	{"Prefetch", []byte{0x2a, 3, 8 + 23}},
+	{"Invalidate", []byte{0x38, 3, 8 + 5}},
+	{"Contains", []byte{0x32, 0, 8 + 23}},
+	{"Occupancy", []byte{0x3c, 0, 0}},
+	{"Flush", []byte{0x3e, 0, 0}},
+	{"ReadRange(one line up)", []byte{lapOp, 0, 5 | 16}},
+	{"ReadRange(one line short)", []byte{lapOp, 0, 5 | 32}},
+	{"ReadRange(few lines)", []byte{0xe6, 3, 8 + 5}},
+	{"ReadRange(negative)", []byte{0xe6, 3, 0}},
+	{"Release", []byte{releaseOp, 3, 8 + 5}},
+}
+
+// TestSetAssocSharedRowMatchesReference checks the shared row against the
+// reference on several geometries, the XCD L2's among them. Each program
+// opens with rowOpening, which must leave the row in place, meets the row
+// with one of rowProbes, runs lap-aligned reads again, and goes on with
+// random steps. Every return value and the Stats are compared after every
+// step, and every set's lines after each step up to the random ones and
+// at the end.
+func TestSetAssocSharedRowMatchesReference(t *testing.T) {
+	geoms := []geometry{{2048, 16, 128}, {1, 4, 64}, {16, 2, 64}, {128, 8, 128}, {8, 1, 1}}
+	for _, g := range geoms {
+		for i, probe := range rowProbes {
+			t.Run(fmt.Sprintf("%v/%s", g, probe.name), func(t *testing.T) {
+				d := newDiffer(t, g)
+				script := func(prog []byte) {
+					t.Helper()
+					for i := 0; i+3 <= len(prog); i += 3 {
+						d.do(prog[i], prog[i+1], prog[i+2])
+						d.sameLines()
+					}
+				}
+				script(rowOpening(g.ways))
+				if d.c.row() == nil {
+					t.Fatalf("%v: the lap-aligned opening left no shared row", g)
+				}
+				script(slices.Concat(probe.step,
+					[]byte{0x3c, 0, 0, 0x32, 0, 8 + 5, 0x32, 1, 8 + 6},
+					lapStep(5, 1, 0), lapStep(6, 2*byte(g.ways), 0), []byte{0x3c, 0, 0}))
+				tail := make([]byte, 3*600)
+				rand.New(rand.NewSource(int64(i))).Read(tail)
+				d.run(tail)
+				d.sameLines()
+			})
 		}
 	}
 }

@@ -192,22 +192,9 @@ func (r *Registry) RunSuite(opts Options) (*SuiteResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	exps := r.Experiments()
-	if opts.IDs != nil {
-		want := make(map[string]bool, len(opts.IDs))
-		for _, id := range opts.IDs {
-			if _, ok := r.Get(id); !ok {
-				return nil, fmt.Errorf("runner: unknown experiment %q", id)
-			}
-			want[id] = true
-		}
-		sel := exps[:0:0]
-		for _, e := range exps {
-			if want[e.ID] {
-				sel = append(sel, e)
-			}
-		}
-		exps = sel
+	exps, err := r.pick(opts.IDs)
+	if err != nil {
+		return nil, err
 	}
 
 	workers := opts.Parallel

@@ -15,6 +15,7 @@ package runner
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"sync"
 
@@ -304,6 +305,35 @@ func (r *Registry) Experiments() []Experiment {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return append([]Experiment(nil), r.list...)
+}
+
+// pick returns the experiments ids names, in registration order and each
+// once, or every experiment when ids is nil. It rejects an unknown ID.
+// The result shares no storage a later Register can write.
+func (r *Registry) pick(ids []string) ([]Experiment, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if ids == nil {
+		return r.list[:len(r.list):len(r.list)], nil
+	}
+	// Up to eight IDs' indexes stay on the stack: a suite-timing op or an
+	// apusimd job names one experiment.
+	var buf [8]int
+	at := buf[:0]
+	for _, id := range ids {
+		i, ok := r.byID[id]
+		if !ok {
+			return nil, fmt.Errorf("runner: unknown experiment %q", id)
+		}
+		at = append(at, i)
+	}
+	slices.Sort(at)
+	at = slices.Compact(at)
+	sel := make([]Experiment, len(at))
+	for k, i := range at {
+		sel[k] = r.list[i]
+	}
+	return sel, nil
 }
 
 // Get returns the experiment with the given ID.

@@ -222,6 +222,41 @@ func TestSubsetAndUnknownID(t *testing.T) {
 	}
 }
 
+// TestPickAllocatesOnlyItsResult pins RunSuite's selection on a registry
+// the size of the suite's: picking one experiment, or a few with a
+// duplicate, allocates only the result, and picking every experiment
+// allocates nothing. The picked experiments come in registration order,
+// each once, and an unknown ID is rejected.
+func TestPickAllocatesOnlyItsResult(t *testing.T) {
+	r := NewRegistry()
+	for i := 0; i < 31; i++ {
+		r.MustRegister(Experiment{ID: fmt.Sprintf("e%d", i), Run: func(*Ctx) (string, error) { return "", nil }})
+	}
+	for _, ids := range [][]string{{"e17"}, {"e30", "e2", "e30", "e9"}, nil} {
+		want := 1.0
+		if ids == nil {
+			want = 0
+		}
+		if allocs := testing.AllocsPerRun(100, func() { r.pick(ids) }); allocs > want {
+			t.Errorf("pick(%q) allocates %.1f times, want at most %.0f", ids, allocs, want)
+		}
+	}
+	sel, err := r.pick([]string{"e30", "e2", "e30", "e9"})
+	var got []string
+	for _, e := range sel {
+		got = append(got, e.ID)
+	}
+	if err != nil || strings.Join(got, " ") != "e2 e9 e30" {
+		t.Errorf("pick(e30 e2 e30 e9) = %v, %v; want [e2 e9 e30]", got, err)
+	}
+	if all, err := r.pick(nil); err != nil || len(all) != 31 || all[30].ID != "e30" {
+		t.Errorf("pick(nil) = %d experiments, %v; want all 31 in order", len(all), err)
+	}
+	if _, err := r.pick([]string{"e1", "nope"}); err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Errorf("pick of an unknown ID: err = %v, want one naming it", err)
+	}
+}
+
 func TestOnResultStreamsInOrder(t *testing.T) {
 	r := testRegistry()
 	var got []string

@@ -212,10 +212,12 @@ func TestSuiteGolden(t *testing.T) {
 }
 
 // TestRecyclingRunsKeepOutputs runs four experiments that recycle cache
-// tags and memory pages (fig15's pages, policy's bare L2s, the platforms
-// of spandispatch and fig19) on four workers, twice, so concurrent runs
-// release and take storage from the shared free lists. Their outputs must
-// stay byte-identical to a sequential run. Run it under -race.
+// tags and memory pages (fig15's pages, the shared rows of policy's bare
+// L2s, and the Infinity Cache slices of spandispatch and fig19, whose
+// 2 MiB is the most any run of the suite-timing cycle hands back) on four
+// workers, twice, so concurrent runs release and take storage from the
+// shared free lists. Their outputs must stay byte-identical to a
+// sequential run. Run it under -race.
 func TestRecyclingRunsKeepOutputs(t *testing.T) {
 	reg := Experiments()
 	ids := []string{"fig15", "policy", "spandispatch", "fig19"}
