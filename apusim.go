@@ -6,8 +6,8 @@
 //
 // The package is a facade over the internal architecture models:
 //
-//   - Platform assembly (fabric, HBM + Infinity Cache, coherence, XCD/CCD
-//     compute, power) — internal/core
+//   - Platform assembly (fabric, HBM + Infinity Cache, XCD/CCD compute,
+//     power) — internal/core
 //   - Discrete-event kernel, product configs, physical chiplet
 //     construction, thermal solver, partitioning, node topologies —
 //     internal/{sim,config,chiplet,thermal,partition,topology}
@@ -24,7 +24,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/gpu"
-	"repro/internal/partition"
 	"repro/internal/progmodel"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -52,8 +51,6 @@ type (
 	ProgramResult = progmodel.Result
 	// OverlapResult is the fine-grained overlap outcome (Fig. 15).
 	OverlapResult = progmodel.OverlapResult
-	// PartitionConfig is a validated compute/memory partitioning.
-	PartitionConfig = partition.Config
 	// Node is a multi-socket system topology.
 	Node = topology.Node
 )
@@ -126,12 +123,6 @@ func RunOverlap(p *Platform, n, chunks int) (*OverlapResult, error) {
 // RunWorkload executes a workload proxy on a platform, returning seconds
 // and the per-phase breakdown.
 func RunWorkload(w Workload, p *Platform) (float64, []PhaseResult) { return workload.Run(w, p) }
-
-// ConfigurePartitions validates a compute/memory partitioning mode
-// (Fig. 17), e.g. ("TPX", 1) on MI300A or ("CPX", 4) on MI300X.
-func ConfigurePartitions(spec *PlatformSpec, mode string, nps int) (*PartitionConfig, error) {
-	return partition.Configure(spec, mode, partition.NPS(nps))
-}
 
 // QuadAPUNode builds the Fig. 18(a) 4×MI300A node.
 func QuadAPUNode() (*Node, error) { return topology.QuadAPUNode() }

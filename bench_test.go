@@ -13,6 +13,7 @@ import (
 	"repro/internal/collective"
 	"repro/internal/config"
 	"repro/internal/gpu"
+	"repro/internal/partition"
 	"repro/internal/runner"
 	"repro/internal/topology"
 	"repro/internal/workload"
@@ -152,7 +153,7 @@ func BenchmarkFig17_Partitioning(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	cpx, err := ConfigurePartitions(SpecMI300X(), "CPX", 4)
+	cpx, err := partition.Configure(SpecMI300X(), "CPX", partition.NPS4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -390,34 +391,25 @@ func BenchmarkAblation_ManagedMemory(b *testing.B) {
 	b.ReportMetric(float64(r.Stats.Faults), "page-fault-batches")
 }
 
-// BenchmarkCollectives_AllReduce measures ring vs direct all-reduce on the
+// BenchmarkCollectives_AllReduce measures the direct all-reduce on the
 // Fig. 18a node.
 func BenchmarkCollectives_AllReduce(b *testing.B) {
 	node, err := topology.QuadAPUNode()
 	if err != nil {
 		b.Fatal(err)
 	}
-	var ringBW, directBW float64
+	var directBW float64
 	for i := 0; i < b.N; i++ {
-		cr, err := collective.NewComm(node)
+		c, err := collective.NewComm(node)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ring, err := cr.RingAllReduce(0, 1<<30)
+		direct, err := c.DirectAllReduce(0, 1<<30)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cd, err := collective.NewComm(node)
-		if err != nil {
-			b.Fatal(err)
-		}
-		direct, err := cd.DirectAllReduce(0, 1<<30)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ringBW, directBW = ring.BusBW, direct.BusBW
+		directBW = direct.BusBW
 	}
-	b.ReportMetric(ringBW/1e9, "ring-busbw-GB/s")
 	b.ReportMetric(directBW/1e9, "direct-busbw-GB/s")
 }
 

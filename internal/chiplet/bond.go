@@ -11,31 +11,11 @@ import "fmt"
 // (RDL). This model quantifies that choice as a per-pad resistance and an
 // IR-drop check at chiplet power levels.
 
-// BondTarget is what the bond-pad via lands on.
-type BondTarget int
-
-const (
-	// BondToTopMetal is the V-Cache-generation connection (Fig. 11a).
-	BondToTopMetal BondTarget = iota
-	// BondToRDL is the MI300 connection (Fig. 11b).
-	BondToRDL
-)
-
-// String names the target.
-func (t BondTarget) String() string {
-	if t == BondToTopMetal {
-		return "top-metal"
-	}
-	return "RDL"
-}
-
 // BondInterface describes one hybrid-bonded power-delivery interface.
 type BondInterface struct {
 	Name string
 	// PitchUM is the bond pad pitch (9 µm for V-Cache and MI300, §V.A).
 	PitchUM float64
-	// Target selects the Fig. 11 variant.
-	Target BondTarget
 	// PadResistanceOhm is per-pad series resistance: bond + BPV + the
 	// landing layer's spreading resistance. RDL landing roughly halves
 	// it versus thin top-level metal.
@@ -47,7 +27,6 @@ func VCacheBond() BondInterface {
 	return BondInterface{
 		Name:             "V-Cache (Zen 3)",
 		PitchUM:          9,
-		Target:           BondToTopMetal,
 		PadResistanceOhm: 0.52,
 	}
 }
@@ -59,7 +38,6 @@ func MI300Bond() BondInterface {
 	return BondInterface{
 		Name:             "MI300 (RDL landing)",
 		PitchUM:          9,
-		Target:           BondToRDL,
 		PadResistanceOhm: 0.21,
 	}
 }

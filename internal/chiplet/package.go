@@ -43,7 +43,6 @@ type Package struct {
 	Design *IODDesign
 	IODs   []IODInstance
 	HBM    []Rect // package coordinates
-	hbmDie *DieSpec
 }
 
 // usrGap is the die-to-die spacing that USR PHYs can span (§V.A: enabled
@@ -75,7 +74,7 @@ func assemble(name string, computeKinds [4]ComputeKind) *Package {
 		{col0, 0},    // C
 		{col1, 0},    // D
 	}
-	p := &Package{Name: name, Design: d, hbmDie: hbm}
+	p := &Package{Name: name, Design: d}
 	for i, n := range []string{"IOD-A", "IOD-B", "IOD-C", "IOD-D"} {
 		p.IODs = append(p.IODs, IODInstance{
 			Name: n, Orient: orients[i], Offset: offsets[i], Compute: computeKinds[i],

@@ -175,8 +175,12 @@ func TestValidateCatchesErrors(t *testing.T) {
 
 func TestEHPv4Shortcomings(t *testing.T) {
 	e, a := EHPv4(), MI300A()
-	if !e.EHPLegacy {
-		t.Error("EHPv4 must be marked legacy")
+	// §III.B: one server IOD with no USR links, so the platform builder
+	// lays down the EHPv4 fabric and GPU-GPU traffic takes substrate
+	// SerDes.
+	if e.IODs != 1 || e.IOD.USRHorizontalBW != 0 || e.IOD.USRVerticalBW != 0 {
+		t.Errorf("EHPv4 has %d IODs with USR %g/%g B/s, want one server IOD without USR",
+			e.IODs, e.IOD.USRHorizontalBW, e.IOD.USRVerticalBW)
 	}
 	// §III.B: the cross-GPU path is a DDR-class SerDes bottleneck,
 	// far below MI300A's USR mesh.

@@ -22,9 +22,7 @@ type XCDSpec struct {
 	ClockHz     float64 // engine clock
 	ACEs        int     // asynchronous compute engines per XCD
 	L2Bytes     int64   // shared L2 per XCD
-	L1Bytes     int64   // L1D per CU
 	LDSBytes    int64   // local data share per CU
-	ICacheBytes int64   // instruction cache shared per CU pair
 	Rates       *RateTable
 	// SIMDLanesPerCU is the nominal vector width used by the functional
 	// model to size wavefronts (64-wide wavefronts on CDNA).
@@ -35,8 +33,6 @@ type XCDSpec struct {
 type CCDSpec struct {
 	Cores     int
 	ClockHz   float64
-	L2Bytes   int64   // per core
-	L3Bytes   int64   // shared per CCD
 	FlopsCore float64 // peak FP64 flops per core per clock (AVX-512: 16)
 }
 
@@ -86,8 +82,6 @@ type IODSpec struct {
 	X16Links int
 	// X16BWPerDir is per-direction bandwidth of one x16 link (64 GB/s).
 	X16BWPerDir float64
-	// FabricClockHz is the data-fabric clock for latency modeling.
-	FabricClockHz float64
 }
 
 // LinkKind classifies inter-die and inter-socket links.
@@ -207,10 +201,6 @@ type PlatformSpec struct {
 	// AnalyticPeaks optionally overrides computed peak flops (used for
 	// the non-CDNA baseline GPU in Fig. 21). Keyed by dense matrix type.
 	AnalyticPeaks map[DataType]float64
-
-	// EHPLegacy marks concept platforms (EHPv4) that route GPU-GPU
-	// traffic over substrate SerDes instead of USR.
-	EHPLegacy bool
 
 	// CrossDieBWPerDir is the per-direction bandwidth between the two
 	// GPU halves for legacy parts (MI250X GCD-GCD, EHPv4): these do not
@@ -352,9 +342,7 @@ func MI250X() *PlatformSpec {
 			ClockHz:       1.7e9,
 			ACEs:          4,
 			L2Bytes:       8 * MiB,
-			L1Bytes:       16 * KiB,
 			LDSBytes:      64 * KiB,
-			ICacheBytes:   32 * KiB,
 			Rates:         CDNA2Rates(),
 			WavefrontSize: 64,
 		},
@@ -388,9 +376,7 @@ func EHPv4() *PlatformSpec {
 			ClockHz:       1.7e9,
 			ACEs:          4,
 			L2Bytes:       4 * MiB,
-			L1Bytes:       16 * KiB,
 			LDSBytes:      64 * KiB,
-			ICacheBytes:   32 * KiB,
 			Rates:         CDNA2Rates(),
 			WavefrontSize: 64,
 		},
@@ -405,7 +391,6 @@ func EHPv4() *PlatformSpec {
 			USRVerticalBW:   0,
 			X16Links:        2,
 			X16BWPerDir:     36e9, // older-generation IF
-			FabricClockHz:   1.8e9,
 		},
 		HBM: &HBMSpec{
 			Generation:    "HBM2e",
@@ -417,7 +402,6 @@ func EHPv4() *PlatformSpec {
 		Memory:             UnifiedMemory,
 		DevicePresentation: 2, // two GPU halves, not unifiable (§VI.A)
 		TDPWatts:           500,
-		EHPLegacy:          true,
 		CrossDieBWPerDir:   100e9, // long-distance substrate SerDes path (Fig. 4 ①)
 	}
 }
@@ -435,9 +419,7 @@ func BaselineGPU() *PlatformSpec {
 			ClockHz:       1.98e9,
 			ACEs:          1,
 			L2Bytes:       64 * MiB, // ~50 MB real; rounded for power-of-two sets
-			L1Bytes:       256 * KiB,
 			LDSBytes:      0,
-			ICacheBytes:   32 * KiB,
 			Rates:         &RateTable{Name: "baseline"},
 			WavefrontSize: 32,
 		},
@@ -474,9 +456,7 @@ func cdna3XCD() *XCDSpec {
 		ClockHz:       2.1e9,
 		ACEs:          4,
 		L2Bytes:       4 * MiB,
-		L1Bytes:       32 * KiB,
 		LDSBytes:      64 * KiB,
-		ICacheBytes:   64 * KiB,
 		Rates:         CDNA3Rates(),
 		WavefrontSize: 64,
 	}
@@ -488,8 +468,6 @@ func zen4CCD() *CCDSpec {
 	return &CCDSpec{
 		Cores:     8,
 		ClockHz:   3.7e9,
-		L2Bytes:   1 * MiB,
-		L3Bytes:   32 * MiB,
 		FlopsCore: 16,
 	}
 }
@@ -505,7 +483,6 @@ func mi300IOD() *IODSpec {
 		USRVerticalBW:   1.2e12,
 		X16Links:        2,
 		X16BWPerDir:     64e9,
-		FabricClockHz:   2.0e9,
 	}
 }
 

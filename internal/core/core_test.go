@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/gpu"
+	"repro/internal/power"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 func mustPlatform(t testing.TB, spec *config.PlatformSpec) *Platform {
@@ -241,6 +243,39 @@ func TestRunPhaseComputeVsMemoryBound(t *testing.T) {
 	}
 	if c.Total <= 0 || m.Total <= 0 {
 		t.Error("phases took no time")
+	}
+}
+
+// TestPowerProbesFollowRunPhase pins the one power-allocation path: the
+// power probes start at the idle allocation and then read the
+// allocation and throttle scale of the phase RunPhase last ran.
+func TestPowerProbesFollowRunPhase(t *testing.T) {
+	p := mustPlatform(t, config.MI300A())
+	rec := telemetry.NewRecorder()
+	p.Instrument(rec)
+	rec.Sample(0)
+	r := p.RunPhase(0, Phase{Name: "gemm", GPUFlops: 1e14, Class: config.Matrix, Dtype: config.FP16, GPUBytes: 1e9})
+	rec.Sample(1)
+	idle, _ := p.Power.Allocate(power.Activity{})
+	busy, scale := p.Power.Allocate(power.ComputeIntensive())
+	if r.Throttle != scale {
+		t.Errorf("phase throttle = %v, want the compute-intensive scale %v", r.Throttle, scale)
+	}
+	for _, c := range []struct {
+		probe      string
+		idle, busy float64
+	}{
+		{"power.total_w", idle.Total(), busy.Total()},
+		{"power.xcd_w", idle[power.DomainXCD], busy[power.DomainXCD]},
+		{"power.scale", 1, scale},
+	} {
+		s, ok := rec.SeriesByName(c.probe)
+		if !ok || len(s.Values) != 2 {
+			t.Fatalf("%s: series %v, want two samples", c.probe, s.Values)
+		}
+		if s.Values[0] != c.idle || s.Values[1] != c.busy {
+			t.Errorf("%s = %v, want [%v %v]", c.probe, s.Values, c.idle, c.busy)
+		}
 	}
 }
 

@@ -1,9 +1,22 @@
 package core
 
 import (
+	"strings"
+
 	"repro/internal/audit"
+	"repro/internal/power"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/thermal"
 )
+
+// perXCDAreaMM2 approximates one XCD die's area for the hotspot power
+// density estimate (~115 mm² in TSMC N5, §IV.B).
+const perXCDAreaMM2 = 115.0
+
+// hotspotAmbientC matches the thermal solver's default coolant
+// temperature.
+const hotspotAmbientC = 35.0
 
 // Instrument registers the full platform probe set on rec, in a fixed
 // order (fabric links, HBM, host DDR, Infinity Cache, XCDs, power/
@@ -19,6 +32,28 @@ func (p *Platform) Instrument(rec *telemetry.Recorder) {
 	}
 	telemetry.InstrumentXCDs(rec, p.XCDs)
 	p.instrumentPower(rec)
+}
+
+// instrumentPower registers the power probes: one watts gauge per power
+// domain, the throttle scale, total socket watts, and a hotspot estimate
+// from the XCD domain's power density. They read the allocation RunPhase
+// last made, starting from the all-idle one; platforms without a power
+// model (concept parts) register none.
+func (p *Platform) instrumentPower(rec *telemetry.Recorder) {
+	if p.Power == nil {
+		return
+	}
+	p.powerAlloc, p.powerScale = p.Power.Allocate(power.Activity{})
+	xcdArea := perXCDAreaMM2 * float64(max(len(p.XCDs), 1))
+	for _, d := range power.AllDomains() {
+		rec.Gauge("power."+strings.ToLower(d.String())+"_w",
+			func(sim.Time) float64 { return p.powerAlloc[d] })
+	}
+	rec.Gauge("power.total_w", func(sim.Time) float64 { return p.powerAlloc.Total() })
+	rec.Gauge("power.scale", func(sim.Time) float64 { return p.powerScale })
+	rec.Gauge("thermal.hotspot_c", func(sim.Time) float64 {
+		return thermal.HotspotEstimate(hotspotAmbientC, p.powerAlloc[power.DomainXCD], xcdArea)
+	})
 }
 
 // AttachAudit registers the platform's conservation ledgers on a, in a

@@ -55,8 +55,10 @@ type Platform struct {
 
 	// Power is the socket power model (nil for concept platforms).
 	Power *power.Model
-	// gov tracks the live governor state for telemetry; built lazily.
-	gov *Governor
+	// powerAlloc and powerScale are the allocation RunPhase last made
+	// and its throttle scale; the power probes read them.
+	powerAlloc power.Allocation
+	powerScale float64
 	// spans, when non-nil, records causal span trees on the memory and
 	// dispatch hot paths. Nil costs the hot paths one pointer check.
 	spans *spans.Recorder
@@ -123,13 +125,6 @@ func NewHBM(spec *config.PlatformSpec) *mem.HBM {
 		spec.HBM.StackBW, spec.HBM.TotalCapacity(), 120*sim.Nanosecond)
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // buildFabric lays down the fabric topology for the spec:
 //
 //   - MI300-style (4 IODs): 2×2 USR mesh, chiplets hybrid-bonded to their
@@ -150,7 +145,7 @@ func (p *Platform) buildFabric() {
 		p.buildGCDFabric()
 	}
 	if spec.Memory == config.DiscreteMemory {
-		host := p.Net.AddNode("host", fabric.KindHost)
+		host := p.Net.AddNode("host")
 		p.hostNode = host.ID
 		// Host attaches to the device over its link (PCIe or IF).
 		attach := p.iodNodes
@@ -166,7 +161,7 @@ func (p *Platform) buildMI300Fabric() {
 	// IODs in Fig. 9 arrangement: A,B top; C,D bottom.
 	names := []string{"IOD-A", "IOD-B", "IOD-C", "IOD-D"}
 	for _, n := range names {
-		p.iodNodes = append(p.iodNodes, p.Net.AddNode(n, fabric.KindIOD).ID)
+		p.iodNodes = append(p.iodNodes, p.Net.AddNode(n).ID)
 	}
 	usrLat := 8 * sim.Nanosecond
 	h, v := spec.IOD.USRHorizontalBW, spec.IOD.USRVerticalBW
@@ -185,18 +180,18 @@ func (p *Platform) buildMI300Fabric() {
 	bondBW := 2.2e12 // per-chiplet 3D interface, comfortably above 2 HBM stacks
 	bondLat := 3 * sim.Nanosecond
 	for i := 0; i < spec.XCDs; i++ {
-		n := p.Net.AddNode("XCD"+strconv.Itoa(i), fabric.KindXCD)
+		n := p.Net.AddNode("XCD" + strconv.Itoa(i))
 		p.xcdNodes = append(p.xcdNodes, n.ID)
 		p.Net.Connect(p.iodNodes[i/2], n.ID, config.LinkOnDie, bondBW, bondLat)
 	}
 	ccdIOD := spec.XCDs / 2 // first IOD without XCDs
 	for i := 0; i < spec.CCDs; i++ {
-		n := p.Net.AddNode("CCD"+strconv.Itoa(i), fabric.KindCCD)
+		n := p.Net.AddNode("CCD" + strconv.Itoa(i))
 		p.ccdNodes = append(p.ccdNodes, n.ID)
 		p.Net.Connect(p.iodNodes[ccdIOD], n.ID, config.LinkOnDie, 0.4e12, bondLat)
 	}
 	for i := 0; i < spec.IODs*spec.IOD.X16Links; i++ {
-		n := p.Net.AddNode("x16-"+strconv.Itoa(i), fabric.KindIOPort)
+		n := p.Net.AddNode("x16-" + strconv.Itoa(i))
 		p.ioNodes = append(p.ioNodes, n.ID)
 		p.Net.Connect(p.iodNodes[i/spec.IOD.X16Links], n.ID, config.LinkIFOP, spec.IOD.X16BWPerDir, 30*sim.Nanosecond)
 	}
@@ -206,7 +201,7 @@ func (p *Platform) buildMI300Fabric() {
 // attach(i) at the stack's bandwidth.
 func (p *Platform) addHBMStacks(attach func(i int) fabric.NodeID) {
 	for i := 0; i < p.Spec.HBM.Stacks; i++ {
-		n := p.Net.AddNode("HBM"+strconv.Itoa(i), fabric.KindHBM)
+		n := p.Net.AddNode("HBM" + strconv.Itoa(i))
 		p.hbmNodes = append(p.hbmNodes, n.ID)
 		p.Net.Connect(attach(i), n.ID, config.LinkOnDie, p.Spec.HBM.StackBW, 15*sim.Nanosecond)
 	}
@@ -214,20 +209,20 @@ func (p *Platform) addHBMStacks(attach func(i int) fabric.NodeID) {
 
 func (p *Platform) buildEHPv4Fabric() {
 	spec := p.Spec
-	iod := p.Net.AddNode("serverIOD", fabric.KindIOD)
+	iod := p.Net.AddNode("serverIOD")
 	p.iodNodes = []fabric.NodeID{iod.ID}
 	// GPU dies carry the HBM PHYs; the CPU reaches HBM only via
 	// IOD→GPU-die hops (Fig. 4 ③: "two die-to-die IF hops").
 	serdesBW := 64e9 // DDR-class IF link (Fig. 4 ②)
 	serdesLat := 25 * sim.Nanosecond
 	for i := 0; i < spec.XCDs; i++ {
-		n := p.Net.AddNode("GCD"+strconv.Itoa(i), fabric.KindXCD)
+		n := p.Net.AddNode("GCD" + strconv.Itoa(i))
 		p.xcdNodes = append(p.xcdNodes, n.ID)
 		// Two IF links per GPU die to the server IOD.
 		p.Net.Connect(iod.ID, n.ID, config.LinkSerDes, 2*serdesBW, serdesLat)
 	}
 	for i := 0; i < spec.CCDs; i++ {
-		n := p.Net.AddNode("CCD"+strconv.Itoa(i), fabric.KindCCD)
+		n := p.Net.AddNode("CCD" + strconv.Itoa(i))
 		p.ccdNodes = append(p.ccdNodes, n.ID)
 		p.Net.Connect(iod.ID, n.ID, config.LinkSerDes, serdesBW, serdesLat)
 	}
@@ -245,7 +240,7 @@ func (p *Platform) buildEHPv4Fabric() {
 func (p *Platform) buildGCDFabric() {
 	spec := p.Spec
 	for i := 0; i < spec.XCDs; i++ {
-		n := p.Net.AddNode("GCD"+strconv.Itoa(i), fabric.KindXCD)
+		n := p.Net.AddNode("GCD" + strconv.Itoa(i))
 		p.xcdNodes = append(p.xcdNodes, n.ID)
 	}
 	// Each GCD owns its share of HBM stacks directly.
@@ -284,17 +279,15 @@ func (p *Platform) buildCompute() {
 	p.GPU = gpu.NewPartition(spec.Name+".gpu0", p.XCDs[:perDevice], env, gpu.PolicyRoundRobin)
 
 	if spec.CCDs > 0 {
-		p.CPU = cpu.NewComplex(spec.CCD, spec.CCDs, &cpu.Env{Mem: p.HostMem, MemTime: p.CPUMemTime})
+		p.CPU = cpu.NewComplex(spec.CCD, spec.CCDs, &cpu.Env{MemTime: p.CPUMemTime})
 	}
 	if spec.Memory == config.DiscreteMemory {
 		hostCCD := &config.CCDSpec{
 			Cores:     spec.Host.Cores,
 			ClockHz:   spec.Host.ClockHz,
-			L2Bytes:   1 * config.MiB,
-			L3Bytes:   32 * config.MiB,
 			FlopsCore: spec.Host.FlopsCore,
 		}
-		p.HostCPU = cpu.NewComplex(hostCCD, 1, &cpu.Env{Mem: p.HostMem, MemTime: p.HostMemTime})
+		p.HostCPU = cpu.NewComplex(hostCCD, 1, &cpu.Env{MemTime: p.HostMemTime})
 	}
 }
 

@@ -136,7 +136,8 @@ func (p *Platform) RunPhase(start sim.Time, ph Phase) PhaseResult {
 		if gpuMem > gpuCompute {
 			act = power.MemoryIntensive()
 		}
-		alloc, scale := p.allocatePower(act)
+		alloc, scale := p.Power.Allocate(act)
+		p.powerAlloc, p.powerScale = alloc, scale
 		res.Throttle = scale
 		if scale > 0 && scale < 1 {
 			gpuCompute = sim.Time(float64(gpuCompute) / scale)

@@ -11,15 +11,11 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
 // Env supplies the memory environment for CPU execution.
 type Env struct {
-	// Mem is the address space tasks operate on (the unified HBM on an
-	// APU, host DDR on a discrete platform).
-	Mem *mem.Space
 	// MemTime charges bulk memory traffic and returns completion. Nil
 	// means memory time is not modeled.
 	MemTime func(start sim.Time, ccd int, bytes int64, write bool) sim.Time
@@ -38,9 +34,9 @@ type Task struct {
 	Flops        float64
 	BytesRead    int64
 	BytesWritten int64
-	// Body optionally performs real loads/stores; it receives the task's
-	// chunk index.
-	Body func(env *Env, chunk int)
+	// Body optionally performs real loads/stores on the memory space it
+	// closes over; it receives the task's chunk index.
+	Body func(chunk int)
 }
 
 // Core is one Zen 4 core with an availability horizon.
@@ -63,7 +59,6 @@ type Stats struct {
 // modelled: CPU memory time is charged on the platform memory path.
 type Complex struct {
 	Spec  *config.CCDSpec
-	CCDs  int
 	cores []Core
 	env   *Env
 	stats Stats
@@ -77,7 +72,7 @@ func NewComplex(spec *config.CCDSpec, ccds int, env *Env) *Complex {
 	if env == nil {
 		env = &Env{}
 	}
-	c := &Complex{Spec: spec, CCDs: ccds, env: env, cores: make([]Core, ccds*spec.Cores)}
+	c := &Complex{Spec: spec, env: env, cores: make([]Core, ccds*spec.Cores)}
 	for i := range c.cores {
 		c.cores[i] = Core{CCD: i / spec.Cores, Index: i % spec.Cores}
 	}
@@ -119,7 +114,7 @@ func (c *Complex) run(start sim.Time, t Task, chunk int) sim.Time {
 		begin = core.nextFree
 	}
 	if t.Body != nil {
-		t.Body(c.env, chunk)
+		t.Body(chunk)
 	}
 	computeDone := begin + sim.FromSeconds(t.Flops/c.coreFlops())
 	// Loads and stores pipeline from the task's start.

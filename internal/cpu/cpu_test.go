@@ -18,9 +18,6 @@ func TestComplexGeometry(t *testing.T) {
 	if c.Cores() != 24 {
 		t.Errorf("cores = %d, want 24 (§IV.C)", c.Cores())
 	}
-	if got := c.Spec.L3Bytes; got != 32<<20 {
-		t.Errorf("L3 = %d, want 32 MiB", got)
-	}
 }
 
 func TestExecuteComputeTime(t *testing.T) {
@@ -65,12 +62,12 @@ func TestTasksQueueOnBusyCores(t *testing.T) {
 
 func TestBodyExecutesFunctionally(t *testing.T) {
 	space := mem.NewSpace("ddr", 1<<24)
-	c := newComplex(&Env{Mem: space})
+	c := newComplex(nil)
 	addr, _ := space.Alloc(8*24, 0)
 	c.ExecuteParallel(0, Task{
 		Flops: 1000,
-		Body: func(env *Env, chunk int) {
-			env.Mem.WriteFloat64(addr+int64(chunk)*8, float64(chunk)*1.5)
+		Body: func(chunk int) {
+			space.WriteFloat64(addr+int64(chunk)*8, float64(chunk)*1.5)
 		},
 	}, 24)
 	for i := int64(0); i < 24; i++ {

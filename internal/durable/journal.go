@@ -350,7 +350,6 @@ type Journal struct {
 	mu          sync.Mutex // guards the active segment, buffer, and write generation
 	f           File
 	w           *bufio.Writer
-	activeIndex int
 	nextIndex   int
 	activeBytes int64
 	writeGen    int64
@@ -416,7 +415,6 @@ func (j *Journal) ensureActiveLocked() error {
 	}
 	j.f = f
 	j.w = bufio.NewWriter(f)
-	j.activeIndex = idx
 	j.nextIndex = idx + 1
 	j.activeBytes = int64(len(hdr))
 	j.segments++
@@ -585,7 +583,6 @@ func (j *Journal) Checkpoint(live []Record) error {
 	}
 	j.f = f
 	j.w = bufio.NewWriter(f)
-	j.activeIndex = idx
 	j.nextIndex = idx + 1
 	j.activeBytes = int64(buf.Len())
 	j.writeGen++

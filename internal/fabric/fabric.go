@@ -56,43 +56,10 @@ func (s LinkState) String() string {
 // NodeID identifies a node in the network.
 type NodeID int
 
-// NodeKind classifies fabric endpoints for reporting and routing policy.
-type NodeKind int
-
-const (
-	KindIOD NodeKind = iota
-	KindXCD
-	KindCCD
-	KindHBM
-	KindIOPort
-	KindHost
-)
-
-// String names the node kind.
-func (k NodeKind) String() string {
-	switch k {
-	case KindIOD:
-		return "IOD"
-	case KindXCD:
-		return "XCD"
-	case KindCCD:
-		return "CCD"
-	case KindHBM:
-		return "HBM"
-	case KindIOPort:
-		return "IOPort"
-	case KindHost:
-		return "Host"
-	default:
-		return "Other"
-	}
-}
-
 // Node is a fabric endpoint or switch.
 type Node struct {
 	ID   NodeID
 	Name string
-	Kind NodeKind
 }
 
 // Link is a directed connection with fixed bandwidth and latency.
@@ -213,9 +180,9 @@ func New() *Network {
 }
 
 // AddNode creates a node and returns it.
-func (n *Network) AddNode(name string, kind NodeKind) *Node {
+func (n *Network) AddNode(name string) *Node {
 	node := n.nodeSlab.next()
-	*node = Node{ID: NodeID(len(n.nodes)), Name: name, Kind: kind}
+	*node = Node{ID: NodeID(len(n.nodes)), Name: name}
 	n.nodes = append(n.nodes, node)
 	n.adjStart = nil
 	return node

@@ -18,9 +18,9 @@ import (
 func line(t *testing.T, bwAB, bwBC float64) (*Network, NodeID, NodeID, NodeID) {
 	t.Helper()
 	n := New()
-	a := n.AddNode("A", KindIOD).ID
-	b := n.AddNode("B", KindIOD).ID
-	c := n.AddNode("C", KindIOD).ID
+	a := n.AddNode("A").ID
+	b := n.AddNode("B").ID
+	c := n.AddNode("C").ID
 	n.Connect(a, b, config.LinkUSR, bwAB, 10*sim.Nanosecond)
 	n.Connect(b, c, config.LinkUSR, bwBC, 10*sim.Nanosecond)
 	return n, a, b, c
@@ -48,8 +48,8 @@ func TestRouteShortestPath(t *testing.T) {
 
 func TestRouteUnreachable(t *testing.T) {
 	n := New()
-	a := n.AddNode("A", KindIOD).ID
-	b := n.AddNode("B", KindIOD).ID
+	a := n.AddNode("A").ID
+	b := n.AddNode("B").ID
 	if _, err := n.Route(a, b); err == nil {
 		t.Error("expected unreachable error")
 	}
@@ -57,7 +57,7 @@ func TestRouteUnreachable(t *testing.T) {
 
 func TestRouteToSelfIsEmpty(t *testing.T) {
 	n := New()
-	a := n.AddNode("A", KindIOD).ID
+	a := n.AddNode("A").ID
 	path, err := n.Route(a, a)
 	if err != nil || len(path) != 0 {
 		t.Errorf("self route = %v, %v", path, err)
@@ -66,8 +66,8 @@ func TestRouteToSelfIsEmpty(t *testing.T) {
 
 func TestTransferSerialization(t *testing.T) {
 	n := New()
-	a := n.AddNode("A", KindIOD).ID
-	b := n.AddNode("B", KindHBM).ID
+	a := n.AddNode("A").ID
+	b := n.AddNode("B").ID
 	n.Connect(a, b, config.LinkOnDie, 1e9, 0) // 1 GB/s, no latency
 	end, err := n.Transfer(0, a, b, 1e9)      // 1 GB
 	if err != nil {
@@ -80,8 +80,8 @@ func TestTransferSerialization(t *testing.T) {
 
 func TestTransferContentionQueues(t *testing.T) {
 	n := New()
-	a := n.AddNode("A", KindIOD).ID
-	b := n.AddNode("B", KindHBM).ID
+	a := n.AddNode("A").ID
+	b := n.AddNode("B").ID
 	n.Connect(a, b, config.LinkOnDie, 1e9, 0)
 	end1, _ := n.Transfer(0, a, b, 1e9)
 	end2, _ := n.Transfer(0, a, b, 1e9) // same instant: must queue
@@ -141,8 +141,8 @@ func TestSignalIgnoresBulkTraffic(t *testing.T) {
 
 func TestLinkStatsAndEnergy(t *testing.T) {
 	n := New()
-	a := n.AddNode("A", KindIOD).ID
-	b := n.AddNode("B", KindIOD).ID
+	a := n.AddNode("A").ID
+	b := n.AddNode("B").ID
 	l := n.Connect(a, b, config.LinkUSR, 1e12, sim.Nanosecond)
 	n.Transfer(0, a, b, 1000)
 	if l.BytesCarried() != 1000 {
@@ -163,8 +163,8 @@ func TestLinkStatsAndEnergy(t *testing.T) {
 
 func TestNodeLookup(t *testing.T) {
 	n := New()
-	n.AddNode("iod0", KindIOD)
-	x := n.AddNode("xcd0", KindXCD)
+	n.AddNode("iod0")
+	x := n.AddNode("xcd0")
 	if got := n.NodeByName("xcd0"); got == nil || got.ID != x.ID {
 		t.Error("NodeByName failed")
 	}
@@ -213,7 +213,7 @@ func TestRouteSymmetryProperty(t *testing.T) {
 	n := New()
 	ids := make([]NodeID, 4)
 	for i := range ids {
-		ids[i] = n.AddNode([]string{"IOD-A", "IOD-B", "IOD-C", "IOD-D"}[i], KindIOD).ID
+		ids[i] = n.AddNode([]string{"IOD-A", "IOD-B", "IOD-C", "IOD-D"}[i]).ID
 	}
 	n.Connect(ids[0], ids[1], config.LinkUSR, 1.5e12, 5*sim.Nanosecond) // A-B
 	n.Connect(ids[2], ids[3], config.LinkUSR, 1.5e12, 5*sim.Nanosecond) // C-D
@@ -243,7 +243,7 @@ func mesh2x2(t *testing.T) (*Network, []NodeID) {
 	n := New()
 	ids := make([]NodeID, 4)
 	for i := range ids {
-		ids[i] = n.AddNode([]string{"IOD-A", "IOD-B", "IOD-C", "IOD-D"}[i], KindIOD).ID
+		ids[i] = n.AddNode([]string{"IOD-A", "IOD-B", "IOD-C", "IOD-D"}[i]).ID
 	}
 	n.Connect(ids[0], ids[1], config.LinkUSR, 1.5e12, 5*sim.Nanosecond) // A-B
 	n.Connect(ids[2], ids[3], config.LinkUSR, 1.5e12, 5*sim.Nanosecond) // C-D
@@ -327,8 +327,8 @@ func TestPartitionReturnsTypedError(t *testing.T) {
 
 func TestLinkDerateSlowsSerialization(t *testing.T) {
 	n := New()
-	a := n.AddNode("A", KindIOD).ID
-	b := n.AddNode("B", KindIOD).ID
+	a := n.AddNode("A").ID
+	b := n.AddNode("B").ID
 	l := n.Connect(a, b, config.LinkUSR, 1e9, 0)
 	end1, _ := n.Transfer(0, a, b, 1e6)
 	if err := n.SetLinkState(l.ID, LinkDerated, 0.5); err != nil {
@@ -352,9 +352,9 @@ func TestLinkDerateSlowsSerialization(t *testing.T) {
 
 func BenchmarkTransfer(b *testing.B) {
 	n := New()
-	a := n.AddNode("A", KindIOD).ID
-	c := n.AddNode("C", KindIOD).ID
-	mid := n.AddNode("B", KindIOD).ID
+	a := n.AddNode("A").ID
+	c := n.AddNode("C").ID
+	mid := n.AddNode("B").ID
 	n.Connect(a, mid, config.LinkUSR, 1.5e12, 5*sim.Nanosecond)
 	n.Connect(mid, c, config.LinkUSR, 1.5e12, 5*sim.Nanosecond)
 	path, _ := n.Route(a, c)
@@ -441,7 +441,7 @@ func routeNetwork(topo []byte) *Network {
 	}
 	nodes := 2 + int(topo[0])%(maxRouteNodes-1)
 	for i := 0; i < nodes; i++ {
-		n.AddNode(fmt.Sprintf("n%d", i), KindIOD)
+		n.AddNode(fmt.Sprintf("n%d", i))
 	}
 	topo = topo[1:]
 	for c := 0; c < maxRouteConnects && len(topo) >= 4; c++ {

@@ -48,15 +48,14 @@ func (d Dim3) Count() int { return d[0] * d[1] * d[2] }
 // Packet is an AQL packet. KernelObject is an opaque payload interpreted
 // by the GPU model (a compiled kernel in real hardware).
 type Packet struct {
-	Type          PacketType
-	KernelName    string
-	Grid          Dim3 // total work-items
-	Workgroup     Dim3 // work-items per workgroup
-	KernelObject  any
-	KernargAddr   int64 // address of kernel arguments in memory
-	Completion    *Signal
-	BarrierDeps   []*Signal // for PacketBarrierAnd
-	GroupSegBytes int64     // LDS bytes per workgroup
+	Type         PacketType
+	KernelName   string
+	Grid         Dim3 // total work-items
+	Workgroup    Dim3 // work-items per workgroup
+	KernelObject any
+	KernargAddr  int64 // address of kernel arguments in memory
+	Completion   *Signal
+	BarrierDeps  []*Signal // for PacketBarrierAnd
 	// Span carries the producer's tracing context across the queue: when
 	// the enqueuing side opened a dispatch root span, the packet processor
 	// records its decode/execute/sync stages under it instead of opening a

@@ -21,7 +21,6 @@ import (
 
 // System is a multi-socket MI300A node with coherence-scope models.
 type System struct {
-	Node *topology.Node
 	// PairBWPerDir is the per-direction IF bandwidth between a socket
 	// pair.
 	PairBWPerDir float64
@@ -48,7 +47,6 @@ func NewQuadAPUSystem() (*System, error) {
 	}
 	spec := config.MI300A()
 	return &System{
-		Node:               node,
 		PairBWPerDir:       node.PairBWPerDir(node.Sockets[0].Name, node.Sockets[1].Name),
 		IFLatency:          150 * sim.Nanosecond,
 		LineSize:           config.CacheLineSize,

@@ -5,11 +5,7 @@
 // phases (Fig. 12a).
 package power
 
-import (
-	"sort"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Domain is a power-consuming subsystem of the socket.
 type Domain int
@@ -255,11 +251,4 @@ func (e *EnergyMeter) EnergyJ(t sim.Time) float64 {
 func (e *EnergyMeter) DomainEnergyJ(t sim.Time, d Domain) float64 {
 	e.accrue(t)
 	return e.joules[d]
-}
-
-// TopConsumers returns domains ordered by allocated watts, descending.
-func TopConsumers(a Allocation) []Domain {
-	ds := AllDomains()
-	sort.Slice(ds, func(i, j int) bool { return a[ds[i]] > a[ds[j]] })
-	return ds
 }

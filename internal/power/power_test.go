@@ -39,8 +39,10 @@ func TestComputeIntensiveShiftsPowerToXCDs(t *testing.T) {
 	if mem[DomainXCD] >= c[DomainXCD] {
 		t.Errorf("XCD power did not shed in memory phase: %.1f vs %.1f W", mem[DomainXCD], c[DomainXCD])
 	}
-	if TopConsumers(c)[0] != DomainXCD {
-		t.Error("XCDs are not the top consumer in the compute phase")
+	for _, d := range AllDomains() {
+		if c[d] > c[DomainXCD] {
+			t.Errorf("%v draws %.1f W, more than the XCDs' %.1f W in the compute phase", d, c[d], c[DomainXCD])
+		}
 	}
 }
 

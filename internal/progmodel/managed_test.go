@@ -73,65 +73,3 @@ func TestRunManagedRejectsAPU(t *testing.T) {
 		t.Error("managed migration accepted a unified-memory platform")
 	}
 }
-
-func TestRunDiscreteAsyncVerifiesAndPipelines(t *testing.T) {
-	p := newPlatform(t, config.MI250X())
-	r, err := RunDiscreteAsync(p, 1<<20, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Verified {
-		t.Error("async program computed wrong results")
-	}
-	if r.StepByName("pipeline(h2d|kernel|d2h)") == nil {
-		t.Fatal("pipeline step missing")
-	}
-}
-
-func TestAsyncBeatsSyncDiscrete(t *testing.T) {
-	pa := newPlatform(t, config.MI250X())
-	ra, err := RunDiscreteAsync(pa, 1<<20, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := newPlatform(t, config.MI250X())
-	rs, err := RunDiscrete(ps, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ra.Total >= rs.Total {
-		t.Errorf("async (%v) should beat synchronous copies (%v)", ra.Total, rs.Total)
-	}
-}
-
-func TestAPUStillBeatsAsyncPipeline(t *testing.T) {
-	// The §VI.B bottom line: even perfectly pipelined copies lose to no
-	// copies. The exposed copy time is the APU's structural advantage.
-	apu := newPlatform(t, config.MI300A())
-	rApu, err := RunAPU(apu, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disc := newPlatform(t, config.MI250X())
-	rAsync, err := RunDiscreteAsync(disc, 1<<20, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rApu.Total >= rAsync.Total {
-		t.Errorf("APU (%v) should beat the async pipeline (%v)", rApu.Total, rAsync.Total)
-	}
-	if rAsync.CopyExposed <= 0 {
-		t.Error("pipeline claims to hide all copy time; some must stay exposed")
-	}
-}
-
-func TestRunDiscreteAsyncValidation(t *testing.T) {
-	p := newPlatform(t, config.MI300A())
-	if _, err := RunDiscreteAsync(p, 1<<20, 16); err == nil {
-		t.Error("async on APU accepted")
-	}
-	d := newPlatform(t, config.MI250X())
-	if _, err := RunDiscreteAsync(d, 1000, 3); err == nil {
-		t.Error("misaligned chunking accepted")
-	}
-}

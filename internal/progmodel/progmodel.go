@@ -85,7 +85,7 @@ func initTask(space *mem.Space, xAddr int64, n int) cpu.Task {
 		Name:         "init",
 		Flops:        float64(n), // one op per element
 		BytesWritten: int64(n) * 8,
-		Body: func(env *cpu.Env, chunk int) {
+		Body: func(chunk int) {
 			lo, hi := chunk*per, min((chunk+1)*per, n)
 			for lo < hi {
 				b := buf[:min(len(buf), hi-lo)]
@@ -159,7 +159,7 @@ func cpuComputeTask(space *mem.Space, xAddr, yAddr int64, n int) cpu.Task {
 		Name:      "compute",
 		Flops:     2 * float64(n),
 		BytesRead: int64(n) * 8, BytesWritten: int64(n) * 8,
-		Body: func(env *cpu.Env, chunk int) {
+		Body: func(chunk int) {
 			lo, hi := chunk*per, min((chunk+1)*per, n)
 			for ; lo < hi; lo += blockLen {
 				axpy(space, xAddr, yAddr, lo, min(lo+blockLen, hi), &buf)

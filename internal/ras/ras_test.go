@@ -19,7 +19,7 @@ func testTargets() Targets {
 	names := []string{"IOD-A", "IOD-B", "IOD-C", "IOD-D"}
 	ids := make([]fabric.NodeID, 4)
 	for i, name := range names {
-		ids[i] = net.AddNode(name, fabric.KindIOD).ID
+		ids[i] = net.AddNode(name).ID
 	}
 	net.Connect(ids[0], ids[1], config.LinkUSR, 1.5e12, 5*sim.Nanosecond)
 	net.Connect(ids[2], ids[3], config.LinkUSR, 1.5e12, 5*sim.Nanosecond)

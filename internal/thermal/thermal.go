@@ -55,7 +55,7 @@ func NewSolver(nx, ny int) *Solver {
 // uniformly dissipating region: ambient plus a rise proportional to power
 // density (W/mm²). The full Gauss-Seidel Solve costs O(grid² · iters) and
 // is far too expensive to run at telemetry sampling cadence; this is the
-// cheap per-sample companion the power governor's hotspot probe uses.
+// cheap per-sample companion the platform's hotspot probe uses.
 func HotspotEstimate(ambientC, watts, areaMM2 float64) float64 {
 	if watts <= 0 || areaMM2 <= 0 {
 		return ambientC

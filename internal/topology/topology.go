@@ -270,10 +270,10 @@ func (n *Node) BuildNetwork() *fabric.Network {
 	net := fabric.New()
 	ids := map[string]fabric.NodeID{}
 	for _, s := range n.Sockets {
-		ids[s.Name] = net.AddNode(s.Name, fabric.KindIOD).ID
+		ids[s.Name] = net.AddNode(s.Name).ID
 	}
 	if n.Host != nil {
-		ids["host"] = net.AddNode("host", fabric.KindHost).ID
+		ids["host"] = net.AddNode("host").ID
 	}
 	type pair struct {
 		a, b string

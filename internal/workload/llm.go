@@ -22,22 +22,21 @@ import (
 
 // LLMModel describes the transformer.
 type LLMModel struct {
-	Name       string
-	Params     float64
-	Layers     int
-	Hidden     int
-	KVHeads    int
-	HeadDim    int
-	ContextLen int
+	Name    string
+	Params  float64
+	Layers  int
+	KVHeads int
+	HeadDim int
 }
 
-// Llama2_70B returns the Llama-2 70B configuration [39].
+// Llama2_70B returns the Llama-2 70B configuration [39]: 80 layers with
+// grouped-query attention over 8 KV heads of 128 dimensions. Its hidden
+// size (8192) and 4,096-token context enter no formula here.
 func Llama2_70B() LLMModel {
 	return LLMModel{
 		Name:   "Llama-2-70B",
 		Params: 70e9,
-		Layers: 80, Hidden: 8192, KVHeads: 8, HeadDim: 128,
-		ContextLen: 4096,
+		Layers: 80, KVHeads: 8, HeadDim: 128,
 	}
 }
 
